@@ -303,13 +303,15 @@ def scan_pairs(trace: Trace) -> Iterator[tuple[int, int]]:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_trace(args: argparse.Namespace) -> tuple[Trace, str]:
@@ -627,6 +629,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except (CliError, TraceError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an escaped traceback would exit 1, which means "race"
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,16 @@ The module also provides:
   object the closure operates on;
 * :func:`closure` — the least refinement in which every observed writer is
   protected from interference, or ``None`` when that forces a cycle.
+
+The closure conditions are checked per (channel, block), not per writer.
+For an observer r reading from w, the writers of r's channel in block b that
+sit before r but not before w are exactly those at positions
+``(pred[w, b], pred[r, b]]``, and those after w but not after r are at
+``[succ[w, b], succ[r, b])``.  Program order already orders each such run, so
+only its end nearest to the pair needs an explicit edge: the latest writer
+before w, or r before the earliest writer.  All runs of every observer are
+found with four ``searchsorted`` calls over one sorted array of writer
+positions segmented by (channel, block).
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ __all__ = [
     "PartialOrder",
     "RfPoset",
     "compute_trf",
-    "restrict_trf",
     "is_closed",
     "closure",
 ]
@@ -307,14 +316,14 @@ def compute_trf(trace: Trace, members: Iterable[int] | None = None) -> PartialOr
     return order
 
 
-def restrict_trf(trace: Trace, members: Iterable[int]) -> PartialOrder:
-    """Alias of :func:`compute_trf` with a member subset, for readability."""
-    return compute_trf(trace, members)
-
-
 # ----------------------------------------------------------------------
 # rf-posets and the closure
 # ----------------------------------------------------------------------
+
+
+def _channel(ev: Event) -> tuple[str, str]:
+    """Conflict channel of an event: its location plus global/lock kind."""
+    return (ev.loc, "g" if ev.is_global_access else "l")
 
 
 @dataclass
@@ -331,84 +340,108 @@ class RfPoset:
     order: PartialOrder
     rf: dict[int, int]
 
-    def __post_init__(self) -> None:
-        self._interferers: dict[int, np.ndarray] = {}
-        writers_by_loc: dict[tuple[str, str], list[int]] = {}
+    def triplets(self) -> Iterable[tuple[int, int, int]]:
+        """All (writer, observer, interfering-writer) combinations."""
+        writers: dict[tuple[str, str], list[int]] = {}
         for eid in self.order.events():
             ev = self.trace.event(eid)
             if ev.writes_like:
-                key = (ev.loc, "g" if ev.is_write else "l")
-                writers_by_loc.setdefault(key, []).append(ev.eid)
-        self._writers_by_loc = {
-            key: np.array(v, dtype=np.int64) for key, v in writers_by_loc.items()
-        }
-
-    def interferers(self, observer: int) -> np.ndarray:
-        """Writer ids conflicting with ``observer``, excluding its own."""
-        cached = self._interferers.get(observer)
-        if cached is not None:
-            return cached
-        ev = self.trace.event(observer)
-        key = (ev.loc, "g" if ev.is_read else "l")
-        ws = self._writers_by_loc.get(key)
-        own = self.rf[observer]
-        out = ws[ws != own] if ws is not None else np.empty(0, dtype=np.int64)
-        self._interferers[observer] = out
-        return out
-
-    def triplets(self) -> Iterable[tuple[int, int, int]]:
-        """All (writer, observer, interfering-writer) combinations."""
+                writers.setdefault(_channel(ev), []).append(eid)
         for r, w in self.rf.items():
-            for x in self.interferers(r):
-                yield w, r, int(x)
+            for x in writers.get(_channel(self.trace.event(r)), ()):
+                if x != w:
+                    yield w, r, x
 
 
-def _violations(poset: RfPoset, observer: int) -> list[tuple[int, int]]:
-    """Edges demanded by the closure conditions at one observer."""
-    order = poset.order
-    ws = poset.interferers(observer)
-    if len(ws) == 0:
-        return []
-    r = observer
-    w = poset.rf[r]
-    iw, ir = order.index_of(w), order.index_of(r)
-    idxs = np.fromiter((order.index_of(int(x)) for x in ws), dtype=np.int64, count=len(ws))
-    blk, pos = order._block[idxs], order._pos[idxs]
+class _Guards:
+    """The closure conditions of an rf-poset, as flat arrays over its universe.
 
-    added: list[tuple[int, int]] = []
-    # interferer already before the observer must move before the writer
-    before_r = order.succ[idxs, order._block[ir]] <= order._pos[ir]
-    before_w = order.succ[idxs, order._block[iw]] <= order._pos[iw]
-    for x in ws[before_r & ~before_w]:
-        added.append((int(x), w))
-    # interferer already after the writer must move after the observer
-    after_w = order.succ[iw, blk] <= pos
-    after_r = order.succ[ir, blk] <= pos
-    for x in ws[after_w & ~after_r]:
-        added.append((r, int(x)))
-    return added
+    A segment is one (channel, block) pair.  ``keys`` holds every writer as
+    its segment's base plus its position, sorted, so the writers of a segment
+    form one contiguous, position-sorted run.  Each slot pairs an observer
+    with one block that holds writers on its channel.
+    """
+
+    def __init__(self, poset: RfPoset):
+        order, trace = poset.order, poset.trace
+        self.cap = order.n  # clamps the "no successor" sentinel inside a segment
+        span = order.n + 2  # room for positions -1 .. n per segment
+        bases: dict[tuple[tuple[str, str], int], int] = {}
+        keys: list[int] = []
+        writers: list[int] = []
+        for i, eid in enumerate(order.events()):
+            ev = trace.event(eid)
+            if ev.writes_like:
+                seg = (_channel(ev), int(order._block[i]))
+                base = bases.setdefault(seg, len(bases) * span + 1)
+                keys.append(base + int(order._pos[i]))
+                writers.append(eid)
+        perm = np.argsort(keys)
+        self.keys = np.asarray(keys, dtype=np.int64)[perm]
+        self.writers = np.asarray(writers, dtype=np.int64)[perm]
+
+        by_channel: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        for (ch, b), base in bases.items():
+            by_channel.setdefault(ch, []).append((b, base))
+        slots = []
+        for r, w in poset.rf.items():
+            ir, iw = order.index_of(r), order.index_of(w)
+            bw = order._block[iw]
+            for b, base in by_channel.get(_channel(trace.event(r)), ()):
+                slots.append((ir, iw, r, w, b, base, b == bw))
+        cols = np.array(slots, dtype=np.int64).reshape(-1, 7).T
+        self.ir, self.iw, self.r, self.w, self.block, self.base, self.own = cols
+
+    def violations(self, order: PartialOrder) -> list[tuple[int, int]]:
+        """Edges the closure conditions demand of ``order``, deduplicated.
+
+        Condition 1: writers in ``(pred[w, b], pred[r, b]]`` are before r but
+        not before w (in w's own block the run starts after w itself); the
+        latest of them must precede w.  Condition 2: writers in
+        ``[succ[w, b], succ[r, b])`` are after w but not after r; the earliest
+        of them must follow r.
+        """
+        ir, iw, b, base, keys = self.ir, self.iw, self.block, self.base, self.keys
+        lo = np.searchsorted(keys, base + order.pred[iw, b] + self.own, side="right")
+        hi = np.searchsorted(keys, base + order.pred[ir, b], side="right")
+        first = np.searchsorted(keys, base + np.minimum(order.succ[iw, b], self.cap), side="left")
+        end = np.searchsorted(keys, base + np.minimum(order.succ[ir, b], self.cap), side="left")
+        into = hi > lo
+        out = end > first
+        edges = list(zip(self.writers[hi[into] - 1].tolist(), self.w[into].tolist()))
+        edges += zip(self.r[out].tolist(), self.writers[first[out]].tolist())
+        return list(dict.fromkeys(edges))
 
 
 def is_closed(poset: RfPoset) -> bool:
-    """Whether every observer is already protected from interference."""
-    return all(not _violations(poset, r) for r in poset.rf)
+    """Whether every observer is already protected from interference.
+
+    This is one round of the check :func:`closure` iterates, finding nothing.
+    """
+    return not _Guards(poset).violations(poset.order)
 
 
 def closure(poset: RfPoset) -> RfPoset | None:
     """The least observation-protecting refinement, or None on a cycle.
 
+    Each round evaluates every closure condition of the current order in one
+    vectorised pass and inserts the demanded edges; the loop ends when a round
+    demands nothing.  Since every order here refines the block chains, the
+    interferers an observer must move within one block form a contiguous run
+    of that block's writers on its channel, and one edge to the run's nearest
+    end (latest writer before w, earliest writer after r) orders the whole run
+    by program order.  Every demanded edge belongs to every closed refinement,
+    so the result does not depend on insertion order, and an edge that closes
+    a cycle proves no closed refinement exists.
+
     The input poset is not modified.
     """
     order = poset.order.copy()
-    work = RfPoset(poset.trace, order, poset.rf)
-    changed = True
+    guards = _Guards(poset)
     try:
-        while changed:
-            changed = False
-            for r in work.rf:
-                for u, v in _violations(work, r):
-                    if order.add_edge(u, v):
-                        changed = True
+        while edges := guards.violations(order):
+            for u, v in edges:
+                order.add_edge(u, v)
     except CycleError:
         return None
-    return work
+    return RfPoset(poset.trace, order, poset.rf)

@@ -33,8 +33,8 @@ from math import comb, prod
 import numpy as np
 
 from .ideal_engine import Ideal, feasibility
-from .orders import CycleError, PartialOrder, RfPoset, closure
-from .trace_model import Event, Trace, TraceError, conflicting
+from .orders import CycleError, PartialOrder, RfPoset, _channel, closure
+from .trace_model import Trace, TraceError, conflicting
 
 __all__ = [
     "TreePartition",
@@ -45,11 +45,6 @@ __all__ = [
     "reversal_pairs",
     "reversal_count",
 ]
-
-
-def _channel(ev: Event) -> tuple[str, str]:
-    """Conflict channel of an event: its location plus global/lock kind."""
-    return (ev.loc, "g" if ev.is_global_access else "l")
 
 
 def _member_in(order: PartialOrder, eid: int, prefix: tuple[int, ...]) -> bool:

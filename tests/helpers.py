@@ -11,7 +11,7 @@ import itertools
 import networkx as nx
 from hypothesis import strategies as st
 
-from racepred import Trace, conflicting
+from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting
 from racepred.trace_model import from_events
 
 
@@ -23,13 +23,16 @@ def trace_events(
     max_globals: int = 3,
     max_locks: int = 2,
     lock_bias: float = 0.3,
+    max_nesting: int | None = None,
 ):
     """(thread, kind, loc) triples forming a valid trace.
 
     Events are drawn one at a time against replayed lock state, so mutual
     exclusion, non-reentrancy, and nesting hold by construction.  Open
     critical sections are closed at the end.  Reads of never-written globals
-    are allowed (the parser's init synthesis covers them).
+    are allowed (the parser's init synthesis covers them).  ``max_nesting``
+    caps how many locks one thread holds at once (default: no cap beyond
+    ``max_locks``).
     """
     k = draw(st.integers(1, max_threads))
     threads = [f"t{i}" for i in range(1, k + 1)]
@@ -44,6 +47,8 @@ def trace_events(
         p = draw(st.sampled_from(threads))
         choices = ["w", "r"]
         free = [l for l in locks if l not in held]
+        if max_nesting is not None and len(stacks[p]) >= max_nesting:
+            free = []
         if free and draw(st.floats(0, 1)) < lock_bias:
             choices = ["acq"]
         elif stacks[p] and draw(st.floats(0, 1)) < lock_bias:
@@ -83,6 +88,29 @@ def trf_digraph(trace: Trace) -> nx.DiGraph:
     for reader, writer in trace.rf.items():
         g.add_edge(writer, reader)
     return nx.transitive_closure_dag(g)
+
+
+def closure_by_triplets(poset: RfPoset) -> PartialOrder | None:
+    """The rf-poset closure recomputed one triplet at a time.
+
+    Sweeps every (writer, observer, interferer) triplet of
+    ``RfPoset.triplets()``, inserting each edge the closure conditions demand,
+    until a sweep adds nothing.  Returns None when an edge closes a cycle.
+    """
+    order = poset.order.copy()
+    triplets = list(poset.triplets())
+    changed = True
+    try:
+        while changed:
+            changed = False
+            for w, r, x in triplets:
+                if order.ordered(x, r) and not order.ordered(x, w):
+                    changed |= order.add_edge(x, w)
+                if order.ordered(w, x) and not order.ordered(r, x):
+                    changed |= order.add_edge(r, x)
+    except CycleError:
+        return None
+    return order
 
 
 def gamma_by_scan(trace: Trace) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, scanning, generation."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -221,6 +222,42 @@ def test_missing_file_exits_2(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and err.startswith("error:")
+
+
+NON_UTF8 = b"t1 w x\n\xff\xfe w y\n"
+
+
+def test_non_utf8_trace_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NON_UTF8)
+    code, out, err = run_cli(["predict", "--trace", str(path), "--e1", "1", "--e2", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_trace_subprocess_has_no_traceback(tmp_path, source):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NON_UTF8)
+    proc = subprocess.run(
+        [sys.executable, "-m", "racepred", "predict", "--e1", "1", "--e2", "2",
+         "--trace", str(path) if source == "file" else "-"],
+        input=NON_UTF8 if source == "stdin" else None,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
+
+
+def test_internal_failure_exits_2_not_race(tmp_path, capsys, monkeypatch):
+    # a witness rejected by the soundness guard must not surface as exit 1
+    monkeypatch.setattr("racepred.cli.witness_error", lambda *args: "forced rejection")
+    path = write_trace(tmp_path, TWO_WRITES)
+    code, out, err = run_cli(["predict", "--trace", path, "--e1", "1", "--e2", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "invalid witness" in err and err.count("\n") == 1
 
 
 def test_oracle_cap_exceeded_exits_2(tmp_path, capsys):

@@ -1,14 +1,28 @@
 """Partial orders, the thread-reads-from order, and rf-poset closure."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from racepred import CycleError, PartialOrder, RfPoset, closure, compute_trf, is_closed, parse_trace
+from racepred import (
+    CycleError,
+    Ideal,
+    PartialOrder,
+    RfPoset,
+    closure,
+    compute_trf,
+    feasibility,
+    is_closed,
+    lcone,
+    parse_trace,
+)
+from racepred.generators import OvInstance, gen_ov_trace
 from racepred.trace_model import from_events
 
-from helpers import trace_events, trf_digraph
+from helpers import closure_by_triplets, trace_events, trf_digraph
 
 
 def ordered_pairs(po: PartialOrder) -> set[tuple[int, int]]:
@@ -283,3 +297,66 @@ def test_realizable_inputs_have_closure(items):
     # the trace itself linearizes its own rf-poset, so closure must exist
     assert some_linearization_realizes(poset)
     assert closure(poset) is not None
+
+
+# ----------------------------------------------------------------------
+# differential check against the triplet-by-triplet fixpoint
+# ----------------------------------------------------------------------
+
+
+def assert_closure_matches_reference(poset: RfPoset) -> None:
+    expected = closure_by_triplets(poset)
+    closed = closure(poset)
+    assert (closed is None) == (expected is None)
+    already = expected is not None and ordered_pairs(expected) == ordered_pairs(poset.order)
+    assert is_closed(poset) == already
+    if closed is not None:
+        assert ordered_pairs(closed.order) == ordered_pairs(expected)
+        assert is_closed(closed)
+
+
+def prefix_poset(trace, eid: int) -> RfPoset:
+    """The rf-poset of the downward TRF closure of one event, itself included."""
+    lengths = compute_trf(trace).down_vector([eid])
+    members = [ev.eid for proj, m in zip(trace.by_thread, lengths) for ev in proj[:m]]
+    rf = {e: trace.rf[e] for e in members if trace.event(e).observes}
+    return RfPoset(trace, compute_trf(trace, members), rf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace_events(max_events=12, max_threads=4, max_locks=3, max_nesting=2),
+    st.data(),
+)
+def test_closure_matches_triplet_fixpoint(items, data):
+    t = from_events(items)
+    poset = make_poset(t)
+    assert_closure_matches_reference(poset)
+    evs = sorted(poset.order.events())
+    if len(evs) < 2:
+        return
+    # a sub-universe with empty or partial blocks, and a strengthened input
+    # that can make the closure contradictory
+    assert_closure_matches_reference(prefix_poset(t, data.draw(st.sampled_from(evs))))
+    u, v = data.draw(st.lists(st.sampled_from(evs), min_size=2, max_size=2, unique=True))
+    refined = poset.order.copy()
+    try:
+        refined.add_edge(u, v)
+    except CycleError:
+        return
+    assert_closure_matches_reference(RfPoset(t, refined, dict(t.rf)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_matches_triplet_fixpoint_on_ov(seed):
+    rng = random.Random(seed)
+    dim, m = 3, 2
+    space = list(itertools.product((0, 1), repeat=dim))
+    inst = OvInstance(tuple(rng.sample(space, m)), tuple(rng.sample(space, m)), dim)
+    trace, (e1, e2) = gen_ov_trace(inst)
+    assert_closure_matches_reference(make_poset(trace))
+    # the tree route closes the feasible poset of the two lock cones' union
+    union = lcone(trace, e1).members | lcone(trace, e2).members
+    res = feasibility(Ideal.from_members(trace, union))
+    if res:
+        assert_closure_matches_reference(res.poset)
