@@ -156,19 +156,19 @@ def predict(
         witness = oracle_witness(trace, e1, e2, cap=oracle_cap)
         race = witness is not None
         note("exhaustive reordering search " + ("found a witness" if race else "exhausted"))
-    elif algo == "tree" or (algo == "auto" and trace_params(trace).is_tree):
-        label = "tree"
-        if not trace_params(trace).is_tree:
+    else:
+        tree = algo in ("auto", "tree") and trace_params(trace).is_tree
+        if algo == "tree" and not tree:
             raise CliError(
                 "the tree backend needs a forest communication topology; "
                 "this trace has a cycle (use --algo general or auto)"
             )
-        race, witness = _tree_route(trace, e1, e2, stats, note)
-    elif algo in ("auto", "general"):
-        label = "general"
-        race, witness = _general_route(trace, e1, e2, stats, note)
-    else:
-        race, witness, delta = _bounded_route(trace, e1, e2, distance, stats, note)
+        if tree:
+            label = "tree"
+            race, witness = _tree_route(trace, e1, e2, stats, note)
+        else:
+            label = "bounded" if algo == "bounded" else "general"
+            race, witness, delta = _candidate_route(trace, e1, e2, distance, stats, note)
 
     if race:
         assert witness is not None
@@ -216,10 +216,14 @@ def _tree_route(
     return (w is not None), w
 
 
-def _general_route(
-    trace: Trace, e1: int, e2: int, stats: dict, note: _Note
-) -> tuple[bool, list[int] | None]:
-    """Sweep the candidate ideal set; the first realizable member wins."""
+def _candidate_route(
+    trace: Trace, e1: int, e2: int, budget: int | None, stats: dict, note: _Note
+) -> tuple[bool, list[int] | None, int | None]:
+    """Sweep the candidate ideal set; the first realizable member wins.
+
+    Each feasible candidate goes to the general search, or, given a reversal
+    budget, to the bounded search, whose witness distance is reported too.
+    """
     for x in candidate_ideal_set(trace, e1, e2):
         if e1 in x or e2 in x:
             continue  # an executed query event cannot also be enabled
@@ -229,39 +233,23 @@ def _general_route(
             note(f"candidate with {len(x)} events: {res.status.value}")
             continue
         local: dict = {}
-        w = realize_general(res.poset, stats=local)
-        stats["search_nodes"] += local.get("search_nodes", 0)
-        note(
-            f"candidate with {len(x)} events: "
-            + ("witness found" if w is not None else "search exhausted")
-            + f" after {local.get('search_nodes', 0)} states"
-        )
-        if w is not None:
-            return True, w
-    return False, None
-
-
-def _bounded_route(
-    trace: Trace, e1: int, e2: int, budget: int, stats: dict, note: _Note
-) -> tuple[bool, list[int] | None, int | None]:
-    """Candidate sweep under a reversal budget; reports the witness distance."""
-    for x in candidate_ideal_set(trace, e1, e2):
-        if e1 in x or e2 in x:
-            continue
-        stats["ideals"] += 1
-        if not feasibility(x):
-            continue
-        local: dict = {}
-        w = realize_bounded(x, budget, stats=local)
-        stats["search_nodes"] += local.get("branches", 0)
-        if w is not None:
+        if budget is None:
+            w = realize_general(res.poset, stats=local)
+            stats["search_nodes"] += local["search_nodes"]
+            outcome = "witness found" if w is not None else "search exhausted"
+            outcome += f" after {local['search_nodes']} states"
+        else:
+            w = realize_bounded(res.poset, budget, stats=local)
+            stats["search_nodes"] += local["branches"]
             flips = local["reversals"]
-            note(
-                f"candidate with {len(x)} events: witness reverses "
-                f"{len(flips)} trace-ordered pairs {flips}"
+            outcome = (
+                f"witness reverses {len(flips)} trace-ordered pairs {flips}"
+                if w is not None
+                else f"nothing within budget {budget}"
             )
-            return True, w, len(flips)
-        note(f"candidate with {len(x)} events: nothing within budget {budget}")
+        note(f"candidate with {len(x)} events: {outcome}")
+        if w is not None:
+            return True, w, None if budget is None else len(local["reversals"])
     return False, None, None
 
 
@@ -557,9 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--explain", action="store_true", help="narrate the search on stderr"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="accepted for symmetry; output is JSON"
     )
     p.set_defaults(run=cmd_predict)
 

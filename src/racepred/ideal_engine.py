@@ -21,8 +21,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .orders import CycleError, RfPoset, compute_trf
-from .trace_model import Trace, TraceError, conflicting
+from .orders import CycleError, RfPoset, _full_trf, compute_trf
+from .trace_model import Trace, TraceError, conflicting, trace_params
 
 __all__ = [
     "Ideal",
@@ -152,10 +152,8 @@ def _topology_children(
 
     Returns None when the component containing ``root`` has a cycle.
     """
-    from .trace_model import communication_topology
-
     adj: dict[str, set[str]] = {root: set()}
-    for a, b in communication_topology(trace):
+    for a, b in trace_params(trace).topology:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     order: list[tuple[str, str]] = []
@@ -191,7 +189,7 @@ def lcone(trace: Trace, eid: int) -> Ideal:
         raise TraceError(
             f"communication topology around {root} is not a tree"
         )
-    trf = compute_trf(trace)
+    trf = _full_trf(trace)
     prefix: dict[str, int] = {p: 0 for p in trace.threads}
     prefix[root] = trace.thread_pos[eid]
 
@@ -326,11 +324,4 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
             nxt = Ideal(trace, grown, prefix)
             out.append(nxt)
             queue.append(nxt)
-
-    from .trace_model import trace_params
-
-    params = trace_params(trace)
-    alpha = params.k * params.gamma * params.zeta
-    bound = max(1, min(len(trace), alpha) ** max(0, params.k - 2))
-    assert len(out) <= bound, f"candidate set {len(out)} exceeds bound {bound}"
     return out

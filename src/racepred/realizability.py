@@ -1,7 +1,8 @@
-"""Witness search over rf-posets and trace ideals.
+"""Witness search over rf-posets.
 
-Three backends decide whether a partial execution order can be completed
-into a real trace (a witness):
+Three backends decide whether a feasible rf-poset — the canonical one that
+:func:`~racepred.ideal_engine.feasibility` builds for a lock-feasible ideal —
+can be completed into a real trace (a witness):
 
 * :func:`realize_general` — breadth-first search over the ideal graph of
   the poset; works on any feasible ideal, exponential in the thread count
@@ -14,27 +15,22 @@ into a real trace (a witness):
   pairs relative to the observed trace, branching on the cross edges of a
   cycle whenever replaying the trace's own order fails.
 
-Witnesses are event-id lists and pass the brute-force module's
-correct-reordering checks; ``None`` means no witness was found (for the
-bounded backend, none within the budget — see its promise contract).
-
-All backends expect universes drawn from lock-feasible ideals: at most one
-acquire per lock may be missing its release.  The prediction pipeline
-guarantees this by running feasibility first.
+Each takes the poset and returns an event-id list that passes the
+brute-force module's correct-reordering checks, or ``None`` when it finds no
+witness (for the bounded backend, none within the budget — see its promise
+contract).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
-from .ideal_engine import Ideal, feasibility
 from .orders import CycleError, PartialOrder, RfPoset, _channel, closure
-from .trace_model import Trace, TraceError, conflicting
+from .trace_model import Trace, conflicting
 
 __all__ = [
     "TreePartition",
@@ -500,75 +496,29 @@ def _bounded_search(
     return w if reversal_count(trace, w) <= full_budget else None
 
 
-def _bounded_sweep(
-    trace: Trace,
-    q0: PartialOrder,
-    rf: dict[int, int],
-    wa_pairs: list[tuple[int, int]],
-    observers: list[int],
-    wa_pos: dict,
-    budget: int,
-    cap: int = 100_000,
-) -> list[int] | None:
-    """Exhaustive orientation sweep, a slow safety net behind the search.
-
-    Tries every way to flip at most ``budget`` of the write-like pairs the
-    base order leaves open, skipped entirely when the subset count would
-    exceed ``cap``.
-    """
-    open_pairs = [(u, v) for u, v in wa_pairs if q0.unordered(u, v)]
-    m = len(open_pairs)
-    top = min(budget, m)
-    if sum(comb(m, r) for r in range(top + 1)) > cap:
-        return None
-    for r in range(top + 1):
-        for flipped in combinations(range(m), r):
-            fset = frozenset(flipped)
-            g = q0.copy()
-            try:
-                for i, (u, v) in enumerate(open_pairs):
-                    g.add_edge(v, u) if i in fset else g.add_edge(u, v)
-                _extend_reads(trace, g, rf, observers, wa_pos)
-            except CycleError:
-                continue
-            w = g.linearize()
-            if reversal_count(trace, w) <= budget:
-                return w
-    return None
-
-
 def realize_bounded(
-    x: Ideal, budget: int, stats: dict | None = None
+    p: RfPoset, budget: int, stats: dict | None = None
 ) -> list[int] | None:
-    """Find a witness for ``x`` at trace distance at most ``budget``.
+    """Find a witness for ``p`` at trace distance at most ``budget``.
 
-    Promise semantics: ``None`` is definitive only when ``x`` has no
+    Promise semantics: ``None`` is definitive only when ``p`` has no
     witness at all; when every witness flips more than ``budget`` pairs the
     answer may go either way, but a returned witness always stays within
-    the budget.
+    the budget.  ``stats`` receives ``branches`` (flips tried) and
+    ``reversals`` (the witness's flipped pairs).
 
-    Raises :class:`TraceError` when ``x`` is infeasible and
-    :class:`ValueError` on a negative budget.
+    Raises :class:`ValueError` on a negative budget.
     """
     if budget < 0:
         raise ValueError("reversal budget must be non-negative")
-    res = feasibility(x)
-    if not res:
-        raise TraceError(
-            f"cannot search for witnesses of an infeasible ideal ({res.status.name})"
-        )
-    trace = x.trace
-    q0 = res.poset.order
-    rf = res.poset.rf
+    trace = p.trace
+    q0 = p.order
     wa_pairs = _conflicting_wa_pairs(trace, q0)
-    observers = sorted(rf)
     wa_pos = _wa_positions(trace, q0)
     counters = {"branches": 0}
     w = _bounded_search(
-        trace, q0, rf, wa_pairs, observers, wa_pos, budget, budget, counters
+        trace, q0, p.rf, wa_pairs, sorted(p.rf), wa_pos, budget, budget, counters
     )
-    if w is None:
-        w = _bounded_sweep(trace, q0, rf, wa_pairs, observers, wa_pos, budget)
     if stats is not None:
         stats["branches"] = counters["branches"]
         stats["reversals"] = [] if w is None else reversal_pairs(trace, w)

@@ -87,10 +87,6 @@ class Event:
         return self.kind in ("w", "r")
 
     @property
-    def is_lock_op(self) -> bool:
-        return self.kind in ("acq", "rel")
-
-    @property
     def observes(self) -> bool:
         """True for events that observe another event (reads and releases)."""
         return self.kind in ("r", "rel")
@@ -121,7 +117,9 @@ class Trace:
 
     Exposes the derived structure everything else builds on: per-thread
     projections, the observed-writer map ``rf`` (reads to writes, releases to
-    their matching acquires), and acquire/release matching.
+    their matching acquires), and acquire/release matching.  Whole-trace
+    facts that queries share (:func:`trace_params` and the full TRF) are
+    built on first use and kept on the trace.
     """
 
     __slots__ = (
@@ -136,6 +134,8 @@ class Trace:
         "by_thread",
         "num_synthesized",
         "source_lines",
+        "_params",
+        "_trf",
     )
 
     def __init__(
@@ -180,6 +180,8 @@ class Trace:
         self.thread_pos = thread_pos
 
         self.rf, self.match = self._replay()
+        self._params: TraceParams | None = None
+        self._trf = None  # the full TRF, see orders._full_trf
 
     # ------------------------------------------------------------------
     # validation / derived maps
@@ -443,7 +445,9 @@ def _is_forest(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> bool:
 
 
 def trace_params(trace: Trace) -> TraceParams:
-    """Compute the summary parameters of a trace."""
+    """The summary parameters of a trace, computed once and kept on it."""
+    if trace._params is not None:
+        return trace._params
     # gamma: deepest stack of open critical sections in any one thread.
     gamma = 0
     depth: dict[str, int] = {}
@@ -456,7 +460,7 @@ def trace_params(trace: Trace) -> TraceParams:
 
     zeta = _lock_dependence_factor(trace)
     topo = communication_topology(trace)
-    return TraceParams(
+    trace._params = TraceParams(
         n=len(trace),
         k=len(trace.threads),
         num_globals=len(trace.globals_),
@@ -466,6 +470,7 @@ def trace_params(trace: Trace) -> TraceParams:
         topology=topo,
         is_tree=_is_forest(trace.threads, topo),
     )
+    return trace._params
 
 
 def _lock_dependence_factor(trace: Trace) -> int:
@@ -480,9 +485,9 @@ def _lock_dependence_factor(trace: Trace) -> int:
     acquires = [ev for ev in trace.events if ev.is_acquire]
     if not acquires:
         return 0
-    from .orders import compute_trf  # deferred: orders imports this module
+    from .orders import _full_trf  # deferred: orders imports this module
 
-    trf = compute_trf(trace)
+    trf = _full_trf(trace)
     radj: dict[int, list[int]] = {a.eid: [] for a in acquires}
     for a1 in acquires:
         r1 = trace.match[a1.eid]

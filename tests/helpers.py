@@ -12,6 +12,7 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting
+from racepred.oracle import _Replay
 from racepred.trace_model import from_events
 
 
@@ -88,6 +89,38 @@ def trf_digraph(trace: Trace) -> nx.DiGraph:
     for reader, writer in trace.rf.items():
         g.add_edge(writer, reader)
     return nx.transitive_closure_dag(g)
+
+
+def realizable_sets(trace: Trace) -> set[frozenset[int]]:
+    """Event sets of every correct reordering, by a memoised replay walk.
+
+    Two interleavings that reach the same ``_Replay.key()`` (thread prefixes
+    plus the last writer of each location) hold the same events and have the
+    same continuations, so each key is expanded once.  The result equals
+    ``{frozenset(w) for w in enumerate_correct_reorderings(trace)}``, which
+    visits every interleaving instead.
+    """
+    replay = _Replay(trace)
+    seen: set[tuple] = set()
+    out: set[frozenset[int]] = set()
+
+    def walk() -> None:
+        key = replay.key()
+        if key in seen:
+            return
+        seen.add(key)
+        out.add(frozenset(replay.placed))
+        for eid in replay.candidates():
+            if not replay.can_append(eid):
+                continue
+            ev = trace.event(eid)
+            prior = replay.last_writer.get(ev.loc) if ev.is_write else None
+            replay.append(eid)
+            walk()
+            replay.undo(eid, prior)
+
+    walk()
+    return out
 
 
 def closure_by_triplets(poset: RfPoset) -> PartialOrder | None:

@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from racepred import min_distance, oracle_predict, parse_trace, serialize, verify_witness
+from racepred import (
+    min_distance,
+    oracle_predict,
+    parse_trace,
+    serialize,
+    trace_params,
+    verify_witness,
+)
 from racepred.cli import Verdict, main, predict, scan, scan_pairs
 from racepred.generators import gen_random_trace
 
@@ -73,6 +80,30 @@ def test_predict_auto_routes_by_topology(tmp_path, capsys):
     tri = write_trace(tmp_path, TRIANGLE, "tri.txt")
     _, out, _ = run_cli(["predict", "--trace", tri, "--e1", "1", "--e2", "2"], capsys)
     assert json.loads(out)["algorithm"] == "general"
+
+
+def test_predict_does_not_depend_on_primed_trace_facts():
+    # the tree route reads the params, topology and full TRF a trace keeps;
+    # a cold trace and one primed by trace_params must give the same verdicts
+    forests = 0
+    for seed in range(30):
+        text = serialize(gen_random_trace(
+            seed, n=10, k=2 + seed % 2, d_globals=2, d_locks=1,
+            read_ratio=0.4, lock_ratio=0.3, nesting_max=1,
+        ))
+        primed = parse_trace(text)
+        if not trace_params(primed).is_tree:
+            continue
+        forests += 1
+        for e1, e2 in scan_pairs(primed):
+            if primed.event(e1).thread == primed.event(e2).thread:
+                continue  # decided without any trace fact
+            cold = predict(parse_trace(text), e1, e2).to_json()
+            warm = predict(primed, e1, e2).to_json()
+            del cold["stats"]["wall_ms"], warm["stats"]["wall_ms"]
+            assert cold == warm, (seed, e1, e2)
+            assert warm["algorithm"] == "tree"
+    assert forests >= 10
 
 
 def test_predict_same_thread_pair_skips_search():

@@ -14,7 +14,6 @@ from racepred import (
     compute_trf,
     cone,
     enabled_events,
-    enumerate_correct_reorderings,
     feasibility,
     is_ideal,
     lcone,
@@ -24,7 +23,7 @@ from racepred import (
     trace_params,
 )
 
-from helpers import conflicting_pairs, traces
+from helpers import conflicting_pairs, realizable_sets, traces
 
 
 def topology_graph(trace) -> nx.Graph:
@@ -32,12 +31,6 @@ def topology_graph(trace) -> nx.Graph:
     g.add_nodes_from(trace.threads)
     g.add_edges_from(communication_topology(trace))
     return g
-
-
-def realizable_sets(trace) -> set[frozenset[int]]:
-    """Event sets of every correct reordering, by brute force."""
-    cap = max(14, len(trace))
-    return {frozenset(w) for w in enumerate_correct_reorderings(trace, cap=cap)}
 
 
 def oracle_says(trace, e1, e2) -> bool:

@@ -15,9 +15,10 @@ from racepred import (
     verify_witness,
     witness_error,
 )
+from racepred.generators import gen_random_trace
 from racepred.trace_model import from_events
 
-from helpers import conflicting_pairs, trace_events
+from helpers import conflicting_pairs, realizable_sets, trace_events
 
 
 def all_reorderings(text, **kw):
@@ -66,6 +67,19 @@ def test_enumerated_reorderings_are_correct_reorderings(items):
     t = from_events(items)
     for w in enumerate_correct_reorderings(t):
         assert witness_error(t, w) is None
+
+
+def test_memoised_realizable_sets_match_the_enumeration():
+    # the shared test helper walks replay states once each; the plain
+    # enumeration of every interleaving stays the reference
+    for s in range(200):
+        t = gen_random_trace(
+            70_000 + s, n=3 + s % 5, k=2 + s % 3, d_globals=1 + s % 2,
+            d_locks=1 + s % 2, read_ratio=0.35, lock_ratio=0.3,
+            nesting_max=1 + s % 2,
+        )
+        want = {frozenset(w) for w in enumerate_correct_reorderings(t)}
+        assert realizable_sets(t) == want, s
 
 
 # ----------------------------------------------------------------------

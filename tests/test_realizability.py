@@ -15,6 +15,7 @@ from racepred import (
     enumerate_correct_reorderings,
     feasibility,
     is_ideal,
+    min_distance,
     parse_trace,
     realize_bounded,
     realize_general,
@@ -23,14 +24,10 @@ from racepred import (
     reversal_pairs,
     verify_witness,
 )
-from racepred.trace_model import TraceError
+from racepred.cli import predict, scan_pairs
+from racepred.generators import gen_random_trace
 
-from helpers import traces
-
-
-def realizable_sets(trace) -> set[frozenset[int]]:
-    cap = max(14, len(trace))
-    return {frozenset(w) for w in enumerate_correct_reorderings(trace, cap=cap)}
+from helpers import realizable_sets, traces
 
 
 def each_feasible_ideal(trace):
@@ -51,14 +48,12 @@ def each_feasible_ideal(trace):
         yield x, feasibility(x)
 
 
-def ideal_min_distance(trace, members) -> int | None:
-    """Fewest flipped pairs over witnesses with exactly this event set."""
-    best = None
-    cap = max(14, len(trace))
-    for w in enumerate_correct_reorderings(trace, cap=cap):
-        if frozenset(w) == members:
-            d = reversal_count(trace, w)
-            best = d if best is None else min(best, d)
+def min_distance_by_set(trace) -> dict[frozenset[int], int]:
+    """Fewest flipped pairs over the witnesses of each realizable event set."""
+    best: dict[frozenset[int], int] = {}
+    for w in enumerate_correct_reorderings(trace, cap=max(14, len(trace))):
+        members, d = frozenset(w), reversal_count(trace, w)
+        best[members] = min(d, best.get(members, d))
     return best
 
 
@@ -206,8 +201,8 @@ def test_backends_agree_with_brute_force(trace):
 
 
 def test_bounded_replays_the_trace_at_zero():
-    x = Ideal.from_members(FOUR, [1, 2, 3, 4])
-    w = realize_bounded(x, 0)
+    p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
+    w = realize_bounded(p, 0)
     assert w == [1, 2, 3, 4]
     assert reversal_count(FOUR, w) == 0
 
@@ -217,10 +212,11 @@ def test_bounded_finds_the_forced_acquire_flip():
     # one flipped acquire pair
     t = parse_trace("t1 acq l\nt1 rel l\nt2 acq l\nt2 rel l\n")
     x = Ideal.from_members(t, [1, 3, 4])
-    assert ideal_min_distance(t, x.members) == 1
-    assert realize_bounded(x, 0) is None
+    assert min_distance_by_set(t)[x.members] == 1
+    p = feasibility(x).poset
+    assert realize_bounded(p, 0) is None
     stats = {}
-    w = realize_bounded(x, 1, stats=stats)
+    w = realize_bounded(p, 1, stats=stats)
     assert w == [3, 4, 1]
     assert verify_witness(t, w)
     assert reversal_pairs(t, w) == [(1, 3)]
@@ -228,31 +224,28 @@ def test_bounded_finds_the_forced_acquire_flip():
 
 
 def test_bounded_rejects_unrealizable_ideal_at_every_budget():
-    x = Ideal.from_members(STUCK, STUCK_MEMBERS)
+    p = feasibility(Ideal.from_members(STUCK, STUCK_MEMBERS)).poset
     for budget in (0, 1, 2):
-        assert realize_bounded(x, budget) is None
+        assert realize_bounded(p, budget) is None
 
 
 def test_bounded_rejects_bad_arguments():
-    x = Ideal.from_members(FOUR, [1, 2, 3, 4])
+    p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
     with pytest.raises(ValueError):
-        realize_bounded(x, -1)
-    t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 r x\nt2 rel l\n")
-    infeasible = Ideal.from_members(t, [1, 2, 4, 5, 6])
-    with pytest.raises(TraceError):
-        realize_bounded(infeasible, 3)
+        realize_bounded(p, -1)
 
 
 @given(traces(max_events=10, max_threads=3))
 @settings(deadline=None, max_examples=20, suppress_health_check=[HealthCheck.too_slow])
 def test_bounded_promise_against_min_distance(trace):
     assume(len(trace) >= 1)
+    distances = min_distance_by_set(trace)
     for x, res in each_feasible_ideal(trace):
         if not res:
             continue
-        best = ideal_min_distance(trace, x.members)
+        best = distances.get(x.members)
         for budget in (0, 1, 2):
-            w = realize_bounded(x, budget)
+            w = realize_bounded(res.poset, budget)
             if w is not None:
                 # soundness: a returned witness realizes x within budget
                 assert frozenset(w) == x.members
@@ -263,6 +256,33 @@ def test_bounded_promise_against_min_distance(trace):
                 raise AssertionError(
                     f"missed witness at distance {best} with budget {budget}"
                 )
+
+
+def test_bounded_predict_matches_min_distance_on_wide_corpus():
+    # up to 5 threads, 3 locks and nesting 3, over 31 k (query, budget) runs:
+    # the search alone must find a witness whenever one within budget exists.
+    # At s = 204, 592, 628, 888 and 920 it returns None on some candidate,
+    # so a witness it missed there would show.
+    runs = 0
+    for s in range(1000):
+        t = gen_random_trace(
+            50_000 + s, n=8 + s % 9, k=2 + s % 4, d_globals=2 + s % 2,
+            d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.35,
+            nesting_max=1 + s % 3,
+        )
+        if len(t) > 16:
+            continue
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            best = min_distance(t, e1, e2, cap=16)
+            for budget in range(4):
+                v = predict(t, e1, e2, algo="bounded", distance=budget)
+                assert v.race == (best <= budget), (s, e1, e2, budget, best)
+                if v.race:
+                    assert reversal_count(t, v.witness) == v.distance <= budget
+                runs += 1
+    assert runs >= 30_000
 
 
 # ---------------------------------------------------------------------------

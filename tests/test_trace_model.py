@@ -201,6 +201,15 @@ def test_params_lock_free_conflicting_writes():
     assert p.is_tree
 
 
+def test_params_are_computed_once_per_trace():
+    t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 r x\nt2 rel l")
+    assert trace_params(t) is trace_params(t)
+    # a second parse of the same text is a separate trace with its own facts
+    other = parse_trace(serialize(t))
+    assert trace_params(other) is not trace_params(t)
+    assert trace_params(other) == trace_params(t)
+
+
 def test_params_nested_locks_gamma():
     t = parse_trace("t1 acq l\nt1 acq m\nt1 rel m\nt1 rel l")
     assert trace_params(t).gamma == 2
