@@ -36,7 +36,7 @@ from .generators import (
     parse_vectors,
     strip_isolated_nodes,
 )
-from .ideal_engine import Ideal, candidate_ideal_set, feasibility, lcone
+from .ideal_engine import candidate_ideal_set, feasibility, lcone
 from .oracle import DEFAULT_CAP, OracleCapError, oracle_witness, witness_error
 from .realizability import (
     check_tree_inducible,
@@ -185,11 +185,10 @@ def _tree_route(
     trace: Trace, e1: int, e2: int, stats: dict, note: _Note
 ) -> tuple[bool, list[int] | None]:
     """Single-ideal route: the pair races iff its lock-cone union realizes."""
-    union = lcone(trace, e1).members | lcone(trace, e2).members
-    if e1 in union or e2 in union:
+    x = lcone(trace, e1) | lcone(trace, e2)
+    if e1 in x or e2 in x:
         note("one query event lies in the other's lock causal cone; no race")
         return False, None
-    x = Ideal.from_members(trace, union)
     stats["ideals"] = 1
     res = feasibility(x)
     if not res:

@@ -13,15 +13,23 @@ reduces to realizability questions over a handful of such ideals:
 
 ``feasibility`` classifies an ideal and, when possible, produces the
 canonical rf-poset handed to the realizability backends.
+
+An ideal is fixed by its per-thread prefix lengths, so it is stored as that
+vector: a union of ideals is a pointwise max, and membership is one
+comparison.  The per-event facts this needs (the prefix vector of each
+event's downward closure, the acquires open at each thread prefix) form one
+table, built on first use and kept on the trace.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from operator import gt
+from typing import Iterable, NamedTuple, Sequence
 
-from .orders import CycleError, RfPoset, _full_trf, compute_trf
+from .orders import CycleError, RfPoset, compute_trf
 from .trace_model import Trace, TraceError, conflicting, trace_params
 
 __all__ = [
@@ -40,29 +48,129 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ideal:
-    """An event set closed downward under thread order and observation."""
+    """An event set closed downward under thread order and observation.
+
+    Stored as its per-thread prefix lengths: the ideal holds the first
+    ``prefix[b]`` events of thread ``trace.threads[b]``.  Membership and size
+    read the prefix; the member set is built only when asked for.
+    """
 
     trace: Trace
-    members: frozenset[int]
-    prefix: tuple[int, ...] = field(compare=False)
+    prefix: tuple[int, ...]
 
     @classmethod
     def from_members(cls, trace: Trace, members: Iterable[int]) -> "Ideal":
-        mset = frozenset(members)
-        prefix = _prefix_of(trace, mset)
+        """The ideal with exactly these members; :class:`TraceError` if none."""
+        prefix = _prefix_of(trace, frozenset(members))
         if prefix is None:
             raise TraceError("member set is not a trace ideal")
-        return cls(trace, mset, prefix)
+        return cls(trace, prefix)
+
+    @property
+    def members(self) -> frozenset[int]:
+        """The member event ids, built on each access."""
+        ids = _table(self.trace).ids
+        return frozenset(
+            chain.from_iterable(ids[b][:m] for b, m in enumerate(self.prefix))
+        )
 
     def __contains__(self, eid: int) -> bool:
-        return eid in self.members
+        trace = self.trace
+        pos = trace.thread_pos.get(eid)
+        if pos is None:
+            return False
+        return pos < self.prefix[trace.thread_index[trace.events[eid - 1].thread]]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(self.prefix)
+
+    def __or__(self, other: "Ideal") -> "Ideal":
+        """The union of two ideals of one trace: the pointwise max of prefixes."""
+        if other.trace is not self.trace:
+            raise ValueError("cannot join ideals of different traces")
+        return Ideal(self.trace, _join(self.prefix, other.prefix))
 
     def dump(self) -> str:
         """Sorted member ids, one per line."""
         return "\n".join(str(e) for e in sorted(self.members))
+
+
+# ----------------------------------------------------------------------
+# the per-trace table
+# ----------------------------------------------------------------------
+
+
+class _Table(NamedTuple):
+    """Per-trace facts that ideals are built from, indexed by thread ``b``.
+
+    ``down[e]`` is the prefix vector of event e's downward closure (e
+    included); ``down[0]`` is the empty ideal.  ``opens[b][m]`` holds the
+    acquires left open by thread b's first m events, innermost last.
+    ``ids[b]`` holds thread b's event ids in program order.
+    """
+
+    down: list[tuple[int, ...]]
+    opens: tuple[tuple[tuple[int, ...], ...], ...]
+    ids: tuple[tuple[int, ...], ...]
+
+
+def _table(trace: Trace) -> _Table:
+    """The trace's ideal table, built by one forward pass and kept on it.
+
+    ``down[e]`` is the pointwise max of its thread predecessor's and, for a
+    read, its writer's vector, with e's own slot raised by one.  A release
+    observes an acquire of its own thread, which its thread predecessor
+    already covers.
+    """
+    if trace._ideals is None:
+        k = len(trace.threads)
+        zero = (0,) * k
+        down = [zero] * (len(trace) + 1)
+        last = [zero] * k  # down of each thread's latest event so far
+        for ev in trace.events:
+            b = trace.thread_index[ev.thread]
+            vec = last[b]
+            if ev.is_read:
+                vec = _join(vec, down[trace.rf[ev.eid]])
+            down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
+        opens = []
+        for proj in trace.by_thread:
+            stack: tuple[int, ...] = ()
+            row = [stack]
+            for ev in proj:
+                if ev.is_acquire:
+                    stack += (ev.eid,)
+                elif ev.is_release:
+                    stack = stack[:-1]  # the trace guarantees proper nesting
+                row.append(stack)
+            opens.append(tuple(row))
+        ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
+        trace._ideals = _Table(down, tuple(opens), ids)
+    return trace._ideals
+
+
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
+
+
+def _below(trace: Trace, table: _Table, eid: int) -> tuple[int, ...]:
+    """Prefix vector of the downward closure of ``eid``'s thread predecessor."""
+    pos = trace.thread_pos[eid]
+    if not pos:
+        return table.down[0]
+    return table.down[table.ids[trace.thread_index[trace.event(eid).thread]][pos - 1]]
+
+
+def _is_closed(table: _Table, prefix: Sequence[int]) -> bool:
+    """Whether per-thread prefixes form an ideal.
+
+    They do iff the downward closure of each thread's last included event
+    fits inside them, since closures grow along each thread.
+    """
+    for b, m in enumerate(prefix):
+        if m and any(map(gt, table.down[table.ids[b][m - 1]], prefix)):
+            return False
+    return True
 
 
 def _prefix_of(trace: Trace, members: frozenset[int]) -> tuple[int, ...] | None:
@@ -75,11 +183,7 @@ def _prefix_of(trace: Trace, members: frozenset[int]) -> tuple[int, ...] | None:
         tops[b] = max(tops[b], trace.thread_pos[eid] + 1)
     if counts != tops:
         return None  # a gap in some thread's prefix
-    for eid in members:
-        ev = trace.event(eid)
-        if ev.observes and trace.rf[eid] not in members:
-            return None
-    return tuple(counts)
+    return tuple(counts) if _is_closed(_table(trace), counts) else None
 
 
 def is_ideal(trace: Trace, members: Iterable[int]) -> bool:
@@ -105,27 +209,14 @@ def open_acquires(trace: Trace, members: frozenset[int]) -> list[int]:
     )
 
 
+def _open_in(table: _Table, prefix: Sequence[int]) -> list[int]:
+    """Acquires an ideal leaves open, by event id, read from the table."""
+    return sorted(chain.from_iterable(table.opens[b][m] for b, m in enumerate(prefix)))
+
+
 # ----------------------------------------------------------------------
 # causal cones
 # ----------------------------------------------------------------------
-
-
-def _down_close(trace: Trace, seeds: Iterable[int]) -> set[int]:
-    """Downward closure under thread order and observation edges."""
-    seen: set[int] = set()
-    stack = [e for e in seeds]
-    while stack:
-        eid = stack.pop()
-        if eid in seen:
-            continue
-        seen.add(eid)
-        ev = trace.event(eid)
-        pos = trace.thread_pos[eid]
-        if pos > 0:
-            stack.append(trace.projection(ev.thread)[pos - 1].eid)
-        if ev.observes:
-            stack.append(trace.rf[eid])
-    return seen
 
 
 def cone(trace: Trace, events: Iterable[int]) -> Ideal:
@@ -134,15 +225,11 @@ def cone(trace: Trace, events: Iterable[int]) -> Ideal:
     Union over the given events of the downward closure of each event's
     thread predecessor; an event opening its thread contributes nothing.
     """
-    seeds = []
+    table = _table(trace)
+    prefix = table.down[0]
     for eid in events:
-        pos = trace.thread_pos[eid]
-        if pos > 0:
-            seeds.append(trace.projection(trace.event(eid).thread)[pos - 1].eid)
-    members = frozenset(_down_close(trace, seeds))
-    prefix = _prefix_of(trace, members)
-    assert prefix is not None  # closure of a downward-closed generator set
-    return Ideal(trace, members, prefix)
+        prefix = _join(prefix, _below(trace, table, eid))
+    return Ideal(trace, prefix)
 
 
 def _topology_children(
@@ -181,7 +268,8 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     Grows per-thread prefixes top-down from the event's thread: first the
     event's own thread predecessors, then for each thread everything ordered
     below its parent's frontier, then whole critical sections whose acquire
-    conflicts with one still open in the parent, until none remain.
+    conflicts with one still open in the parent, until none remain.  Raises
+    :class:`TraceError` if the grown prefixes are not an ideal.
     """
     root = trace.event(eid).thread
     order = _topology_children(trace, root)
@@ -189,44 +277,34 @@ def lcone(trace: Trace, eid: int) -> Ideal:
         raise TraceError(
             f"communication topology around {root} is not a tree"
         )
-    trf = _full_trf(trace)
-    prefix: dict[str, int] = {p: 0 for p in trace.threads}
-    prefix[root] = trace.thread_pos[eid]
+    table = _table(trace)
+    index = trace.thread_index
+    prefix = [0] * len(trace.threads)
+    prefix[index[root]] = trace.thread_pos[eid]
 
-    def open_locks(thread: str) -> dict[str, int]:
-        """lock -> acquire id for open criticals in the thread's prefix."""
-        out: dict[str, int] = {}
-        for ev in trace.projection(thread)[: prefix[thread]]:
-            if ev.is_acquire:
-                out[ev.loc] = ev.eid
-            elif ev.is_release:
-                del out[ev.loc]
-        return out
+    def open_locks(b: int) -> dict[str, int]:
+        """lock -> acquire id for open criticals in thread b's prefix."""
+        return {trace.events[a - 1].loc: a for a in table.opens[b][prefix[b]]}
 
     for p1, p2 in order:
+        b1, b2 = index[p1], index[p2]
         # pull everything ordered below the parent's last event
-        if prefix[p2] > 0:
-            e2 = trace.projection(p2)[prefix[p2] - 1].eid
-            b1 = trace.thread_index[p1]
-            prefix[p1] = max(prefix[p1], int(trf.pred[trf.index_of(e2), b1]) + 1)
+        if prefix[b2] > 0:
+            e2 = table.ids[b2][prefix[b2] - 1]
+            prefix[b1] = max(prefix[b1], table.down[e2][b1])
         # close child criticals conflicting with open parent criticals
-        parent_open = set(open_locks(p2))
+        parent_open = open_locks(b2).keys()
         while True:
-            mine = open_locks(p1)
+            mine = open_locks(b1)
             clashing = sorted(mine[l] for l in mine.keys() & parent_open)
             if not clashing:
                 break
             rel = trace.match[clashing[0]]
-            prefix[p1] = max(prefix[p1], trace.thread_pos[rel] + 1)
+            prefix[b1] = max(prefix[b1], trace.thread_pos[rel] + 1)
 
-    members = frozenset(
-        ev.eid
-        for p in trace.threads
-        for ev in trace.projection(p)[: prefix[p]]
-    )
-    pref = _prefix_of(trace, members)
-    assert pref is not None  # guaranteed by the construction
-    return Ideal(trace, members, pref)
+    if not _is_closed(table, prefix):
+        raise TraceError(f"the lock causal cone of event {eid} is not a trace ideal")
+    return Ideal(trace, tuple(prefix))
 
 
 # ----------------------------------------------------------------------
@@ -259,30 +337,27 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
     ``INFEASIBLE``, else the forced edges define the canonical order.
     """
     trace = ideal.trace
-    opens = open_acquires(trace, ideal.members)
-    by_lock: dict[str, list[int]] = {}
-    for eid in opens:
+    by_lock: dict[str, int] = {}
+    for eid in _open_in(_table(trace), ideal.prefix):
         lock = trace.event(eid).loc
         if lock in by_lock:
             return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
-        by_lock[lock] = [eid]
+        by_lock[lock] = eid
 
-    order = compute_trf(trace, ideal.members)
-    open_set = set(opens)
+    members = ideal.members
+    order = compute_trf(trace, members)
     try:
-        for eid in sorted(ideal.members):
+        for eid in sorted(members) if by_lock else ():
             ev = trace.event(eid)
-            if not ev.is_acquire or eid in open_set:
-                continue
             open_acq = by_lock.get(ev.loc)
-            if open_acq:
-                order.add_edge(trace.match[eid], open_acq[0])
+            if ev.is_acquire and open_acq is not None and open_acq != eid:
+                order.add_edge(trace.match[eid], open_acq)
     except CycleError:
         return FeasibilityResult(Feasibility.INFEASIBLE)
 
     rf = {
         eid: trace.rf[eid]
-        for eid in ideal.members
+        for eid in members
         if trace.event(eid).observes
     }
     return FeasibilityResult(Feasibility.FEASIBLE, RfPoset(trace, order, rf))
@@ -300,6 +375,8 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
     critical section (adding the matching release and whatever must come
     before it), keeping only variants that leave both query events out.
     Members are deduplicated by event set and returned in discovery order.
+    Each variant is the pointwise max of its parent's prefix vector and the
+    release's downward closure, so no member set is built.
     """
     ev1, ev2 = trace.event(e1), trace.event(e2)
     if not (ev1.is_global_access and ev2.is_global_access):
@@ -307,21 +384,17 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
     if not conflicting(ev1, ev2):
         raise TraceError(f"events {e1} and {e2} do not conflict")
 
-    seed = cone(trace, (e1, e2))
-    out: list[Ideal] = [seed]
-    seen = {seed.members}
-    queue = [seed]
-    while queue:
-        y = queue.pop(0)
-        for acq in open_acquires(trace, y.members):
-            rel = trace.match[acq]
-            grown = y.members | {rel} | cone(trace, (rel,)).members
-            if e1 in grown or e2 in grown or grown in seen:
+    table = _table(trace)
+    b1, pos1 = trace.thread_index[ev1.thread], trace.thread_pos[e1]
+    b2, pos2 = trace.thread_index[ev2.thread], trace.thread_pos[e2]
+    seed = _join(_below(trace, table, e1), _below(trace, table, e2))
+    found = [seed]  # also the BFS queue: members are expanded in this order
+    seen = {seed}
+    for y in found:
+        for acq in _open_in(table, y):
+            grown = _join(y, table.down[trace.match[acq]])
+            if grown[b1] > pos1 or grown[b2] > pos2 or grown in seen:
                 continue
             seen.add(grown)
-            prefix = _prefix_of(trace, grown)
-            assert prefix is not None  # union of ideals plus a closure step
-            nxt = Ideal(trace, grown, prefix)
-            out.append(nxt)
-            queue.append(nxt)
-    return out
+            found.append(grown)
+    return [Ideal(trace, y) for y in found]

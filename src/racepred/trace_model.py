@@ -118,8 +118,8 @@ class Trace:
     Exposes the derived structure everything else builds on: per-thread
     projections, the observed-writer map ``rf`` (reads to writes, releases to
     their matching acquires), and acquire/release matching.  Whole-trace
-    facts that queries share (:func:`trace_params` and the full TRF) are
-    built on first use and kept on the trace.
+    facts that queries share (:func:`trace_params`, the full TRF and the
+    ideal table) are built on first use and kept on the trace.
     """
 
     __slots__ = (
@@ -136,6 +136,7 @@ class Trace:
         "source_lines",
         "_params",
         "_trf",
+        "_ideals",
     )
 
     def __init__(
@@ -182,6 +183,7 @@ class Trace:
         self.rf, self.match = self._replay()
         self._params: TraceParams | None = None
         self._trf = None  # the full TRF, see orders._full_trf
+        self._ideals = None  # prefix-vector table, see ideal_engine._table
 
     # ------------------------------------------------------------------
     # validation / derived maps

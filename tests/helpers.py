@@ -146,6 +146,62 @@ def closure_by_triplets(poset: RfPoset) -> PartialOrder | None:
     return order
 
 
+def down_close(trace: Trace, seeds) -> set[int]:
+    """Downward closure under thread order and observation, event by event."""
+    seen: set[int] = set()
+    stack = list(seeds)
+    while stack:
+        eid = stack.pop()
+        if eid in seen:
+            continue
+        seen.add(eid)
+        ev = trace.event(eid)
+        pos = trace.thread_pos[eid]
+        if pos > 0:
+            stack.append(trace.projection(ev.thread)[pos - 1].eid)
+        if ev.observes:
+            stack.append(trace.rf[eid])
+    return seen
+
+
+def cone_by_members(trace: Trace, events) -> frozenset[int]:
+    """The cone of an event set as a member set: the closure of the events'
+    thread predecessors."""
+    seeds = []
+    for eid in events:
+        pos = trace.thread_pos[eid]
+        if pos > 0:
+            seeds.append(trace.projection(trace.event(eid).thread)[pos - 1].eid)
+    return frozenset(down_close(trace, seeds))
+
+
+def candidate_set_by_members(trace: Trace, e1: int, e2: int) -> list[frozenset[int]]:
+    """The candidate ideal set recomputed as member sets, in discovery order.
+
+    Breadth-first from the cone of the pair: each open acquire of an ideal
+    (by event id) yields the union of the ideal, the matching release and
+    the release's cone, kept if it holds neither query event and is new.
+    """
+    seed = cone_by_members(trace, (e1, e2))
+    out = [seed]
+    seen = {seed}
+    queue = [seed]
+    while queue:
+        y = queue.pop(0)
+        opens = sorted(
+            e for e in y if trace.event(e).is_acquire and trace.match[e] not in y
+        )
+        for acq in opens:
+            rel = trace.match[acq]
+            grown = y | {rel} | cone_by_members(trace, (rel,))
+            if e1 in grown or e2 in grown or grown in seen:
+                continue
+            seen.add(grown)
+            out.append(grown)
+            queue.append(grown)
+    return out
+
+
 def gamma_by_scan(trace: Trace) -> int:
     """Lock-nesting depth by direct replay of per-thread open acquires."""
     depth = {p: 0 for p in trace.threads}

@@ -1,5 +1,8 @@
 """Trace ideals: cones, lock cones, feasibility, and candidate ideal sets."""
 
+import random
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,10 +23,21 @@ from racepred import (
     open_acquires,
     oracle_predict,
     parse_trace,
+    serialize,
     trace_params,
 )
+from racepred.cli import scan_pairs
+from racepred.generators import IsInstance, gen_indset_trace, gen_random_trace
+from racepred.ideal_engine import _table
 
-from helpers import conflicting_pairs, realizable_sets, traces
+from helpers import (
+    candidate_set_by_members,
+    conflicting_pairs,
+    cone_by_members,
+    down_close,
+    realizable_sets,
+    traces,
+)
 
 
 def topology_graph(trace) -> nx.Graph:
@@ -75,6 +89,71 @@ def test_ideal_dump_is_sorted_ids():
     assert Ideal.from_members(THREE, [1, 3]).dump() == "1\n3"
 
 
+def test_ideal_is_its_prefix_vector():
+    x = Ideal.from_members(THREE, [1, 3])
+    assert x.prefix == (1, 1)
+    assert x == Ideal(THREE, (1, 1)) and hash(x) == hash(Ideal(THREE, (1, 1)))
+    assert x != Ideal(THREE, (2, 1))
+    # the same prefix on a separately parsed copy is another trace's ideal
+    assert x != Ideal(parse_trace(serialize(THREE)), (1, 1))
+    assert len({x, Ideal.from_members(THREE, [3, 1]), Ideal(THREE, (0, 0))}) == 2
+
+
+def test_ideal_union_is_pointwise_max():
+    t = parse_trace("t1 w x\nt2 r x\nt2 w y\nt3 w z\n")
+    x = Ideal.from_members(t, [1, 2]) | Ideal.from_members(t, [4])
+    assert x.prefix == (1, 1, 1) and x.members == {1, 2, 4}
+    with pytest.raises(ValueError):
+        x | Ideal(parse_trace(serialize(t)), (0, 0, 0))
+
+
+@given(traces(max_events=12), st.data())
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_ideal_membership_and_size_agree_with_members(trace, data):
+    eids = [ev.eid for ev in trace]
+    seeds = data.draw(st.lists(st.sampled_from(eids), max_size=3) if eids else st.just([]))
+    x = cone(trace, seeds)
+    for y in (x, Ideal(trace, tuple(len(p) for p in trace.by_thread))):
+        assert len(y) == len(y.members)
+        for e in range(0, len(trace) + 2):
+            assert (e in y) == (e in y.members)
+        assert "1" not in y
+
+
+@given(traces(max_events=10), st.data())
+@settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+def test_from_members_accepts_exactly_the_down_closed_sets(trace, data):
+    eids = [ev.eid for ev in trace]
+    # an arbitrary subset, and one prefix per thread (no gaps, so only
+    # observation closure can fail)
+    lengths = [data.draw(st.integers(0, len(proj))) for proj in trace.by_thread]
+    prefixes = {ev.eid for proj, m in zip(trace.by_thread, lengths) for ev in proj[:m]}
+    subset = set(data.draw(st.lists(st.sampled_from(eids), unique=True) if eids else st.just([])))
+    for s in (subset, prefixes):
+        closed = down_close(trace, s) == s
+        assert is_ideal(trace, s) == closed
+        if closed:
+            assert Ideal.from_members(trace, s).members == s
+        else:
+            with pytest.raises(TraceError):
+                Ideal.from_members(trace, s)
+
+
+def test_ideal_table_is_built_once_per_trace():
+    t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 r x\nt2 rel l")
+    table = _table(t)
+    assert _table(t) is table
+    cone(t, [5])
+    candidate_ideal_set(t, 2, 5)
+    lcone(t, 5)
+    feasibility(Ideal.from_members(t, [1, 2, 4]))
+    assert _table(t) is table
+    assert table.down[5] == (2, 2) and table.opens[1][2] == (4,)
+    # a second parse of the same text is a separate trace with its own table
+    other = parse_trace(serialize(t))
+    assert _table(other) is not table and _table(other) == table
+
+
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
@@ -101,6 +180,16 @@ def test_cone_is_union_of_member_cones(trace):
     both = cone(trace, [a, b]).members
     assert both == cone(trace, [a]).members | cone(trace, [b]).members
     assert is_ideal(trace, both)
+
+
+@given(traces(max_events=14, max_threads=4, max_locks=3), st.data())
+@settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+def test_cone_matches_event_by_event_closure(trace, data):
+    eids = [ev.eid for ev in trace]
+    s = data.draw(st.lists(st.sampled_from(eids), max_size=4) if eids else st.just([]))
+    x = cone(trace, s)
+    assert x.members == cone_by_members(trace, s)
+    assert x == Ideal.from_members(trace, x.members)
 
 
 @given(traces(max_events=12), st.data())
@@ -302,3 +391,53 @@ def test_race_iff_lock_cone_union_realizes(trace, data):
         e1 not in union and e2 not in union and union in realizable_sets(trace)
     )
     assert via_union == oracle_says(trace, e1, e2)
+
+
+def test_candidate_set_matches_member_bfs_on_wide_corpus():
+    # up to 5 threads, 3 locks and nesting 3: the prefix-vector sweep must
+    # return the member-set sweep's ideals, in the same order
+    pairs = grown = 0
+    for s in range(600):
+        t = gen_random_trace(
+            60_000 + s, n=20 + s % 13, k=2 + s % 4, d_globals=1 + s % 2,
+            d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.5,
+            nesting_max=1 + s % 3,
+        )
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            got = [x.members for x in candidate_ideal_set(t, e1, e2)]
+            assert got == candidate_set_by_members(t, e1, e2), (s, e1, e2)
+            pairs += 1
+            grown += len(got) > 1
+    assert pairs >= 30_000 and grown >= 2_000
+
+
+def _cycle(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def _complete(n):
+    return list(combinations(range(1, n + 1), 2))
+
+
+INDSET_FAMILIES = (  # (nodes, edges, target size)
+    (6, _cycle(6), 3),
+    (7, _cycle(7), 3),
+    (8, _cycle(8), 3),
+    (5, _cycle(5), 3),
+    (5, _complete(5), 2),
+    (6, sorted(set(_complete(6)) - {(min(e), max(e)) for e in _cycle(6)}), 3),
+)
+
+
+@pytest.mark.parametrize("n, edges, c", INDSET_FAMILIES)
+def test_candidate_set_matches_member_bfs_on_indset(n, edges, c):
+    # lock-heavy reduction traces: thousands of candidates per query
+    rng = random.Random(f"indset:{n}:{len(edges)}:{c}")
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    inst = IsInstance(n, frozenset((relabel[u], relabel[v]) for u, v in edges), c)
+    t, (e1, e2) = gen_indset_trace(inst)
+    got = [x.members for x in candidate_ideal_set(t, e1, e2)]
+    assert len(got) > 400
+    assert got == candidate_set_by_members(t, e1, e2)

@@ -184,7 +184,7 @@ def test_shared_trf_is_built_once_and_read_only():
     with pytest.raises(ValueError):
         trf.add_edge(1, 2)  # would reorder every later query on the trace
     assert trf.unordered(1, 2) and trf.edges == [(1, 3)]
-    # lcone reads the shared order without changing it
+    # a lock cone on the same trace leaves the shared order unchanged
     lcone(t, 3)
     assert _full_trf(t) is trf and trf.unordered(1, 2)
 
