@@ -38,12 +38,7 @@ from .generators import (
 )
 from .ideal_engine import candidate_ideal_set, feasibility, lcone
 from .oracle import DEFAULT_CAP, OracleCapError, oracle_witness, witness_error
-from .realizability import (
-    check_tree_inducible,
-    realize_bounded,
-    realize_general,
-    realize_tree,
-)
+from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
     Trace,
     TraceError,
@@ -195,23 +190,15 @@ def _tree_route(
         note(f"the lock-cone ideal ({len(x)} events) is {res.status.value}")
         return False, None
     local: dict = {}
-    tp = check_tree_inducible(res.poset, stats=local)
-    if tp is None:
-        # conflict structure inside the ideal is not block-tree shaped;
-        # fall back to the sound-everywhere ideal-graph search
-        note("ideal is not tree-inducible; falling back to the ideal-graph search")
-        w = realize_general(res.poset, stats=local)
-        stats["search_nodes"] += local.get("search_nodes", 0)
+    w = realize_tree(res.poset, stats=local)
+    if local["closure_edges"] is None:
+        note(f"closure of the {len(x)}-event ideal is contradictory")
     else:
-        w = realize_tree(res.poset, tp, stats=local)
-        if local.get("closure_edges") is None:
-            note(f"closure of the {len(x)}-event ideal is contradictory")
-        else:
-            stats["closure_edges"] += local["closure_edges"]
-            note(
-                f"closure added {local['closure_edges']} orderings, "
-                f"resolution {local.get('resolution_edges', 0)} more"
-            )
+        stats["closure_edges"] += local["closure_edges"]
+        note(
+            f"closure added {local['closure_edges']} orderings, "
+            f"resolution {local['resolution_edges']} more"
+        )
     return (w is not None), w
 
 

@@ -30,7 +30,14 @@ from operator import gt
 from typing import Iterable, NamedTuple, Sequence
 
 from .orders import CycleError, RfPoset, compute_trf
-from .trace_model import Trace, TraceError, conflicting, trace_params
+from .trace_model import (
+    Trace,
+    TraceError,
+    _adjacency,
+    _forest_order,
+    conflicting,
+    trace_params,
+)
 
 __all__ = [
     "Ideal",
@@ -89,10 +96,6 @@ class Ideal:
         if other.trace is not self.trace:
             raise ValueError("cannot join ideals of different traces")
         return Ideal(self.trace, _join(self.prefix, other.prefix))
-
-    def dump(self) -> str:
-        """Sorted member ids, one per line."""
-        return "\n".join(str(e) for e in sorted(self.members))
 
 
 # ----------------------------------------------------------------------
@@ -232,36 +235,6 @@ def cone(trace: Trace, events: Iterable[int]) -> Ideal:
     return Ideal(trace, prefix)
 
 
-def _topology_children(
-    trace: Trace, root: str
-) -> list[tuple[str, str]] | None:
-    """(thread, parent) pairs in top-down order over root's component.
-
-    Returns None when the component containing ``root`` has a cycle.
-    """
-    adj: dict[str, set[str]] = {root: set()}
-    for a, b in trace_params(trace).topology:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    order: list[tuple[str, str]] = []
-    seen = {root}
-    queue = [root]
-    edges_seen = 0
-    while queue:
-        cur = queue.pop(0)
-        for nxt in sorted(adj.get(cur, ())):
-            edges_seen += 1
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            order.append((nxt, cur))
-            queue.append(nxt)
-    # a connected component is a tree iff every edge was a discovery edge
-    if edges_seen != 2 * len(order):
-        return None
-    return order
-
-
 def lcone(trace: Trace, eid: int) -> Ideal:
     """The lock causal cone of an event over a tree communication topology.
 
@@ -272,7 +245,7 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     :class:`TraceError` if the grown prefixes are not an ideal.
     """
     root = trace.event(eid).thread
-    order = _topology_children(trace, root)
+    order = _forest_order(_adjacency(trace_params(trace).topology), [root])
     if order is None:
         raise TraceError(
             f"communication topology around {root} is not a tree"

@@ -171,20 +171,6 @@ class PartialOrder:
 
     # -- derived structure -------------------------------------------------
 
-    def down_vector(self, eids: Iterable[int]) -> np.ndarray:
-        """Per-block prefix lengths of the downward closure of ``eids``.
-
-        The closure includes the given events themselves; because the order
-        refines the block chains, it is always a tuple of block prefixes.
-        """
-        lengths = np.zeros(self.k, dtype=np.int64)
-        for e in eids:
-            i = self._idx[e]
-            counts = self.pred[i] + 1
-            counts[self._block[i]] = max(counts[self._block[i]], self._pos[i] + 1)
-            np.maximum(lengths, counts, out=lengths)
-        return lengths
-
     def linearize(self) -> list[int]:
         """A total order refining the partial order, smallest id first."""
         next_pos = [0] * self.k
@@ -218,28 +204,6 @@ class PartialOrder:
         if len(out) != self.n:
             raise CycleError((-1, -1))  # cannot happen for a valid order
         return out
-
-    def transitive_reduction(self) -> list[tuple[int, int]]:
-        """Minimal edge set with the same reachability."""
-        out: list[tuple[int, int]] = []
-        for i in range(self.n):
-            u = self._eids[i]
-            for b in range(self.k):
-                j = self.succ[i, b]
-                if j >= _NONE:
-                    continue
-                v = self.blocks[b][j]
-                iv = self._idx[v]
-                # an intermediate w with u < w < v rules the edge out
-                if any(self.succ[i, c] <= self.pred[iv, c] for c in range(self.k)):
-                    continue
-                out.append((u, v))
-        out.sort()
-        return out
-
-    def dump(self) -> str:
-        """Debug rendering: one 'a < b' reduction edge per line, sorted."""
-        return "\n".join(f"{u} < {v}" for u, v in self.transitive_reduction())
 
     def path_between(self, u: int, v: int) -> list[tuple[int, int]]:
         """A chain of generator edges witnessing u < v.

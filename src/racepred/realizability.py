@@ -7,9 +7,10 @@ can be completed into a real trace (a witness):
 * :func:`realize_general` — breadth-first search over the ideal graph of
   the poset; works on any feasible ideal, exponential in the thread count
   only.
-* :func:`realize_tree` — for tree-inducible posets (conflicts between
-  threads form a tree) the closure plus one top-down edge-resolution pass
-  yields a witness directly, with no search.
+* :func:`realize_tree` — when the poset's block conflict graph (one edge
+  per pair of threads holding conflicting events) is a forest, the closure
+  plus one top-down edge-resolution pass yields a witness directly, with no
+  search.
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
   whose order flips at most a given number of conflicting write/acquire
   pairs relative to the observed trace, branching on the cross edges of a
@@ -24,17 +25,13 @@ contract).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
 from .orders import CycleError, PartialOrder, RfPoset, _channel, closure
-from .trace_model import Trace, conflicting
+from .trace_model import Trace, _adjacency, _forest_order, conflicting
 
 __all__ = [
-    "TreePartition",
-    "check_tree_inducible",
     "realize_general",
     "realize_tree",
     "realize_bounded",
@@ -105,7 +102,6 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
             parents[y2] = (y, e)
             queue.append(y2)
 
-    assert len(parents) <= prod(len(b) + 1 for b in blocks)
     if stats is not None:
         stats["search_nodes"] = len(parents)
     if not found:
@@ -120,160 +116,44 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# tree backend: inducibility check and closure-based construction
+# tree backend: closure plus top-down resolution
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreePartition:
-    """Per-thread blocks of a poset whose conflict graph is a forest.
+def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
+    """Realize a poset whose block conflict graph is a forest.
 
-    ``edges`` holds the conflicting block-index pairs (smaller index
-    first); ``children_order`` lists (child, parent) pairs top-down from
-    each root, the order in which the tree construction resolves blocks.
-    """
+    Blocks conflict when they hold conflicting events (one channel, at least
+    one write or acquire).  The forest is walked breadth-first from each
+    lowest-index root; after the closure, every conflicting pair between a
+    parent and a child block that the closure left unordered is resolved
+    parent-first, and the result linearizes to a witness.  Returns ``None``
+    exactly when the closure is contradictory.
 
-    blocks: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
-    roots: tuple[int, ...]
-    children_order: tuple[tuple[int, int], ...]
-
-
-def _channel_profile(trace: Trace, block: tuple[int, ...]) -> dict[tuple[str, str], bool]:
-    """channel -> whether the block has a write-like event on it."""
-    out: dict[tuple[str, str], bool] = {}
-    for e in block:
-        ev = trace.event(e)
-        out[_channel(ev)] = out.get(_channel(ev), False) or ev.writes_like
-    return out
-
-
-def check_tree_inducible(p: RfPoset, stats: dict | None = None) -> TreePartition | None:
-    """Partition ``p`` by thread and test tree-inducibility.
-
-    Succeeds when the block conflict graph is a forest, no two blocks in
-    different components are ordered, and for every ordered cross-block
-    pair the blocks interior to their tree path each hold an event strictly
-    between the two (the separation condition).  Returns ``None`` as soon
-    as any test fails.
+    Raises :class:`ValueError` when the block conflict graph has a cycle.
     """
     trace = p.trace
-    order = p.order
-    blocks = order.blocks
-    k = len(blocks)
-    profiles = [_channel_profile(trace, b) for b in blocks]
-
-    edges: set[tuple[int, int]] = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            shared = profiles[i].keys() & profiles[j].keys()
-            if any(profiles[i][ch] or profiles[j][ch] for ch in shared):
-                edges.add((i, j))
-
-    # forest check + BFS forests (per component, rooted at smallest index)
-    adj: dict[int, list[int]] = {i: [] for i in range(k)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    comp = [-1] * k
-    parent: dict[int, int | None] = {}
-    roots: list[int] = []
-    children_order: list[tuple[int, int]] = []
-    for root in range(k):
-        if comp[root] != -1:
-            continue
-        roots.append(root)
-        comp[root] = root
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adj[u]):
-                if v == parent[u]:
-                    continue
-                if comp[v] != -1:
-                    return None  # conflict cycle among threads
-                comp[v] = root
-                parent[v] = u
-                children_order.append((v, u))
-                queue.append(v)
-
-    depth: dict[int, int] = {}
-    for root in roots:
-        depth[root] = 0
-    for child, par in children_order:
-        depth[child] = depth[par] + 1
-
-    def interior(i: int, j: int) -> list[int]:
-        """Blocks strictly inside the tree path from i to j."""
-        a, b = i, j
-        left: list[int] = []
-        right: list[int] = []
-        while depth[a] > depth[b]:
-            left.append(a)
-            a = parent[a]
-        while depth[b] > depth[a]:
-            right.append(b)
-            b = parent[b]
-        while a != b:
-            left.append(a)
-            right.append(b)
-            a, b = parent[a], parent[b]
-        path = left + [a] + right[::-1]
-        return path[1:-1]
-
-    row_idx = [
-        np.array([order.index_of(e) for e in blocks[i]], dtype=np.int64)
-        for i in range(k)
+    by_channel: list[dict[tuple[str, str], list[int]]] = []
+    for block in p.order.blocks:
+        chans: dict[tuple[str, str], list[int]] = {}
+        for e in block:
+            chans.setdefault(_channel(trace.event(e)), []).append(e)
+        by_channel.append(chans)
+    writes = [
+        {ch for ch, evs in chans.items() if any(trace.event(e).writes_like for e in evs)}
+        for chans in by_channel
     ]
-    checked = 0
-    for i in range(k):
-        if not len(blocks[i]):
-            continue
-        for j in range(k):
-            if i == j or not len(blocks[j]):
-                continue
-            succ_j = order.succ[row_idx[i], j]
-            valid = succ_j < len(blocks[j])
-            if not valid.any():
-                continue
-            if comp[i] != comp[j]:
-                return None  # order across unrelated components
-            mids = interior(i, j)
-            if not mids:
-                continue
-            targets = np.array(
-                [order.index_of(blocks[j][int(pos)]) for pos in succ_j[valid]],
-                dtype=np.int64,
-            )
-            src = row_idx[i][valid]
-            for mid in mids:
-                checked += int(valid.sum())
-                if not (order.succ[src, mid] <= order.pred[targets, mid]).all():
-                    return None
-
-    if stats is not None:
-        stats["separation_checks"] = checked
-    return TreePartition(
-        blocks=blocks,
-        edges=frozenset(edges),
-        roots=tuple(roots),
-        children_order=tuple(children_order),
+    k = len(by_channel)
+    edges = (
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if by_channel[i].keys() & by_channel[j].keys() & (writes[i] | writes[j])
     )
+    children_order = _forest_order(_adjacency(edges), range(k))
+    if children_order is None:
+        raise ValueError("the block conflict graph of the poset has a cycle")
 
-
-def realize_tree(
-    p: RfPoset, tp: TreePartition, stats: dict | None = None
-) -> list[int] | None:
-    """Realize a tree-inducible poset by closure plus top-down resolution.
-
-    After the closure, every conflicting pair between a parent and child
-    block that the closure left unordered is resolved parent-first; the
-    result is fully conflict-ordered and linearizes to a witness.  Returns
-    ``None`` exactly when the closure is contradictory.
-    """
-    if tp.blocks != p.order.blocks:
-        raise ValueError("tree partition is inconsistent with the poset universe")
     closed = closure(p)
     if closed is None:
         if stats is not None:
@@ -283,17 +163,9 @@ def realize_tree(
     if stats is not None:
         stats["closure_edges"] = len(fixed.edges) - len(p.order.edges)
 
-    trace = p.trace
-    by_channel: list[dict[tuple[str, str], list[int]]] = []
-    for block in tp.blocks:
-        chans: dict[tuple[str, str], list[int]] = {}
-        for e in block:
-            chans.setdefault(_channel(trace.event(e)), []).append(e)
-        by_channel.append(chans)
-
     q = fixed.copy()
     resolved = 0
-    for child, par in tp.children_order:
+    for child, par in children_order:
         for ch in sorted(by_channel[par].keys() & by_channel[child].keys()):
             for e1 in by_channel[par][ch]:
                 for e2 in by_channel[child][ch]:

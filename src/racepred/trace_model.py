@@ -25,8 +25,9 @@ synthesized writes).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
     "TraceError",
@@ -429,21 +430,45 @@ def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
     return frozenset(edges)
 
 
-def _is_forest(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> bool:
-    parent = {p: p for p in nodes}
+_N = TypeVar("_N")  # a graph node: a thread name or a block index
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for p, q in edges:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            return False
-        parent[rp] = rq
-    return True
+def _adjacency(edges: Iterable[tuple[_N, _N]]) -> dict[_N, set[_N]]:
+    """Undirected adjacency sets of an edge list."""
+    adj: dict[_N, set[_N]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def _forest_order(
+    adj: Mapping[_N, Iterable[_N]], roots: Iterable[_N]
+) -> list[tuple[_N, _N]] | None:
+    """(child, parent) pairs, top-down, of the breadth-first forest from ``roots``.
+
+    Each root not yet reached starts a tree; neighbours are visited in sorted
+    order.  Returns ``None`` when the graph reachable from the roots has a
+    cycle.
+    """
+    parent: dict[_N, _N | None] = {}
+    order: list[tuple[_N, _N]] = []
+    for root in roots:
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(adj.get(u, ())):
+                if v == parent[u]:
+                    continue
+                if v in parent:
+                    return None
+                parent[v] = u
+                order.append((v, u))
+                queue.append(v)
+    return order
 
 
 def trace_params(trace: Trace) -> TraceParams:
@@ -470,7 +495,7 @@ def trace_params(trace: Trace) -> TraceParams:
         gamma=gamma,
         zeta=zeta,
         topology=topo,
-        is_tree=_is_forest(trace.threads, topo),
+        is_tree=_forest_order(_adjacency(topo), trace.threads) is not None,
     )
     return trace._params
 

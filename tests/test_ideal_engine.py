@@ -85,10 +85,6 @@ def test_ideal_from_members_rejects_non_ideal():
         Ideal.from_members(THREE, [2])
 
 
-def test_ideal_dump_is_sorted_ids():
-    assert Ideal.from_members(THREE, [1, 3]).dump() == "1\n3"
-
-
 def test_ideal_is_its_prefix_vector():
     x = Ideal.from_members(THREE, [1, 3])
     assert x.prefix == (1, 1)

@@ -20,6 +20,7 @@ from racepred import (
     parse_trace,
 )
 from racepred.generators import OvInstance, gen_ov_trace
+from racepred.ideal_engine import _table
 from racepred.orders import _full_trf
 from racepred.trace_model import from_events
 
@@ -105,27 +106,6 @@ def test_linearize_antichain_smallest_id_first():
 def test_linearize_interleaves_by_id():
     po = PartialOrder([[1, 4], [2, 3]])
     assert po.linearize() == [1, 2, 3, 4]
-
-
-def test_transitive_reduction_drops_implied_edges():
-    po = PartialOrder([[1], [2], [3]])
-    po.add_edge(1, 2)
-    po.add_edge(2, 3)
-    po.add_edge(1, 3)  # implied
-    assert po.transitive_reduction() == [(1, 2), (2, 3)]
-
-
-def test_dump_format():
-    po = PartialOrder([[1, 2], [3]])
-    po.add_edge(2, 3)
-    assert po.dump() == "1 < 2\n2 < 3"
-
-
-def test_down_vector_counts_prefix_lengths():
-    po = PartialOrder([[1, 2, 3], [4, 5]])
-    po.add_edge(4, 2)
-    vec = po.down_vector([2])
-    assert vec.tolist() == [2, 1]  # {1,2} from block 0, {4} from block 1
 
 
 def test_path_between_follows_generator_edges():
@@ -341,7 +321,7 @@ def assert_closure_matches_reference(poset: RfPoset) -> None:
 
 def prefix_poset(trace, eid: int) -> RfPoset:
     """The rf-poset of the downward TRF closure of one event, itself included."""
-    lengths = compute_trf(trace).down_vector([eid])
+    lengths = _table(trace).down[eid]
     members = [ev.eid for proj, m in zip(trace.by_thread, lengths) for ev in proj[:m]]
     rf = {e: trace.rf[e] for e in members if trace.event(e).observes}
     return RfPoset(trace, compute_trf(trace, members), rf)

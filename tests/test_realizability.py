@@ -1,5 +1,6 @@
 """Witness-search backends: general, tree, and distance-bounded."""
 
+from itertools import combinations
 from math import prod
 
 import networkx as nx
@@ -9,9 +10,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from racepred import (
     Feasibility,
     Ideal,
-    check_tree_inducible,
     closure,
     communication_topology,
+    conflicting,
     enumerate_correct_reorderings,
     feasibility,
     is_ideal,
@@ -46,6 +47,28 @@ def each_feasible_ideal(trace):
             continue
         x = Ideal.from_members(trace, members)
         yield x, feasibility(x)
+
+
+def topology_is_forest(trace) -> bool:
+    graph = nx.Graph()
+    graph.add_nodes_from(trace.threads)
+    graph.add_edges_from(communication_topology(trace))
+    return nx.is_forest(graph)
+
+
+def block_graph_is_forest(p) -> bool:
+    """Whether the poset's blocks, joined when they hold conflicting events, form a forest."""
+    blocks = p.order.blocks
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(blocks)))
+    for i, j in combinations(range(len(blocks)), 2):
+        if any(
+            conflicting(p.trace.event(a), p.trace.event(b))
+            for a in blocks[i]
+            for b in blocks[j]
+        ):
+            graph.add_edge(i, j)
+    return nx.is_forest(graph)
 
 
 def min_distance_by_set(trace) -> dict[frozenset[int], int]:
@@ -104,37 +127,21 @@ def test_general_search_node_count_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# tree-inducibility and the tree backend
+# the tree backend
 # ---------------------------------------------------------------------------
-
-
-def test_two_thread_poset_always_has_a_partition():
-    p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
-    tp = check_tree_inducible(p)
-    assert tp is not None
-    assert tp.edges == {(0, 1)}
-    assert tp.roots == (0,)
-    assert tp.children_order == ((1, 0),)
 
 
 def test_triangle_topology_is_rejected():
     t = parse_trace("t1 w x\nt2 r x\nt2 w y\nt3 r y\nt3 w z\nt1 r z\n")
     p = feasibility(Ideal.from_members(t, range(1, 7))).poset
-    assert check_tree_inducible(p) is None
-
-
-def test_tree_backend_rejects_foreign_partition():
-    p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
-    other = feasibility(Ideal.from_members(FOUR, [1, 2])).poset
-    tp = check_tree_inducible(other)
     with pytest.raises(ValueError):
-        realize_tree(p, tp)
+        realize_tree(p)
 
 
 def test_tree_witness_on_spec_example():
     p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
     stats = {}
-    w = realize_tree(p, check_tree_inducible(p), stats=stats)
+    w = realize_tree(p, stats=stats)
     assert w == [1, 2, 3, 4]
     assert verify_witness(FOUR, w)
     assert stats["closure_edges"] >= 0 and stats["resolution_edges"] >= 0
@@ -142,28 +149,21 @@ def test_tree_witness_on_spec_example():
 
 def test_tree_none_exactly_on_contradictory_closure():
     res = feasibility(Ideal.from_members(STUCK, STUCK_MEMBERS))
-    tp = check_tree_inducible(res.poset)
-    assert tp is not None  # two threads
-    assert realize_tree(res.poset, tp) is None
+    assert realize_tree(res.poset) is None
 
 
 @given(traces(max_events=10, max_threads=2))
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 def test_closed_tree_inducible_posets_always_realize(trace):
     # an ideal's block conflict graph is a subgraph of the trace topology,
-    # so forest topologies keep every feasible ideal tree-inducible, and a
-    # witness must exist whenever the closure is consistent
+    # so on forest topologies the tree backend takes every feasible ideal,
+    # and a witness must exist whenever the closure is consistent
     assume(len(trace) >= 1)
-    graph = nx.Graph()
-    graph.add_nodes_from(trace.threads)
-    graph.add_edges_from(communication_topology(trace))
-    assume(nx.is_forest(graph))
+    assume(topology_is_forest(trace))
     for x, res in each_feasible_ideal(trace):
         if not res:
             continue
-        tp = check_tree_inducible(res.poset)
-        assert tp is not None
-        w = realize_tree(res.poset, tp)
+        w = realize_tree(res.poset)
         if closure(res.poset) is None:
             assert w is None
         else:
@@ -186,13 +186,49 @@ def test_backends_agree_with_brute_force(trace):
         if w is not None:
             assert frozenset(w) == x.members
             assert verify_witness(trace, w)
-        tp = check_tree_inducible(res.poset)
-        if tp is not None:
-            wt = realize_tree(res.poset, tp)
-            assert (wt is not None) == (w is not None)
-            if wt is not None:
-                assert frozenset(wt) == x.members
-                assert verify_witness(trace, wt)
+        if not block_graph_is_forest(res.poset):
+            with pytest.raises(ValueError):
+                realize_tree(res.poset)
+            continue
+        wt = realize_tree(res.poset)
+        assert (wt is not None) == (w is not None)
+        if wt is not None:
+            assert frozenset(wt) == x.members
+            assert verify_witness(trace, wt)
+
+
+def test_tree_backend_takes_exactly_the_forest_posets_on_wide_corpus():
+    # every feasible ideal of traces with up to 5 threads, 3 locks and
+    # nesting 3, cyclic topologies included: the block conflict graph being
+    # a forest is the tree backend's one precondition, and within it the
+    # backend agrees with the closure and the general search
+    from_cyclic = 0
+    for s in range(72):
+        t = gen_random_trace(
+            70_000 + s, n=8 + s % 9, k=2 + s % 4, d_globals=2 + s % 2,
+            d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.35,
+            nesting_max=1 + s % 3,
+        )
+        if len(t) > 16:
+            continue
+        cyclic = not topology_is_forest(t)
+        for x, res in each_feasible_ideal(t):
+            if not res:
+                continue
+            p = res.poset
+            if not block_graph_is_forest(p):
+                with pytest.raises(ValueError):
+                    realize_tree(p)
+                continue
+            from_cyclic += cyclic
+            w = realize_tree(p)
+            wg = realize_general(p)
+            assert (w is None) == (wg is None) == (closure(p) is None), (s, x.prefix)
+            for witness in (w, wg):
+                if witness is not None:
+                    assert frozenset(witness) == x.members
+                    assert verify_witness(t, witness)
+    assert from_cyclic >= 2_000
 
 
 # ---------------------------------------------------------------------------
