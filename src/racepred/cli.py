@@ -166,8 +166,7 @@ def predict(
             race, witness, delta = _candidate_route(trace, e1, e2, distance, stats, note)
 
     if race:
-        assert witness is not None
-        err = witness_error(trace, witness, e1, e2)
+        err = "no witness" if witness is None else witness_error(trace, witness, e1, e2)
         if err is not None:  # pragma: no cover - internal soundness guard
             raise RuntimeError(f"backend produced an invalid witness: {err}")
     else:

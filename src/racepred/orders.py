@@ -30,6 +30,7 @@ positions segmented by (channel, block).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -336,7 +337,10 @@ class _Guards:
     A segment is one (channel, block) pair.  ``keys`` holds every writer as
     its segment's base plus its position, sorted, so the writers of a segment
     form one contiguous, position-sorted run.  Each slot pairs an observer
-    with one block that holds writers on its channel.
+    with one block that holds writers on its channel.  The same segments
+    serve :meth:`replay`, whose slots pair a writer with another block that
+    holds writers on its channel; they are built on its first call, so the
+    closure never pays for them.
     """
 
     def __init__(self, poset: RfPoset):
@@ -360,6 +364,9 @@ class _Guards:
         by_channel: dict[tuple[str, str], list[tuple[int, int]]] = {}
         for (ch, b), base in bases.items():
             by_channel.setdefault(ch, []).append((b, base))
+        self._trace = trace
+        self._by_channel = by_channel
+        self._replay_slots: tuple[np.ndarray, ...] | None = None
         slots = []
         for r, w in poset.rf.items():
             ir, iw = order.index_of(r), order.index_of(w)
@@ -374,20 +381,57 @@ class _Guards:
 
         Condition 1: writers in ``(pred[w, b], pred[r, b]]`` are before r but
         not before w (in w's own block the run starts after w itself); the
-        latest of them must precede w.  Condition 2: writers in
-        ``[succ[w, b], succ[r, b])`` are after w but not after r; the earliest
-        of them must follow r.
+        latest of them must precede w.  Condition 2 is :meth:`unprotected`.
+        The condition-1 edges come first, then the condition-2 ones.
         """
         ir, iw, b, base, keys = self.ir, self.iw, self.block, self.base, self.keys
         lo = np.searchsorted(keys, base + order.pred[iw, b] + self.own, side="right")
         hi = np.searchsorted(keys, base + order.pred[ir, b], side="right")
-        first = np.searchsorted(keys, base + np.minimum(order.succ[iw, b], self.cap), side="left")
-        end = np.searchsorted(keys, base + np.minimum(order.succ[ir, b], self.cap), side="left")
         into = hi > lo
-        out = end > first
         edges = list(zip(self.writers[hi[into] - 1].tolist(), self.w[into].tolist()))
-        edges += zip(self.r[out].tolist(), self.writers[first[out]].tolist())
+        edges += self.unprotected(order)
         return list(dict.fromkeys(edges))
+
+    def unprotected(self, order: PartialOrder) -> list[tuple[int, int]]:
+        """Condition 2 alone, one edge per slot that needs one, in slot order.
+
+        Writers in ``[succ[w, b], succ[r, b])`` are after w but not after r;
+        r must precede the earliest of them.
+        """
+        b, base, keys, cap = self.block, self.base, self.keys, self.cap
+        first = np.searchsorted(keys, base + np.minimum(order.succ[self.iw, b], cap), side="left")
+        end = np.searchsorted(keys, base + np.minimum(order.succ[self.ir, b], cap), side="left")
+        out = end > first
+        return list(zip(self.r[out].tolist(), self.writers[first[out]].tolist()))
+
+    def replay(self, order: PartialOrder) -> list[tuple[int, int]]:
+        """Trace-order edges for the writer pairs ``order`` leaves unordered.
+
+        For a writer v and another block b with writers on v's channel, the
+        writers of b that are earlier in the trace and not already after v
+        form a prefix of the segment; its last one, u, gets the edge u -> v
+        unless ``order`` already has it, and program order then orders the
+        rest of the prefix.  Writers that ``order`` puts after v stay there,
+        so a pair flipped against the trace stays flipped.  With every slot's
+        edge added (and no cycle), each same-channel writer pair that
+        ``order`` left unordered is ordered as in the trace.  Sorted.
+        """
+        if self._replay_slots is None:
+            # per (writer v, other block b on v's channel): v's index, v, b,
+            # the segment's base, and how many events of b precede v; every
+            # order passed in shares the poset's universe
+            slots = []
+            for v in self.writers.tolist():
+                iv = order.index_of(v)
+                for b, base in self._by_channel[_channel(self._trace.event(v))]:
+                    if b != order._block[iv]:
+                        slots.append((iv, v, b, base, bisect_left(order.blocks[b], v)))
+            self._replay_slots = tuple(np.array(slots, dtype=np.int64).reshape(-1, 5).T)
+        iv, v, b, base, below = self._replay_slots
+        j = np.searchsorted(self.keys, base + np.minimum(order.succ[iv, b], below), side="left") - 1
+        # a j in an earlier segment gives a position below -1, so fails the test
+        take = (j >= 0) & (self.keys[j] - base > order.pred[iv, b])
+        return sorted(zip(self.writers[j[take]].tolist(), v[take].tolist()))
 
 
 def is_closed(poset: RfPoset) -> bool:

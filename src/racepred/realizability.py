@@ -13,8 +13,10 @@ can be completed into a real trace (a witness):
   search.
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
   whose order flips at most a given number of conflicting write/acquire
-  pairs relative to the observed trace, branching on the cross edges of a
-  cycle whenever replaying the trace's own order fails.
+  pairs relative to the observed trace.  On the closure's (channel, block)
+  segment tables it orders the unordered writer pairs as the trace does,
+  then puts each observer before the writers that follow its source, and
+  branches on the cross edges of a cycle whenever that fails.
 
 Each takes the poset and returns an event-id list that passes the
 brute-force module's correct-reordering checks, or ``None`` when it finds no
@@ -28,7 +30,7 @@ from collections import deque
 
 import numpy as np
 
-from .orders import CycleError, PartialOrder, RfPoset, _channel, closure
+from .orders import CycleError, PartialOrder, RfPoset, _channel, _Guards, closure
 from .trace_model import Trace, _adjacency, _forest_order, conflicting
 
 __all__ = [
@@ -212,75 +214,6 @@ def reversal_count(trace: Trace, witness: list[int]) -> int:
     return len(reversal_pairs(trace, witness))
 
 
-def _conflicting_wa_pairs(trace: Trace, order: PartialOrder) -> list[tuple[int, int]]:
-    """All conflicting write/acquire pairs in the universe, trace-ordered."""
-    by_channel: dict[tuple[str, str], list[int]] = {}
-    for e in sorted(order.events()):
-        ev = trace.event(e)
-        if ev.writes_like:
-            by_channel.setdefault(_channel(ev), []).append(e)
-    return sorted(
-        (u, v)
-        for evs in by_channel.values()
-        for i, u in enumerate(evs)
-        for v in evs[i + 1 :]
-    )
-
-
-def _wa_positions(
-    trace: Trace, order: PartialOrder
-) -> dict[tuple[tuple[str, str], int], tuple[list[int], list[int]]]:
-    """channel, block -> ascending (positions, event ids) of write-likes."""
-    out: dict[tuple[tuple[str, str], int], tuple[list[int], list[int]]] = {}
-    for b, block in enumerate(order.blocks):
-        for pos, e in enumerate(block):
-            ev = trace.event(e)
-            if not ev.writes_like:
-                continue
-            plist, elist = out.setdefault((_channel(ev), b), ([], []))
-            plist.append(pos)
-            elist.append(e)
-    return out
-
-
-def _extend_reads(
-    trace: Trace,
-    g: PartialOrder,
-    rf: dict[int, int],
-    observers: list[int],
-    wa_pos: dict[tuple[tuple[str, str], int], tuple[list[int], list[int]]],
-) -> None:
-    """Order every observer against the conflicting writers around its source.
-
-    With all conflicting write-like pairs already ordered in ``g``, the
-    same-channel writers in each block split at the source: the latest one
-    below it must run before the observer, the earliest one above it after.
-    May raise :class:`CycleError`; edges added before the failure stay.
-    """
-    from bisect import bisect_left, bisect_right
-
-    for r in observers:
-        s = rf[r]
-        i_s = g.index_of(s)
-        key = _channel(trace.event(r))
-        for b in range(g.k):
-            got = wa_pos.get((key, b))
-            if got is None:
-                continue
-            plist, elist = got
-            lo = int(g.pred[i_s, b])
-            hi = int(g.succ[i_s, b])
-            j_lo = bisect_right(plist, lo) - 1
-            j_hi = bisect_left(plist, hi)
-            assert all(elist[j] == s for j in range(j_lo + 1, j_hi)), (
-                "write-like pair left unordered around an observed source"
-            )
-            if j_lo >= 0:
-                g.add_edge(elist[j_lo], r)
-            if j_hi < len(plist):
-                g.add_edge(r, elist[j_hi])
-
-
 def _shrink_cross(
     cross: list[tuple[int, int]], q: PartialOrder
 ) -> list[tuple[int, int]]:
@@ -307,7 +240,8 @@ def _shrink_cross(
             cross = cross[:j0] + cross[j1:]
         else:
             cross = cross[j0:j1]
-    assert 1 <= len(cross) <= q.k
+    if not 1 <= len(cross) <= q.k:
+        raise RuntimeError(f"cycle shrank to {len(cross)} cross edges over {q.k} blocks")
     return cross
 
 
@@ -315,19 +249,19 @@ def _bounded_search(
     trace: Trace,
     q: PartialOrder,
     rf: dict[int, int],
-    wa_pairs: list[tuple[int, int]],
-    observers: list[int],
-    wa_pos: dict,
+    guards: _Guards,
     budget: int,
     full_budget: int,
     counters: dict[str, int],
-) -> list[int] | None:
+) -> tuple[list[int], list[tuple[int, int]]] | None:
     g = q.copy()
     try:
-        for u, v in wa_pairs:
-            if q.unordered(u, v):
-                g.add_edge(u, v)  # replay the trace's own orientation
-        _extend_reads(trace, g, rf, observers, wa_pos)
+        for u, v in guards.replay(q):
+            g.add_edge(u, v)  # replay the trace's own orientation
+        # with every conflicting writer pair ordered, condition 1 follows
+        # from condition 2, and condition-2 edges demand no further ones
+        for u, v in guards.unprotected(g):
+            g.add_edge(u, v)
     except CycleError as exc:
         if budget == 0:
             return None
@@ -357,15 +291,15 @@ def _bounded_search(
             except CycleError:
                 continue
             counters["branches"] += 1
-            w = _bounded_search(
-                trace, q2, rf, wa_pairs, observers, wa_pos,
-                budget - 1, full_budget, counters,
+            found = _bounded_search(
+                trace, q2, rf, guards, budget - 1, full_budget, counters
             )
-            if w is not None:
-                return w
+            if found is not None:
+                return found
         return None
     w = g.linearize()
-    return w if reversal_count(trace, w) <= full_budget else None
+    flips = reversal_pairs(trace, w)
+    return (w, flips) if len(flips) <= full_budget else None
 
 
 def realize_bounded(
@@ -383,15 +317,11 @@ def realize_bounded(
     """
     if budget < 0:
         raise ValueError("reversal budget must be non-negative")
-    trace = p.trace
-    q0 = p.order
-    wa_pairs = _conflicting_wa_pairs(trace, q0)
-    wa_pos = _wa_positions(trace, q0)
     counters = {"branches": 0}
-    w = _bounded_search(
-        trace, q0, p.rf, wa_pairs, sorted(p.rf), wa_pos, budget, budget, counters
+    found = _bounded_search(
+        p.trace, p.order, p.rf, _Guards(p), budget, budget, counters
     )
     if stats is not None:
         stats["branches"] = counters["branches"]
-        stats["reversals"] = [] if w is None else reversal_pairs(trace, w)
-    return w
+        stats["reversals"] = [] if found is None else found[1]
+    return None if found is None else found[0]

@@ -7,12 +7,15 @@ recomputations of quantities the library derives, used as cross-checks.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 
 import networkx as nx
 from hypothesis import strategies as st
 
-from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting
+from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
+from racepred.orders import _channel
+from racepred.realizability import _shrink_cross
 from racepred.trace_model import from_events
 
 
@@ -246,3 +249,99 @@ def conflicting_pairs(trace: Trace, cross_thread: bool = True):
     for a, b in itertools.combinations(accesses, 2):
         if conflicting(a, b) and (not cross_thread or a.thread != b.thread):
             yield a.eid, b.eid
+
+
+def replay_by_pairs(trace: Trace, q: PartialOrder, g: PartialOrder) -> None:
+    """Add to ``g`` every same-channel write/acquire pair that ``q`` leaves
+    unordered, oriented as in the trace, one pair at a time in sorted order.
+
+    May raise :class:`CycleError`; edges added before the failure stay.
+    """
+    by_channel: dict[tuple[str, str], list[int]] = {}
+    for e in sorted(q.events()):
+        ev = trace.event(e)
+        if ev.writes_like:
+            by_channel.setdefault(_channel(ev), []).append(e)
+    for u, v in sorted(
+        pair for evs in by_channel.values() for pair in itertools.combinations(evs, 2)
+    ):
+        if q.unordered(u, v):
+            g.add_edge(u, v)
+
+
+def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list[int] | None:
+    """The bounded search with an all-pairs trace replay and a per-observer,
+    per-block read extension.
+
+    Same branching as :func:`racepred.realize_bounded`, and the same
+    ``branches`` count in ``stats``.  The replay orders every unordered
+    same-channel writer pair (quadratic per channel); the read extension
+    then places each observer between the same-channel writers nearest its
+    source, one block at a time, found by bisection over the block's writers.
+    """
+    trace, rf = p.trace, p.rf
+    writers: dict[tuple[tuple[str, str], int], tuple[list[int], list[int]]] = {}
+    for b, block in enumerate(p.order.blocks):
+        for pos, e in enumerate(block):
+            ev = trace.event(e)
+            if ev.writes_like:
+                plist, elist = writers.setdefault((_channel(ev), b), ([], []))
+                plist.append(pos)
+                elist.append(e)
+    branches = 0
+
+    def extend_reads(g: PartialOrder) -> None:
+        for r in sorted(rf):
+            i_s = g.index_of(rf[r])
+            for b in range(g.k):
+                got = writers.get((_channel(trace.event(r)), b))
+                if got is None:
+                    continue
+                plist, elist = got
+                j_lo = bisect_right(plist, int(g.pred[i_s, b])) - 1
+                j_hi = bisect_left(plist, int(g.succ[i_s, b]))
+                assert all(elist[j] == rf[r] for j in range(j_lo + 1, j_hi))
+                if j_lo >= 0:
+                    g.add_edge(elist[j_lo], r)
+                if j_hi < len(plist):
+                    g.add_edge(r, elist[j_hi])
+
+    def search(q: PartialOrder, left: int) -> list[int] | None:
+        nonlocal branches
+        g = q.copy()
+        try:
+            replay_by_pairs(trace, q, g)
+            extend_reads(g)
+        except CycleError as exc:
+            if left == 0:
+                return None
+            u0, v0 = exc.edge
+            cycle = [(u0, v0)] + g.path_between(v0, u0)
+            cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
+            flips: list[tuple[int, int]] = []
+            for e1, e2 in cross:
+                wl1, wl2 = trace.event(e1).writes_like, trace.event(e2).writes_like
+                assert wl1 or wl2
+                flip = (e2, e1) if wl1 and wl2 else (rf[e2], e1) if wl1 else (e2, rf[e1])
+                if flip not in flips:
+                    flips.append(flip)
+            for flip in flips:
+                if q.ordered(*flip):
+                    continue
+                q2 = q.copy()
+                try:
+                    q2.add_edge(*flip)
+                except CycleError:
+                    continue
+                branches += 1
+                w = search(q2, left - 1)
+                if w is not None:
+                    return w
+            return None
+        w = g.linearize()
+        return w if len(reversal_pairs(trace, w)) <= budget else None
+
+    w = search(p.order, budget)
+    if stats is not None:
+        stats["branches"] = branches
+    return w

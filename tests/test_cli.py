@@ -1,13 +1,19 @@
 """Command-line interface: verdicts, exit codes, scanning, generation."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from racepred import (
+    Trace,
+    TraceError,
     min_distance,
     oracle_predict,
     parse_trace,
@@ -289,6 +295,57 @@ def test_internal_failure_exits_2_not_race(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["predict", "--trace", path, "--e1", "1", "--e2", "2"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "invalid witness" in err and err.count("\n") == 1
+
+
+def test_race_without_witness_exits_2(tmp_path, capsys, monkeypatch):
+    # a race reported without a witness is refused by the soundness guard,
+    # which, unlike an assert, ``python -O`` keeps
+    monkeypatch.setattr("racepred.cli._tree_route", lambda *args: (True, None))
+    path = write_trace(tmp_path, TWO_WRITES)
+    code, out, err = run_cli(["predict", "--trace", path, "--e1", "1", "--e2", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "invalid witness: no witness" in err
+
+
+# fuzz input: raw bytes, token noise, or well-formed event lines with query
+# comments, some of which parse and reach the search
+_ODD = ["t1", "acq", "rel", "r", "w", "#", "query", "1", "-1", "\t", "\x00", "é", "线"]
+_NOISE = st.lists(
+    st.lists(st.sampled_from(_ODD) | st.text(max_size=3), max_size=5).map(" ".join),
+    max_size=12,
+)
+_EVENTS = st.lists(
+    st.sampled_from(
+        [f"{t} {op}" for t in ("t1", "t2", "t3") for op in ("r x", "w x", "w y", "acq l", "rel l")]
+    )
+    | st.tuples(st.integers(-1, 12), st.integers(-1, 12)).map(lambda q: "# query %d %d" % q),
+    max_size=12,
+)
+FUZZ_INPUT = st.binary(max_size=120) | (_NOISE | _EVENTS).map(lambda lines: "\n".join(lines).encode())
+
+
+@given(FUZZ_INPUT)
+@settings(deadline=None, max_examples=150)
+def test_parse_trace_fuzz_gives_trace_or_trace_error(data):
+    try:
+        assert isinstance(parse_trace(data.decode("latin-1")), Trace)
+    except TraceError:
+        pass
+
+
+@given(FUZZ_INPUT, st.sampled_from(["predict", "scan", "stats"]))
+@settings(
+    deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_cli_fuzz_exits_0_1_2_without_traceback(tmp_path, data, command):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--trace", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "internal failure" not in err.getvalue()
 
 
 def test_oracle_cap_exceeded_exits_2(tmp_path, capsys):

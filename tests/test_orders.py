@@ -236,6 +236,19 @@ def test_closure_adds_interferer_before_writer():
     assert is_closed(closed)
 
 
+def test_closure_inserts_condition_one_edges_first():
+    # each round inserts the edges that put an interferer before the writer
+    # ahead of those that put the reader before an interferer; here the one
+    # edge 4 -> 6 then closes everything, while the reverse order inserts two
+    t = parse_trace(
+        "t3 w x1\nt1 acq l1\nt2 r x1\nt2 w x1\nt1 w x2\n"
+        "t3 w x1\nt2 w x2\nt2 r x1\nt2 w x2\nt1 rel l1\n"
+    )
+    poset = feasibility(Ideal.from_members(t, [1, 3, 4, 6, 7, 8])).poset
+    closed = closure(poset)
+    assert closed.order.edges == poset.order.edges + [(4, 6)]
+
+
 def test_closure_of_closed_input_is_identity():
     t = parse_trace("t1 w x\nt2 r x")
     poset = make_poset(t)

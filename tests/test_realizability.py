@@ -8,13 +8,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from racepred import (
+    CycleError,
     Feasibility,
     Ideal,
+    RfPoset,
     closure,
     communication_topology,
     conflicting,
     enumerate_correct_reorderings,
     feasibility,
+    is_closed,
     is_ideal,
     min_distance,
     parse_trace,
@@ -27,8 +30,10 @@ from racepred import (
 )
 from racepred.cli import predict, scan_pairs
 from racepred.generators import gen_random_trace
+from racepred.orders import _Guards
+from racepred.realizability import _shrink_cross
 
-from helpers import realizable_sets, traces
+from helpers import bounded_by_pairs, realizable_sets, replay_by_pairs, traces
 
 
 def each_feasible_ideal(trace):
@@ -292,6 +297,108 @@ def test_bounded_promise_against_min_distance(trace):
                 raise AssertionError(
                     f"missed witness at distance {best} with budget {budget}"
                 )
+
+
+def test_bounded_takes_one_branch_to_flip_two_pairs():
+    # t1's section stays open, so t3's closed section, and t3's write of x
+    # before it, must run before t1's acquire and read; the read must still
+    # see t2's write, so t3's write moves before t2's as well.  The witness
+    # flips the write pair and the acquire pair after a single branch;
+    # searching on condition-1 edges first would take a wasted branch.
+    t = parse_trace(
+        "t2 w x\nt1 acq l\nt1 r x\nt1 rel l\nt3 w x\nt3 acq l\nt3 rel l\n"
+    )
+    p = feasibility(Ideal.from_members(t, [1, 2, 3, 5, 6, 7])).poset
+    assert realize_bounded(p, 0) is None
+    stats = {}
+    assert realize_bounded(p, 1, stats=stats) is None
+    assert stats["branches"] == 1
+    stats = {}
+    w = realize_bounded(p, 2, stats=stats)
+    assert w == [5, 1, 6, 7, 2, 3]
+    assert verify_witness(t, w)
+    assert stats == {"branches": 1, "reversals": [(1, 5), (2, 6)]}
+
+
+def branching_corpus():
+    """Every feasible poset of small lock-heavy traces, read-heavy enough for
+    the bounded search to branch."""
+    for s in range(130):
+        t = gen_random_trace(
+            90_000 + s, n=10 + s % 5, k=3 + s % 2, d_globals=1 + s % 2,
+            d_locks=1 + s % 2, read_ratio=0.45, lock_ratio=0.45,
+            nesting_max=1 + s % 2,
+        )
+        if len(t) > 15:
+            continue
+        for x, res in each_feasible_ideal(t):
+            if res:
+                yield s, x, res.poset
+
+
+def test_bounded_matches_pairwise_reference_on_branching_corpus():
+    # the same witness and the same branch count as the all-pairs replay
+    # with a per-observer read extension, on the branch path too
+    branching = found = 0
+    for s, x, p in branching_corpus():
+        for budget in (1, 2, 3):
+            got, want = {}, {}
+            w = realize_bounded(p, budget, stats=got)
+            assert w == bounded_by_pairs(p, budget, stats=want), (s, x.prefix, budget)
+            assert got["branches"] == want["branches"], (s, x.prefix, budget)
+            if got["branches"]:
+                branching += 1
+                found += w is not None
+    assert branching >= 30 and found >= 2
+
+
+def with_first_flip(p):
+    """The poset's order with its first unordered conflicting writer pair
+    flipped against the trace, as a branch of the bounded search does, or
+    None when every such pair is ordered."""
+    q = p.order
+    writers = sorted(e for e in q.events() if p.trace.event(e).writes_like)
+    for u, v in combinations(writers, 2):
+        if conflicting(p.trace.event(u), p.trace.event(v)) and q.unordered(u, v):
+            flipped = q.copy()
+            flipped.add_edge(v, u)
+            return flipped
+    return None
+
+
+def test_replay_orders_like_the_pairwise_replay():
+    # where neither replay closes a cycle, both give the same order, a flip
+    # against the trace included, and one pass of condition-2 edges then
+    # closes it
+    compared = flipped = 0
+    for s, x, p in branching_corpus():
+        guards = _Guards(p)
+        for q in (p.order, with_first_flip(p)):
+            if q is None:
+                continue
+            g, want = q.copy(), q.copy()
+            try:
+                for u, v in guards.replay(q):
+                    g.add_edge(u, v)
+                replay_by_pairs(p.trace, q, want)
+            except CycleError:
+                continue
+            assert (g.succ == want.succ).all() and (g.pred == want.pred).all(), (s, x.prefix)
+            compared += 1
+            flipped += q is not p.order
+            try:
+                for u, v in guards.unprotected(g):
+                    g.add_edge(u, v)
+            except CycleError:
+                continue
+            assert is_closed(RfPoset(p.trace, g, p.rf)), (s, x.prefix)
+    assert compared >= 20_000 and flipped >= 8_000
+
+
+def test_shrink_cross_rejects_an_empty_cycle():
+    p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
+    with pytest.raises(RuntimeError):
+        _shrink_cross([], p.order)
 
 
 def test_bounded_predict_matches_min_distance_on_wide_corpus():
