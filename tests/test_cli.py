@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -137,6 +138,38 @@ def test_predict_agrees_across_backends_on_random_corpus():
             for v in verdicts.values():
                 if v.race:
                     assert verify_witness(trace, v.witness, e1, e2)
+
+
+def test_predict_matches_oracle_on_wide_corpus():
+    # up to 5 threads, 3 locks and nesting 3: auto (tree or general) and
+    # general must agree with the exhaustive search on every cross-thread
+    # pair; the floors keep the corpus from shrinking unnoticed
+    seen = Counter()
+    for s in range(1000):
+        t = gen_random_trace(
+            60_000 + s, n=13, k=2 + s % 4, d_globals=1 + s % 3,
+            d_locks=1 + (s // 4) % 3, read_ratio=0.4, lock_ratio=0.35,
+            nesting_max=1 + (s // 12) % 3,
+        )
+        assert len(t) <= 16, s
+        params = trace_params(t)
+        seen["forest" if params.is_tree else "cyclic"] += 1
+        seen["gamma>=2"] += params.gamma >= 2
+        seen["locks>=2"] += params.num_locks >= 2
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            want = oracle_predict(t, e1, e2, cap=len(t))
+            for algo in ("auto", "general"):
+                v = predict(t, e1, e2, algo=algo)
+                assert v.race == want, (s, e1, e2, algo)
+                if v.race:
+                    assert verify_witness(t, v.witness, e1, e2), (s, e1, e2, algo)
+            seen["pairs"] += 1
+            seen["quiet"] += not want
+    floors = {"pairs": 14_700, "quiet": 1_950, "forest": 295, "cyclic": 600,
+              "gamma>=2": 140, "locks>=2": 555}
+    assert all(seen[key] >= floor for key, floor in floors.items()), seen
 
 
 def test_predict_witness_reverifies_with_endpoints_enabled(tmp_path, capsys):
