@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .generators import (
@@ -36,7 +37,7 @@ from .generators import (
     parse_vectors,
     strip_isolated_nodes,
 )
-from .ideal_engine import candidate_ideal_set, feasibility, lcone
+from .ideal_engine import Ideal, candidate_ideal_set, feasibility, lcone
 from .oracle import DEFAULT_CAP, OracleCapError, oracle_witness, witness_error
 from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
@@ -67,13 +68,19 @@ class Verdict:
     """The answer to one race query, plus the work it took to get there.
 
     ``witness`` is a correct-reordering event-id sequence enabling both
-    query events whenever ``race`` is true (possibly empty, when both
-    events are enabled before anything runs) and ``None`` otherwise.
+    query events (possibly empty, when both events are enabled before
+    anything runs), or ``None``; ``race`` is whether there is one.
     ``distance`` is the witness's reversal count, reported by the bounded
-    backend only.  ``stats`` always carries the same four counters:
-    ``ideals`` (candidates examined), ``search_nodes`` (states expanded by
-    witness searches), ``closure_edges`` (orderings added by closure), and
-    ``wall_ms``.
+    backend only.  ``stats`` always carries the same four counters, which
+    are 0 on the same-thread and bruteforce routes:
+
+    * ``ideals`` -- candidate ideals checked for feasibility (at most 1 on
+      the tree route);
+    * ``search_nodes`` -- states expanded by the general search, branches
+      tried by the bounded search, 0 on the tree route;
+    * ``closure_edges`` -- orderings the tree backend's closure added (0
+      when it is contradictory), 0 on the general and bounded routes;
+    * ``wall_ms``.
     """
 
     query: tuple[int, int]
@@ -140,7 +147,6 @@ def predict(
     started = time.perf_counter()
     stats: dict = {"ideals": 0, "search_nodes": 0, "closure_edges": 0}
     label = algo
-    race = False
     witness: list[int] | None = None
     delta: int | None = None
 
@@ -149,8 +155,8 @@ def predict(
         note(f"events {e1} and {e2} share thread {ev1.thread}; ordered everywhere")
     elif algo == "bruteforce":
         witness = oracle_witness(trace, e1, e2, cap=oracle_cap)
-        race = witness is not None
-        note("exhaustive reordering search " + ("found a witness" if race else "exhausted"))
+        found = "exhausted" if witness is None else "found a witness"
+        note(f"exhaustive reordering search {found}")
     else:
         tree = algo in ("auto", "tree") and trace_params(trace).is_tree
         if algo == "tree" and not tree:
@@ -158,84 +164,62 @@ def predict(
                 "the tree backend needs a forest communication topology; "
                 "this trace has a cycle (use --algo general or auto)"
             )
+        # the backends are looked up here, at call time, so that a rebinding
+        # of these module names (an instrumented run) takes effect
         if tree:
-            label = "tree"
-            race, witness = _tree_route(trace, e1, e2, stats, note)
+            label, kind, backend = "tree", "lock-cone ideal", realize_tree
+            candidates = [lcone(trace, e1) | lcone(trace, e2)]
         else:
-            label = "bounded" if algo == "bounded" else "general"
-            race, witness, delta = _candidate_route(trace, e1, e2, distance, stats, note)
+            label = "general" if distance is None else "bounded"
+            kind, candidates = "candidate ideal", candidate_ideal_set(trace, e1, e2)
+            backend = realize_general
+            if distance is not None:
+                backend = partial(realize_bounded, budget=distance)
+        witness, won = _sweep(candidates, backend, e1, e2, kind, stats, note)
+        if witness is not None and label == "bounded":
+            delta = len(won["reversals"])
 
-    if race:
-        err = "no witness" if witness is None else witness_error(trace, witness, e1, e2)
-        if err is not None:  # pragma: no cover - internal soundness guard
+    if witness is not None:
+        err = witness_error(trace, witness, e1, e2)
+        if err is not None:  # an internal soundness guard that ``python -O`` keeps
             raise RuntimeError(f"backend produced an invalid witness: {err}")
-    else:
-        witness = None
     stats["wall_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    return Verdict((e1, e2), race, witness, label, delta, stats)
+    return Verdict((e1, e2), witness is not None, witness, label, delta, stats)
 
 
-def _tree_route(
-    trace: Trace, e1: int, e2: int, stats: dict, note: _Note
-) -> tuple[bool, list[int] | None]:
-    """Single-ideal route: the pair races iff its lock-cone union realizes."""
-    x = lcone(trace, e1) | lcone(trace, e2)
-    if e1 in x or e2 in x:
-        note("one query event lies in the other's lock causal cone; no race")
-        return False, None
-    stats["ideals"] = 1
-    res = feasibility(x)
-    if not res:
-        note(f"the lock-cone ideal ({len(x)} events) is {res.status.value}")
-        return False, None
-    local: dict = {}
-    w = realize_tree(res.poset, stats=local)
-    if local["closure_edges"] is None:
-        note(f"closure of the {len(x)}-event ideal is contradictory")
-    else:
-        stats["closure_edges"] += local["closure_edges"]
-        note(
-            f"closure added {local['closure_edges']} orderings, "
-            f"resolution {local['resolution_edges']} more"
-        )
-    return (w is not None), w
+def _sweep(
+    candidates: Sequence[Ideal], backend: Callable[..., list[int] | None],
+    e1: int, e2: int, kind: str, stats: dict, note: _Note,
+) -> tuple[list[int] | None, dict]:
+    """Realize the candidates in order; the first witness wins.
 
-
-def _candidate_route(
-    trace: Trace, e1: int, e2: int, budget: int | None, stats: dict, note: _Note
-) -> tuple[bool, list[int] | None, int | None]:
-    """Sweep the candidate ideal set; the first realizable member wins.
-
-    Each feasible candidate goes to the general search, or, given a reversal
-    budget, to the bounded search, whose witness distance is reported too.
+    Every feasible candidate's rf-poset goes to ``backend``, whose own stats
+    are folded into ``stats``: its search states or bounded branches into
+    ``search_nodes``, its closure's edges (none when contradictory) into
+    ``closure_edges``.  Returns the witness, or ``None``, with the winning
+    backend call's stats.
     """
-    for x in candidate_ideal_set(trace, e1, e2):
+    for x in candidates:
+        head = f"{kind} with {len(x)} events:"
         if e1 in x or e2 in x:
-            continue  # an executed query event cannot also be enabled
+            note(f"{head} holds a query event, which cannot then be enabled")
+            continue
         stats["ideals"] += 1
         res = feasibility(x)
         if not res:
-            note(f"candidate with {len(x)} events: {res.status.value}")
+            note(f"{head} {res.status.value}")
             continue
         local: dict = {}
-        if budget is None:
-            w = realize_general(res.poset, stats=local)
-            stats["search_nodes"] += local["search_nodes"]
-            outcome = "witness found" if w is not None else "search exhausted"
-            outcome += f" after {local['search_nodes']} states"
-        else:
-            w = realize_bounded(res.poset, budget, stats=local)
-            stats["search_nodes"] += local["branches"]
-            flips = local["reversals"]
-            outcome = (
-                f"witness reverses {len(flips)} trace-ordered pairs {flips}"
-                if w is not None
-                else f"nothing within budget {budget}"
-            )
-        note(f"candidate with {len(x)} events: {outcome}")
+        w = backend(res.poset, stats=local)
+        nodes = local.get("search_nodes", local.get("branches", 0))
+        edges = local.get("closure_edges") or 0
+        stats["search_nodes"] += nodes
+        stats["closure_edges"] += edges
+        outcome = "no witness" if w is None else "witness found"
+        note(f"{head} {outcome}, {nodes} search nodes, {edges} closure edges")
         if w is not None:
-            return True, w, None if budget is None else len(local["reversals"])
-    return False, None, None
+            return w, local
+    return None, {}
 
 
 def scan(

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -21,6 +22,7 @@ from racepred import (
     serialize,
     trace_params,
     verify_witness,
+    witness_error,
 )
 from racepred.cli import Verdict, main, predict, scan, scan_pairs
 from racepred.generators import gen_random_trace
@@ -246,6 +248,33 @@ def test_explain_narrates_on_stderr(tmp_path, capsys):
     assert "lock-cone ideal" in err
 
 
+def test_every_route_reports_one_stats_shape_and_explain_shape():
+    same = predict(parse_trace("t1 w x\nt1 r x\n"), 1, 2)
+    assert same.algorithm == "auto"
+    line = re.compile(
+        r"(lock-cone|candidate) ideal with \d+ events: "
+        r"(holds a query event, which cannot then be enabled|infeasible\w*|"
+        r"(witness found|no witness), \d+ search nodes, \d+ closure edges)"
+    )
+    verdicts = [same]
+    for text, e1, e2, algo, distance, want in [
+        (LOCK_PROTECTED, 2, 5, "tree", None, False),
+        (TWO_WRITES, 1, 2, "tree", None, True),
+        (TRIANGLE, 1, 2, "general", None, True),
+        (FORCED_FLIP, 2, 7, "bounded", 1, True),
+        (FORCED_FLIP, 2, 7, "bruteforce", None, True),
+    ]:
+        explain: list[str] = []
+        v = predict(parse_trace(text), e1, e2, algo=algo, distance=distance, explain=explain)
+        assert (v.algorithm, v.race) == (algo, want)
+        if algo != "bruteforce":
+            assert explain and all(line.fullmatch(s) for s in explain), explain
+        verdicts.append(v)
+    for v in verdicts:
+        assert set(v.stats) == {"ideals", "search_nodes", "closure_edges", "wall_ms"}
+        assert v.race == (v.witness is not None)
+
+
 # ---------------------------------------------------------------------------
 # predict: error exits
 # ---------------------------------------------------------------------------
@@ -331,13 +360,16 @@ def test_internal_failure_exits_2_not_race(tmp_path, capsys, monkeypatch):
 
 
 def test_race_without_witness_exits_2(tmp_path, capsys, monkeypatch):
-    # a race reported without a witness is refused by the soundness guard,
-    # which, unlike an assert, ``python -O`` keeps
-    monkeypatch.setattr("racepred.cli._tree_route", lambda *args: (True, None))
+    # a race is a witness, and one that executes a query event is refused by
+    # the real soundness guard, which, unlike an assert, ``python -O`` keeps
+    bad = [1]
+    trace = parse_trace(TWO_WRITES)
+    assert "query event 1 must stay out" in witness_error(trace, bad, 1, 2)
+    monkeypatch.setattr("racepred.cli.realize_tree", lambda p, stats: bad)
     path = write_trace(tmp_path, TWO_WRITES)
     code, out, err = run_cli(["predict", "--trace", path, "--e1", "1", "--e2", "2"], capsys)
     assert code == 2 and out == ""
-    assert "invalid witness: no witness" in err
+    assert "invalid witness: query event 1 must stay out" in err
 
 
 # fuzz input: raw bytes, token noise, or well-formed event lines with query
