@@ -16,7 +16,10 @@ The module also provides:
 * :func:`closure` — the least refinement in which every observed writer is
   protected from interference, or ``None`` when that forces a cycle.
 
-The closure conditions are checked per (channel, block), not per writer.
+An event's conflict channel is its location: a trace never uses one
+location both as a global and as a lock, so globals and locks never share a
+channel.  The closure conditions are checked per
+(channel, block), not per writer.
 For an observer r reading from w, the writers of r's channel in block b that
 sit before r but not before w are exactly those at positions
 ``(pred[w, b], pred[r, b]]``, and those after w but not after r are at
@@ -37,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import Event, Trace
+from .trace_model import Trace
 
 __all__ = [
     "CycleError",
@@ -299,11 +302,6 @@ def _full_trf(trace: Trace) -> PartialOrder:
 # ----------------------------------------------------------------------
 
 
-def _channel(ev: Event) -> tuple[str, str]:
-    """Conflict channel of an event: its location plus global/lock kind."""
-    return (ev.loc, "g" if ev.is_global_access else "l")
-
-
 @dataclass
 class RfPoset:
     """A partial order over a trace subset plus the observation map.
@@ -320,13 +318,13 @@ class RfPoset:
 
     def triplets(self) -> Iterable[tuple[int, int, int]]:
         """All (writer, observer, interfering-writer) combinations."""
-        writers: dict[tuple[str, str], list[int]] = {}
+        writers: dict[str, list[int]] = {}
         for eid in self.order.events():
             ev = self.trace.event(eid)
             if ev.writes_like:
-                writers.setdefault(_channel(ev), []).append(eid)
+                writers.setdefault(ev.loc, []).append(eid)
         for r, w in self.rf.items():
-            for x in writers.get(_channel(self.trace.event(r)), ()):
+            for x in writers.get(self.trace.event(r).loc, ()):
                 if x != w:
                     yield w, r, x
 
@@ -347,13 +345,13 @@ class _Guards:
         order, trace = poset.order, poset.trace
         self.cap = order.n  # clamps the "no successor" sentinel inside a segment
         span = order.n + 2  # room for positions -1 .. n per segment
-        bases: dict[tuple[tuple[str, str], int], int] = {}
+        bases: dict[tuple[str, int], int] = {}
         keys: list[int] = []
         writers: list[int] = []
         for i, eid in enumerate(order.events()):
             ev = trace.event(eid)
             if ev.writes_like:
-                seg = (_channel(ev), int(order._block[i]))
+                seg = (ev.loc, int(order._block[i]))
                 base = bases.setdefault(seg, len(bases) * span + 1)
                 keys.append(base + int(order._pos[i]))
                 writers.append(eid)
@@ -361,7 +359,7 @@ class _Guards:
         self.keys = np.asarray(keys, dtype=np.int64)[perm]
         self.writers = np.asarray(writers, dtype=np.int64)[perm]
 
-        by_channel: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        by_channel: dict[str, list[tuple[int, int]]] = {}
         for (ch, b), base in bases.items():
             by_channel.setdefault(ch, []).append((b, base))
         self._trace = trace
@@ -371,7 +369,7 @@ class _Guards:
         for r, w in poset.rf.items():
             ir, iw = order.index_of(r), order.index_of(w)
             bw = order._block[iw]
-            for b, base in by_channel.get(_channel(trace.event(r)), ()):
+            for b, base in by_channel.get(trace.event(r).loc, ()):
                 slots.append((ir, iw, r, w, b, base, b == bw))
         cols = np.array(slots, dtype=np.int64).reshape(-1, 7).T
         self.ir, self.iw, self.r, self.w, self.block, self.base, self.own = cols
@@ -423,7 +421,7 @@ class _Guards:
             slots = []
             for v in self.writers.tolist():
                 iv = order.index_of(v)
-                for b, base in self._by_channel[_channel(self._trace.event(v))]:
+                for b, base in self._by_channel[self._trace.event(v).loc]:
                     if b != order._block[iv]:
                         slots.append((iv, v, b, base, bisect_left(order.blocks[b], v)))
             self._replay_slots = tuple(np.array(slots, dtype=np.int64).reshape(-1, 5).T)

@@ -30,7 +30,7 @@ from collections import deque
 
 import numpy as np
 
-from .orders import CycleError, PartialOrder, RfPoset, _channel, _Guards, closure
+from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
 from .trace_model import Trace, _adjacency, _forest_order, conflicting
 
 __all__ = [
@@ -64,16 +64,16 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     blocks = order.blocks
     k = len(blocks)
 
-    # pending-observation scan tables: channel -> [(observer, writer)]
-    watchers: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    # pending-observation scan tables: location -> [(observer, writer)]
+    watchers: dict[str, list[tuple[int, int]]] = {}
     for r in sorted(p.rf):
-        watchers.setdefault(_channel(p.trace.event(r)), []).append((r, p.rf[r]))
+        watchers.setdefault(p.trace.event(r).loc, []).append((r, p.rf[r]))
 
     def blocked(e: int, prefix: tuple[int, ...]) -> bool:
         ev = p.trace.event(e)
         if not ev.writes_like:
             return False
-        for r, w in watchers.get(_channel(ev), ()):
+        for r, w in watchers.get(ev.loc, ()):
             if w != e and _member_in(order, w, prefix) and not _member_in(order, r, prefix):
                 return True
         return False
@@ -135,11 +135,11 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     Raises :class:`ValueError` when the block conflict graph has a cycle.
     """
     trace = p.trace
-    by_channel: list[dict[tuple[str, str], list[int]]] = []
+    by_channel: list[dict[str, list[int]]] = []
     for block in p.order.blocks:
-        chans: dict[tuple[str, str], list[int]] = {}
+        chans: dict[str, list[int]] = {}
         for e in block:
-            chans.setdefault(_channel(trace.event(e)), []).append(e)
+            chans.setdefault(trace.event(e).loc, []).append(e)
         by_channel.append(chans)
     writes = [
         {ch for ch, evs in chans.items() if any(trace.event(e).writes_like for e in evs)}
@@ -193,11 +193,11 @@ def reversal_pairs(trace: Trace, witness: list[int]) -> list[tuple[int, int]]:
     Pairs are reported as (earlier, later) in original trace order, sorted.
     """
     posn = {e: i for i, e in enumerate(witness)}
-    by_channel: dict[tuple[str, str], list[int]] = {}
+    by_channel: dict[str, list[int]] = {}
     for e in witness:
         ev = trace.event(e)
         if ev.writes_like:
-            by_channel.setdefault(_channel(ev), []).append(e)
+            by_channel.setdefault(ev.loc, []).append(e)
     out = []
     for evs in by_channel.values():
         evs.sort()

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
-from racepred.orders import _channel
 from racepred.realizability import _shrink_cross
 from racepred.trace_model import from_events
 
@@ -257,11 +256,11 @@ def replay_by_pairs(trace: Trace, q: PartialOrder, g: PartialOrder) -> None:
 
     May raise :class:`CycleError`; edges added before the failure stay.
     """
-    by_channel: dict[tuple[str, str], list[int]] = {}
+    by_channel: dict[str, list[int]] = {}
     for e in sorted(q.events()):
         ev = trace.event(e)
         if ev.writes_like:
-            by_channel.setdefault(_channel(ev), []).append(e)
+            by_channel.setdefault(ev.loc, []).append(e)
     for u, v in sorted(
         pair for evs in by_channel.values() for pair in itertools.combinations(evs, 2)
     ):
@@ -280,12 +279,12 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
     source, one block at a time, found by bisection over the block's writers.
     """
     trace, rf = p.trace, p.rf
-    writers: dict[tuple[tuple[str, str], int], tuple[list[int], list[int]]] = {}
+    writers: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
     for b, block in enumerate(p.order.blocks):
         for pos, e in enumerate(block):
             ev = trace.event(e)
             if ev.writes_like:
-                plist, elist = writers.setdefault((_channel(ev), b), ([], []))
+                plist, elist = writers.setdefault((ev.loc, b), ([], []))
                 plist.append(pos)
                 elist.append(e)
     branches = 0
@@ -294,7 +293,7 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
         for r in sorted(rf):
             i_s = g.index_of(rf[r])
             for b in range(g.k):
-                got = writers.get((_channel(trace.event(r)), b))
+                got = writers.get((trace.event(r).loc, b))
                 if got is None:
                     continue
                 plist, elist = got

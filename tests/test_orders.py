@@ -39,14 +39,13 @@ def refines(q: PartialOrder, p: PartialOrder) -> bool:
 
 def replay_realizes(trace, perm) -> bool:
     """Whether a total order of all events observes the trace's rf."""
-    last_seen: dict[tuple[str, str], int] = {}
+    last_seen: dict[str, int] = {}
     for eid in perm:
         ev = trace.event(eid)
-        key = (ev.loc, "g" if ev.is_global_access else "l")
-        if ev.observes and last_seen.get(key) != trace.rf[eid]:
+        if ev.observes and last_seen.get(ev.loc) != trace.rf[eid]:
             return False
         if ev.writes_like:
-            last_seen[key] = eid
+            last_seen[ev.loc] = eid
     return True
 
 
