@@ -97,9 +97,6 @@ class Event:
         """True for events that can be observed (writes and acquires)."""
         return self.kind in ("w", "acq")
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.eid}:{self.thread}.{self.kind}({self.loc})"
-
 
 def conflicting(e1: Event, e2: Event) -> bool:
     """Whether two distinct events conflict.
@@ -394,14 +391,6 @@ class TraceParams:
     def d(self) -> int:
         """Distinct locations of either role."""
         return self.num_globals + self.num_locks
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        shape = "tree" if self.is_tree else "cyclic"
-        return (
-            f"n={self.n} k={self.k} globals={self.num_globals} "
-            f"locks={self.num_locks} gamma={self.gamma} zeta={self.zeta} "
-            f"topology={shape}"
-        )
 
 
 def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
