@@ -20,6 +20,7 @@ Usage::
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence
 
 from .trace_model import Trace, TraceError, conflicting
@@ -311,9 +312,16 @@ def witness_error(
     """Why a witness is invalid, or None if it checks out.
 
     When ``e1``/``e2`` are given, additionally require that both are absent
-    from the witness and enabled at its end.
+    from the witness and enabled at its end.  Anything but an iterable of
+    integer ids (``operator.index``, bools excluded) is invalid too.
     """
-    ids = list(witness)
+    try:
+        items = list(witness)
+        ids = [operator.index(e) for e in items if not isinstance(e, bool)]
+    except TypeError:
+        ids = items = None
+    if ids is None or len(ids) != len(items):
+        return "witness is not a sequence of integer event ids"
     if len(set(ids)) != len(ids):
         return "witness repeats an event id"
     try:

@@ -151,6 +151,15 @@ def test_verify_rejects_duplicate_and_unknown_ids():
     assert not verify_witness(t, [7])
 
 
+@pytest.mark.parametrize("witness", [None, [1.0], ["a"], [4, 5, 6, True]])
+def test_verify_rejects_malformed_witnesses(witness):
+    # the README's trace, where [4, 5, 6, 1] is a witness for (2, 7)
+    t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 w y\nt2 rel l\nt2 w x\n")
+    assert verify_witness(t, [4, 5, 6, 1], 2, 7)
+    assert "not a sequence of integer event ids" in witness_error(t, witness, 2, 7)
+    assert not verify_witness(t, witness, 2, 7)
+
+
 def test_verify_rejects_lock_violations():
     t = parse_trace("t1 acq l\nt1 rel l\nt2 acq l\nt2 rel l")
     assert not verify_witness(t, [1, 3])  # two open criticals on l
