@@ -1,5 +1,7 @@
 """Trace parsing, validation, derived parameters, and the pair-isolation wrapper."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -235,6 +237,18 @@ def test_topology_read_read_is_no_edge():
     t = parse_trace("t1 w x\nt2 r x\nt3 r x")
     # t2/t3 only read x; the writer t1 conflicts with both
     assert communication_topology(t) == frozenset({("t1", "t2"), ("t1", "t3")})
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_events(max_events=14, max_threads=4, max_locks=2))
+def test_topology_is_the_thread_pairs_of_conflicting_events(items):
+    t = from_events(items)
+    brute = {
+        (min(a.thread, b.thread), max(a.thread, b.thread))
+        for a, b in itertools.combinations(t.events, 2)
+        if a.thread != b.thread and conflicting(a, b)
+    }
+    assert communication_topology(t) == brute
 
 
 def test_disconnected_components_each_tree():
