@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
     Trace,
     TraceError,
+    _query_pair,
     conflicting,
     parse_trace,
     serialize,
@@ -69,7 +69,8 @@ class Verdict:
 
     ``witness`` is a correct-reordering event-id sequence enabling both
     query events (possibly empty, when both events are enabled before
-    anything runs), or ``None``; ``race`` is whether there is one.
+    anything runs), or ``None``; :attr:`race` is whether there is one, so a
+    race always comes with its witness.
     ``distance`` is the witness's reversal count, reported by the bounded
     backend only.  ``stats`` always carries the same four counters, which
     are 0 on the same-thread and bruteforce routes:
@@ -84,11 +85,14 @@ class Verdict:
     """
 
     query: tuple[int, int]
-    race: bool
     witness: list[int] | None
     algorithm: str
     distance: int | None
     stats: dict
+
+    @property
+    def race(self) -> bool:
+        return self.witness is not None
 
     def to_json(self) -> dict:
         return {
@@ -135,13 +139,9 @@ def predict(
         if distance < 0:
             raise CliError("--distance must be non-negative")
     try:
-        ev1, ev2 = trace.event(e1), trace.event(e2)
+        ev1, ev2 = _query_pair(trace, e1, e2)
     except TraceError as exc:
         raise CliError(str(exc)) from None
-    if not (ev1.is_global_access and ev2.is_global_access):
-        raise CliError(f"events {e1} and {e2} are not both global reads/writes")
-    if not conflicting(ev1, ev2):
-        raise CliError(f"events {e1} and {e2} do not conflict")
 
     note: _Note = explain.append if explain is not None else (lambda _: None)
     started = time.perf_counter()
@@ -184,7 +184,7 @@ def predict(
         if err is not None:  # an internal soundness guard that ``python -O`` keeps
             raise RuntimeError(f"backend produced an invalid witness: {err}")
     stats["wall_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    return Verdict((e1, e2), witness is not None, witness, label, delta, stats)
+    return Verdict((e1, e2), witness, label, delta, stats)
 
 
 def _sweep(
@@ -430,16 +430,9 @@ def cmd_gen_indset(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_random(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("RACEPRED_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise CliError(f"RACEPRED_SEED must be an integer, got {raw!r}") from None
     try:
         trace = gen_random_trace(
-            seed,
+            args.seed,
             n=args.n,
             k=args.k,
             d_globals=args.globals_,
@@ -454,7 +447,7 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 
     pairs = [(a, b) for a, b in scan_pairs(trace) if
              trace.event(a).thread != trace.event(b).thread]
-    query = _random.Random(f"{seed}:query").choice(pairs) if pairs else None
+    query = _random.Random(f"{args.seed}:query").choice(pairs) if pairs else None
     _emit_instance(trace, query)
     return 0
 
@@ -552,9 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     ind.set_defaults(run=cmd_gen_indset)
 
     rnd = gsub.add_parser("random", help="seed-deterministic random valid trace")
-    rnd.add_argument(
-        "--seed", type=int, help="RNG seed (default: $RACEPRED_SEED, then 0)"
-    )
+    rnd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     rnd.add_argument("--n", type=int, default=20, help="target event count (default 20)")
     rnd.add_argument("--k", type=int, default=3, help="thread count (default 3)")
     rnd.add_argument(

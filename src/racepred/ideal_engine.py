@@ -17,8 +17,9 @@ canonical rf-poset handed to the realizability backends.
 An ideal is fixed by its per-thread prefix lengths, so it is stored as that
 vector: a union of ideals is a pointwise max, and membership is one
 comparison.  The per-event facts this needs (the prefix vector of each
-event's downward closure, the acquires open at each thread prefix) form one
-table, built on first use and kept on the trace.
+event's downward closure, the acquires open at each thread prefix) come from
+the trace's one down-set table, ``trace_model._table``, which is also the
+only stored form of the whole trace's TRF.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from itertools import chain
 from operator import gt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .orders import CycleError, RfPoset, compute_trf
 from .trace_model import (
@@ -35,7 +36,10 @@ from .trace_model import (
     TraceError,
     _adjacency,
     _forest_order,
-    conflicting,
+    _join,
+    _query_pair,
+    _Table,
+    _table,
     trace_params,
 )
 
@@ -99,61 +103,8 @@ class Ideal:
 
 
 # ----------------------------------------------------------------------
-# the per-trace table
+# reading the per-trace table
 # ----------------------------------------------------------------------
-
-
-class _Table(NamedTuple):
-    """Per-trace facts that ideals are built from, indexed by thread ``b``.
-
-    ``down[e]`` is the prefix vector of event e's downward closure (e
-    included); ``down[0]`` is the empty ideal.  ``opens[b][m]`` holds the
-    acquires left open by thread b's first m events, innermost last.
-    ``ids[b]`` holds thread b's event ids in program order.
-    """
-
-    down: list[tuple[int, ...]]
-    opens: tuple[tuple[tuple[int, ...], ...], ...]
-    ids: tuple[tuple[int, ...], ...]
-
-
-def _table(trace: Trace) -> _Table:
-    """The trace's ideal table, built by one forward pass and kept on it.
-
-    ``down[e]`` is the pointwise max of its thread predecessor's and, for a
-    read, its writer's vector, with e's own slot raised by one.  A release
-    observes an acquire of its own thread, which its thread predecessor
-    already covers.
-    """
-    if trace._ideals is None:
-        k = len(trace.threads)
-        zero = (0,) * k
-        down = [zero] * (len(trace) + 1)
-        last = [zero] * k  # down of each thread's latest event so far
-        for ev in trace.events:
-            b = trace.thread_index[ev.thread]
-            vec = last[b]
-            if ev.is_read:
-                vec = _join(vec, down[trace.rf[ev.eid]])
-            down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
-        opens = []
-        for proj in trace.by_thread:
-            stack: tuple[int, ...] = ()
-            row = [stack]
-            for ev in proj:
-                if ev.is_acquire:
-                    stack += (ev.eid,)
-                elif ev.is_release:
-                    stack = stack[:-1]  # the trace guarantees proper nesting
-                row.append(stack)
-            opens.append(tuple(row))
-        ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
-        trace._ideals = _Table(down, tuple(opens), ids)
-    return trace._ideals
-
-
-def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
 
 
 def _below(trace: Trace, table: _Table, eid: int) -> tuple[int, ...]:
@@ -351,12 +302,7 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
     Each variant is the pointwise max of its parent's prefix vector and the
     release's downward closure, so no member set is built.
     """
-    ev1, ev2 = trace.event(e1), trace.event(e2)
-    if not (ev1.is_global_access and ev2.is_global_access):
-        raise TraceError("race queries take two global reads/writes")
-    if not conflicting(ev1, ev2):
-        raise TraceError(f"events {e1} and {e2} do not conflict")
-
+    ev1, ev2 = _query_pair(trace, e1, e2)
     table = _table(trace)
     b1, pos1 = trace.thread_index[ev1.thread], trace.thread_pos[e1]
     b2, pos2 = trace.thread_index[ev2.thread], trace.thread_pos[e2]

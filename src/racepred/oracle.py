@@ -23,7 +23,7 @@ import math
 import operator
 from typing import Iterator, Sequence
 
-from .trace_model import Trace, TraceError, conflicting
+from .trace_model import Trace, TraceError, _query_pair, conflicting
 
 __all__ = [
     "OracleCapError",
@@ -141,19 +141,10 @@ def enumerate_correct_reorderings(
     return walk()
 
 
-def _query_events(trace: Trace, e1: int, e2: int) -> tuple:
-    ev1, ev2 = trace.event(e1), trace.event(e2)
-    if not (ev1.is_global_access and ev2.is_global_access):
-        raise TraceError("race queries take two global reads/writes")
-    if not conflicting(ev1, ev2):
-        raise TraceError(f"events {e1} and {e2} do not conflict")
-    return ev1, ev2
-
-
 def _search_enabled(trace: Trace, e1: int, e2: int, cap: int) -> list[int] | None:
     """A correct reordering with both query events enabled, or None."""
     _check_cap(trace, cap)
-    ev1, ev2 = _query_events(trace, e1, e2)
+    ev1, ev2 = _query_pair(trace, e1, e2)
     if ev1.thread == ev2.thread:
         return None
     b1 = trace.thread_index[ev1.thread]
@@ -209,7 +200,7 @@ def min_distance(
     pair is not a predictable race.
     """
     _check_cap(trace, cap)
-    ev1, ev2 = _query_events(trace, e1, e2)
+    ev1, ev2 = _query_pair(trace, e1, e2)
     if ev1.thread == ev2.thread:
         return math.inf
     b1 = trace.thread_index[ev1.thread]

@@ -9,8 +9,9 @@ O(1) array lookups and single-edge insertion is one vectorized pass.
 The module also provides:
 
 * :func:`compute_trf` — program order extended with observation edges
-  (write-to-read, acquire-to-release), transitively closed; the whole
-  trace's TRF is built once per trace and shared read-only;
+  (write-to-read, acquire-to-release), transitively closed, as a fresh
+  mutable order on each call; a trace's own TRF reachability is read from
+  its down-set table, ``trace_model._table``;
 * :class:`RfPoset` — a partial order bundled with the observation map, the
   object the closure operates on;
 * :func:`closure` — the least refinement in which every observed writer is
@@ -280,21 +281,6 @@ def compute_trf(trace: Trace, members: Iterable[int] | None = None) -> PartialOr
         if trace.event(w).thread != ev.thread:
             order.add_edge(w, ev.eid)
     return order
-
-
-def _full_trf(trace: Trace) -> PartialOrder:
-    """The whole trace's TRF, built on first use, kept on the trace, read-only.
-
-    Every query on the trace shares this one order, so its arrays are frozen:
-    an ``add_edge`` that would change it raises instead of corrupting later
-    queries.  Callers that need a mutable order use :func:`compute_trf`.
-    """
-    if trace._trf is None:
-        trf = compute_trf(trace)
-        trf.succ.flags.writeable = False
-        trf.pred.flags.writeable = False
-        trace._trf = trf
-    return trace._trf
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from collections import deque
 import numpy as np
 
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
-from .trace_model import Trace, _adjacency, _forest_order, conflicting
+from .trace_model import Trace, _adjacency, _conflict_edges, _forest_order, conflicting
 
 __all__ = [
     "realize_general",
@@ -135,24 +135,14 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     Raises :class:`ValueError` when the block conflict graph has a cycle.
     """
     trace = p.trace
+    blocks = [[trace.event(e) for e in block] for block in p.order.blocks]
     by_channel: list[dict[str, list[int]]] = []
-    for block in p.order.blocks:
+    for block in blocks:
         chans: dict[str, list[int]] = {}
-        for e in block:
-            chans.setdefault(trace.event(e).loc, []).append(e)
+        for ev in block:
+            chans.setdefault(ev.loc, []).append(ev.eid)
         by_channel.append(chans)
-    writes = [
-        {ch for ch, evs in chans.items() if any(trace.event(e).writes_like for e in evs)}
-        for chans in by_channel
-    ]
-    k = len(by_channel)
-    edges = (
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if by_channel[i].keys() & by_channel[j].keys() & (writes[i] | writes[j])
-    )
-    children_order = _forest_order(_adjacency(edges), range(k))
+    children_order = _forest_order(_adjacency(_conflict_edges(blocks)), range(len(blocks)))
     if children_order is None:
         raise ValueError("the block conflict graph of the poset has a cycle")
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 __all__ = [
     "TraceError",
@@ -116,8 +116,9 @@ class Trace:
     Exposes the derived structure everything else builds on: per-thread
     projections, the observed-writer map ``rf`` (reads to writes, releases to
     their matching acquires), and acquire/release matching.  Whole-trace
-    facts that queries share (:func:`trace_params`, the full TRF and the
-    ideal table) are built on first use and kept on the trace.
+    facts that queries share (:func:`trace_params` and the down-set table
+    :func:`_table`, the one stored form of the TRF) are built on first use
+    and kept on the trace.
     """
 
     __slots__ = (
@@ -133,7 +134,6 @@ class Trace:
         "num_synthesized",
         "source_lines",
         "_params",
-        "_trf",
         "_ideals",
     )
 
@@ -180,8 +180,7 @@ class Trace:
 
         self.rf, self.match = self._replay()
         self._params: TraceParams | None = None
-        self._trf = None  # the full TRF, see orders._full_trf
-        self._ideals = None  # prefix-vector table, see ideal_engine._table
+        self._ideals: _Table | None = None
 
     # ------------------------------------------------------------------
     # validation / derived maps
@@ -339,10 +338,7 @@ def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
             )
         items.append((parts[0], parts[1], parts[2]))
         lines.append(lineno)
-    try:
-        return from_events(items, synthesize_init=synthesize_init, source_lines=lines)
-    except TraceError as exc:
-        raise TraceError(str(exc)) from None
+    return from_events(items, synthesize_init=synthesize_init, source_lines=lines)
 
 
 def serialize(trace: Trace, *, include_synthesized: bool = False) -> str:
@@ -359,6 +355,65 @@ def serialize(trace: Trace, *, include_synthesized: bool = False) -> str:
         if include_synthesized or not trace.is_synthesized(ev.eid)
     ]
     return "\n".join(lines) + "\n" if lines else ""
+
+
+# ----------------------------------------------------------------------
+# the per-trace down-set table
+# ----------------------------------------------------------------------
+
+
+class _Table(NamedTuple):
+    """Per-trace facts that ideals, γ and ζ are read from, indexed by thread ``b``.
+
+    ``down[e]`` is the prefix vector of event e's downward closure (e
+    included) under the thread-reads-from order; ``down[0]`` is the empty
+    ideal.  ``opens[b][m]`` holds the acquires left open by thread b's first
+    m events, innermost last.  ``ids[b]`` holds thread b's event ids in
+    program order.
+    """
+
+    down: list[tuple[int, ...]]
+    opens: tuple[tuple[tuple[int, ...], ...], ...]
+    ids: tuple[tuple[int, ...], ...]
+
+
+def _table(trace: Trace) -> _Table:
+    """The trace's down-set table, built by one forward pass and kept on it.
+
+    ``down[e]`` is the pointwise max of its thread predecessor's and, for a
+    read, its writer's vector, with e's own slot raised by one.  A release
+    observes an acquire of its own thread, which its thread predecessor
+    already covers.
+    """
+    if trace._ideals is None:
+        k = len(trace.threads)
+        zero = (0,) * k
+        down = [zero] * (len(trace) + 1)
+        last = [zero] * k  # down of each thread's latest event so far
+        for ev in trace.events:
+            b = trace.thread_index[ev.thread]
+            vec = last[b]
+            if ev.is_read:
+                vec = _join(vec, down[trace.rf[ev.eid]])
+            down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
+        opens = []
+        for proj in trace.by_thread:
+            stack: tuple[int, ...] = ()
+            row = [stack]
+            for ev in proj:
+                if ev.is_acquire:
+                    stack += (ev.eid,)
+                elif ev.is_release:
+                    stack = stack[:-1]  # the trace guarantees proper nesting
+                row.append(stack)
+            opens.append(tuple(row))
+        ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
+        trace._ideals = _Table(down, tuple(opens), ids)
+    return trace._ideals
+
+
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
 
 
 # ----------------------------------------------------------------------
@@ -395,28 +450,33 @@ class TraceParams:
 
 def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
     """Undirected thread graph: an edge per pair with conflicting events."""
-    edges: set[tuple[str, str]] = set()
-    writers: dict[str, set[str]] = {}
-    accessors: dict[str, set[str]] = {}
-    lock_users: dict[str, set[str]] = {}
-    for ev in trace.events:
-        if ev.is_global_access:
-            accessors.setdefault(ev.loc, set()).add(ev.thread)
-            if ev.is_write:
-                writers.setdefault(ev.loc, set()).add(ev.thread)
-        else:
-            lock_users.setdefault(ev.loc, set()).add(ev.thread)
-    for loc, ws in writers.items():
-        for p in ws:
-            for q in accessors[loc]:
-                if p != q:
-                    edges.add((min(p, q), max(p, q)))
-    for users in lock_users.values():
-        ordered = sorted(users)
-        for i, p in enumerate(ordered):
-            for q in ordered[i + 1 :]:
-                edges.add((p, q))
-    return frozenset(edges)
+    names = trace.threads
+    return frozenset(
+        tuple(sorted((names[i], names[j]))) for i, j in _conflict_edges(trace.by_thread)
+    )
+
+
+def _conflict_edges(groups: Sequence[Iterable[Event]]) -> set[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of event groups holding conflicting events.
+
+    Two groups conflict when they share a location that either of them
+    writes or acquires.  The pairs are found per location, from the groups
+    that write or acquire it and the groups that touch it.
+    """
+    users: dict[str, set[int]] = {}
+    writers: dict[str, set[int]] = {}
+    for i, group in enumerate(groups):
+        for ev in group:
+            users.setdefault(ev.loc, set()).add(i)
+            if ev.writes_like:
+                writers.setdefault(ev.loc, set()).add(i)
+    return {
+        (min(i, j), max(i, j))
+        for loc, ws in writers.items()
+        for i in ws
+        for j in users[loc]
+        if i != j
+    }
 
 
 _N = TypeVar("_N")  # a graph node: a thread name or a block index
@@ -464,25 +524,16 @@ def trace_params(trace: Trace) -> TraceParams:
     """The summary parameters of a trace, computed once and kept on it."""
     if trace._params is not None:
         return trace._params
-    # gamma: deepest stack of open critical sections in any one thread.
-    gamma = 0
-    depth: dict[str, int] = {}
-    for ev in trace.events:
-        if ev.is_acquire:
-            depth[ev.thread] = depth.get(ev.thread, 0) + 1
-            gamma = max(gamma, depth[ev.thread])
-        elif ev.is_release:
-            depth[ev.thread] -= 1
-
-    zeta = _lock_dependence_factor(trace)
+    table = _table(trace)
     topo = communication_topology(trace)
     trace._params = TraceParams(
         n=len(trace),
         k=len(trace.threads),
         num_globals=len(trace.globals_),
         num_locks=len(trace.locks),
-        gamma=gamma,
-        zeta=zeta,
+        # the deepest stack of open critical sections in any one thread
+        gamma=max((len(stack) for row in table.opens for stack in row), default=0),
+        zeta=_lock_dependence_factor(trace),
         topology=topo,
         is_tree=_forest_order(_adjacency(topo), trace.threads) is not None,
     )
@@ -495,34 +546,34 @@ def _lock_dependence_factor(trace: Trace) -> int:
     The lock-dependence graph has an edge ``acq1 -> acq2`` when ``acq1`` is
     not ordered before ``acq2`` but is ordered before ``acq2``'s release,
     while the two releases stay unordered — i.e. the first critical section
-    feeds into the middle of the second.  Ordering here is reachability in
-    the observation-closed program order.
+    feeds into the middle of the second.  Ordering here is the
+    thread-reads-from order, read from the down-set table.
     """
-    acquires = [ev for ev in trace.events if ev.is_acquire]
+    acquires = [ev.eid for ev in trace.events if ev.is_acquire]
     if not acquires:
         return 0
-    from .orders import _full_trf  # deferred: orders imports this module
+    down = _table(trace).down
+    index, pos = trace.thread_index, trace.thread_pos
 
-    trf = _full_trf(trace)
-    radj: dict[int, list[int]] = {a.eid: [] for a in acquires}
+    def before(u: int, v: int) -> bool:
+        """u is strictly before v: a distinct member of v's downward closure."""
+        return u != v and pos[u] < down[v][index[trace.events[u - 1].thread]]
+
+    radj: dict[int, list[int]] = {a: [] for a in acquires}
     for a1 in acquires:
-        r1 = trace.match[a1.eid]
+        r1 = trace.match[a1]
         for a2 in acquires:
-            if a1.eid == a2.eid:
+            if a1 == a2:
                 continue
-            r2 = trace.match[a2.eid]
-            if (
-                not trf.ordered(a1.eid, a2.eid)
-                and trf.ordered(a1.eid, r2)
-                and not trf.ordered(r1, r2)
-            ):
-                radj[a2.eid].append(a1.eid)
+            r2 = trace.match[a2]
+            if not before(a1, a2) and before(a1, r2) and not before(r1, r2):
+                radj[a2].append(a1)
 
     best = 0
     for target in acquires:
         # reverse reachability: walk predecessors of target
-        seen = {target.eid}
-        stack = [target.eid]
+        seen = {target}
+        stack = [target]
         while stack:
             for a1 in radj[stack.pop()]:
                 if a1 not in seen:
@@ -533,8 +584,22 @@ def _lock_dependence_factor(trace: Trace) -> int:
 
 
 # ----------------------------------------------------------------------
-# query-pair isolation
+# race queries and query-pair isolation
 # ----------------------------------------------------------------------
+
+
+def _query_pair(trace: Trace, e1: int, e2: int) -> tuple[Event, Event]:
+    """The events of a race query on ``(e1, e2)``.
+
+    Raises :class:`TraceError` unless both ids name global reads/writes of
+    the trace that conflict.
+    """
+    ev1, ev2 = trace.event(e1), trace.event(e2)
+    if not (ev1.is_global_access and ev2.is_global_access):
+        raise TraceError(f"events {e1} and {e2} are not both global reads/writes")
+    if not conflicting(ev1, ev2):
+        raise TraceError(f"events {e1} and {e2} do not conflict")
+    return ev1, ev2
 
 
 def wrap_pair(trace: Trace, e1: int, e2: int) -> tuple[Trace, int, int]:
@@ -546,13 +611,7 @@ def wrap_pair(trace: Trace, e1: int, e2: int) -> tuple[Trace, int, int]:
     locks, so no other pair can race.  Existing lock events are kept as-is.
     The returned ids point at the copies of ``e1`` and ``e2``.
     """
-    ev1, ev2 = trace.event(e1), trace.event(e2)
-    for ev in (ev1, ev2):
-        if not ev.is_global_access:
-            raise TraceError(f"event {ev.eid} is not a global read/write")
-    if not conflicting(ev1, ev2):
-        raise TraceError(f"events {e1} and {e2} do not conflict")
-
+    _query_pair(trace, e1, e2)
     used = set(trace.globals_) | set(trace.locks)
 
     def fresh(base: str) -> str:

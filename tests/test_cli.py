@@ -8,11 +8,13 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import racepred
 from racepred import (
     Trace,
     TraceError,
@@ -35,6 +37,18 @@ TRIANGLE = "t1 w x\nt2 r x\nt2 w y\nt3 r y\nt3 w z\nt1 r z\n"
 FORCED_FLIP = (
     "t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 w y\nt2 rel l\nt2 w x\n"
 )
+
+
+def child_env(**extra):
+    """Environment for a ``python -m racepred`` child process.
+
+    ``PYTHONPATH`` starts with the directory holding the package these tests
+    imported, so the child runs the same code from a checkout as from an
+    install.
+    """
+    root = str(Path(racepred.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def run_cli(argv, capsys):
@@ -92,7 +106,7 @@ def test_predict_auto_routes_by_topology(tmp_path, capsys):
 
 
 def test_predict_does_not_depend_on_primed_trace_facts():
-    # the tree route reads the params, topology and full TRF a trace keeps;
+    # the tree route reads the params, topology and down-set table a trace keeps;
     # a cold trace and one primed by trace_params must give the same verdicts
     forests = 0
     for seed in range(30):
@@ -343,7 +357,7 @@ def test_non_utf8_trace_subprocess_has_no_traceback(tmp_path, source):
          "--trace", str(path) if source == "file" else "-"],
         input=NON_UTF8 if source == "stdin" else None,
         capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        env=child_env(PYTHONIOENCODING="utf-8"),
     )
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
@@ -601,17 +615,6 @@ def test_gen_random_is_seed_deterministic(capsys):
     assert len(trace) >= 15
 
 
-def test_gen_random_reads_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("RACEPRED_SEED", "11")
-    code, from_env, _ = run_cli(["gen", "random", "--n", "15"], capsys)
-    assert code == 0
-    code, explicit, _ = run_cli(["gen", "random", "--seed", "11", "--n", "15"], capsys)
-    assert from_env == explicit
-    monkeypatch.setenv("RACEPRED_SEED", "eleven")
-    code, _, err = run_cli(["gen", "random", "--n", "15"], capsys)
-    assert code == 2 and "RACEPRED_SEED" in err
-
-
 def test_gen_random_query_is_a_conflicting_cross_thread_pair(capsys):
     for seed in range(6):
         code, out, _ = run_cli(["gen", "random", "--seed", str(seed)], capsys)
@@ -636,6 +639,7 @@ def test_module_entrypoint_subprocess(tmp_path):
          "--e1", "1", "--e2", "2"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["race"] is True
@@ -647,6 +651,7 @@ def test_stdin_trace_subprocess():
         input=TWO_WRITES,
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert "1 racy pairs" in proc.stdout
@@ -658,7 +663,7 @@ def test_stdin_trace_subprocess():
 
 
 def test_verdict_json_shape_is_stable():
-    v = Verdict((3, 9), True, [1, 2], "general", None,
+    v = Verdict((3, 9), [1, 2], "general", None,
                 {"ideals": 2, "search_nodes": 5, "closure_edges": 0, "wall_ms": 0.1})
     assert json.dumps(v.to_json(), sort_keys=True) == (
         '{"algorithm": "general", "distance": null, '
@@ -666,3 +671,8 @@ def test_verdict_json_shape_is_stable():
         '"stats": {"closure_edges": 0, "ideals": 2, "search_nodes": 5, "wall_ms": 0.1}, '
         '"witness": [1, 2]}'
     )
+    assert v.race
+    quiet = Verdict((3, 9), None, "general", None, {})
+    assert quiet.race is False and quiet.to_json()["race"] is False
+    with pytest.raises(AttributeError):
+        quiet.race = True  # derived from the witness, never set on its own

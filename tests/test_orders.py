@@ -21,7 +21,6 @@ from racepred import (
 )
 from racepred.generators import OvInstance, gen_ov_trace
 from racepred.ideal_engine import _table
-from racepred.orders import _full_trf
 from racepred.trace_model import from_events
 
 from helpers import closure_by_triplets, trace_events, trf_digraph
@@ -154,27 +153,16 @@ def test_trf_restriction_requires_observation_closure():
         compute_trf(t, members=[2])  # reader without its writer
 
 
-def test_shared_trf_is_built_once_and_read_only():
-    t = parse_trace("t1 w x\nt2 w y\nt2 r x")
-    trf = _full_trf(t)
-    assert _full_trf(t) is trf
-    assert ordered_pairs(trf) == ordered_pairs(compute_trf(t))
-    assert trf.unordered(1, 2)
-    with pytest.raises(ValueError):
-        trf.add_edge(1, 2)  # would reorder every later query on the trace
-    assert trf.unordered(1, 2) and trf.edges == [(1, 3)]
-    # a lock cone on the same trace leaves the shared order unchanged
-    lcone(t, 3)
-    assert _full_trf(t) is trf and trf.unordered(1, 2)
-
-
 def test_compute_trf_returns_a_fresh_mutable_order():
     t = parse_trace("t1 w x\nt2 w y\nt2 r x")
-    shared = _full_trf(t)
+    first = compute_trf(t)
     po = compute_trf(t)
-    assert po is not shared
+    assert po is not first
     assert po.add_edge(1, 2)
-    assert po.ordered(1, 2) and shared.unordered(1, 2)
+    assert po.ordered(1, 2) and first.unordered(1, 2)
+    # the trace keeps no order that the edge could leak into
+    assert compute_trf(t).unordered(1, 2)
+    assert _table(t).down[2] == (0, 1)
 
 
 @settings(max_examples=60, deadline=None)
