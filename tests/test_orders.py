@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from racepred import (
     lcone,
     parse_trace,
 )
-from racepred.generators import OvInstance, gen_ov_trace
+from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _table
 from racepred.trace_model import from_events
 
@@ -183,6 +184,33 @@ def test_linearize_refines_input(items):
     pos = {e: i for i, e in enumerate(order)}
     for u, v in ordered_pairs(po):
         assert pos[u] < pos[v]
+
+
+def test_linearize_is_least_linear_extension():
+    # small TRFs and random refinements of them: linearize must return the
+    # lexicographically least of all topological sorts
+    checked = 0
+    for s in range(200):
+        rng = random.Random(s)
+        t = gen_random_trace(
+            70_000 + s, n=3 + s % 8, k=1 + s % 4, d_globals=1 + s % 3,
+            d_locks=1 + s % 2, read_ratio=0.4, lock_ratio=0.3, nesting_max=2,
+        )
+        if len(t) > 10:
+            continue
+        po = compute_trf(t)
+        evs = list(po.events())
+        for step in range(4):
+            g = nx.DiGraph(ordered_pairs(po))
+            g.add_nodes_from(evs)
+            assert po.linearize() == min(nx.all_topological_sorts(g)), (s, step)
+            checked += 1
+            u, v = rng.sample(evs, 2) if len(evs) > 1 else (evs[0], evs[0])
+            try:
+                po.add_edge(u, v)
+            except CycleError:
+                pass
+    assert checked >= 600
 
 
 # ----------------------------------------------------------------------
