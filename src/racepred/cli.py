@@ -129,15 +129,7 @@ def predict(
     budget, but a quiet answer only rules out witnesses, not races beyond
     the budget.  Raises :class:`CliError` on an invalid query.
     """
-    if algo not in ALGORITHMS:
-        raise CliError(f"unknown algorithm {algo!r}; pick one of {', '.join(ALGORITHMS)}")
-    if algo == "bounded" and distance is None:
-        raise CliError("--algo bounded needs a reversal budget: pass --distance L")
-    if distance is not None:
-        if algo not in ("bounded",):
-            raise CliError("--distance only applies to --algo bounded")
-        if distance < 0:
-            raise CliError("--distance must be non-negative")
+    _check_algo(algo, distance)
     try:
         ev1, ev2 = _query_pair(trace, e1, e2)
     except TraceError as exc:
@@ -187,6 +179,19 @@ def predict(
     return Verdict((e1, e2), witness, label, delta, stats)
 
 
+def _check_algo(algo: str, distance: int | None) -> None:
+    """Reject an unknown backend, or a budget that does not fit it."""
+    if algo not in ALGORITHMS:
+        raise CliError(f"unknown algorithm {algo!r}; pick one of {', '.join(ALGORITHMS)}")
+    if algo == "bounded" and distance is None:
+        raise CliError("--algo bounded needs a reversal budget: pass --distance L")
+    if distance is not None:
+        if algo != "bounded":
+            raise CliError("--distance only applies to --algo bounded")
+        if distance < 0:
+            raise CliError("--distance must be non-negative")
+
+
 def _sweep(
     candidates: Sequence[Ideal], backend: Callable[..., list[int] | None],
     e1: int, e2: int, kind: str, stats: dict, note: _Note,
@@ -233,8 +238,10 @@ def scan(
 
     Synthesized initial writes are skipped: they model the state before
     the program ran, so pairing one with a first read would report a race
-    no execution of the observed code can exhibit.
+    no execution of the observed code can exhibit.  Raises
+    :class:`CliError` on an invalid ``algo``/``distance``, pairs or not.
     """
+    _check_algo(algo, distance)
     return [
         predict(trace, a, b, algo=algo, distance=distance, oracle_cap=oracle_cap)
         for a, b in scan_pairs(trace)
@@ -297,7 +304,9 @@ def _sidecar_query(text: str) -> tuple[int, int] | None:
 
 def _resolve_pair(args: argparse.Namespace, trace: Trace, text: str) -> tuple[int, int]:
     e1, e2 = args.e1, args.e2
-    if e1 is None or e2 is None:
+    if (e1 is None) != (e2 is None):
+        raise CliError("pass both --e1 and --e2")
+    if e1 is None:
         if args.by_line:
             raise CliError("--by-line needs explicit --e1 and --e2 line numbers")
         sidecar = _sidecar_query(text)

@@ -154,13 +154,9 @@ def enabled_events(ideal: Ideal) -> frozenset[int]:
     return frozenset(out)
 
 
-def open_acquires(trace: Trace, members: frozenset[int]) -> list[int]:
-    """Acquires in the set whose matching release is outside, by event id."""
-    return sorted(
-        eid
-        for eid in members
-        if trace.event(eid).is_acquire and trace.match[eid] not in members
-    )
+def open_acquires(ideal: Ideal) -> list[int]:
+    """Acquires in the ideal whose matching release is outside, by event id."""
+    return _open_in(_table(ideal.trace), ideal.prefix)
 
 
 def _open_in(table: _Table, prefix: Sequence[int]) -> list[int]:
@@ -262,7 +258,7 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
     """
     trace = ideal.trace
     by_lock: dict[str, int] = {}
-    for eid in _open_in(_table(trace), ideal.prefix):
+    for eid in open_acquires(ideal):
         lock = trace.event(eid).loc
         if lock in by_lock:
             return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)

@@ -33,10 +33,10 @@ positions segmented by (channel, block).
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,37 +177,25 @@ class PartialOrder:
     # -- derived structure -------------------------------------------------
 
     def linearize(self) -> list[int]:
-        """A total order refining the partial order, smallest id first."""
-        next_pos = [0] * self.k
-        heads: list[int] = []  # heap of candidate eids
+        """The lexicographically least linear extension of the order.
 
-        def push_head(b: int) -> None:
-            if next_pos[b] < len(self.blocks[b]):
-                heapq.heappush(heads, self.blocks[b][next_pos[b]])
-
-        def ready(eid: int) -> bool:
-            i = self._idx[eid]
-            row = self.pred[i]
-            return all(row[c] < next_pos[c] for c in range(self.k))
-
-        for b in range(self.k):
-            push_head(b)
+        Each step places the smallest-id block head whose predecessors are
+        all placed: its ``pred`` row is below the placed count in every block.
+        """
+        rows = self.pred.tolist()
+        placed = [0] * self.k
         out: list[int] = []
-        stash: list[int] = []
-        while heads:
-            eid = heapq.heappop(heads)
-            if not ready(eid):
-                stash.append(eid)
-                continue
+        while len(out) < self.n:
+            ready = [
+                (block[p], b)
+                for b, (block, p) in enumerate(zip(self.blocks, placed))
+                if p < len(block) and all(map(lt, rows[self._idx[block[p]]], placed))
+            ]
+            if not ready:
+                raise CycleError((-1, -1))  # cannot happen for a valid order
+            eid, b = min(ready)
             out.append(eid)
-            b, _ = self.location(eid)
-            next_pos[b] += 1
-            push_head(b)
-            for s in stash:
-                heapq.heappush(heads, s)
-            stash.clear()
-        if len(out) != self.n:
-            raise CycleError((-1, -1))  # cannot happen for a valid order
+            placed[b] += 1
         return out
 
     def path_between(self, u: int, v: int) -> list[tuple[int, int]]:

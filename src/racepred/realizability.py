@@ -27,8 +27,7 @@ contract).
 from __future__ import annotations
 
 from collections import deque
-
-import numpy as np
+from operator import lt
 
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
 from .trace_model import Trace, _adjacency, _conflict_edges, _forest_order, conflicting
@@ -42,11 +41,6 @@ __all__ = [
 ]
 
 
-def _member_in(order: PartialOrder, eid: int, prefix: tuple[int, ...]) -> bool:
-    b, pos = order.location(eid)
-    return pos < prefix[b]
-
-
 # ---------------------------------------------------------------------------
 # general backend: ideal-graph search
 # ---------------------------------------------------------------------------
@@ -57,24 +51,31 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
 
     States are per-thread prefix-length tuples; an event extends a state
     when all its order-predecessors are inside and no pending observation
-    (writer placed, observer not) shares its channel.  Returns the event
-    sequence of the first path reaching the full universe, or ``None``.
+    (writer placed, observer not) shares its channel.  A watcher holds one
+    observation as (writer, writer's block, writer's position, observer's
+    block, observer's position), so both membership tests compare a
+    position with the state.  Returns the event sequence of the first path
+    reaching the full universe, or ``None``.
     """
     order = p.order
     blocks = order.blocks
     k = len(blocks)
+    rows = order.pred.tolist()
+    block_rows = [[rows[order.index_of(e)] for e in block] for block in blocks]
 
-    # pending-observation scan tables: location -> [(observer, writer)]
-    watchers: dict[str, list[tuple[int, int]]] = {}
+    # pending-observation scan tables: location -> watchers, by observer id
+    watchers: dict[str, list[tuple[int, int, int, int, int]]] = {}
     for r in sorted(p.rf):
-        watchers.setdefault(p.trace.event(r).loc, []).append((r, p.rf[r]))
+        w = p.rf[r]
+        watch = (w, *order.location(w), *order.location(r))
+        watchers.setdefault(p.trace.event(r).loc, []).append(watch)
 
     def blocked(e: int, prefix: tuple[int, ...]) -> bool:
         ev = p.trace.event(e)
         if not ev.writes_like:
             return False
-        for r, w in watchers.get(ev.loc, ()):
-            if w != e and _member_in(order, w, prefix) and not _member_in(order, r, prefix):
+        for w, bw, pw, br, pr in watchers.get(ev.loc, ()):
+            if w != e and pw < prefix[bw] and pr >= prefix[br]:
                 return True
         return False
 
@@ -88,16 +89,12 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
         if y == goal:
             found = True
             break
-        frontier_events = sorted(
-            blocks[b][y[b]] for b in range(k) if y[b] < len(blocks[b])
-        )
-        yarr = np.array(y, dtype=np.int64)
-        for e in frontier_events:
-            if not (order.pred[order.index_of(e)] < yarr).all():
+        frontier = sorted((blocks[b][y[b]], b) for b in range(k) if y[b] < len(blocks[b]))
+        for e, b in frontier:
+            if not all(map(lt, block_rows[b][y[b]], y)):
                 continue
             if blocked(e, y):
                 continue
-            b = order.location(e)[0]
             y2 = y[:b] + (y[b] + 1,) + y[b + 1 :]
             if y2 in parents:
                 continue

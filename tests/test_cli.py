@@ -26,7 +26,7 @@ from racepred import (
     verify_witness,
     witness_error,
 )
-from racepred.cli import Verdict, main, predict, scan, scan_pairs
+from racepred.cli import CliError, Verdict, main, predict, scan, scan_pairs
 from racepred.generators import gen_random_trace
 
 TWO_WRITES = "t1 w x\nt2 w x\n"
@@ -306,6 +306,9 @@ def test_every_route_reports_one_stats_shape_and_explain_shape():
         (TWO_WRITES, []),  # no query and no sidecar
         (TWO_WRITES, ["--e1", "1", "--e2", "7", "--by-line"]),  # no event on line 7
         (TRIANGLE, ["--e1", "1", "--e2", "2", "--algo", "tree"]),  # cyclic topology
+        # one query id must not fall back to the sidecar's pair
+        (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e1", "3"]),
+        (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e2", "3"]),
     ],
 )
 def test_predict_usage_errors_exit_2(tmp_path, capsys, text, argv_tail):
@@ -465,6 +468,23 @@ def test_scan_single_thread_trace_has_zero_races(tmp_path, capsys):
     code, out, _ = run_cli(["scan", "--trace", path], capsys)
     assert code == 0
     assert "0 racy pairs" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv_tail,kwargs,message",
+    [
+        (["--algo", "bounded"], {"algo": "bounded"}, "--algo bounded needs a reversal budget"),
+        (["--distance", "2"], {"distance": 2}, "--distance only applies to --algo bounded"),
+    ],
+)
+def test_scan_rejects_bad_algo_options_without_pairs(tmp_path, capsys, argv_tail, kwargs, message):
+    text = "t1 w x\nt1 w y\n"  # no conflicting pair to reach
+    path = write_trace(tmp_path, text)
+    code, out, err = run_cli(["scan", "--trace", path] + argv_tail, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    with pytest.raises(CliError, match=message):
+        scan(parse_trace(text), **kwargs)
 
 
 def test_scan_skips_synthesized_initial_writes():

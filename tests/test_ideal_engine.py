@@ -242,8 +242,8 @@ def test_mandated_release_edge_can_contradict_observation():
 
 def test_open_acquires_reports_unmatched_only():
     t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 r x\nt2 rel l\n")
-    assert open_acquires(t, frozenset([1, 2, 4, 5, 6])) == [1]
-    assert open_acquires(t, frozenset([1, 2, 3])) == []
+    assert open_acquires(Ideal.from_members(t, [1, 2, 4, 5, 6])) == [1]
+    assert open_acquires(Ideal.from_members(t, [1, 2, 3])) == []
 
 
 # ---------------------------------------------------------------------------

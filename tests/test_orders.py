@@ -205,9 +205,8 @@ def test_linearize_is_least_linear_extension():
             g.add_nodes_from(evs)
             assert po.linearize() == min(nx.all_topological_sorts(g)), (s, step)
             checked += 1
-            u, v = rng.sample(evs, 2) if len(evs) > 1 else (evs[0], evs[0])
             try:
-                po.add_edge(u, v)
+                po.add_edge(*rng.sample(evs, 2))
             except CycleError:
                 pass
     assert checked >= 600
