@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -142,6 +143,11 @@ def predict(
     witness: list[int] | None = None
     delta: int | None = None
 
+    if algo == "tree" and not trace_params(trace).is_tree:
+        raise CliError(
+            "the tree backend needs a forest communication topology; "
+            "this trace has a cycle (use --algo general or auto)"
+        )
     if ev1.thread == ev2.thread:
         # thread order keeps the pair ordered in every correct reordering
         note(f"events {e1} and {e2} share thread {ev1.thread}; ordered everywhere")
@@ -150,12 +156,7 @@ def predict(
         found = "exhausted" if witness is None else "found a witness"
         note(f"exhaustive reordering search {found}")
     else:
-        tree = algo in ("auto", "tree") and trace_params(trace).is_tree
-        if algo == "tree" and not tree:
-            raise CliError(
-                "the tree backend needs a forest communication topology; "
-                "this trace has a cycle (use --algo general or auto)"
-            )
+        tree = algo == "tree" or (algo == "auto" and trace_params(trace).is_tree)
         # the backends are looked up here, at call time, so that a rebinding
         # of these module names (an instrumented run) takes effect
         if tree:
@@ -580,7 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:  # no engine fault; devnull keeps the shutdown flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (CliError, TraceError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

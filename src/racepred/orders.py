@@ -2,16 +2,17 @@
 
 Every order handled here refines per-thread program order, so the universe
 splits into one chain ("block") per thread.  That makes a compact reachability
-representation possible: for each event we keep, per block, the earliest
-successor position and the latest predecessor position.  Order queries are
-O(1) array lookups and single-edge insertion is one vectorized pass.
+representation possible: for each event we keep, per block, the latest
+predecessor position ``pred``, from which the earliest successor position
+``succ`` is derived when asked.  Order queries are O(1) array lookups and
+single-edge insertion is one vectorized pass.
 
 The module also provides:
 
 * :func:`compute_trf` — program order extended with observation edges
-  (write-to-read, acquire-to-release), transitively closed, as a fresh
-  mutable order on each call; a trace's own TRF reachability is read from
-  its down-set table, ``trace_model._table``;
+  (write-to-read, acquire-to-release), transitively closed, over a trace
+  ideal, as a fresh mutable order read from the trace's down-set table,
+  ``trace_model._table``, the one stored form of the TRF;
 * :class:`RfPoset` — a partial order bundled with the observation map, the
   object the closure operates on;
 * :func:`closure` — the least refinement in which every observed writer is
@@ -41,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import Trace
+from .trace_model import Trace, _table
 
 __all__ = [
     "CycleError",
@@ -51,8 +52,6 @@ __all__ = [
     "is_closed",
     "closure",
 ]
-
-_NONE = np.iinfo(np.int64).max // 2  # "no successor" sentinel
 
 
 class CycleError(Exception):
@@ -71,7 +70,7 @@ class PartialOrder:
     later are transitively closed incrementally.
     """
 
-    __slots__ = ("blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "succ", "pred", "edges")
+    __slots__ = ("blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "pred", "edges")
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
         self.blocks: tuple[tuple[int, ...], ...] = tuple(tuple(b) for b in blocks)
@@ -81,23 +80,12 @@ class PartialOrder:
         self._idx: dict[int, int] = {e: i for i, e in enumerate(self._eids)}
         if len(self._idx) != self.n:
             raise ValueError("duplicate event id across blocks")
-        self._block = np.empty(self.n, dtype=np.int64)
-        self._pos = np.empty(self.n, dtype=np.int64)
-        i = 0
-        for b, block in enumerate(self.blocks):
-            for p in range(len(block)):
-                self._block[i] = b
-                self._pos[i] = p
-                i += 1
-        # succ[x, b]: least position in block b strictly above x (or _NONE);
-        # pred[x, b]: greatest position in block b strictly below x (or -1).
-        self.succ = np.full((self.n, self.k), _NONE, dtype=np.int64)
+        self._block = np.repeat(np.arange(self.k, dtype=np.int64), [len(b) for b in self.blocks])
+        # a row's position is its distance from the first row of its block
+        self._pos = np.arange(self.n, dtype=np.int64) - np.searchsorted(self._block, self._block)
+        # pred[x, b]: greatest position in block b strictly below x (or -1)
         self.pred = np.full((self.n, self.k), -1, dtype=np.int64)
-        for i in range(self.n):
-            b, p = self._block[i], self._pos[i]
-            if p + 1 < len(self.blocks[b]):
-                self.succ[i, b] = p + 1
-            self.pred[i, b] = p - 1
+        self.pred[np.arange(self.n), self._block] = self._pos - 1
         #: explicitly inserted (u, v) event-id pairs, for path recovery
         self.edges: list[tuple[int, int]] = []
 
@@ -112,7 +100,6 @@ class PartialOrder:
         clone._idx = self._idx
         clone._block = self._block
         clone._pos = self._pos
-        clone.succ = self.succ.copy()
         clone.pred = self.pred.copy()
         clone.edges = list(self.edges)
         return clone
@@ -136,10 +123,25 @@ class PartialOrder:
     def ordered(self, u: int, v: int) -> bool:
         """Strictly ordered u < v."""
         iu, iv = self._idx[u], self._idx[v]
-        return bool(self.succ[iu, self._block[iv]] <= self._pos[iv])
+        return bool(self.pred[iv, self._block[iu]] >= self._pos[iu])
 
     def unordered(self, u: int, v: int) -> bool:
         return u != v and not self.ordered(u, v) and not self.ordered(v, u)
+
+    @property
+    def succ(self) -> np.ndarray:
+        """succ[x, b]: least position in block b strictly above x, or len(block b).
+
+        Down block b every ``pred`` column is non-decreasing, so one
+        ``searchsorted`` over those columns, shifted apart, finds every x.
+        """
+        span = self.n + 2  # entries and positions run -1 .. n - 1
+        shift, query = np.arange(self.k) * span, self._block * span + self._pos
+        out = np.empty((self.n, self.k), dtype=np.int64)
+        for b, block in enumerate(self.blocks):
+            keys = (self.pred[self._block == b] + shift).T.ravel()
+            out[:, b] = np.searchsorted(keys, query) - self._block * len(block)
+        return out
 
     # -- mutation ---------------------------------------------------------
 
@@ -154,22 +156,15 @@ class PartialOrder:
         iu, iv = self._idx[u], self._idx[v]
         bu, pu = self._block[iu], self._pos[iu]
         bv, pv = self._block[iv], self._pos[iv]
-        if self.succ[iu, bv] <= pv:
+        if self.pred[iv, bu] >= pu:
             return False
-        if self.succ[iv, bu] <= pu:
+        if self.pred[iu, bv] >= pv:
             raise CycleError((u, v))
 
-        below = self.succ[:, bu] <= pu  # everything strictly below u
-        below[iu] = True
         above = self.pred[:, bv] >= pv  # everything strictly above v
         above[iv] = True
-
-        up = self.succ[iv].copy()  # v's successors, v included
-        up[bv] = min(up[bv], pv)
         down = self.pred[iu].copy()  # u's predecessors, u included
-        down[bu] = max(down[bu], pu)
-
-        self.succ[below] = np.minimum(self.succ[below], up)
+        down[bu] = pu
         self.pred[above] = np.maximum(self.pred[above], down)
         self.edges.append((u, v))
         return True
@@ -246,28 +241,27 @@ class PartialOrder:
 def compute_trf(trace: Trace, members: Iterable[int] | None = None) -> PartialOrder:
     """Program order extended with observation edges, transitively closed.
 
-    ``members`` restricts the universe to a subset of event ids; the subset
-    must be downward closed for the restriction to be meaningful (all callers
-    pass ideals).
+    ``members`` restricts the universe to a trace ideal (else ``ValueError``),
+    and the order is the TRF projected on it, read from the down-set table.
+    ``edges`` holds the (writer, read) pairs that inserting the cross-thread
+    reads one by one, in trace order, would add.
     """
+    table = _table(trace)
     keep = None if members is None else set(members)
-    blocks = [
-        [ev.eid for ev in proj if keep is None or ev.eid in keep]
-        for proj in trace.by_thread
-    ]
+    blocks = [ids if keep is None else [e for e in ids if e in keep] for ids in table.ids]
     order = PartialOrder(blocks)
-    for ev in trace.events:
-        if not ev.is_read:
-            continue  # release edges are intra-thread, already chained
-        if keep is not None and ev.eid not in keep:
-            continue
-        w = trace.rf[ev.eid]
-        if keep is not None and w not in keep:
-            raise ValueError(
-                f"member set is not observation-closed: {ev.eid} observes {w}"
-            )
-        if trace.event(w).thread != ev.thread:
-            order.add_edge(w, ev.eid)
+    # a down-set vector counts the member itself, so its own block loses two
+    down = np.array([table.down[e] for e in order.events()], np.int64).reshape(order.n, order.k)
+    if (down > [len(b) for b in blocks]).any():
+        raise ValueError("member set is not a trace ideal")
+    order.pred = down - 1
+    order.pred[np.arange(order.n), order._block] -= 1
+    for r in sorted(e for e in order.events() if e in trace.rf):
+        w = trace.rf[r]
+        (bw, pw), (b, p) = order.location(w), order.location(r)
+        # w < r already if w is below r's thread predecessor, as a release's acquire is
+        if bw != b and pw >= table.down[blocks[b][p - 1] if p else 0][bw]:
+            order.edges.append((w, r))
     return order
 
 
@@ -317,7 +311,6 @@ class _Guards:
 
     def __init__(self, poset: RfPoset):
         order, trace = poset.order, poset.trace
-        self.cap = order.n  # clamps the "no successor" sentinel inside a segment
         span = order.n + 2  # room for positions -1 .. n per segment
         bases: dict[tuple[str, int], int] = {}
         keys: list[int] = []
@@ -370,9 +363,9 @@ class _Guards:
         Writers in ``[succ[w, b], succ[r, b])`` are after w but not after r;
         r must precede the earliest of them.
         """
-        b, base, keys, cap = self.block, self.base, self.keys, self.cap
-        first = np.searchsorted(keys, base + np.minimum(order.succ[self.iw, b], cap), side="left")
-        end = np.searchsorted(keys, base + np.minimum(order.succ[self.ir, b], cap), side="left")
+        b, base, keys, succ = self.block, self.base, self.keys, order.succ
+        first = np.searchsorted(keys, base + succ[self.iw, b], side="left")
+        end = np.searchsorted(keys, base + succ[self.ir, b], side="left")
         out = end > first
         return list(zip(self.r[out].tolist(), self.writers[first[out]].tolist()))
 

@@ -93,6 +93,22 @@ def trf_digraph(trace: Trace) -> nx.DiGraph:
     return nx.transitive_closure_dag(g)
 
 
+def trf_by_replay(trace: Trace, members=None) -> PartialOrder:
+    """TRF recomputed read by read: program order over the member set, then
+    one ``add_edge`` per cross-thread read in trace order, so ``edges`` holds
+    exactly the reads whose writer was not already below them."""
+    keep = None if members is None else set(members)
+    order = PartialOrder(
+        [[ev.eid for ev in proj if keep is None or ev.eid in keep] for proj in trace.by_thread]
+    )
+    for ev in trace.events:
+        if ev.is_read and (keep is None or ev.eid in keep):
+            w = trace.rf[ev.eid]
+            if trace.event(w).thread != ev.thread:
+                order.add_edge(w, ev.eid)
+    return order
+
+
 def realizable_sets(trace: Trace) -> set[frozenset[int]]:
     """Event sets of every correct reordering, by a memoised replay walk.
 
@@ -290,6 +306,10 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
     branches = 0
 
     def extend_reads(g: PartialOrder) -> None:
+        # the replay ordered every same-channel writer pair, so the edges
+        # added here move no writer across a source and a stale succ finds
+        # the same writers
+        succ = g.succ
         for r in sorted(rf):
             i_s = g.index_of(rf[r])
             for b in range(g.k):
@@ -298,7 +318,7 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
                     continue
                 plist, elist = got
                 j_lo = bisect_right(plist, int(g.pred[i_s, b])) - 1
-                j_hi = bisect_left(plist, int(g.succ[i_s, b]))
+                j_hi = bisect_left(plist, int(succ[i_s, b]))
                 assert all(elist[j] == rf[r] for j in range(j_lo + 1, j_hi))
                 if j_lo >= 0:
                     g.add_edge(elist[j_lo], r)

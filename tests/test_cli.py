@@ -37,6 +37,13 @@ TRIANGLE = "t1 w x\nt2 r x\nt2 w y\nt3 r y\nt3 w z\nt1 r z\n"
 FORCED_FLIP = (
     "t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 w y\nt2 rel l\nt2 w x\n"
 )
+# three threads pairwise sharing a lock close a cycle; the one conflicting
+# pair is events 13 and 14 of t1
+LOCK_CYCLE_SAME_THREAD = (
+    "t1 acq a\nt1 rel a\nt2 acq a\nt2 rel a\nt2 acq b\nt2 rel b\n"
+    "t3 acq b\nt3 rel b\nt3 acq c\nt3 rel c\nt1 acq c\nt1 rel c\n"
+    "t1 w x\nt1 w x\n"
+)
 
 
 def child_env(**extra):
@@ -309,6 +316,8 @@ def test_every_route_reports_one_stats_shape_and_explain_shape():
         # one query id must not fall back to the sidecar's pair
         (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e1", "3"]),
         (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e2", "3"]),
+        # a same-thread pair on a cyclic topology
+        (LOCK_CYCLE_SAME_THREAD, ["--e1", "13", "--e2", "14", "--algo", "tree"]),
     ],
 )
 def test_predict_usage_errors_exit_2(tmp_path, capsys, text, argv_tail):
@@ -487,6 +496,16 @@ def test_scan_rejects_bad_algo_options_without_pairs(tmp_path, capsys, argv_tail
         scan(parse_trace(text), **kwargs)
 
 
+def test_scan_tree_on_cyclic_topology_exits_2(tmp_path, capsys):
+    # the same-thread pair needs no search, but the forced backend still
+    # does not apply to the trace
+    path = write_trace(tmp_path, LOCK_CYCLE_SAME_THREAD)
+    code, out, err = run_cli(["scan", "--trace", path, "--algo", "tree"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the tree backend needs a forest")
+    assert run_cli(["scan", "--trace", path], capsys)[0] == 0
+
+
 def test_scan_skips_synthesized_initial_writes():
     # pairing the synthesized write with the first read would claim a race
     # that no reordering of the observed program can exhibit
@@ -663,6 +682,28 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["race"] is True
+
+
+def test_closed_stdout_exits_2_quietly(tmp_path):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails
+    path = write_trace(tmp_path, TWO_WRITES)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "racepred", "scan", "--trace", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "internal failure" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_stdin_trace_subprocess():

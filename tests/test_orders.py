@@ -24,7 +24,7 @@ from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _table
 from racepred.trace_model import from_events
 
-from helpers import closure_by_triplets, trace_events, trf_digraph
+from helpers import closure_by_triplets, trace_events, trf_by_replay, trf_digraph
 
 
 def ordered_pairs(po: PartialOrder) -> set[tuple[int, int]]:
@@ -150,8 +150,11 @@ def test_trf_release_edge_stays_intra_thread():
 
 def test_trf_restriction_requires_observation_closure():
     t = parse_trace("t1 w x\nt2 r x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a trace ideal"):
         compute_trf(t, members=[2])  # reader without its writer
+    t = parse_trace("t1 w x\nt1 w y\nt1 w z")
+    with pytest.raises(ValueError, match="not a trace ideal"):
+        compute_trf(t, members=[1, 3])  # a gap in the thread
 
 
 def test_compute_trf_returns_a_fresh_mutable_order():
@@ -166,13 +169,62 @@ def test_compute_trf_returns_a_fresh_mutable_order():
     assert _table(t).down[2] == (0, 1)
 
 
+def down_set_ideal(trace, eids) -> list[int]:
+    """Members of the least ideal holding ``eids``: the join of their down-sets."""
+    table = _table(trace)
+    lengths = [max(col) for col in zip(table.down[0], *(table.down[e] for e in eids))]
+    return [e for ids, m in zip(table.ids, lengths) for e in ids[:m]]
+
+
 @settings(max_examples=60, deadline=None)
-@given(trace_events(max_events=10))
-def test_trf_matches_networkx_closure(items):
+@given(trace_events(max_events=10), st.data())
+def test_trf_matches_networkx_closure(items, data):
+    # on the whole trace and on a down-set ideal Y, the order is the TRF
+    # projected on Y, and its edges are those of the read-by-read replay
     t = from_events(items)
-    po = compute_trf(t)
     closure_graph = trf_digraph(t)
-    assert ordered_pairs(po) == set(closure_graph.edges())
+    eids = [ev.eid for ev in t]
+    seeds = data.draw(st.lists(st.sampled_from(eids), max_size=3)) if eids else []
+    for members in (None, down_set_ideal(t, seeds)):
+        po = compute_trf(t, members)
+        universe = eids if members is None else members
+        assert ordered_pairs(po) == set(closure_graph.subgraph(universe).edges())
+        want = trf_by_replay(t, members)
+        assert po.blocks == want.blocks and (po.pred == want.pred).all()
+        assert po.edges == want.edges
+
+
+def test_succ_is_least_position_above():
+    # after random refinements of whole-trace and ideal TRFs, the derived
+    # succ[x, b] is the least position in block b of an event above x, or
+    # the block's length when there is none
+    checked = 0
+    for s in range(150):
+        rng = random.Random(s)
+        t = gen_random_trace(
+            71_000 + s, n=2 + s % 12, k=1 + s % 4, d_globals=1 + s % 3,
+            d_locks=1 + s % 2, read_ratio=0.4, lock_ratio=0.3, nesting_max=2,
+        )
+        ideal = down_set_ideal(t, [rng.randint(1, len(t))])
+        for po in (compute_trf(t), compute_trf(t, ideal)):
+            evs = list(po.events())
+            for step in range(4):
+                succ = po.succ
+                assert succ.shape == (po.n, po.k)
+                for x in evs:
+                    for b, block in enumerate(po.blocks):
+                        want = next(
+                            (p for p, y in enumerate(block) if po.ordered(x, y)), len(block)
+                        )
+                        assert succ[po.index_of(x), b] == want, (s, step, x, b)
+                checked += 1
+                if len(evs) < 2:
+                    break
+                try:
+                    po.add_edge(*rng.sample(evs, 2))
+                except CycleError:
+                    pass
+    assert checked >= 900
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,8 +400,7 @@ def assert_closure_matches_reference(poset: RfPoset) -> None:
 
 def prefix_poset(trace, eid: int) -> RfPoset:
     """The rf-poset of the downward TRF closure of one event, itself included."""
-    lengths = _table(trace).down[eid]
-    members = [ev.eid for proj, m in zip(trace.by_thread, lengths) for ev in proj[:m]]
+    members = down_set_ideal(trace, [eid])
     rf = {e: trace.rf[e] for e in members if trace.event(e).observes}
     return RfPoset(trace, compute_trf(trace, members), rf)
 
