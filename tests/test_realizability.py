@@ -14,6 +14,7 @@ from racepred import (
     RfPoset,
     closure,
     communication_topology,
+    compute_trf,
     conflicting,
     enumerate_correct_reorderings,
     feasibility,
@@ -150,6 +151,17 @@ def test_tree_witness_on_spec_example():
     assert w == [1, 2, 3, 4]
     assert verify_witness(FOUR, w)
     assert stats["closure_edges"] >= 0 and stats["resolution_edges"] >= 0
+
+
+def test_tree_resolves_unordered_pairs_parent_first():
+    # t1 is the root and t2 its child; the closure leaves the writes of x
+    # unordered, so resolution puts t1's write 3 before t2's write 2 and the
+    # least linear extension is [1, 3, 2] (child first would give [1, 2, 3])
+    t = parse_trace("t1 w y\nt2 w x\nt1 w x\n")
+    p = RfPoset(t, compute_trf(t), dict(t.rf))
+    stats = {}
+    assert realize_tree(p, stats=stats) == [1, 3, 2]
+    assert stats["resolution_edges"] == 1
 
 
 def test_tree_none_exactly_on_contradictory_closure():
