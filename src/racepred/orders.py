@@ -13,23 +13,22 @@ The module also provides:
   (write-to-read, acquire-to-release), transitively closed, over a trace
   ideal, as a fresh mutable order read from the trace's down-set table,
   ``trace_model._table``, the one stored form of the TRF;
-* :class:`RfPoset` — a partial order bundled with the observation map, the
-  object the closure operates on;
+* :class:`RfPoset` — a partial order over thread prefixes bundled with the
+  observation map, the object the closure operates on;
 * :func:`closure` — the least refinement in which every observed writer is
   protected from interference, or ``None`` when that forces a cycle.
 
 An event's conflict channel is its location: a trace never uses one
 location both as a global and as a lock, so globals and locks never share a
-channel.  The closure conditions are checked per
-(channel, block), not per writer.
-For an observer r reading from w, the writers of r's channel in block b that
-sit before r but not before w are exactly those at positions
+channel.  The closure conditions are checked per (channel, block), not per
+writer.  For an observer r reading from w, the writers of r's channel in
+block b that sit before r but not before w are exactly those at positions
 ``(pred[w, b], pred[r, b]]``, and those after w but not after r are at
 ``[succ[w, b], succ[r, b])``.  Program order already orders each such run, so
 only its end nearest to the pair needs an explicit edge: the latest writer
 before w, or r before the earliest writer.  All runs of every observer are
 found with four ``searchsorted`` calls over one sorted array of writer
-positions segmented by (channel, block).
+positions segmented by (channel, block), cut from the trace's channel index.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import Trace, _table
+from .trace_model import Trace, _cut, _table
 
 __all__ = [
     "CycleError",
@@ -138,9 +137,11 @@ class PartialOrder:
         span = self.n + 2  # entries and positions run -1 .. n - 1
         shift, query = np.arange(self.k) * span, self._block * span + self._pos
         out = np.empty((self.n, self.k), dtype=np.int64)
+        start = 0
         for b, block in enumerate(self.blocks):
-            keys = (self.pred[self._block == b] + shift).T.ravel()
+            keys = (self.pred[start : start + len(block)] + shift).T.ravel()
             out[:, b] = np.searchsorted(keys, query) - self._block * len(block)
+            start += len(block)
         return out
 
     # -- mutation ---------------------------------------------------------
@@ -250,6 +251,8 @@ def compute_trf(trace: Trace, members: Iterable[int] | None = None) -> PartialOr
     keep = None if members is None else set(members)
     blocks = [ids if keep is None else [e for e in ids if e in keep] for ids in table.ids]
     order = PartialOrder(blocks)
+    if keep is not None and len(keep) != order.n:
+        raise ValueError("member set holds ids that are not events of the trace")
     # a down-set vector counts the member itself, so its own block loses two
     down = np.array([table.down[e] for e in order.events()], np.int64).reshape(order.n, order.k)
     if (down > [len(b) for b in blocks]).any():
@@ -277,12 +280,19 @@ class RfPoset:
     ``rf`` maps each observer in the universe (read or release) to the writer
     it must observe (write or acquire).  The order must already place writer
     before observer; the closure strengthens it until no interfering writer
-    can slip between any observer and its writer.
+    can slip between any observer and its writer.  Block b of the order must
+    be a prefix of thread b (else ``ValueError``): the trace's channel index,
+    cut at the block lengths, then lists the universe's events per channel.
     """
 
     trace: Trace
     order: PartialOrder
     rf: dict[int, int]
+
+    def __post_init__(self) -> None:
+        blocks, ids = self.order.blocks, _table(self.trace).ids
+        if len(blocks) != len(ids) or any(bl != row[: len(bl)] for bl, row in zip(blocks, ids)):
+            raise ValueError("every block of the order must be a prefix of its thread")
 
     def triplets(self) -> Iterable[tuple[int, int, int]]:
         """All (writer, observer, interfering-writer) combinations."""
@@ -300,43 +310,37 @@ class RfPoset:
 class _Guards:
     """The closure conditions of an rf-poset, as flat arrays over its universe.
 
-    A segment is one (channel, block) pair.  ``keys`` holds every writer as
-    its segment's base plus its position, sorted, so the writers of a segment
-    form one contiguous, position-sorted run.  Each slot pairs an observer
-    with one block that holds writers on its channel.  The same segments
-    serve :meth:`replay`, whose slots pair a writer with another block that
-    holds writers on its channel; they are built on its first call, so the
-    closure never pays for them.
+    A segment is one (channel, block) row of the channel index, cut at the
+    block's length.  ``keys`` holds every writer as its segment's base plus
+    its position, so in index order it is sorted and each segment is one
+    contiguous run.  Each slot pairs an observer with one block that holds
+    writers on its channel.  The same segments serve :meth:`replay`, whose
+    slots pair a writer with another block that holds writers on its
+    channel; they are built on its first call, so the closure never pays.
     """
 
     def __init__(self, poset: RfPoset):
         order, trace = poset.order, poset.trace
         span = order.n + 2  # room for positions -1 .. n per segment
-        bases: dict[tuple[str, int], int] = {}
+        by_channel: dict[str, list[tuple[int, int, list[int]]]] = {}
         keys: list[int] = []
         writers: list[int] = []
-        for i, eid in enumerate(order.events()):
-            ev = trace.event(eid)
-            if ev.writes_like:
-                seg = (ev.loc, int(order._block[i]))
-                base = bases.setdefault(seg, len(bases) * span + 1)
-                keys.append(base + int(order._pos[i]))
-                writers.append(eid)
-        perm = np.argsort(keys)
-        self.keys = np.asarray(keys, dtype=np.int64)[perm]
-        self.writers = np.asarray(writers, dtype=np.int64)[perm]
-
-        by_channel: dict[str, list[tuple[int, int]]] = {}
-        for (ch, b), base in bases.items():
-            by_channel.setdefault(ch, []).append((b, base))
-        self._trace = trace
+        for x, rows in _table(trace).writers.items():
+            for b, row in enumerate(_cut(rows, map(len, order.blocks))):
+                if row:
+                    base = len(keys) * span + 1  # every earlier segment is non-empty
+                    keys += [base + pos for pos in row]
+                    writers += [order.blocks[b][pos] for pos in row]
+                    by_channel.setdefault(x, []).append((b, base, writers[-len(row) :]))
+        self.keys = np.array(keys, dtype=np.int64)
+        self.writers = np.array(writers, dtype=np.int64)
         self._by_channel = by_channel
         self._replay_slots: tuple[np.ndarray, ...] | None = None
         slots = []
         for r, w in poset.rf.items():
             ir, iw = order.index_of(r), order.index_of(w)
             bw = order._block[iw]
-            for b, base in by_channel.get(trace.event(r).loc, ()):
+            for b, base, _ in by_channel.get(trace.events[r - 1].loc, ()):
                 slots.append((ir, iw, r, w, b, base, b == bw))
         cols = np.array(slots, dtype=np.int64).reshape(-1, 7).T
         self.ir, self.iw, self.r, self.w, self.block, self.base, self.own = cols
@@ -385,12 +389,14 @@ class _Guards:
             # per (writer v, other block b on v's channel): v's index, v, b,
             # the segment's base, and how many events of b precede v; every
             # order passed in shares the poset's universe
-            slots = []
-            for v in self.writers.tolist():
-                iv = order.index_of(v)
-                for b, base in self._by_channel[self._trace.event(v).loc]:
-                    if b != order._block[iv]:
-                        slots.append((iv, v, b, base, bisect_left(order.blocks[b], v)))
+            slots = [
+                (order.index_of(v), v, b, base, bisect_left(order.blocks[b], v))
+                for segs in self._by_channel.values()
+                for bv, _, segment in segs
+                for v in segment
+                for b, base, _ in segs
+                if b != bv
+            ]
             self._replay_slots = tuple(np.array(slots, dtype=np.int64).reshape(-1, 5).T)
         iv, v, b, base, below = self._replay_slots
         j = np.searchsorted(self.keys, base + np.minimum(order.succ[iv, b], below), side="left") - 1

@@ -27,10 +27,11 @@ contract).
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations, product
 from operator import lt
 
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
-from .trace_model import Trace, _adjacency, _conflict_edges, _forest_order, conflicting
+from .trace_model import Trace, _adjacency, _conflict_edges, _cut, _forest_order, _table
 
 __all__ = [
     "realize_general",
@@ -53,9 +54,9 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     when all its order-predecessors are inside and no pending observation
     (writer placed, observer not) shares its channel.  A watcher holds one
     observation as (writer, writer's block, writer's position, observer's
-    block, observer's position), so both membership tests compare a
-    position with the state.  Returns the event sequence of the first path
-    reaching the full universe, or ``None``.
+    block, observer's position), listed under each writer on its channel, so
+    both membership tests compare a position with the state.  Returns the
+    event sequence of the first path reaching the full universe, or ``None``.
     """
     order = p.order
     blocks = order.blocks
@@ -63,24 +64,28 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     rows = order.pred.tolist()
     block_rows = [[rows[order.index_of(e)] for e in block] for block in blocks]
 
-    # pending-observation scan tables: location -> watchers, by observer id
-    watchers: dict[str, list[tuple[int, int, int, int, int]]] = {}
-    for r in sorted(p.rf):
-        w = p.rf[r]
-        watch = (w, *order.location(w), *order.location(r))
-        watchers.setdefault(p.trace.event(r).loc, []).append(watch)
+    table = _table(p.trace)
+    lengths = [len(block) for block in blocks]
+    watch: list[list[list[tuple[int, ...]]]] = [[[]] * m for m in lengths]
+    for x, users in table.users.items():
+        watchers = [
+            (p.rf[r], *order.location(p.rf[r]), b, pos)
+            for b, row in enumerate(_cut(users, lengths))
+            for pos in row
+            if (r := blocks[b][pos]) in p.rf
+        ]
+        for b, row in enumerate(_cut(table.writers[x], lengths)):
+            for pos in row:
+                watch[b][pos] = watchers
 
-    def blocked(e: int, prefix: tuple[int, ...]) -> bool:
-        ev = p.trace.event(e)
-        if not ev.writes_like:
-            return False
-        for w, bw, pw, br, pr in watchers.get(ev.loc, ()):
+    def blocked(e: int, b: int, prefix: tuple[int, ...]) -> bool:
+        for w, bw, pw, br, pr in watch[b][prefix[b]]:
             if w != e and pw < prefix[bw] and pr >= prefix[br]:
                 return True
         return False
 
     start = (0,) * k
-    goal = tuple(len(b) for b in blocks)
+    goal = tuple(lengths)
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
     queue = deque([start])
     found = False
@@ -93,7 +98,7 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
         for e, b in frontier:
             if not all(map(lt, block_rows[b][y[b]], y)):
                 continue
-            if blocked(e, y):
+            if blocked(e, b, y):
                 continue
             y2 = y[:b] + (y[b] + 1,) + y[b + 1 :]
             if y2 in parents:
@@ -131,15 +136,10 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
 
     Raises :class:`ValueError` when the block conflict graph has a cycle.
     """
-    trace = p.trace
-    blocks = [[trace.event(e) for e in block] for block in p.order.blocks]
-    by_channel: list[dict[str, list[int]]] = []
-    for block in blocks:
-        chans: dict[str, list[int]] = {}
-        for ev in block:
-            chans.setdefault(ev.loc, []).append(ev.eid)
-        by_channel.append(chans)
-    children_order = _forest_order(_adjacency(_conflict_edges(blocks)), range(len(blocks)))
+    table = _table(p.trace)
+    blocks = p.order.blocks
+    lengths = [len(block) for block in blocks]
+    children_order = _forest_order(_adjacency(_conflict_edges(table, lengths)), range(len(blocks)))
     if children_order is None:
         raise ValueError("the block conflict graph of the poset has a cycle")
 
@@ -154,16 +154,14 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
 
     q = fixed.copy()
     resolved = 0
+    wl = table.writes_like
+    channels = [_cut(users, lengths) for users in table.users.values()]
     for child, par in children_order:
-        for ch in sorted(by_channel[par].keys() & by_channel[child].keys()):
-            for e1 in by_channel[par][ch]:
-                for e2 in by_channel[child][ch]:
-                    if not conflicting(trace.event(e1), trace.event(e2)):
-                        continue
-                    if fixed.ordered(e2, e1):
-                        continue
-                    if q.add_edge(e1, e2):
-                        resolved += 1
+        for on in channels:
+            for p1, p2 in product(on[par], on[child]):
+                e1, e2 = blocks[par][p1], blocks[child][p2]
+                if (wl[e1] or wl[e2]) and not fixed.ordered(e2, e1) and q.add_edge(e1, e2):
+                    resolved += 1
     if stats is not None:
         stats["resolution_edges"] = resolved
     return q.linearize()
@@ -180,19 +178,12 @@ def reversal_pairs(trace: Trace, witness: list[int]) -> list[tuple[int, int]]:
     Pairs are reported as (earlier, later) in original trace order, sorted.
     """
     posn = {e: i for i, e in enumerate(witness)}
-    by_channel: dict[str, list[int]] = {}
-    for e in witness:
-        ev = trace.event(e)
-        if ev.writes_like:
-            by_channel.setdefault(ev.loc, []).append(e)
+    table = _table(trace)
     out = []
-    for evs in by_channel.values():
-        evs.sort()
+    for rows in table.writers.values():
+        evs = sorted(e for ids, row in zip(table.ids, rows) for i in row if (e := ids[i]) in posn)
         # same channel and both write-like means every pair conflicts
-        for i, u in enumerate(evs):
-            for v in evs[i + 1 :]:
-                if posn[v] < posn[u]:
-                    out.append((u, v))
+        out += [(u, v) for u, v in combinations(evs, 2) if posn[v] < posn[u]]
     return sorted(out)
 
 
@@ -256,9 +247,9 @@ def _bounded_search(
         cycle = [(u0, v0)] + g.path_between(v0, u0)
         cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
         branches: list[tuple[int, int]] = []
+        wl = _table(trace).writes_like
         for e1, e2 in cross:
-            wl1 = trace.event(e1).writes_like
-            wl2 = trace.event(e2).writes_like
+            wl1, wl2 = wl[e1], wl[e2]
             if wl1 and wl2:
                 b = (e2, e1)
             elif wl1:

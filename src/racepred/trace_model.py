@@ -25,6 +25,7 @@ synthesized writes).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -363,27 +364,33 @@ def serialize(trace: Trace, *, include_synthesized: bool = False) -> str:
 
 
 class _Table(NamedTuple):
-    """Per-trace facts that ideals, γ and ζ are read from, indexed by thread ``b``.
+    """Per-trace facts that ideals, γ, ζ and channels are read from, by thread ``b``.
 
     ``down[e]`` is the prefix vector of event e's downward closure (e
     included) under the thread-reads-from order; ``down[0]`` is the empty
     ideal.  ``opens[b][m]`` holds the acquires left open by thread b's first
     m events, innermost last.  ``ids[b]`` holds thread b's event ids in
-    program order.
+    program order.  The channel index, keyed by location in sorted order:
+    ``users[x][b]`` holds the positions in thread b of its events on x and
+    ``writers[x][b]`` those of its writes and acquires, cut at an ideal's
+    prefix by :func:`_cut`; ``writes_like[e]`` flags writes and acquires.
     """
 
     down: list[tuple[int, ...]]
     opens: tuple[tuple[tuple[int, ...], ...], ...]
     ids: tuple[tuple[int, ...], ...]
+    users: dict[str, list[list[int]]]
+    writers: dict[str, list[list[int]]]
+    writes_like: tuple[bool, ...]
 
 
 def _table(trace: Trace) -> _Table:
-    """The trace's down-set table, built by one forward pass and kept on it.
+    """The trace's down-set table, built on first use and kept on it.
 
     ``down[e]`` is the pointwise max of its thread predecessor's and, for a
     read, its writer's vector, with e's own slot raised by one.  A release
     observes an acquire of its own thread, which its thread predecessor
-    already covers.
+    already covers.  ``opens`` and the channel index share one pass per thread.
     """
     if trace._ideals is None:
         k = len(trace.threads)
@@ -397,10 +404,15 @@ def _table(trace: Trace) -> _Table:
                 vec = _join(vec, down[trace.rf[ev.eid]])
             down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
         opens = []
-        for proj in trace.by_thread:
+        users = {x: [[] for _ in range(k)] for x in sorted(trace.globals_ | trace.locks)}
+        writers = {x: [[] for _ in range(k)] for x in users}
+        for b, proj in enumerate(trace.by_thread):
             stack: tuple[int, ...] = ()
             row = [stack]
-            for ev in proj:
+            for pos, ev in enumerate(proj):
+                users[ev.loc][b].append(pos)
+                if ev.writes_like:
+                    writers[ev.loc][b].append(pos)
                 if ev.is_acquire:
                     stack += (ev.eid,)
                 elif ev.is_release:
@@ -408,8 +420,14 @@ def _table(trace: Trace) -> _Table:
                 row.append(stack)
             opens.append(tuple(row))
         ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
-        trace._ideals = _Table(down, tuple(opens), ids)
+        writes_like = (False, *(ev.writes_like for ev in trace.events))
+        trace._ideals = _Table(down, tuple(opens), ids, users, writers, writes_like)
     return trace._ideals
+
+
+def _cut(rows: Sequence[list[int]], lengths: Iterable[int]) -> list[list[int]]:
+    """Each thread's row of positions cut to those below its entry of ``lengths``."""
+    return [row[: bisect_left(row, m)] for row, m in zip(rows, lengths)]
 
 
 def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -451,32 +469,26 @@ class TraceParams:
 def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
     """Undirected thread graph: an edge per pair with conflicting events."""
     names = trace.threads
+    lengths = [len(proj) for proj in trace.by_thread]
     return frozenset(
-        tuple(sorted((names[i], names[j]))) for i, j in _conflict_edges(trace.by_thread)
+        tuple(sorted((names[i], names[j]))) for i, j in _conflict_edges(_table(trace), lengths)
     )
 
 
-def _conflict_edges(groups: Sequence[Iterable[Event]]) -> set[tuple[int, int]]:
-    """Index pairs ``(i, j)``, ``i < j``, of event groups holding conflicting events.
+def _conflict_edges(table: _Table, prefix: Sequence[int]) -> set[tuple[int, int]]:
+    """Thread pairs ``(i, j)``, ``i < j``, whose first ``prefix`` events conflict.
 
-    Two groups conflict when they share a location that either of them
-    writes or acquires.  The pairs are found per location, from the groups
-    that write or acquire it and the groups that touch it.
+    Two thread prefixes conflict when they share a location that either of
+    them writes or acquires; the channel index lists both per location.
     """
-    users: dict[str, set[int]] = {}
-    writers: dict[str, set[int]] = {}
-    for i, group in enumerate(groups):
-        for ev in group:
-            users.setdefault(ev.loc, set()).add(i)
-            if ev.writes_like:
-                writers.setdefault(ev.loc, set()).add(i)
-    return {
-        (min(i, j), max(i, j))
-        for loc, ws in writers.items()
-        for i in ws
-        for j in users[loc]
-        if i != j
-    }
+    edges = set()
+    for x, rows in table.users.items():
+        touch = [b for b, row in enumerate(rows) if row and row[0] < prefix[b]]
+        for i in touch:
+            row = table.writers[x][i]
+            if row and row[0] < prefix[i]:
+                edges.update((min(i, j), max(i, j)) for j in touch if j != i)
+    return edges
 
 
 _N = TypeVar("_N")  # a graph node: a thread name or a block index

@@ -258,6 +258,25 @@ def zeta_by_scan(trace: Trace) -> int:
     return best
 
 
+def conflict_edges_by_groups(groups) -> set[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of event groups holding conflicting
+    events, found per location from the groups' own events."""
+    users: dict[str, set[int]] = {}
+    writers: dict[str, set[int]] = {}
+    for i, group in enumerate(groups):
+        for ev in group:
+            users.setdefault(ev.loc, set()).add(i)
+            if ev.writes_like:
+                writers.setdefault(ev.loc, set()).add(i)
+    return {
+        (min(i, j), max(i, j))
+        for loc, ws in writers.items()
+        for i in ws
+        for j in users[loc]
+        if i != j
+    }
+
+
 def conflicting_pairs(trace: Trace, cross_thread: bool = True):
     """All conflicting global read/write pairs, smaller id first."""
     accesses = [ev for ev in trace if ev.is_global_access]

@@ -157,6 +157,14 @@ def test_trf_restriction_requires_observation_closure():
         compute_trf(t, members=[1, 3])  # a gap in the thread
 
 
+def test_trf_restriction_rejects_unknown_ids():
+    t = parse_trace("t1 w x\nt2 r x\n")
+    for members in ([1, 2, 999], [1, 0], [-1]):
+        with pytest.raises(ValueError, match="not events of the trace"):
+            compute_trf(t, members)
+    assert compute_trf(t, [1, 2]).blocks == ((1,), (2,))
+
+
 def test_compute_trf_returns_a_fresh_mutable_order():
     t = parse_trace("t1 w x\nt2 w y\nt2 r x")
     first = compute_trf(t)
@@ -271,6 +279,14 @@ def test_linearize_is_least_linear_extension():
 
 def make_poset(trace) -> RfPoset:
     return RfPoset(trace, compute_trf(trace), dict(trace.rf))
+
+
+def test_rf_poset_blocks_must_be_thread_prefixes():
+    t = parse_trace("t1 w x\nt1 w y\nt2 r x\n")
+    RfPoset(t, PartialOrder([[1], []]), {})  # a prefix of each thread
+    for blocks in ([[2], []], [[1, 2]], [[1, 2], [3], []], [[2, 1], [3]], [[1], [3], []]):
+        with pytest.raises(ValueError, match="prefix of its thread"):
+            RfPoset(t, PartialOrder(blocks), {})
 
 
 def test_no_triplets_is_closed():

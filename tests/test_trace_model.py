@@ -17,9 +17,15 @@ from racepred import (
     trace_params,
     wrap_pair,
 )
-from racepred.trace_model import INIT_THREAD, Event, from_events
+from racepred.trace_model import INIT_THREAD, Event, _conflict_edges, _table, from_events
 
-from helpers import conflicting_pairs, gamma_by_scan, trace_events, zeta_by_scan
+from helpers import (
+    conflict_edges_by_groups,
+    conflicting_pairs,
+    gamma_by_scan,
+    trace_events,
+    zeta_by_scan,
+)
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +255,34 @@ def test_topology_is_the_thread_pairs_of_conflicting_events(items):
         if a.thread != b.thread and conflicting(a, b)
     }
     assert communication_topology(t) == brute
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_events(max_events=14, max_threads=4, max_locks=2))
+def test_channel_index_matches_a_grouping_of_the_events(items):
+    t = from_events(items)
+    table = _table(t)
+    k = len(t.threads)
+    users = {x: [[] for _ in range(k)] for x in t.globals_ | t.locks}
+    writers = {x: [[] for _ in range(k)] for x in users}
+    for ev in t.events:
+        b, pos = t.thread_index[ev.thread], t.thread_pos[ev.eid]
+        users[ev.loc][b].append(pos)
+        if ev.kind in ("w", "acq"):
+            writers[ev.loc][b].append(pos)
+    assert table.users == users and table.writers == writers
+    assert list(table.users) == sorted(users)
+    assert table.writes_like == (False, *(ev.kind in ("w", "acq") for ev in t.events))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_events(max_events=8, max_threads=3, max_locks=2))
+def test_conflict_edges_of_every_prefix_match_the_event_groups(items):
+    t = from_events(items)
+    table = _table(t)
+    for prefix in itertools.product(*(range(len(proj) + 1) for proj in t.by_thread)):
+        groups = [proj[:m] for proj, m in zip(t.by_thread, prefix)]
+        assert _conflict_edges(table, prefix) == conflict_edges_by_groups(groups)
 
 
 def test_disconnected_components_each_tree():
