@@ -29,9 +29,10 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, product
 from operator import lt
+from typing import Iterable
 
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
-from .trace_model import Trace, _adjacency, _conflict_edges, _cut, _forest_order, _table
+from .trace_model import Trace, _Table, _adjacency, _conflict_edges, _cut, _forest_order, _table
 
 __all__ = [
     "realize_general",
@@ -152,6 +153,19 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     if stats is not None:
         stats["closure_edges"] = len(fixed.edges) - len(p.order.edges)
 
+    q, resolved = _resolve(table, fixed, children_order)
+    if stats is not None:
+        stats["resolution_edges"] = resolved
+    return q.linearize()
+
+
+def _resolve(
+    table: _Table, fixed: PartialOrder, children_order: Iterable[tuple[int, int]]
+) -> tuple[PartialOrder, int]:
+    """``fixed`` with every conflicting (parent, child) pair it leaves unordered
+    put parent first, and the number of edges that added."""
+    blocks = fixed.blocks
+    lengths = [len(block) for block in blocks]
     q = fixed.copy()
     resolved = 0
     wl = table.writes_like
@@ -162,9 +176,7 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
                 e1, e2 = blocks[par][p1], blocks[child][p2]
                 if (wl[e1] or wl[e2]) and not fixed.ordered(e2, e1) and q.add_edge(e1, e2):
                     resolved += 1
-    if stats is not None:
-        stats["resolution_edges"] = resolved
-    return q.linearize()
+    return q, resolved
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,41 @@ def conflict_edges_by_groups(groups) -> set[tuple[int, int]]:
     }
 
 
+def resolve_by_pairs(trace: Trace, fixed: PartialOrder, children_order) -> PartialOrder:
+    """``fixed`` with every conflicting (parent, child) event pair that it
+    leaves unordered put parent first, one ``add_edge`` per pair: the
+    pairwise form of the tree backend's resolution, grouping each block's
+    events by location from the trace's own events."""
+    by_loc = [{} for _ in fixed.blocks]
+    for groups, block in zip(by_loc, fixed.blocks):
+        for e in block:
+            groups.setdefault(trace.event(e).loc, []).append(e)
+    q = fixed.copy()
+    for child, par in children_order:
+        for loc, evs in by_loc[child].items():
+            for e1, e2 in itertools.product(by_loc[par].get(loc, ()), evs):
+                if conflicting(trace.event(e1), trace.event(e2)) and not fixed.ordered(e2, e1):
+                    q.add_edge(e1, e2)
+    return q
+
+
+def reversal_pairs_by_combinations(trace: Trace, witness) -> list[tuple[int, int]]:
+    """Every same-channel write/acquire pair, (earlier, later) in trace
+    order, that ``witness`` places the other way round, tested pair by
+    pair; events missing from ``witness`` are skipped.  Sorted."""
+    posn = {e: i for i, e in enumerate(witness)}
+    by_loc: dict[str, list[int]] = {}
+    for ev in trace.events:
+        if ev.writes_like and ev.eid in posn:
+            by_loc.setdefault(ev.loc, []).append(ev.eid)
+    return sorted(
+        (u, v)
+        for evs in by_loc.values()
+        for u, v in itertools.combinations(evs, 2)
+        if posn[v] < posn[u]
+    )
+
+
 def conflicting_pairs(trace: Trace, cross_thread: bool = True):
     """All conflicting global read/write pairs, smaller id first."""
     accesses = [ev for ev in trace if ev.is_global_access]

@@ -1,11 +1,13 @@
 """Witness-search backends: general, tree, and distance-bounded."""
 
+import random
 from itertools import combinations
 from math import prod
 
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from racepred import (
     CycleError,
@@ -20,6 +22,7 @@ from racepred import (
     feasibility,
     is_closed,
     is_ideal,
+    lcone,
     min_distance,
     parse_trace,
     realize_bounded,
@@ -30,11 +33,19 @@ from racepred import (
     verify_witness,
 )
 from racepred.cli import predict, scan_pairs
-from racepred.generators import gen_random_trace
+from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.orders import _Guards
-from racepred.realizability import _shrink_cross
+from racepred.realizability import _resolve, _shrink_cross
+from racepred.trace_model import _adjacency, _conflict_edges, _forest_order, _table
 
-from helpers import bounded_by_pairs, realizable_sets, replay_by_pairs, traces
+from helpers import (
+    bounded_by_pairs,
+    realizable_sets,
+    replay_by_pairs,
+    resolve_by_pairs,
+    reversal_pairs_by_combinations,
+    traces,
+)
 
 
 def each_feasible_ideal(trace):
@@ -248,6 +259,90 @@ def test_tree_backend_takes_exactly_the_forest_posets_on_wide_corpus():
     assert from_cyclic >= 2_000
 
 
+def resolves_like_the_pairwise_loop(p) -> bool:
+    """Check the tree backend's resolution of ``p`` against the pairwise
+    reference: the same resolved order and the same witness.  False when the
+    closure is contradictory, so there is nothing to resolve."""
+    closed = closure(p)
+    if closed is None:
+        return False
+    lengths = [len(block) for block in p.order.blocks]
+    edges = _conflict_edges(_table(p.trace), lengths)
+    children = _forest_order(_adjacency(edges), range(len(lengths)))
+    got, _ = _resolve(_table(p.trace), closed.order, children)
+    want = resolve_by_pairs(p.trace, closed.order, children)
+    assert (got.pred == want.pred).all()
+    assert realize_tree(p) == want.linearize()
+    return True
+
+
+def trf_poset(trace):
+    return RfPoset(trace, compute_trf(trace), dict(trace.rf))
+
+
+def cone_poset(trace, e1, e2):
+    """The rf-poset the tree route realizes for ``(e1, e2)``, or None."""
+    return feasibility(lcone(trace, e1) | lcone(trace, e2)).poset
+
+
+def chain_trace(n):
+    """A two-thread produce/consume chain of n events ending in racing writes."""
+    return parse_trace("t1 w x\nt2 r x\n" * (n // 2 - 1) + "t1 w y\nt2 w y\n")
+
+
+def star_trace(n):
+    """A hub thread feeding three arm threads in turn, n events."""
+    lines = []
+    while len(lines) < n:
+        for arm in ("t2", "t3", "t4"):
+            lines += [f"t1 w slot_{arm}", f"{arm} r slot_{arm}"]
+    return parse_trace("\n".join(lines[:n]) + "\n")
+
+
+def ov_trace(seed, m, yes):
+    """An OV reduction trace in 8 dimensions, every vector with coordinate 0
+    set, except for one planted orthogonal pair when ``yes``."""
+    rng = random.Random(seed)
+    a = [[1] + [rng.randint(0, 1) for _ in range(7)] for _ in range(m)]
+    b = [[1] + [rng.randint(0, 1) for _ in range(7)] for _ in range(m)]
+    if yes:
+        i, j = rng.randrange(m), rng.randrange(m)
+        a[i][0] = 0
+        b[j] = [1 - bit for bit in a[i]]
+    inst = OvInstance(a, b, 8)
+    assert inst.has_orthogonal_pair == yes
+    return gen_ov_trace(inst)
+
+
+@given(traces(max_events=12, max_threads=4, lock_bias=0.4))
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_resolution_matches_pairwise_loop_on_forest_traces(trace):
+    # every feasible ideal of a forest topology has a forest block graph
+    assume(len(trace) >= 1 and topology_is_forest(trace))
+    for x, res in each_feasible_ideal(trace):
+        if res:
+            resolves_like_the_pairwise_loop(res.poset)
+
+
+def test_resolution_matches_pairwise_loop_on_chain_and_star():
+    for t in (chain_trace(200), star_trace(200)):
+        assert len(t) == 200
+        assert resolves_like_the_pairwise_loop(trf_poset(t))
+        assert resolves_like_the_pairwise_loop(cone_poset(t, 199, 200))
+
+
+def test_resolution_matches_pairwise_loop_on_ov():
+    resolved = 0
+    for m in range(1, 9):
+        for yes in (True, False):
+            t, (e1, e2) = ov_trace(m, m, yes)
+            resolved += resolves_like_the_pairwise_loop(trf_poset(t))
+            p = cone_poset(t, e1, e2)
+            if p is not None:
+                resolved += resolves_like_the_pairwise_loop(p)
+    assert resolved >= 24
+
+
 # ---------------------------------------------------------------------------
 # bounded backend
 # ---------------------------------------------------------------------------
@@ -455,3 +550,25 @@ def test_reversal_pairs_spot_the_flips():
     assert reversal_pairs(t, [2, 3, 1]) == [(1, 2), (1, 3)]
     # order within the same thread can never flip
     assert reversal_pairs(t, [2, 1, 3]) == [(1, 2)]
+
+
+@given(traces(max_events=14, max_threads=4, lock_bias=0.4), st.data())
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+def test_reversal_pairs_match_pairwise_form(trace, data):
+    # witnesses are random orders of random event subsets, so most of them
+    # are not correct reorderings; lock channels are included
+    ids = [ev.eid for ev in trace.events]
+    subset = data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))
+    witness = data.draw(st.permutations(subset))
+    assert reversal_pairs(trace, witness) == reversal_pairs_by_combinations(trace, witness)
+
+
+def test_reversal_pairs_of_a_long_single_thread_channel_are_empty():
+    t = parse_trace("t1 w x\n" * 2000)
+    assert reversal_pairs(t, list(range(1, 2001))) == []
+
+
+def test_reversal_pairs_of_a_fully_reversed_channel_are_every_pair():
+    m = 300
+    t = parse_trace("t1 w x\nt2 w x\n" * (m // 2))
+    assert reversal_pairs(t, list(range(m, 0, -1))) == list(combinations(range(1, m + 1), 2))
