@@ -78,7 +78,7 @@ class Verdict:
 
     * ``ideals`` -- candidate ideals checked for feasibility (at most 1 on
       the tree route);
-    * ``search_nodes`` -- states expanded by the general search, branches
+    * ``search_nodes`` -- states the general search reached, branches
       tried by the bounded search, 0 on the tree route;
     * ``closure_edges`` -- orderings the tree backend's closure added (0
       when it is contradictory), 0 on the general and bounded routes;

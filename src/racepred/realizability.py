@@ -10,13 +10,17 @@ can be completed into a real trace (a witness):
 * :func:`realize_tree` — when the poset's block conflict graph (one edge
   per pair of threads holding conflicting events) is a forest, the closure
   plus one top-down edge-resolution pass yields a witness directly, with no
-  search.
+  search.  The pass adds at most one edge per child event: from the latest
+  conflicting parent event that the closure does not put above it, found
+  by bisection in the parent's row of the trace's channel index.
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
   whose order flips at most a given number of conflicting write/acquire
   pairs relative to the observed trace.  On the closure's (channel, block)
   segment tables it orders the unordered writer pairs as the trace does,
   then puts each observer before the writers that follow its source, and
   branches on the cross edges of a cycle whenever that fails.
+  :func:`reversal_pairs` measures a witness's distance with one merge per
+  channel.
 
 Each takes the poset and returns an event-id list that passes the
 brute-force module's correct-reordering checks, or ``None`` when it finds no
@@ -26,8 +30,9 @@ contract).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from itertools import combinations, product
+from itertools import accumulate
 from operator import lt
 from typing import Iterable
 
@@ -132,8 +137,11 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     one write or acquire).  The forest is walked breadth-first from each
     lowest-index root; after the closure, every conflicting pair between a
     parent and a child block that the closure left unordered is resolved
-    parent-first, and the result linearizes to a witness.  Returns ``None``
-    exactly when the closure is contradictory.
+    parent-first, one edge per child event, and the result linearizes to a
+    witness.  ``stats`` receives ``closure_edges`` (``None`` when the
+    closure is contradictory) and ``resolution_edges``, the child events
+    that gained an edge.  Returns ``None`` exactly when the closure is
+    contradictory.
 
     Raises :class:`ValueError` when the block conflict graph has a cycle.
     """
@@ -163,18 +171,30 @@ def _resolve(
     table: _Table, fixed: PartialOrder, children_order: Iterable[tuple[int, int]]
 ) -> tuple[PartialOrder, int]:
     """``fixed`` with every conflicting (parent, child) pair it leaves unordered
-    put parent first, and the number of edges that added."""
+    put parent first, and the number of child events that gained an edge.
+
+    The parent events that ``fixed`` does not put above a child event e2 are
+    the parent's positions below ``succ[e2, parent]``, a program-order
+    prefix.  Only the latest of them on e2's channel that conflicts with e2
+    needs an edge to e2; program order implies the rest.
+    """
     blocks = fixed.blocks
     lengths = [len(block) for block in blocks]
+    starts = [0, *accumulate(lengths)]  # each block's first row
+    succ = fixed.succ
     q = fixed.copy()
     resolved = 0
     wl = table.writes_like
-    channels = [_cut(users, lengths) for users in table.users.values()]
     for child, par in children_order:
-        for on in channels:
-            for p1, p2 in product(on[par], on[child]):
-                e1, e2 = blocks[par][p1], blocks[child][p2]
-                if (wl[e1] or wl[e2]) and not fixed.ordered(e2, e1) and q.add_edge(e1, e2):
+        above = succ[starts[child] : starts[child + 1], par].tolist()
+        for x, users in table.users.items():
+            row = users[child]
+            for p2 in row[: bisect_left(row, lengths[child])]:
+                e2 = blocks[child][p2]
+                # a read or a release conflicts only with writes and acquires
+                prefix = (table.users if wl[e2] else table.writers)[x][par]
+                j = bisect_left(prefix, above[p2]) - 1
+                if j >= 0 and q.add_edge(blocks[par][prefix[j]], e2):
                     resolved += 1
     return q, resolved
 
@@ -188,14 +208,21 @@ def reversal_pairs(trace: Trace, witness: list[int]) -> list[tuple[int, int]]:
     """Conflicting write/acquire pairs the witness flips against the trace.
 
     Pairs are reported as (earlier, later) in original trace order, sorted.
+    Each channel's writers are walked in trace order against the sorted
+    witness positions of those walked before: the positions after a writer
+    v's own are the earlier writers that v overtakes.
     """
     posn = {e: i for i, e in enumerate(witness)}
     table = _table(trace)
     out = []
     for rows in table.writers.values():
-        evs = sorted(e for ids, row in zip(table.ids, rows) for i in row if (e := ids[i]) in posn)
         # same channel and both write-like means every pair conflicts
-        out += [(u, v) for u, v in combinations(evs, 2) if posn[v] < posn[u]]
+        evs = sorted(e for ids, row in zip(table.ids, rows) for i in row if (e := ids[i]) in posn)
+        placed: list[int] = []
+        for v in evs:
+            at = posn[v]
+            out += [(witness[i], v) for i in placed[bisect_right(placed, at) :]]
+            insort(placed, at)
     return sorted(out)
 
 

@@ -13,6 +13,7 @@ from racepred import (
     CycleError,
     Feasibility,
     Ideal,
+    PartialOrder,
     RfPoset,
     closure,
     communication_topology,
@@ -32,6 +33,7 @@ from racepred import (
     reversal_pairs,
     verify_witness,
 )
+from racepred import realizability
 from racepred.cli import predict, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.orders import _Guards
@@ -259,6 +261,14 @@ def test_tree_backend_takes_exactly_the_forest_posets_on_wide_corpus():
     assert from_cyclic >= 2_000
 
 
+def tree_children(p) -> list[tuple[int, int]]:
+    """The (child, parent) block pairs of ``p``'s forest, as the tree backend
+    walks them."""
+    lengths = [len(block) for block in p.order.blocks]
+    edges = _conflict_edges(_table(p.trace), lengths)
+    return _forest_order(_adjacency(edges), range(len(lengths)))
+
+
 def resolves_like_the_pairwise_loop(p) -> bool:
     """Check the tree backend's resolution of ``p`` against the pairwise
     reference: the same resolved order and the same witness.  False when the
@@ -266,9 +276,7 @@ def resolves_like_the_pairwise_loop(p) -> bool:
     closed = closure(p)
     if closed is None:
         return False
-    lengths = [len(block) for block in p.order.blocks]
-    edges = _conflict_edges(_table(p.trace), lengths)
-    children = _forest_order(_adjacency(edges), range(len(lengths)))
+    children = tree_children(p)
     got, _ = _resolve(_table(p.trace), closed.order, children)
     want = resolve_by_pairs(p.trace, closed.order, children)
     assert (got.pred == want.pred).all()
@@ -331,6 +339,13 @@ def test_resolution_matches_pairwise_loop_on_chain_and_star():
         assert resolves_like_the_pairwise_loop(cone_poset(t, 199, 200))
 
 
+def test_resolution_orders_a_child_read_after_parent_writes_only():
+    # t2's read of x conflicts with t1's write of x, not with t1's read of
+    # it, so nothing is to be added: the write is already below the read
+    t = parse_trace("t1 w x\nt1 r x\nt2 w y\nt2 r x\n")
+    assert resolves_like_the_pairwise_loop(trf_poset(t))
+
+
 def test_resolution_matches_pairwise_loop_on_ov():
     resolved = 0
     for m in range(1, 9):
@@ -341,6 +356,37 @@ def test_resolution_matches_pairwise_loop_on_ov():
             if p is not None:
                 resolved += resolves_like_the_pairwise_loop(p)
     assert resolved >= 24
+
+
+def resolution_add_edges(monkeypatch, p) -> tuple[int, int]:
+    """``PartialOrder.add_edge`` calls that ``realize_tree(p)`` makes after its
+    closure returns, and the number of events in the child blocks."""
+    calls, closed = [], []
+    real_closure, real_add = realizability.closure, PartialOrder.add_edge
+
+    def spy_closure(poset):
+        out = real_closure(poset)
+        closed.append(out)
+        return out
+
+    def spy_add(self, u, v):
+        calls.append(bool(closed))
+        return real_add(self, u, v)
+
+    monkeypatch.setattr(realizability, "closure", spy_closure)
+    monkeypatch.setattr(PartialOrder, "add_edge", spy_add)
+    assert realize_tree(p) is not None
+    return sum(calls), sum(len(p.order.blocks[child]) for child, _ in tree_children(p))
+
+
+def test_resolution_adds_at_most_one_edge_per_child_event(monkeypatch):
+    # the pairwise loop calls add_edge once per unordered conflicting pair,
+    # n * n times on the two runs of writes
+    n = 150
+    runs = parse_trace("t1 w x\n" * n + "t2 w x\n" * n)
+    for t in (runs, chain_trace(200)):
+        calls, child_events = resolution_add_edges(monkeypatch, trf_poset(t))
+        assert 0 < calls <= child_events
 
 
 # ---------------------------------------------------------------------------
