@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .generators import (
     IsInstance,
@@ -37,7 +37,7 @@ from .generators import (
     parse_vectors,
     strip_isolated_nodes,
 )
-from .ideal_engine import Ideal, candidate_ideal_set, feasibility, lcone
+from .ideal_engine import Ideal, _candidates, feasibility, lcone
 from .oracle import DEFAULT_CAP, OracleCapError, oracle_witness, witness_error
 from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
@@ -164,7 +164,8 @@ def predict(
             candidates = [lcone(trace, e1) | lcone(trace, e2)]
         else:
             label = "general" if distance is None else "bounded"
-            kind, candidates = "candidate ideal", candidate_ideal_set(trace, e1, e2)
+            # built lazily: the sweep stops at the first witness
+            kind, candidates = "candidate ideal", _candidates(trace, e1, e2)
             backend = realize_general
             if distance is not None:
                 backend = partial(realize_bounded, budget=distance)
@@ -194,10 +195,11 @@ def _check_algo(algo: str, distance: int | None) -> None:
 
 
 def _sweep(
-    candidates: Sequence[Ideal], backend: Callable[..., list[int] | None],
+    candidates: Iterable[Ideal], backend: Callable[..., list[int] | None],
     e1: int, e2: int, kind: str, stats: dict, note: _Note,
 ) -> tuple[list[int] | None, dict]:
-    """Realize the candidates in order; the first witness wins.
+    """Realize the candidates in order; the first witness wins, and no
+    candidate after it is drawn, so ``candidates`` may be lazy.
 
     Every feasible candidate's rf-poset goes to ``backend``, whose own stats
     are folded into ``stats``: its search states or bounded branches into

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from itertools import chain
 from operator import gt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .orders import CycleError, RfPoset, compute_trf
 from .trace_model import (
@@ -298,18 +298,35 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
     Each variant is the pointwise max of its parent's prefix vector and the
     release's downward closure, so no member set is built.
     """
+    return list(_candidates(trace, e1, e2))
+
+
+def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[Ideal]:
+    """The candidate ideal set, each ideal yielded as the sweep dequeues it.
+
+    A consumer that stops at the first witness never builds the rest.  When
+    the seed holds a query event every variant holds it too, so the seed is
+    the only candidate.  Otherwise every queued ideal leaves both query
+    events out, and a variant holds one exactly when the release's downward
+    closure does: that is read off the closure before joining.
+    """
     ev1, ev2 = _query_pair(trace, e1, e2)
     table = _table(trace)
     b1, pos1 = trace.thread_index[ev1.thread], trace.thread_pos[e1]
     b2, pos2 = trace.thread_index[ev2.thread], trace.thread_pos[e2]
     seed = _join(_below(trace, table, e1), _below(trace, table, e2))
-    found = [seed]  # also the BFS queue: members are expanded in this order
+    if seed[b1] > pos1 or seed[b2] > pos2:
+        yield Ideal(trace, seed)
+        return
+    queue = [seed]  # breadth-first: members are expanded in discovery order
     seen = {seed}
-    for y in found:
+    for y in queue:
+        yield Ideal(trace, y)
         for acq in _open_in(table, y):
-            grown = _join(y, table.down[trace.match[acq]])
-            if grown[b1] > pos1 or grown[b2] > pos2 or grown in seen:
+            down = table.down[trace.match[acq]]
+            if down[b1] > pos1 or down[b2] > pos2:
                 continue
-            seen.add(grown)
-            found.append(grown)
-    return [Ideal(trace, y) for y in found]
+            grown = _join(y, down)
+            if grown not in seen:
+                seen.add(grown)
+                queue.append(grown)

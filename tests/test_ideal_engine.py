@@ -1,6 +1,7 @@
 """Trace ideals: cones, lock cones, feasibility, and candidate ideal sets."""
 
 import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -26,7 +27,8 @@ from racepred import (
     serialize,
     trace_params,
 )
-from racepred.cli import scan_pairs
+from racepred import ideal_engine
+from racepred.cli import predict, scan_pairs
 from racepred.generators import IsInstance, gen_indset_trace, gen_random_trace
 from racepred.ideal_engine import _table
 
@@ -437,3 +439,122 @@ def test_candidate_set_matches_member_bfs_on_indset(n, edges, c):
     got = [x.members for x in candidate_ideal_set(t, e1, e2)]
     assert len(got) > 400
     assert got == candidate_set_by_members(t, e1, e2)
+
+
+# ---------------------------------------------------------------------------
+# the lazy candidate sweep
+# ---------------------------------------------------------------------------
+
+
+def _indset(n, edges, c):
+    """The relabelled reduction trace and query of one INDSET_FAMILIES entry."""
+    rng = random.Random(f"indset:{n}:{len(edges)}:{c}")
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    inst = IsInstance(n, frozenset((relabel[u], relabel[v]) for u, v in edges), c)
+    return gen_indset_trace(inst)
+
+
+def _calls(monkeypatch, name, caller=None):
+    """Record the results of ``ideal_engine.<name>``, made from ``caller`` if given."""
+    fn = getattr(ideal_engine, name)
+    seen = []
+
+    def counted(*args):
+        out = fn(*args)
+        if caller is None or sys._getframe(1).f_code.co_name == caller:
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(ideal_engine, name, counted)
+    return seen
+
+
+def _leaves_out(trace, prefix, *eids):
+    index, pos = trace.thread_index, trace.thread_pos
+    return all(prefix[index[trace.event(e).thread]] <= pos[e] for e in eids)
+
+
+def test_candidate_sweep_stops_at_a_seed_holding_a_query_event(monkeypatch):
+    # w x (3) is TRF-below the thread predecessor of t2's w x (5), so the
+    # seed holds it; both of the seed's open sections would only grow it
+    t = parse_trace(
+        "t2 acq l\nt1 acq m\nt1 w x\nt2 r x\nt2 w x\nt2 rel l\nt1 rel m\n"
+    )
+    _table(t)
+    opens = _calls(monkeypatch, "_open_in")
+    joins = _calls(monkeypatch, "_join")
+    got = candidate_ideal_set(t, 3, 5)
+    assert opens == [] and joins == [got[0].prefix]  # the seed's one join only
+    assert [x.members for x in got] == [{1, 2, 3, 4}] == candidate_set_by_members(t, 3, 5)
+    assert open_acquires(got[0]) == [1, 2]
+    explain: list[str] = []
+    v = predict(t, 3, 5, algo="general", explain=explain)
+    assert not v.race and v.stats["ideals"] == 0
+    assert explain == [
+        "candidate ideal with 4 events: holds a query event, which cannot then be enabled"
+    ]
+
+
+@pytest.mark.parametrize("n, edges, c", INDSET_FAMILIES[:3])
+def test_candidate_sweep_stops_at_the_first_witness(monkeypatch, n, edges, c):
+    t, (e1, e2) = _indset(n, edges, c)
+    assert len(candidate_ideal_set(t, e1, e2)) > 400
+    expanded = _calls(monkeypatch, "_open_in", caller="_candidates")
+    v = predict(t, e1, e2, algo="general")
+    assert v.race
+    assert len(expanded) <= v.stats["ideals"] + 1
+
+
+def _sweep_joins(monkeypatch, trace, e1, e2):
+    """Every join of one full candidate sweep, and the candidates it found."""
+    _table(trace)
+    with monkeypatch.context() as m:
+        joins = _calls(m, "_join")
+        got = candidate_ideal_set(trace, e1, e2)
+    assert joins[0] == got[0].prefix  # the seed
+    return joins[1:], got
+
+
+def test_candidate_sweep_joins_only_what_it_keeps(monkeypatch):
+    # a join whose result would hold a query event is skipped, not made
+    made = 0
+    for family in INDSET_FAMILIES:
+        t, (e1, e2) = _indset(*family)
+        joins, got = _sweep_joins(monkeypatch, t, e1, e2)
+        assert all(_leaves_out(t, y, e1, e2) for y in joins), family
+        assert {x.prefix for x in got[1:]} <= set(joins)
+        made += len(joins)
+    pairs = 0
+    for s in range(40):
+        t = gen_random_trace(
+            60_000 + s, n=20 + s % 13, k=2 + s % 4, d_globals=1 + s % 2,
+            d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.5,
+            nesting_max=1 + s % 3,
+        )
+        for e1, e2 in list(scan_pairs(t))[:10]:
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            joins, _ = _sweep_joins(monkeypatch, t, e1, e2)
+            assert all(_leaves_out(t, y, e1, e2) for y in joins), (s, e1, e2)
+            pairs += 1
+            made += len(joins)
+    assert pairs >= 200 and made >= 10_000
+
+
+def test_explain_has_one_line_per_candidate_on_a_no_instance():
+    t, (e1, e2) = _indset(5, _cycle(5), 3)  # C5 has no independent 3-set
+    explain: list[str] = []
+    v = predict(t, e1, e2, algo="general", explain=explain)
+    assert not v.race
+    assert len(explain) == len(candidate_ideal_set(t, e1, e2)) == v.stats["ideals"]
+
+
+def test_explain_stops_at_the_witness_on_a_yes_instance():
+    t, (e1, e2) = _indset(7, _cycle(7), 3)
+    explain: list[str] = []
+    v = predict(t, e1, e2, algo="general", explain=explain)
+    assert v.race
+    every = candidate_ideal_set(t, e1, e2)
+    assert len(explain) == v.stats["ideals"] + (e1 in every[0] or e2 in every[0])
+    assert len(explain) < len(every)
+    assert "witness found" in explain[-1]
