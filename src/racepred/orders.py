@@ -4,8 +4,13 @@ Every order handled here refines per-thread program order, so the universe
 splits into one chain ("block") per thread.  That makes a compact reachability
 representation possible: for each event we keep, per block, the latest
 predecessor position ``pred``, from which the earliest successor position
-``succ`` is derived when asked.  Order queries are O(1) array lookups and
-single-edge insertion is one vectorized pass.
+``succ`` is derived when asked.  Order queries are O(1) array lookups.  Down
+a block every ``pred`` column is non-decreasing, so the rows an inserted edge
+u -> v can raise form one suffix per block, found by one bisection;
+:meth:`PartialOrder.add_edge` updates only those suffixes.
+:meth:`PartialOrder.add_edges` inserts a batch at once: it writes each edge
+into its target's row, then alternates a per-block running max with a gather
+of each row's frontier rows until nothing changes.
 
 The module also provides:
 
@@ -36,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -69,7 +75,9 @@ class PartialOrder:
     later are transitively closed incrementally.
     """
 
-    __slots__ = ("blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "pred", "edges")
+    __slots__ = (
+        "blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "_starts", "pred", "edges", "_log"
+    )
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
         self.blocks: tuple[tuple[int, ...], ...] = tuple(tuple(b) for b in blocks)
@@ -79,7 +87,10 @@ class PartialOrder:
         self._idx: dict[int, int] = {e: i for i, e in enumerate(self._eids)}
         if len(self._idx) != self.n:
             raise ValueError("duplicate event id across blocks")
-        self._block = np.repeat(np.arange(self.k, dtype=np.int64), [len(b) for b in self.blocks])
+        lengths = [len(b) for b in self.blocks]
+        self._block = np.repeat(np.arange(self.k, dtype=np.int64), lengths)
+        #: each block's first row, then n
+        self._starts: list[int] = [0, *accumulate(lengths)]
         # a row's position is its distance from the first row of its block
         self._pos = np.arange(self.n, dtype=np.int64) - np.searchsorted(self._block, self._block)
         # pred[x, b]: greatest position in block b strictly below x (or -1)
@@ -87,6 +98,8 @@ class PartialOrder:
         self.pred[np.arange(self.n), self._block] = self._pos - 1
         #: explicitly inserted (u, v) event-id pairs, for path recovery
         self.edges: list[tuple[int, int]] = []
+        # (pred, len(edges)) before the first batch, and every insertion since
+        self._log: tuple[np.ndarray, int, list[tuple[int, int]]] | None = None
 
     # -- basics ---------------------------------------------------------
 
@@ -99,8 +112,10 @@ class PartialOrder:
         clone._idx = self._idx
         clone._block = self._block
         clone._pos = self._pos
+        clone._starts = self._starts
         clone.pred = self.pred.copy()
         clone.edges = list(self.edges)
+        clone._log = None if self._log is None else (*self._log[:2], list(self._log[2]))
         return clone
 
     def __contains__(self, eid: int) -> bool:
@@ -151,24 +166,103 @@ class PartialOrder:
 
         Returns False when the pair was already ordered.  Raises
         :class:`CycleError` when v < u already holds.
+
+        The rows that gain u's predecessors are v and everything above it:
+        in v's own block the rows from v on, in any other block the rows
+        whose ``pred`` column for v's block reaches v's position, a suffix.
         """
         if u == v:
+            self._settle()
             raise CycleError((u, v))
         iu, iv = self._idx[u], self._idx[v]
         bu, pu = self._block[iu], self._pos[iu]
         bv, pv = self._block[iv], self._pos[iv]
-        if self.pred[iv, bu] >= pu:
+        pred = self.pred
+        if pred[iv, bu] >= pu:
             return False
-        if self.pred[iu, bv] >= pv:
+        if pred[iu, bv] >= pv:
+            self._settle()
             raise CycleError((u, v))
+        if self._log is not None:
+            self._log[2].append((u, v))
 
-        above = self.pred[:, bv] >= pv  # everything strictly above v
-        above[iv] = True
-        down = self.pred[iu].copy()  # u's predecessors, u included
+        down = pred[iu].copy()  # u's predecessors, u included
         down[bu] = pu
-        self.pred[above] = np.maximum(self.pred[above], down)
+        starts = self._starts
+        for b in range(self.k):
+            start, end = starts[b], starts[b + 1]
+            if b == bv:
+                start = iv
+            else:
+                start += bisect_left(pred[start:end, bv], pv)
+            if start < end:
+                rows = pred[start:end]
+                np.maximum(rows, down, out=rows)
         self.edges.append((u, v))
         return True
+
+    def add_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Insert every u < v of ``edges`` and transitively close, as one batch.
+
+        Returns how many distinct edges the order did not already imply, and
+        ``edges`` gains those.  A later edge of the batch that an earlier one
+        implies is among them, where the one-at-a-time loop would leave it
+        out.  So before a :class:`CycleError` is raised, and before
+        :meth:`path_between` reads ``edges``, every insertion since the first
+        batch is redone one edge at a time: the error, its edge, ``edges``
+        and the paths found are then exactly those of that loop.  When the
+        batch itself closes a cycle, its edges go in one at a time with
+        :meth:`add_edge`, which raises.
+
+        Each edge raises its target's entry for the source's block.  Then
+        two steps repeat until neither changes ``pred``: a running max down
+        each block (program order), and, for each row, the max of the rows
+        it reaches in every block (its frontier).  Each round about doubles
+        the length of the paths every row has seen.
+        """
+        edges = list(dict.fromkeys(edges))
+        if not edges:
+            return 0
+        idx = self._idx
+        iu = np.array([idx[u] for u, _ in edges], dtype=np.int64)
+        iv = np.array([idx[v] for _, v in edges], dtype=np.int64)
+        bu, pu = self._block[iu], self._pos[iu]
+        new = self.pred[iv, bu] < pu
+        if not new.any():
+            return 0
+
+        work = self.pred.copy()
+        np.maximum.at(work, (iv[new], bu[new]), pu[new])
+        rows = np.arange(self.n)
+        base = np.array(self._starts[:-1], dtype=np.int64)
+        while True:
+            for start, end in zip(self._starts, self._starts[1:]):
+                np.maximum.accumulate(work[start:end], axis=0, out=work[start:end])
+            if (work[rows, self._block] >= self._pos).any():
+                self._settle()
+                return sum(self.add_edge(u, v) for u, v in edges)
+            # an empty entry gathers the row itself
+            front = np.where(work >= 0, work + base, rows[:, None])
+            grown = np.maximum(work, work[front].max(axis=1))
+            if np.array_equal(grown, work):
+                break
+            work = grown
+        if self._log is None:
+            self._log = (self.pred, len(self.edges), [])
+        self._log[2].extend(edges)
+        self.pred = work
+        self.edges += [e for e, fresh in zip(edges, new.tolist()) if fresh]
+        return int(new.sum())
+
+    def _settle(self) -> None:
+        """Redo every insertion since the first batch one edge at a time."""
+        if self._log is None:
+            return
+        pred, kept, inserted = self._log
+        self._log = None
+        self.pred, self.edges = pred.copy(), self.edges[:kept]  # copies share pred
+        for u, v in inserted:
+            self.add_edge(u, v)
 
     # -- derived structure -------------------------------------------------
 
@@ -202,6 +296,7 @@ class PartialOrder:
         """
         if not self.ordered(u, v):
             raise ValueError(f"{u} is not ordered before {v}")
+        self._settle()
         fwd: dict[int, list[int]] = {}
         for a, b in self.edges:
             fwd.setdefault(a, []).append(b)

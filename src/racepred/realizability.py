@@ -10,15 +10,17 @@ can be completed into a real trace (a witness):
 * :func:`realize_tree` — when the poset's block conflict graph (one edge
   per pair of threads holding conflicting events) is a forest, the closure
   plus one top-down edge-resolution pass yields a witness directly, with no
-  search.  The pass adds at most one edge per child event: from the latest
-  conflicting parent event that the closure does not put above it, found
-  by bisection in the parent's row of the trace's channel index.
+  search.  The pass collects at most one edge per child event: from the
+  latest conflicting parent event that the closure does not put above it,
+  found by bisection in the parent's row of the trace's channel index.  It
+  inserts them as one batch (:meth:`~racepred.orders.PartialOrder.add_edges`).
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
   whose order flips at most a given number of conflicting write/acquire
   pairs relative to the observed trace.  On the closure's (channel, block)
   segment tables it orders the unordered writer pairs as the trace does,
-  then puts each observer before the writers that follow its source, and
-  branches on the cross edges of a cycle whenever that fails.
+  then puts each observer before the writers that follow its source (one
+  batch of edges each), and branches on the cross edges of a cycle whenever
+  that fails.
   :func:`reversal_pairs` measures a witness's distance with one merge per
   channel.
 
@@ -137,10 +139,11 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     one write or acquire).  The forest is walked breadth-first from each
     lowest-index root; after the closure, every conflicting pair between a
     parent and a child block that the closure left unordered is resolved
-    parent-first, one edge per child event, and the result linearizes to a
-    witness.  ``stats`` receives ``closure_edges`` (``None`` when the
-    closure is contradictory) and ``resolution_edges``, the child events
-    that gained an edge.  Returns ``None`` exactly when the closure is
+    parent-first, one edge per child event, all inserted as one batch, and
+    the result linearizes to a witness.  ``stats`` receives
+    ``closure_edges`` (``None`` when the closure is contradictory) and
+    ``resolution_edges``, the batch edges that the closed order did not
+    already imply.  Returns ``None`` exactly when the closure is
     contradictory.
 
     Raises :class:`ValueError` when the block conflict graph has a cycle.
@@ -171,19 +174,19 @@ def _resolve(
     table: _Table, fixed: PartialOrder, children_order: Iterable[tuple[int, int]]
 ) -> tuple[PartialOrder, int]:
     """``fixed`` with every conflicting (parent, child) pair it leaves unordered
-    put parent first, and the number of child events that gained an edge.
+    put parent first, and the number of edges that ``fixed`` did not imply.
 
     The parent events that ``fixed`` does not put above a child event e2 are
     the parent's positions below ``succ[e2, parent]``, a program-order
     prefix.  Only the latest of them on e2's channel that conflicts with e2
-    needs an edge to e2; program order implies the rest.
+    needs an edge to e2; program order implies the rest.  Every edge is read
+    from ``fixed``, so they go in as one batch.
     """
     blocks = fixed.blocks
     lengths = [len(block) for block in blocks]
     starts = [0, *accumulate(lengths)]  # each block's first row
     succ = fixed.succ
-    q = fixed.copy()
-    resolved = 0
+    edges = []
     wl = table.writes_like
     for child, par in children_order:
         above = succ[starts[child] : starts[child + 1], par].tolist()
@@ -194,9 +197,10 @@ def _resolve(
                 # a read or a release conflicts only with writes and acquires
                 prefix = (table.users if wl[e2] else table.writers)[x][par]
                 j = bisect_left(prefix, above[p2]) - 1
-                if j >= 0 and q.add_edge(blocks[par][prefix[j]], e2):
-                    resolved += 1
-    return q, resolved
+                if j >= 0:
+                    edges.append((blocks[par][prefix[j]], e2))
+    q = fixed.copy()
+    return q, q.add_edges(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +277,10 @@ def _bounded_search(
 ) -> tuple[list[int], list[tuple[int, int]]] | None:
     g = q.copy()
     try:
-        for u, v in guards.replay(q):
-            g.add_edge(u, v)  # replay the trace's own orientation
+        g.add_edges(guards.replay(q))  # replay the trace's own orientation
         # with every conflicting writer pair ordered, condition 1 follows
         # from condition 2, and condition-2 edges demand no further ones
-        for u, v in guards.unprotected(g):
-            g.add_edge(u, v)
+        g.add_edges(guards.unprotected(g))
     except CycleError as exc:
         if budget == 0:
             return None

@@ -10,6 +10,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 
 import networkx as nx
+import numpy as np
 from hypothesis import strategies as st
 
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
@@ -275,6 +276,28 @@ def conflict_edges_by_groups(groups) -> set[tuple[int, int]]:
         for j in users[loc]
         if i != j
     }
+
+
+def add_edge_by_mask(order: PartialOrder, u: int, v: int) -> bool:
+    """``order.add_edge(u, v)`` as a boolean mask over all rows: every row
+    whose ``pred`` reaches v's position in v's block, and v itself, takes
+    the max with u's predecessors.  The same return value and the same
+    ``CycleError``."""
+    if u == v:
+        raise CycleError((u, v))
+    (bu, pu), (bv, pv) = order.location(u), order.location(v)
+    iu, iv = order.index_of(u), order.index_of(v)
+    if order.pred[iv, bu] >= pu:
+        return False
+    if order.pred[iu, bv] >= pv:
+        raise CycleError((u, v))
+    above = order.pred[:, bv] >= pv
+    above[iv] = True
+    down = order.pred[iu].copy()
+    down[bu] = pu
+    order.pred[above] = np.maximum(order.pred[above], down)
+    order.edges.append((u, v))
+    return True
 
 
 def resolve_by_pairs(trace: Trace, fixed: PartialOrder, children_order) -> PartialOrder:

@@ -24,7 +24,13 @@ from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _table
 from racepred.trace_model import from_events
 
-from helpers import closure_by_triplets, trace_events, trf_by_replay, trf_digraph
+from helpers import (
+    add_edge_by_mask,
+    closure_by_triplets,
+    trace_events,
+    trf_by_replay,
+    trf_digraph,
+)
 
 
 def ordered_pairs(po: PartialOrder) -> set[tuple[int, int]]:
@@ -117,6 +123,150 @@ def test_path_between_follows_generator_edges():
         assert b == c
     for a, b in path:
         assert po.ordered(a, b)
+
+
+@st.composite
+def blocks_and_edges(draw, max_edges: int = 12):
+    """Blocks of shuffled event ids (empty ones included), and a sequence of
+    edges between their events, self-loops included."""
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    ids = draw(st.permutations(range(1, sum(lengths) + 1)))
+    blocks, start = [], 0
+    for m in lengths:
+        blocks.append(sorted(ids[start : start + m]))
+        start += m
+    if not ids:
+        return blocks, []
+    event = st.sampled_from(ids)
+    return blocks, draw(st.lists(st.tuples(event, event), max_size=max_edges))
+
+
+def insert(order: PartialOrder, insert_edge, u: int, v: int):
+    """``insert_edge(order, u, v)``'s return value, or the edge of the
+    ``CycleError`` it raised."""
+    try:
+        return insert_edge(order, u, v)
+    except CycleError as exc:
+        return ("cycle", exc.edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_and_edges(max_edges=16))
+def test_add_edge_matches_mask_reference(case):
+    # the per-block suffix update against the update over a mask of all rows
+    blocks, edges = case
+    got, want = PartialOrder(blocks), PartialOrder(blocks)
+    for u, v in edges:
+        assert insert(got, PartialOrder.add_edge, u, v) == insert(want, add_edge_by_mask, u, v)
+        assert (got.pred == want.pred).all(), (blocks, edges, (u, v))
+        assert got.edges == want.edges
+
+
+def assert_batches_match_loop(blocks, batches) -> bool:
+    """Insert each batch with ``add_edges`` on one order and one edge at a
+    time on another.  After each batch both have the same ``pred``, and the
+    batch order's ``edges`` gained the batch edges it did not imply; on a
+    cycle both raise for the same edge and keep the same ``edges``; at the
+    end ``path_between`` finds the same paths.  Whether a batch closed a
+    cycle."""
+    got, want = PartialOrder(blocks), PartialOrder(blocks)
+    for batch in batches:
+        fresh = [e for e in dict.fromkeys(batch) if not got.ordered(*e)]
+        kept = list(got.edges)
+        try:
+            added = got.add_edges(batch)
+        except CycleError as exc:
+            added = ("cycle", exc.edge)
+        looped = None
+        for u, v in batch:
+            looped = insert(want, PartialOrder.add_edge, u, v)
+            if isinstance(looped, tuple):
+                break
+        assert (got.pred == want.pred).all(), (blocks, batches)
+        if isinstance(looped, tuple):
+            assert added == looped and got.edges == want.edges, (blocks, batches)
+            return True
+        assert added == len(fresh) and got.edges == kept + fresh
+    events = list(got.events())
+    for u, v in itertools.product(events, events):
+        if got.ordered(u, v):
+            assert got.path_between(u, v) == want.path_between(u, v), (blocks, batches)
+    assert got.edges == want.edges
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks_and_edges(max_edges=16), st.data())
+def test_add_edges_matches_add_edge_loop(case, data):
+    blocks, edges = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(edges)), max_size=3)))
+    bounds = [0, *cuts, len(edges)]
+    assert_batches_match_loop(blocks, [edges[a:b] for a, b in itertools.pairwise(bounds)])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[], [1, 2, 3], [4, 5, 6]],
+        [[1, 2, 3], [], [4, 5, 6]],
+        [[1, 2, 3], [4, 5, 6], []],
+        [[], [1, 2, 3], [], [4, 5, 6], []],
+    ],
+)
+def test_add_edges_with_empty_blocks(blocks):
+    # the gather reads each row's frontier rows; an empty block has none
+    x, y = [b for b in blocks if b]
+    assert not assert_batches_match_loop(blocks, [[(x[0], y[1]), (y[2], x[1])]])
+    assert not assert_batches_match_loop(blocks, [[(y[2], x[0])]])
+    # the second batch's second edge closes y2 < x2 < y0 < y2
+    assert assert_batches_match_loop(blocks, [[(x[0], y[1])], [(y[2], x[2]), (x[2], y[0])]])
+    assert not assert_batches_match_loop(blocks, [[(x[1], y[1])], []])
+
+
+def test_add_edges_edge_cases():
+    blocks = [[1, 2, 3], [4, 5, 6]]
+    order = PartialOrder(blocks)
+    assert order.add_edges([]) == 0 and order.add_edges(iter(())) == 0
+    # a self-loop closes a cycle at its own place in the sequence
+    assert assert_batches_match_loop(blocks, [[(1, 5), (4, 4), (2, 6)]])
+    with pytest.raises(CycleError) as exc:
+        PartialOrder(blocks).add_edges([(1, 5), (4, 4)])
+    assert exc.value.edge == (4, 4)
+    # edges the order already implies, by program order or earlier edges
+    order.add_edge(2, 5)
+    assert order.add_edges([(1, 2), (1, 6), (2, 5)]) == 0
+    assert order.edges == [(2, 5)]
+    assert not assert_batches_match_loop(blocks, [[(2, 5)], [(1, 6), (3, 4), (1, 3)]])
+    # an edge implied only by an earlier one of the same batch still counts
+    order = PartialOrder(blocks)
+    assert order.add_edges([(2, 4), (1, 5), (2, 4)]) == 2
+    assert order.ordered(1, 6) and not order.ordered(3, 4)
+    assert order.edges == [(2, 4), (1, 5)]
+
+
+def test_cycle_after_a_batch_leaves_the_loop_edges():
+    # 1 -> 5 follows from 1 < 2 -> 4 < 5, so the one-at-a-time loop keeps
+    # only (2, 4); a later cycle, met by either insertion method, must see
+    # that list, and so must the generator path it is explained by
+    blocks = [[1, 2, 3], [4, 5, 6]]
+    want = PartialOrder(blocks)
+    want.add_edge(2, 4)
+    assert not want.add_edge(1, 5)
+    want.add_edge(3, 6)
+    for close in (PartialOrder.add_edge, lambda o, u, v: o.add_edges([(u, v)])):
+        got = PartialOrder(blocks)
+        assert got.add_edges([(2, 4), (1, 5)]) == 2
+        assert got.add_edge(3, 6)
+        assert got.edges == [(2, 4), (1, 5), (3, 6)]
+        copy = got.copy()
+        with pytest.raises(CycleError) as exc:
+            close(got, 5, 1)
+        assert exc.value.edge == (5, 1)
+        assert got.edges == want.edges and (got.pred == want.pred).all()
+        assert got.path_between(1, 5) == want.path_between(1, 5) == [(1, 2), (2, 4), (4, 5)]
+        # the copy kept its own log
+        assert copy.path_between(1, 6) == want.path_between(1, 6)
+        assert copy.edges == want.edges
 
 
 # ----------------------------------------------------------------------

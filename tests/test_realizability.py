@@ -359,34 +359,36 @@ def test_resolution_matches_pairwise_loop_on_ov():
 
 
 def resolution_add_edges(monkeypatch, p) -> tuple[int, int]:
-    """``PartialOrder.add_edge`` calls that ``realize_tree(p)`` makes after its
+    """Edges passed to ``PartialOrder.add_edges`` after ``realize_tree(p)``'s
     closure returns, and the number of events in the child blocks."""
-    calls, closed = [], []
-    real_closure, real_add = realizability.closure, PartialOrder.add_edge
+    passed, closed = [], []
+    real_closure, real_add = realizability.closure, PartialOrder.add_edges
 
     def spy_closure(poset):
         out = real_closure(poset)
         closed.append(out)
         return out
 
-    def spy_add(self, u, v):
-        calls.append(bool(closed))
-        return real_add(self, u, v)
+    def spy_add(self, edges):
+        edges = list(edges)
+        if closed:
+            passed.extend(edges)
+        return real_add(self, edges)
 
     monkeypatch.setattr(realizability, "closure", spy_closure)
-    monkeypatch.setattr(PartialOrder, "add_edge", spy_add)
+    monkeypatch.setattr(PartialOrder, "add_edges", spy_add)
     assert realize_tree(p) is not None
-    return sum(calls), sum(len(p.order.blocks[child]) for child, _ in tree_children(p))
+    return len(passed), sum(len(p.order.blocks[child]) for child, _ in tree_children(p))
 
 
 def test_resolution_adds_at_most_one_edge_per_child_event(monkeypatch):
-    # the pairwise loop calls add_edge once per unordered conflicting pair,
-    # n * n times on the two runs of writes
+    # the pairwise loop inserts one edge per unordered conflicting pair,
+    # n * n of them on the two runs of writes
     n = 150
     runs = parse_trace("t1 w x\n" * n + "t2 w x\n" * n)
     for t in (runs, chain_trace(200)):
-        calls, child_events = resolution_add_edges(monkeypatch, trf_poset(t))
-        assert 0 < calls <= child_events
+        edges, child_events = resolution_add_edges(monkeypatch, trf_poset(t))
+        assert 0 < edges <= child_events
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +473,25 @@ def test_bounded_takes_one_branch_to_flip_two_pairs():
     assert w == [5, 1, 6, 7, 2, 3]
     assert verify_witness(t, w)
     assert stats == {"branches": 1, "reversals": [(1, 5), (2, 6)]}
+
+
+def test_bounded_inserts_replay_and_condition_two_edges_as_two_batches(monkeypatch):
+    # with no cycle, the replay edges go in as one batch and the
+    # condition-2 edges as another; no edge is inserted on its own
+    p = trf_poset(chain_trace(200))
+    calls = {"add_edge": 0, "add_edges": 0}
+    for name in calls:
+        real = getattr(PartialOrder, name)
+
+        def spy(self, *args, name=name, real=real):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(PartialOrder, name, spy)
+    stats = {}
+    assert realize_bounded(p, 0, stats=stats) is not None
+    assert stats["branches"] == 0
+    assert calls == {"add_edge": 0, "add_edges": 2}
 
 
 def branching_corpus():
