@@ -10,7 +10,8 @@ u -> v can raise form one suffix per block, found by one bisection;
 :meth:`PartialOrder.add_edge` updates only those suffixes.
 :meth:`PartialOrder.add_edges` inserts a batch at once: it writes each edge
 into its target's row, then alternates a per-block running max with a gather
-of each row's frontier rows until nothing changes.
+of each row's frontier rows until nothing changes.  A batch that closes a
+cycle changes nothing.
 
 The module also provides:
 
@@ -76,7 +77,7 @@ class PartialOrder:
     """
 
     __slots__ = (
-        "blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "_starts", "pred", "edges", "_log"
+        "blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "_starts", "pred", "edges"
     )
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
@@ -98,8 +99,6 @@ class PartialOrder:
         self.pred[np.arange(self.n), self._block] = self._pos - 1
         #: explicitly inserted (u, v) event-id pairs, for path recovery
         self.edges: list[tuple[int, int]] = []
-        # (pred, len(edges)) before the first batch, and every insertion since
-        self._log: tuple[np.ndarray, int, list[tuple[int, int]]] | None = None
 
     # -- basics ---------------------------------------------------------
 
@@ -115,7 +114,6 @@ class PartialOrder:
         clone._starts = self._starts
         clone.pred = self.pred.copy()
         clone.edges = list(self.edges)
-        clone._log = None if self._log is None else (*self._log[:2], list(self._log[2]))
         return clone
 
     def __contains__(self, eid: int) -> bool:
@@ -172,7 +170,6 @@ class PartialOrder:
         whose ``pred`` column for v's block reaches v's position, a suffix.
         """
         if u == v:
-            self._settle()
             raise CycleError((u, v))
         iu, iv = self._idx[u], self._idx[v]
         bu, pu = self._block[iu], self._pos[iu]
@@ -181,10 +178,7 @@ class PartialOrder:
         if pred[iv, bu] >= pu:
             return False
         if pred[iu, bv] >= pv:
-            self._settle()
             raise CycleError((u, v))
-        if self._log is not None:
-            self._log[2].append((u, v))
 
         down = pred[iu].copy()  # u's predecessors, u included
         down[bu] = pu
@@ -207,12 +201,10 @@ class PartialOrder:
         Returns how many distinct edges the order did not already imply, and
         ``edges`` gains those.  A later edge of the batch that an earlier one
         implies is among them, where the one-at-a-time loop would leave it
-        out.  So before a :class:`CycleError` is raised, and before
-        :meth:`path_between` reads ``edges``, every insertion since the first
-        batch is redone one edge at a time: the error, its edge, ``edges``
-        and the paths found are then exactly those of that loop.  When the
-        batch itself closes a cycle, its edges go in one at a time with
-        :meth:`add_edge`, which raises.
+        out.  All or nothing: when the batch closes a cycle, ``pred`` and
+        ``edges`` keep their values, and the :class:`CycleError` names the
+        first batch edge on a cycle, not necessarily the edge at which that
+        loop would stop.
 
         Each edge raises its target's entry for the source's block.  Then
         two steps repeat until neither changes ``pred``: a running max down
@@ -238,31 +230,20 @@ class PartialOrder:
         while True:
             for start, end in zip(self._starts, self._starts[1:]):
                 np.maximum.accumulate(work[start:end], axis=0, out=work[start:end])
-            if (work[rows, self._block] >= self._pos).any():
-                self._settle()
-                return sum(self.add_edge(u, v) for u, v in edges)
             # an empty entry gathers the row itself
             front = np.where(work >= 0, work + base, rows[:, None])
             grown = np.maximum(work, work[front].max(axis=1))
             if np.array_equal(grown, work):
                 break
             work = grown
-        if self._log is None:
-            self._log = (self.pred, len(self.edges), [])
-        self._log[2].extend(edges)
+        if (work[rows, self._block] >= self._pos).any():
+            # the order was acyclic, so a cycle takes some batch edge u -> v,
+            # and then v reaches u
+            back = work[iu, self._block[iv]] >= self._pos[iv]
+            raise CycleError(edges[int(back.argmax())])
         self.pred = work
         self.edges += [e for e, fresh in zip(edges, new.tolist()) if fresh]
         return int(new.sum())
-
-    def _settle(self) -> None:
-        """Redo every insertion since the first batch one edge at a time."""
-        if self._log is None:
-            return
-        pred, kept, inserted = self._log
-        self._log = None
-        self.pred, self.edges = pred.copy(), self.edges[:kept]  # copies share pred
-        for u, v in inserted:
-            self.add_edge(u, v)
 
     # -- derived structure -------------------------------------------------
 
@@ -296,7 +277,6 @@ class PartialOrder:
         """
         if not self.ordered(u, v):
             raise ValueError(f"{u} is not ordered before {v}")
-        self._settle()
         fwd: dict[int, list[int]] = {}
         for a, b in self.edges:
             fwd.setdefault(a, []).append(b)

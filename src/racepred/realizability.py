@@ -19,8 +19,9 @@ can be completed into a real trace (a witness):
   pairs relative to the observed trace.  On the closure's (channel, block)
   segment tables it orders the unordered writer pairs as the trace does,
   then puts each observer before the writers that follow its source (one
-  batch of edges each), and branches on the cross edges of a cycle whenever
-  that fails.
+  batch of edges each).  When that closes a cycle it inserts the same edges
+  again one at a time and branches on the cross edges of the cycle that
+  loop meets.
   :func:`reversal_pairs` measures a witness's distance with one merge per
   channel.
 
@@ -276,15 +277,29 @@ def _bounded_search(
     counters: dict[str, int],
 ) -> tuple[list[int], list[tuple[int, int]]] | None:
     g = q.copy()
+    replay = guards.replay(q)  # the trace's own orientation
     try:
-        g.add_edges(guards.replay(q))  # replay the trace's own orientation
+        g.add_edges(replay)
         # with every conflicting writer pair ordered, condition 1 follows
         # from condition 2, and condition-2 edges demand no further ones
         g.add_edges(guards.unprotected(g))
-    except CycleError as exc:
+    except CycleError:
         if budget == 0:
             return None
-        u0, v0 = exc.edge
+        # the branches follow the cycle that inserting these edges one at a
+        # time meets, and the path that loop's edges give: a batch may name
+        # another cycle edge, and it keeps edges that earlier ones imply,
+        # shortcuts for path_between that lead to other branches
+        g = q.copy()
+        try:
+            for u, v in replay:
+                g.add_edge(u, v)
+            for u, v in guards.unprotected(g):
+                g.add_edge(u, v)
+        except CycleError as exc:
+            u0, v0 = exc.edge
+        else:
+            raise AssertionError("a batch closed a cycle that its edges do not")
         cycle = [(u0, v0)] + g.path_between(v0, u0)
         cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
         branches: list[tuple[int, int]] = []

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from contextlib import suppress
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racepred import (
@@ -162,17 +163,27 @@ def test_add_edge_matches_mask_reference(case):
         assert got.edges == want.edges
 
 
+def on_a_cycle(order: PartialOrder, batch, edge) -> bool:
+    """Whether ``edge`` of ``batch`` lies on a cycle of ``order`` plus the
+    batch: its target reaches its source."""
+    graph = nx.DiGraph(ordered_pairs(order))
+    graph.add_nodes_from(order.events())
+    graph.add_edges_from(batch)
+    u, v = edge
+    return u == v or nx.has_path(graph, v, u)
+
+
 def assert_batches_match_loop(blocks, batches) -> bool:
     """Insert each batch with ``add_edges`` on one order and one edge at a
     time on another.  After each batch both have the same ``pred``, and the
-    batch order's ``edges`` gained the batch edges it did not imply; on a
-    cycle both raise for the same edge and keep the same ``edges``; at the
-    end ``path_between`` finds the same paths.  Whether a batch closed a
-    cycle."""
+    batch order's ``edges`` gained the batch edges it did not imply.  A batch
+    raises exactly when the loop does; it then keeps its ``pred`` and
+    ``edges``, and names an edge of the batch on a cycle.  Whether a batch
+    closed a cycle."""
     got, want = PartialOrder(blocks), PartialOrder(blocks)
     for batch in batches:
         fresh = [e for e in dict.fromkeys(batch) if not got.ordered(*e)]
-        kept = list(got.edges)
+        pred, kept = got.pred.copy(), list(got.edges)
         try:
             added = got.add_edges(batch)
         except CycleError as exc:
@@ -182,16 +193,13 @@ def assert_batches_match_loop(blocks, batches) -> bool:
             looped = insert(want, PartialOrder.add_edge, u, v)
             if isinstance(looped, tuple):
                 break
-        assert (got.pred == want.pred).all(), (blocks, batches)
         if isinstance(looped, tuple):
-            assert added == looped and got.edges == want.edges, (blocks, batches)
+            assert isinstance(added, tuple), (blocks, batches)
+            assert (got.pred == pred).all() and got.edges == kept, (blocks, batches)
+            assert added[1] in batch and on_a_cycle(got, batch, added[1]), (blocks, batches)
             return True
-        assert added == len(fresh) and got.edges == kept + fresh
-    events = list(got.events())
-    for u, v in itertools.product(events, events):
-        if got.ordered(u, v):
-            assert got.path_between(u, v) == want.path_between(u, v), (blocks, batches)
-    assert got.edges == want.edges
+        assert (got.pred == want.pred).all(), (blocks, batches)
+        assert added == len(fresh) and got.edges == kept + fresh, (blocks, batches)
     return False
 
 
@@ -227,11 +235,20 @@ def test_add_edges_edge_cases():
     blocks = [[1, 2, 3], [4, 5, 6]]
     order = PartialOrder(blocks)
     assert order.add_edges([]) == 0 and order.add_edges(iter(())) == 0
-    # a self-loop closes a cycle at its own place in the sequence
+    # a self-loop closes a cycle on its own
     assert assert_batches_match_loop(blocks, [[(1, 5), (4, 4), (2, 6)]])
     with pytest.raises(CycleError) as exc:
         PartialOrder(blocks).add_edges([(1, 5), (4, 4)])
     assert exc.value.edge == (4, 4)
+    # the loop stops at (2, 4), closing 2 < 4 < 5 < 1 < 2; the batch names the
+    # first edge of that cycle and keeps none of its edges
+    failed = PartialOrder(blocks)
+    failed.add_edge(3, 6)
+    before = failed.copy()
+    with pytest.raises(CycleError) as exc:
+        failed.add_edges([(5, 1), (2, 4)])
+    assert exc.value.edge == (5, 1)
+    assert failed.edges == before.edges and (failed.pred == before.pred).all()
     # edges the order already implies, by program order or earlier edges
     order.add_edge(2, 5)
     assert order.add_edges([(1, 2), (1, 6), (2, 5)]) == 0
@@ -244,29 +261,36 @@ def test_add_edges_edge_cases():
     assert order.edges == [(2, 4), (1, 5)]
 
 
-def test_cycle_after_a_batch_leaves_the_loop_edges():
-    # 1 -> 5 follows from 1 < 2 -> 4 < 5, so the one-at-a-time loop keeps
-    # only (2, 4); a later cycle, met by either insertion method, must see
-    # that list, and so must the generator path it is explained by
-    blocks = [[1, 2, 3], [4, 5, 6]]
-    want = PartialOrder(blocks)
-    want.add_edge(2, 4)
-    assert not want.add_edge(1, 5)
-    want.add_edge(3, 6)
-    for close in (PartialOrder.add_edge, lambda o, u, v: o.add_edges([(u, v)])):
-        got = PartialOrder(blocks)
-        assert got.add_edges([(2, 4), (1, 5)]) == 2
-        assert got.add_edge(3, 6)
-        assert got.edges == [(2, 4), (1, 5), (3, 6)]
-        copy = got.copy()
-        with pytest.raises(CycleError) as exc:
-            close(got, 5, 1)
-        assert exc.value.edge == (5, 1)
-        assert got.edges == want.edges and (got.pred == want.pred).all()
-        assert got.path_between(1, 5) == want.path_between(1, 5) == [(1, 2), (2, 4), (4, 5)]
-        # the copy kept its own log
-        assert copy.path_between(1, 6) == want.path_between(1, 6)
-        assert copy.edges == want.edges
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks_and_edges(max_edges=16),
+    st.lists(st.integers(0, 16), max_size=4),
+    st.lists(st.booleans(), max_size=5),
+)
+# (1, 5) follows from 1 < 2 -> 4 < 5 but is a batch edge all the same
+@example(case=([[1, 2, 3], [4, 5, 6]], [(2, 4), (1, 5)]), cuts=[], singly=[])
+def test_path_between_reads_the_order_without_changing_it(case, cuts, singly):
+    # after any mix of batches and single edges, cycles skipped, every
+    # ordered pair has a chain of block steps and inserted edges
+    blocks, edges = case
+    order = PartialOrder(blocks)
+    bounds = [0, *sorted(min(c, len(edges)) for c in cuts), len(edges)]
+    for i, (a, b) in enumerate(itertools.pairwise(bounds)):
+        if i < len(singly) and singly[i]:
+            for u, v in edges[a:b]:
+                with suppress(CycleError):
+                    order.add_edge(u, v)
+        else:
+            with suppress(CycleError):
+                order.add_edges(edges[a:b])
+    steps = set(order.edges) | {s for b in order.blocks for s in itertools.pairwise(b)}
+    pred, kept = order.pred.copy(), list(order.edges)
+    for u, v in ordered_pairs(order):
+        path = order.path_between(u, v)
+        assert path[0][0] == u and path[-1][1] == v
+        assert all(b == c for (_, b), (c, _) in itertools.pairwise(path))
+        assert set(path) <= steps, (blocks, edges, (u, v))
+        assert (order.pred == pred).all() and order.edges == kept
 
 
 # ----------------------------------------------------------------------

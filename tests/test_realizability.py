@@ -526,6 +526,44 @@ def test_bounded_matches_pairwise_reference_on_branching_corpus():
     assert branching >= 30 and found >= 2
 
 
+def test_bounded_redoes_a_cyclic_node_one_edge_at_a_time_once(monkeypatch):
+    # at budget 1 only the root can branch.  When its batches close a cycle
+    # it inserts the same edges once more, one at a time, into one order,
+    # then each branch tried inserts its flip into a copy of its own: at
+    # most one add_edge call per replay and condition-2 edge, plus one per
+    # branch tried
+    calls = []  # the order each call went to; kept alive, so ids stay apart
+    real = PartialOrder.add_edge
+
+    def spy(self, u, v):
+        calls.append(self)
+        return real(self, u, v)
+
+    monkeypatch.setattr(PartialOrder, "add_edge", spy)
+    cyclic = 0
+    for s, x, p in branching_corpus():
+        guards, g = _Guards(p), p.order.copy()
+        replay = guards.replay(p.order)
+        inserted = len(replay)
+        try:
+            g.add_edges(replay)
+            unprotected = guards.unprotected(g)
+            inserted += len(unprotected)
+            g.add_edges(unprotected)
+            continue
+        except CycleError:
+            pass
+        calls.clear()
+        stats = {}
+        realize_bounded(p, 1, stats=stats)
+        per_order = [calls.count(order) for order in dict.fromkeys(calls)]
+        assert per_order and per_order[0] <= inserted, (s, x.prefix)
+        assert per_order[1:] == [1] * (len(per_order) - 1), (s, x.prefix)
+        assert len(per_order) - 1 >= stats["branches"]
+        cyclic += 1
+    assert cyclic >= 25
+
+
 def with_first_flip(p):
     """The poset's order with its first unordered conflicting writer pair
     flipped against the trace, as a branch of the bounded search does, or
