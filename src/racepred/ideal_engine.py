@@ -12,7 +12,11 @@ reduces to realizability questions over a handful of such ideals:
   communication topology is a tree.
 
 ``feasibility`` classifies an ideal and, when possible, produces the
-canonical rf-poset handed to the realizability backends.
+canonical rf-poset handed to the realizability backends.  Only a
+lock-feasible ideal, one that leaves no lock open twice, can pass it, so
+the candidate sweep grows an ideal that holds a lock open twice only through
+the open acquires of that lock: every lock-feasible ideal above it must
+close one of them (see ``_candidates``).
 
 An ideal is fixed by its per-thread prefix lengths, so it is stored as that
 vector: a union of ideals is a pointwise max, and membership is one
@@ -247,6 +251,17 @@ class FeasibilityResult:
         return self.status is Feasibility.FEASIBLE
 
 
+def _clashing_lock(trace: Trace, opens: Iterable[int]) -> str | None:
+    """The first lock, in the given order, that two open acquires both hold."""
+    held: set[str] = set()
+    for eid in opens:
+        lock = trace.events[eid - 1].loc
+        if lock in held:
+            return lock
+        held.add(lock)
+    return None
+
+
 def feasibility(ideal: Ideal) -> FeasibilityResult:
     """Classify an ideal and build its canonical rf-poset when feasible.
 
@@ -257,12 +272,10 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
     ``INFEASIBLE``, else the forced edges define the canonical order.
     """
     trace = ideal.trace
-    by_lock: dict[str, int] = {}
-    for eid in open_acquires(ideal):
-        lock = trace.event(eid).loc
-        if lock in by_lock:
-            return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
-        by_lock[lock] = eid
+    opens = open_acquires(ideal)
+    if _clashing_lock(trace, opens) is not None:
+        return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
+    by_lock = {trace.events[eid - 1].loc: eid for eid in opens}
 
     members = ideal.members
     order = compute_trf(trace, members)
@@ -294,9 +307,12 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
     Starts from the cone of the pair and repeatedly closes one open
     critical section (adding the matching release and whatever must come
     before it), keeping only variants that leave both query events out.
-    Members are deduplicated by event set and returned in discovery order.
-    Each variant is the pointwise max of its parent's prefix vector and the
-    release's downward closure, so no member set is built.
+    An ideal that holds some lock open twice is grown only by closing an
+    open acquire of the first such lock, its open acquires read in event-id
+    order; the ideal itself is still kept.  Members are deduplicated by
+    event set and returned in discovery order.  Each variant is the
+    pointwise max of its parent's prefix vector and the release's downward
+    closure, so no member set is built.
     """
     return list(_candidates(trace, e1, e2))
 
@@ -309,6 +325,16 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[Ideal]:
     the only candidate.  Otherwise every queued ideal leaves both query
     events out, and a variant holds one exactly when the release's downward
     closure does: that is read off the closure before joining.
+
+    Pruning an ideal Y that holds a lock open twice loses no lock-feasible
+    candidate.  Locks are not re-entrant, so each open acquire of that lock
+    is in its own thread.  A lock-feasible Z that the full sweep reaches
+    from Y leaves at most one of them open, so it closes one, a, and holds
+    the child Y' that closes a.  Replayed from Y', each closing on the path
+    from Y to Z is still legal or already done, and the path ends at Y'
+    joined with Z, which is Z.  By induction on the size of Z minus Y, the
+    pruned sweep reaches every lock-feasible candidate, and only those can
+    pass :func:`feasibility`.
     """
     ev1, ev2 = _query_pair(trace, e1, e2)
     table = _table(trace)
@@ -322,7 +348,11 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[Ideal]:
     seen = {seed}
     for y in queue:
         yield Ideal(trace, y)
-        for acq in _open_in(table, y):
+        opens = _open_in(table, y)
+        clash = _clashing_lock(trace, opens)
+        if clash is not None:  # grown only through the clash it must resolve
+            opens = [a for a in opens if trace.events[a - 1].loc == clash]
+        for acq in opens:
             down = table.down[trace.match[acq]]
             if down[b1] > pos1 or down[b2] > pos2:
                 continue

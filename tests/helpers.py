@@ -194,23 +194,36 @@ def cone_by_members(trace: Trace, events) -> frozenset[int]:
     return frozenset(down_close(trace, seeds))
 
 
-def candidate_set_by_members(trace: Trace, e1: int, e2: int) -> list[frozenset[int]]:
-    """The candidate ideal set recomputed as member sets, in discovery order.
+def open_acquires_by_members(trace: Trace, members) -> list[int]:
+    """Acquires in the set whose matching release is outside, by event id."""
+    return sorted(
+        e for e in members if trace.event(e).is_acquire and trace.match[e] not in members
+    )
 
-    Breadth-first from the cone of the pair: each open acquire of an ideal
-    (by event id) yields the union of the ideal, the matching release and
-    the release's cone, kept if it holds neither query event and is new.
-    """
+
+def lock_open_twice(trace: Trace, opens) -> str | None:
+    """The first lock, in the given order, that two open acquires hold."""
+    held = set()
+    for a in opens:
+        lock = trace.event(a).loc
+        if lock in held:
+            return lock
+        held.add(lock)
+    return None
+
+
+def _member_bfs(trace: Trace, e1: int, e2: int, pruned: bool) -> list[frozenset[int]]:
     seed = cone_by_members(trace, (e1, e2))
     out = [seed]
     seen = {seed}
     queue = [seed]
     while queue:
         y = queue.pop(0)
-        opens = sorted(
-            e for e in y if trace.event(e).is_acquire and trace.match[e] not in y
-        )
+        opens = open_acquires_by_members(trace, y)
+        clash = lock_open_twice(trace, opens) if pruned else None
         for acq in opens:
+            if clash is not None and trace.event(acq).loc != clash:
+                continue
             rel = trace.match[acq]
             grown = y | {rel} | cone_by_members(trace, (rel,))
             if e1 in grown or e2 in grown or grown in seen:
@@ -219,6 +232,28 @@ def candidate_set_by_members(trace: Trace, e1: int, e2: int) -> list[frozenset[i
             out.append(grown)
             queue.append(grown)
     return out
+
+
+def full_candidate_set_by_members(
+    trace: Trace, e1: int, e2: int
+) -> list[frozenset[int]]:
+    """Every ideal the unpruned sweep reaches, as member sets, in discovery order.
+
+    Breadth-first from the cone of the pair: each open acquire of an ideal
+    (by event id) yields the union of the ideal, the matching release and
+    the release's cone, kept if it holds neither query event and is new.
+    """
+    return _member_bfs(trace, e1, e2, pruned=False)
+
+
+def candidate_set_by_members(trace: Trace, e1: int, e2: int) -> list[frozenset[int]]:
+    """The candidate ideal set recomputed as member sets, in discovery order.
+
+    As :func:`full_candidate_set_by_members`, except that an ideal holding
+    one lock open twice grows only through the open acquires of the first
+    such lock, its open acquires read in event-id order.
+    """
+    return _member_bfs(trace, e1, e2, pruned=True)
 
 
 def gamma_by_scan(trace: Trace) -> int:

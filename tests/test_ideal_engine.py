@@ -1,5 +1,6 @@
 """Trace ideals: cones, lock cones, feasibility, and candidate ideal sets."""
 
+import functools
 import random
 import sys
 from itertools import combinations
@@ -37,6 +38,9 @@ from helpers import (
     conflicting_pairs,
     cone_by_members,
     down_close,
+    full_candidate_set_by_members,
+    lock_open_twice,
+    open_acquires_by_members,
     realizable_sets,
     traces,
 )
@@ -437,8 +441,97 @@ def test_candidate_set_matches_member_bfs_on_indset(n, edges, c):
     inst = IsInstance(n, frozenset((relabel[u], relabel[v]) for u, v in edges), c)
     t, (e1, e2) = gen_indset_trace(inst)
     got = [x.members for x in candidate_ideal_set(t, e1, e2)]
-    assert len(got) > 400
+    assert len(_indset_full(n, tuple(edges), c)) > 400
     assert got == candidate_set_by_members(t, e1, e2)
+
+
+# ---------------------------------------------------------------------------
+# lock-clash pruning keeps every lock-feasible candidate
+# ---------------------------------------------------------------------------
+
+
+def _wide_trace(s):
+    """Trace ``s`` of the wide corpus: up to 5 threads, 3 locks, nesting 3."""
+    return gen_random_trace(
+        60_000 + s, n=20 + s % 13, k=2 + s % 4, d_globals=1 + s % 2,
+        d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.5,
+        nesting_max=1 + s % 3,
+    )
+
+
+@functools.cache
+def _indset_full(n, edges, c):
+    """The unpruned sweep of one INDSET_FAMILIES entry, as member sets."""
+    t, (e1, e2) = _indset(n, edges, c)
+    return full_candidate_set_by_members(t, e1, e2)
+
+
+def _lost_and_extra(trace, e1, e2, full):
+    """Lock-feasible ideals of the full sweep that the pruned sweep misses,
+    ideals of the pruned sweep that the full sweep never reaches, and the
+    pruned sweep's size."""
+    got = {x.members for x in candidate_ideal_set(trace, e1, e2)}
+    feasible = {
+        y for y in full
+        if e1 not in y and e2 not in y
+        and lock_open_twice(trace, open_acquires_by_members(trace, y)) is None
+    }
+    return feasible - got, got - set(full), len(got)
+
+
+def test_pruned_sweep_keeps_every_lock_feasible_ideal_on_wide_corpus():
+    pairs = pruned = 0
+    for s in range(600):
+        t = _wide_trace(s)
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            full = full_candidate_set_by_members(t, e1, e2)
+            lost, extra, kept = _lost_and_extra(t, e1, e2, full)
+            assert not lost and not extra, (s, e1, e2)
+            pairs += 1
+            pruned += kept < len(full)
+    assert pairs >= 30_000 and pruned >= 20  # few random traces clash
+
+
+@pytest.mark.parametrize("n, edges, c", INDSET_FAMILIES)
+def test_pruned_sweep_keeps_every_lock_feasible_ideal_on_indset(n, edges, c):
+    t, (e1, e2) = _indset(n, edges, c)
+    full = _indset_full(n, tuple(edges), c)
+    lost, extra, kept = _lost_and_extra(t, e1, e2, full)
+    assert not lost and not extra
+    assert kept < len(full)
+
+
+@given(traces(max_events=12), st.data())
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+def test_pruned_sweep_keeps_every_lock_feasible_ideal(trace, data):
+    pairs = list(conflicting_pairs(trace))
+    assume(pairs)
+    e1, e2 = data.draw(st.sampled_from(pairs))
+    full = full_candidate_set_by_members(trace, e1, e2)
+    lost, extra, _ = _lost_and_extra(trace, e1, e2, full)
+    assert not lost and not extra
+
+
+def test_pruned_sweep_grows_through_every_acquire_of_the_clashing_lock():
+    # the cone holds l open in t1, around w x (2), and in t3; only t3's
+    # section closes without taking in a query event, and that is the witness
+    t = parse_trace(
+        "t1 acq l\nt1 w x\nt1 rel l\nt3 acq l\nt3 w y\nt3 rel l\nt2 r y\nt2 w x\n"
+    )
+    got = [x.members for x in candidate_ideal_set(t, 2, 8)]
+    assert got == [{1, 4, 5, 7}, {1, 4, 5, 6, 7}] == full_candidate_set_by_members(t, 2, 8)
+    assert predict(t, 2, 8, algo="general").race
+
+
+@pytest.mark.parametrize("n, edges, c", [INDSET_FAMILIES[3], INDSET_FAMILIES[5]])
+def test_pruned_sweep_examines_a_quarter_of_the_full_sweep(n, edges, c):
+    # C5-c3 and coC6-c3 are no-instances: predict examines every candidate
+    t, (e1, e2) = _indset(n, edges, c)
+    v = predict(t, e1, e2, algo="general")
+    assert not v.race
+    assert 4 * v.stats["ideals"] <= len(_indset_full(n, tuple(edges), c))
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +618,13 @@ def test_candidate_sweep_joins_only_what_it_keeps(monkeypatch):
         assert {x.prefix for x in got[1:]} <= set(joins)
         made += len(joins)
     pairs = 0
-    for s in range(40):
+    for s in range(120):
         t = gen_random_trace(
-            60_000 + s, n=20 + s % 13, k=2 + s % 4, d_globals=1 + s % 2,
+            60_000 + s, n=40 + s % 29, k=2 + s % 7, d_globals=1 + s % 2,
             d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.5,
             nesting_max=1 + s % 3,
         )
-        for e1, e2 in list(scan_pairs(t))[:10]:
+        for e1, e2 in scan_pairs(t):
             if t.event(e1).thread == t.event(e2).thread:
                 continue
             joins, _ = _sweep_joins(monkeypatch, t, e1, e2)
