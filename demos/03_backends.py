@@ -13,7 +13,7 @@ bruteforce enumerates reorderings outright; the reference the others are
 
 import time
 
-from racepred import parse_trace, trace_params
+from racepred import communication_topology, parse_trace
 from racepred.cli import predict
 
 NEAR_MISS = """\
@@ -51,9 +51,9 @@ def run(trace, e1, e2, algo, **kw):
 
 def main() -> None:
     trace = parse_trace(NEAR_MISS)
-    params = trace_params(trace)
     print("two threads, one lock, conflicting writes on x (events 2 and 7):")
-    print(f"    topology {sorted(params.topology)} — a tree, so auto picks tree")
+    topology = sorted(communication_topology(trace))
+    print(f"    topology {topology} — a tree, so auto picks tree")
     for algo in ("tree", "general", "bruteforce"):
         run(trace, 2, 7, algo)
     print("  bounded asks a sharper question: how far from the observed order")
@@ -63,9 +63,9 @@ def main() -> None:
     run(trace, 2, 7, "bounded", distance=1)
 
     trace = parse_trace(TRIANGLE)
-    params = trace_params(trace)
     print("\nthree threads chained in a cycle (x -> y -> z back to t1):")
-    print(f"    topology {sorted(params.topology)} — not a tree, auto picks general")
+    topology = sorted(communication_topology(trace))
+    print(f"    topology {topology} — not a tree, auto picks general")
     for algo in ("general", "bruteforce"):
         run(trace, 1, 2, algo)
 

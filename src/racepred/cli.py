@@ -44,6 +44,7 @@ from .trace_model import (
     Trace,
     TraceError,
     _query_pair,
+    _table,
     conflicting,
     parse_trace,
     serialize,
@@ -143,7 +144,7 @@ def predict(
     witness: list[int] | None = None
     delta: int | None = None
 
-    if algo == "tree" and not trace_params(trace).is_tree:
+    if algo == "tree" and not _table(trace).forest:
         raise CliError(
             "the tree backend needs a forest communication topology; "
             "this trace has a cycle (use --algo general or auto)"
@@ -156,10 +157,9 @@ def predict(
         found = "exhausted" if witness is None else "found a witness"
         note(f"exhaustive reordering search {found}")
     else:
-        tree = algo == "tree" or (algo == "auto" and trace_params(trace).is_tree)
         # the backends are looked up here, at call time, so that a rebinding
         # of these module names (an instrumented run) takes effect
-        if tree:
+        if algo == "tree" or (algo == "auto" and _table(trace).forest):
             label, kind, backend = "tree", "lock-cone ideal", realize_tree
             candidates = [lcone(trace, e1) | lcone(trace, e2)]
         else:
@@ -427,6 +427,8 @@ def cmd_gen_ov(args: argparse.Namespace) -> int:
 def cmd_gen_indset(args: argparse.Namespace) -> int:
     try:
         n, edges = parse_edge_list(_read_text(args.graph))
+        if args.c < 1:  # before stripping, which would blame the isolated vertices
+            raise ValueError("target set size must be at least 1")
         n, edges, c = strip_isolated_nodes(n, edges, args.c)
         if c <= 0:
             raise CliError(

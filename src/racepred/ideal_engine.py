@@ -38,13 +38,11 @@ from .orders import CycleError, RfPoset, compute_trf
 from .trace_model import (
     Trace,
     TraceError,
-    _adjacency,
     _forest_order,
     _join,
     _query_pair,
     _Table,
     _table,
-    trace_params,
 )
 
 __all__ = [
@@ -196,22 +194,19 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     :class:`TraceError` if the grown prefixes are not an ideal.
     """
     root = trace.event(eid).thread
-    order = _forest_order(_adjacency(trace_params(trace).topology), [root])
-    if order is None:
-        raise TraceError(
-            f"communication topology around {root} is not a tree"
-        )
+    top = trace.thread_index[root]
     table = _table(trace)
-    index = trace.thread_index
+    order = _forest_order(table.adj, [top])
+    if order is None:
+        raise TraceError(f"communication topology around {root} is not a tree")
     prefix = [0] * len(trace.threads)
-    prefix[index[root]] = trace.thread_pos[eid]
+    prefix[top] = trace.thread_pos[eid]
 
     def open_locks(b: int) -> dict[str, int]:
         """lock -> acquire id for open criticals in thread b's prefix."""
         return {trace.events[a - 1].loc: a for a in table.opens[b][prefix[b]]}
 
-    for p1, p2 in order:
-        b1, b2 = index[p1], index[p2]
+    for b1, b2 in order:
         # pull everything ordered below the parent's last event
         if prefix[b2] > 0:
             e2 = table.ids[b2][prefix[b2] - 1]

@@ -28,7 +28,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "TraceError",
@@ -116,10 +116,10 @@ class Trace:
 
     Exposes the derived structure everything else builds on: per-thread
     projections, the observed-writer map ``rf`` (reads to writes, releases to
-    their matching acquires), and acquire/release matching.  Whole-trace
-    facts that queries share (:func:`trace_params` and the down-set table
-    :func:`_table`, the one stored form of the TRF) are built on first use
-    and kept on the trace.
+    their matching acquires), and acquire/release matching.  The whole-trace
+    facts that queries share live in one cache, the down-set table
+    :func:`_table` (the one stored form of the TRF, the channel index and the
+    communication topology), built on first use and kept on the trace.
     """
 
     __slots__ = (
@@ -134,7 +134,6 @@ class Trace:
         "by_thread",
         "num_synthesized",
         "source_lines",
-        "_params",
         "_ideals",
     )
 
@@ -180,7 +179,6 @@ class Trace:
         self.thread_pos = thread_pos
 
         self.rf, self.match = self._replay()
-        self._params: TraceParams | None = None
         self._ideals: _Table | None = None
 
     # ------------------------------------------------------------------
@@ -364,7 +362,7 @@ def serialize(trace: Trace, *, include_synthesized: bool = False) -> str:
 
 
 class _Table(NamedTuple):
-    """Per-trace facts that ideals, γ, ζ and channels are read from, by thread ``b``.
+    """The trace's one cache: the facts queries read, by thread index ``b``.
 
     ``down[e]`` is the prefix vector of event e's downward closure (e
     included) under the thread-reads-from order; ``down[0]`` is the empty
@@ -374,6 +372,9 @@ class _Table(NamedTuple):
     ``users[x][b]`` holds the positions in thread b of its events on x and
     ``writers[x][b]`` those of its writes and acquires, cut at an ideal's
     prefix by :func:`_cut`; ``writes_like[e]`` flags writes and acquires.
+    ``adj`` is the communication topology as adjacency sets of thread
+    indices, read off the channel index; a thread with no edge has no entry.
+    ``forest`` is whether that topology is a forest, which routes queries.
     """
 
     down: list[tuple[int, ...]]
@@ -382,6 +383,8 @@ class _Table(NamedTuple):
     users: dict[str, list[list[int]]]
     writers: dict[str, list[list[int]]]
     writes_like: tuple[bool, ...]
+    adj: dict[int, set[int]]
+    forest: bool
 
 
 def _table(trace: Trace) -> _Table:
@@ -421,7 +424,10 @@ def _table(trace: Trace) -> _Table:
             opens.append(tuple(row))
         ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
         writes_like = (False, *(ev.writes_like for ev in trace.events))
-        trace._ideals = _Table(down, tuple(opens), ids, users, writers, writes_like)
+        table = _Table(down, tuple(opens), ids, users, writers, writes_like, {}, True)
+        adj = _adjacency(_conflict_edges(table, [len(row) for row in ids]))
+        forest = _forest_order(adj, range(k)) is not None
+        trace._ideals = table._replace(adj=adj, forest=forest)
     return trace._ideals
 
 
@@ -441,14 +447,15 @@ def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TraceParams:
-    """Size and synchronization-structure summary of a trace.
+    """The size and synchronization-structure report that ``stats`` prints.
 
     ``gamma`` is the deepest per-thread nesting of simultaneously open
     critical sections.  ``zeta`` bounds how much data flow chains critical
     sections together: each acquire is scored by how many acquires (itself
     included) can reach it in the lock-dependence graph, and ``zeta`` is the
     maximum score (0 when there are no locks).  ``topology`` has one
-    undirected edge per pair of threads with conflicting events.
+    undirected edge per pair of threads with conflicting events.  Queries
+    route by the down-set table's topology; none reads this report.
     """
 
     n: int
@@ -468,11 +475,8 @@ class TraceParams:
 
 def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
     """Undirected thread graph: an edge per pair with conflicting events."""
-    names = trace.threads
-    lengths = [len(proj) for proj in trace.by_thread]
-    return frozenset(
-        tuple(sorted((names[i], names[j]))) for i, j in _conflict_edges(_table(trace), lengths)
-    )
+    names, adj = trace.threads, _table(trace).adj
+    return frozenset(tuple(sorted((names[i], names[j]))) for i in adj for j in adj[i])
 
 
 def _conflict_edges(table: _Table, prefix: Sequence[int]) -> set[tuple[int, int]]:
@@ -491,12 +495,9 @@ def _conflict_edges(table: _Table, prefix: Sequence[int]) -> set[tuple[int, int]
     return edges
 
 
-_N = TypeVar("_N")  # a graph node: a thread name or a block index
-
-
-def _adjacency(edges: Iterable[tuple[_N, _N]]) -> dict[_N, set[_N]]:
+def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
     """Undirected adjacency sets of an edge list."""
-    adj: dict[_N, set[_N]] = {}
+    adj: dict[int, set[int]] = {}
     for a, b in edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
@@ -504,16 +505,16 @@ def _adjacency(edges: Iterable[tuple[_N, _N]]) -> dict[_N, set[_N]]:
 
 
 def _forest_order(
-    adj: Mapping[_N, Iterable[_N]], roots: Iterable[_N]
-) -> list[tuple[_N, _N]] | None:
+    adj: Mapping[int, Iterable[int]], roots: Iterable[int]
+) -> list[tuple[int, int]] | None:
     """(child, parent) pairs, top-down, of the breadth-first forest from ``roots``.
 
     Each root not yet reached starts a tree; neighbours are visited in sorted
     order.  Returns ``None`` when the graph reachable from the roots has a
     cycle.
     """
-    parent: dict[_N, _N | None] = {}
-    order: list[tuple[_N, _N]] = []
+    parent: dict[int, int | None] = {}
+    order: list[tuple[int, int]] = []
     for root in roots:
         if root in parent:
             continue
@@ -533,12 +534,9 @@ def _forest_order(
 
 
 def trace_params(trace: Trace) -> TraceParams:
-    """The summary parameters of a trace, computed once and kept on it."""
-    if trace._params is not None:
-        return trace._params
+    """The ``stats`` report of a trace, computed afresh on each call."""
     table = _table(trace)
-    topo = communication_topology(trace)
-    trace._params = TraceParams(
+    return TraceParams(
         n=len(trace),
         k=len(trace.threads),
         num_globals=len(trace.globals_),
@@ -546,10 +544,9 @@ def trace_params(trace: Trace) -> TraceParams:
         # the deepest stack of open critical sections in any one thread
         gamma=max((len(stack) for row in table.opens for stack in row), default=0),
         zeta=_lock_dependence_factor(trace),
-        topology=topo,
-        is_tree=_forest_order(_adjacency(topo), trace.threads) is not None,
+        topology=communication_topology(trace),
+        is_tree=table.forest,
     )
-    return trace._params
 
 
 def _lock_dependence_factor(trace: Trace) -> int:

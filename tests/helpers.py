@@ -7,16 +7,31 @@ recomputations of quantities the library derives, used as cross-checks.
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
+import racepred
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
 from racepred.realizability import _shrink_cross
 from racepred.trace_model import from_events
+
+
+def child_env(**extra) -> dict[str, str]:
+    """Environment for a Python child process that imports racepred.
+
+    ``PYTHONPATH`` starts with the directory holding the package these tests
+    imported, so the child runs the same code from a checkout as from an
+    install.
+    """
+    root = str(Path(racepred.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 @st.composite
@@ -80,6 +95,32 @@ def trace_events(
 @st.composite
 def traces(draw, **kwargs) -> Trace:
     return from_events(draw(trace_events(**kwargs)))
+
+
+@st.composite
+def lock_handoff_traces(draw) -> Trace:
+    """Traces that hand one lock from a query thread to a third thread.
+
+    A thread accesses x inside a section on lock l; after it, a third thread
+    writes y inside its own section on l; then the second thread reads y and
+    accesses x.  Up to two random global accesses by any of four threads sit
+    between the steps.  When the data flow survives them, the cone of the two
+    x accesses holds l open twice, once in a query thread: a shape that
+    :func:`trace_events` almost never draws.
+    """
+    threads = ["t1", "t2", "t3", "t4"]
+    q1, hand, q2 = draw(st.permutations(threads[:3]))
+    k1, k2 = draw(st.sampled_from([("w", "w"), ("w", "r"), ("r", "w")]))
+    access = st.tuples(st.sampled_from(threads), st.sampled_from(("w", "r")), st.sampled_from("xyz"))
+    steps = [
+        (q1, "acq", "l"), (q1, k1, "x"), (q1, "rel", "l"), (hand, "acq", "l"),
+        (hand, "w", "y"), (hand, "rel", "l"), (q2, "r", "y"), (q2, k2, "x"),
+    ]
+    items = []
+    for step in steps:
+        items += draw(st.lists(access, max_size=2))
+        items.append(step)
+    return from_events(items)
 
 
 def trf_digraph(trace: Trace) -> nx.DiGraph:

@@ -8,13 +8,11 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import racepred
 from racepred import (
     Trace,
     TraceError,
@@ -28,6 +26,8 @@ from racepred import (
 )
 from racepred.cli import CliError, Verdict, main, predict, scan, scan_pairs
 from racepred.generators import gen_random_trace
+
+from helpers import child_env
 
 TWO_WRITES = "t1 w x\nt2 w x\n"
 LOCK_PROTECTED = "t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 w x\nt2 rel l\n"
@@ -44,18 +44,6 @@ LOCK_CYCLE_SAME_THREAD = (
     "t3 acq b\nt3 rel b\nt3 acq c\nt3 rel c\nt1 acq c\nt1 rel c\n"
     "t1 w x\nt1 w x\n"
 )
-
-
-def child_env(**extra):
-    """Environment for a ``python -m racepred`` child process.
-
-    ``PYTHONPATH`` starts with the directory holding the package these tests
-    imported, so the child runs the same code from a checkout as from an
-    install.
-    """
-    root = str(Path(racepred.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def run_cli(argv, capsys):
@@ -113,8 +101,8 @@ def test_predict_auto_routes_by_topology(tmp_path, capsys):
 
 
 def test_predict_does_not_depend_on_primed_trace_facts():
-    # the tree route reads the params, topology and down-set table a trace keeps;
-    # a cold trace and one primed by trace_params must give the same verdicts
+    # the tree route reads the down-set table and its topology, which a trace
+    # keeps; a cold trace and one primed by trace_params must give the same verdicts
     forests = 0
     for seed in range(30):
         text = serialize(gen_random_trace(
@@ -134,6 +122,41 @@ def test_predict_does_not_depend_on_primed_trace_facts():
             assert cold == warm, (seed, e1, e2)
             assert warm["algorithm"] == "tree"
     assert forests >= 10
+
+
+def test_queries_never_compute_zeta(monkeypatch):
+    # gamma and zeta only feed the stats report; no route may pay for zeta
+    cases = [
+        (LOCK_PROTECTED, "auto", None),  # a forest
+        (TRIANGLE, "auto", None),  # a cycle
+        (LOCK_PROTECTED, "tree", None),
+        (TRIANGLE, "general", None),
+        (FORCED_FLIP, "bounded", 1),
+        (TRIANGLE, "bruteforce", None),
+    ]
+
+    def answers():
+        out = []
+        for text, algo, distance in cases:
+            t = parse_trace(text)
+            e1, e2 = next(scan_pairs(t))  # a cross-thread pair in each of these traces
+            verdicts = [predict(t, e1, e2, algo=algo, distance=distance)]
+            verdicts += scan(parse_trace(text), algo=algo, distance=distance)
+            for v in verdicts:
+                del v.stats["wall_ms"]
+                out.append(v.to_json())
+        return out
+
+    want = answers()
+
+    def no_zeta(trace):
+        raise AssertionError("zeta computed on the query path")
+
+    monkeypatch.setattr("racepred.trace_model._lock_dependence_factor", no_zeta)
+    with pytest.raises(AssertionError, match="zeta computed"):
+        trace_params(parse_trace(TRIANGLE))  # the stats report still asks for it
+    assert answers() == want
+    assert {v["algorithm"] for v in want} == {"tree", "general", "bounded", "bruteforce"}
 
 
 def test_predict_same_thread_pair_skips_search():
@@ -641,6 +664,15 @@ def test_gen_indset_strips_isolated_nodes(tmp_path, capsys):
     assert code == 0
     trace = parse_trace(out)
     assert len(trace.threads) == 2 * 1 + 2  # one walker after shrinking c to 1
+
+
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_gen_indset_rejects_a_target_below_one(tmp_path, capsys, c):
+    graph = tmp_path / "g.el"
+    graph.write_text("1 3\n")  # node 2 is isolated, but the target is at fault
+    code, out, err = run_cli(["gen", "indset", "--graph", str(graph), "--c", c], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: target set size must be at least 1\n"
 
 
 def test_gen_random_is_seed_deterministic(capsys):

@@ -39,6 +39,7 @@ from helpers import (
     cone_by_members,
     down_close,
     full_candidate_set_by_members,
+    lock_handoff_traces,
     lock_open_twice,
     open_acquires_by_members,
     realizable_sets,
@@ -503,7 +504,7 @@ def test_pruned_sweep_keeps_every_lock_feasible_ideal_on_indset(n, edges, c):
     assert kept < len(full)
 
 
-@given(traces(max_events=12), st.data())
+@given(st.one_of(traces(max_events=12), lock_handoff_traces()), st.data())
 @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 def test_pruned_sweep_keeps_every_lock_feasible_ideal(trace, data):
     pairs = list(conflicting_pairs(trace))

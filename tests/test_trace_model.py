@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -209,12 +210,14 @@ def test_params_lock_free_conflicting_writes():
     assert p.is_tree
 
 
-def test_params_are_computed_once_per_trace():
+def test_params_agree_across_parses_and_read_one_table():
     t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 r x\nt2 rel l")
-    assert trace_params(t) is trace_params(t)
-    # a second parse of the same text is a separate trace with its own facts
+    # the report is not kept on the trace; the down-set table is its one cache
+    trace_params(t)
+    assert _table(t) is _table(t)
+    assert _table(t).adj == {0: {1}, 1: {0}}
+    # a second parse of the same text is a separate trace with the same report
     other = parse_trace(serialize(t))
-    assert trace_params(other) is not trace_params(t)
     assert trace_params(other) == trace_params(t)
 
 
@@ -255,6 +258,9 @@ def test_topology_is_the_thread_pairs_of_conflicting_events(items):
         if a.thread != b.thread and conflicting(a, b)
     }
     assert communication_topology(t) == brute
+    graph = nx.Graph(brute)
+    graph.add_nodes_from(t.threads)
+    assert _table(t).forest == (not t.threads or nx.is_forest(graph))
 
 
 @settings(max_examples=80, deadline=None)
