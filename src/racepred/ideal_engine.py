@@ -31,14 +31,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import chain
-from operator import gt
 from typing import Iterable, Iterator, Sequence
 
 from .orders import CycleError, RfPoset, compute_trf
 from .trace_model import (
     Trace,
     TraceError,
+    _cut,
     _forest_order,
+    _is_closed,
     _join,
     _query_pair,
     _Table,
@@ -111,22 +112,9 @@ class Ideal:
 
 def _below(trace: Trace, table: _Table, eid: int) -> tuple[int, ...]:
     """Prefix vector of the downward closure of ``eid``'s thread predecessor."""
+    b = trace.thread_index[trace.event(eid).thread]  # TraceError for an unknown id
     pos = trace.thread_pos[eid]
-    if not pos:
-        return table.down[0]
-    return table.down[table.ids[trace.thread_index[trace.event(eid).thread]][pos - 1]]
-
-
-def _is_closed(table: _Table, prefix: Sequence[int]) -> bool:
-    """Whether per-thread prefixes form an ideal.
-
-    They do iff the downward closure of each thread's last included event
-    fits inside them, since closures grow along each thread.
-    """
-    for b, m in enumerate(prefix):
-        if m and any(map(gt, table.down[table.ids[b][m - 1]], prefix)):
-            return False
-    return True
+    return table.down[table.ids[b][pos - 1]] if pos else table.down[0]
 
 
 def _prefix_of(trace: Trace, members: frozenset[int]) -> tuple[int, ...] | None:
@@ -262,33 +250,30 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
 
     Two conflicting acquires both left open make the ideal a dead end
     (``INFEASIBLE_LOCKS``).  Otherwise every closed critical section on a
-    lock with an open acquire must be ordered before that open acquire; if
-    those forced edges contradict the thread-reads-from order the ideal is
-    ``INFEASIBLE``, else the forced edges define the canonical order.
+    lock with an open acquire, read off the channel index cut at the ideal's
+    prefix, must be ordered before that open acquire; if those forced edges
+    contradict the thread-reads-from order the ideal is ``INFEASIBLE``, else
+    the forced edges, inserted by acquire id, define the canonical order.
     """
-    trace = ideal.trace
-    opens = open_acquires(ideal)
+    trace, prefix = ideal.trace, ideal.prefix
+    table = _table(trace)
+    opens = _open_in(table, prefix)
     if _clashing_lock(trace, opens) is not None:
         return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
-    by_lock = {trace.events[eid - 1].loc: eid for eid in opens}
-
-    members = ideal.members
-    order = compute_trf(trace, members)
+    forced = sorted(
+        (table.ids[b][pos], open_acq)
+        for open_acq in opens
+        for b, row in enumerate(_cut(table.writers[trace.events[open_acq - 1].loc], prefix))
+        for pos in row
+        if table.ids[b][pos] != open_acq
+    )
+    order = compute_trf(trace, prefix)
     try:
-        for eid in sorted(members) if by_lock else ():
-            ev = trace.event(eid)
-            open_acq = by_lock.get(ev.loc)
-            if ev.is_acquire and open_acq is not None and open_acq != eid:
-                order.add_edge(trace.match[eid], open_acq)
+        for acq, open_acq in forced:
+            order.add_edge(trace.match[acq], open_acq)
     except CycleError:
         return FeasibilityResult(Feasibility.INFEASIBLE)
-
-    rf = {
-        eid: trace.rf[eid]
-        for eid in members
-        if trace.event(eid).observes
-    }
-    return FeasibilityResult(Feasibility.FEASIBLE, RfPoset(trace, order, rf))
+    return FeasibilityResult(Feasibility.FEASIBLE, RfPoset(trace, order))
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,10 @@ The module also provides:
 
 * :func:`compute_trf` — program order extended with observation edges
   (write-to-read, acquire-to-release), transitively closed, over a trace
-  ideal, as a fresh mutable order read from the trace's down-set table,
-  ``trace_model._table``, the one stored form of the TRF;
-* :class:`RfPoset` — a partial order over thread prefixes bundled with the
-  observation map, the object the closure operates on;
+  ideal given by its prefix vector, as a fresh mutable order read from the
+  trace's down-set table, ``trace_model._table``, the one stored form of the TRF;
+* :class:`RfPoset` — a partial order over a trace ideal, whose observation
+  map is the trace's own, the object the closure operates on;
 * :func:`closure` — the least refinement in which every observed writer is
   protected from interference, or ``None`` when that forces a cycle.
 
@@ -42,13 +42,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import lt
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import Trace, _cut, _table
+from .trace_model import Trace, _cut, _is_closed, _table
 
 __all__ = [
     "CycleError",
@@ -314,24 +315,27 @@ class PartialOrder:
 # ----------------------------------------------------------------------
 
 
-def compute_trf(trace: Trace, members: Iterable[int] | None = None) -> PartialOrder:
+def compute_trf(trace: Trace, prefix: Sequence[int] | None = None) -> PartialOrder:
     """Program order extended with observation edges, transitively closed.
 
-    ``members`` restricts the universe to a trace ideal (else ``ValueError``),
-    and the order is the TRF projected on it, read from the down-set table.
-    ``edges`` holds the (writer, read) pairs that inserting the cross-thread
-    reads one by one, in trace order, would add.
+    ``prefix`` restricts the universe to a trace ideal given by its
+    per-thread prefix lengths: block b holds the first ``prefix[b]`` events
+    of thread b.  A vector of the wrong length, an entry outside
+    ``0..len(thread)``, or one that is not an ideal raises ``ValueError``.
+    The order is the TRF projected on the universe, read from the down-set
+    table.  ``edges`` holds the (writer, read) pairs that inserting the
+    cross-thread reads one by one, in trace order, would add.
     """
     table = _table(trace)
-    keep = None if members is None else set(members)
-    blocks = [ids if keep is None else [e for e in ids if e in keep] for ids in table.ids]
+    ids = table.ids
+    prefix = [len(row) for row in ids] if prefix is None else prefix
+    fits = len(prefix) == len(ids) and all(0 <= m <= len(row) for m, row in zip(prefix, ids))
+    if not (fits and _is_closed(table, prefix)):
+        raise ValueError(f"{tuple(prefix)} is not the prefix vector of a trace ideal")
+    blocks = [row[:m] for row, m in zip(ids, prefix)]
     order = PartialOrder(blocks)
-    if keep is not None and len(keep) != order.n:
-        raise ValueError("member set holds ids that are not events of the trace")
     # a down-set vector counts the member itself, so its own block loses two
     down = np.array([table.down[e] for e in order.events()], np.int64).reshape(order.n, order.k)
-    if (down > [len(b) for b in blocks]).any():
-        raise ValueError("member set is not a trace ideal")
     order.pred = down - 1
     order.pred[np.arange(order.n), order._block] -= 1
     for r in sorted(e for e in order.events() if e in trace.rf):
@@ -350,36 +354,33 @@ def compute_trf(trace: Trace, members: Iterable[int] | None = None) -> PartialOr
 
 @dataclass
 class RfPoset:
-    """A partial order over a trace subset plus the observation map.
+    """A partial order over a trace ideal; it observes as the trace does.
 
-    ``rf`` maps each observer in the universe (read or release) to the writer
-    it must observe (write or acquire).  The order must already place writer
-    before observer; the closure strengthens it until no interfering writer
-    can slip between any observer and its writer.  Block b of the order must
-    be a prefix of thread b (else ``ValueError``): the trace's channel index,
-    cut at the block lengths, then lists the universe's events per channel.
+    ``rf``, the trace's map restricted to the universe in event-id order,
+    takes each observer (read or release) to the writer it observes (write or
+    acquire).  The order must already place writer before observer; the
+    closure strengthens it until no interfering writer can slip between any
+    observer and its writer.  Block b of the order must be a prefix of thread
+    b, and the blocks an ideal (else ``ValueError``): the trace's channel
+    index, cut at the block lengths, then lists the universe's events per
+    channel.
     """
 
     trace: Trace
     order: PartialOrder
-    rf: dict[int, int]
 
     def __post_init__(self) -> None:
         blocks, ids = self.order.blocks, _table(self.trace).ids
         if len(blocks) != len(ids) or any(bl != row[: len(bl)] for bl, row in zip(blocks, ids)):
             raise ValueError("every block of the order must be a prefix of its thread")
+        if not _is_closed(_table(self.trace), [len(bl) for bl in blocks]):
+            raise ValueError("the blocks of the order do not form a trace ideal")
 
-    def triplets(self) -> Iterable[tuple[int, int, int]]:
-        """All (writer, observer, interfering-writer) combinations."""
-        writers: dict[str, list[int]] = {}
-        for eid in self.order.events():
-            ev = self.trace.event(eid)
-            if ev.writes_like:
-                writers.setdefault(ev.loc, []).append(eid)
-        for r, w in self.rf.items():
-            for x in writers.get(self.trace.event(r).loc, ()):
-                if x != w:
-                    yield w, r, x
+    @cached_property
+    def rf(self) -> dict[int, int]:
+        """Observer -> observed writer, over the universe, in event-id order."""
+        rf = self.trace.rf
+        return {e: rf[e] for e in sorted(self.order.events()) if e in rf}
 
 
 class _Guards:
@@ -511,4 +512,4 @@ def closure(poset: RfPoset) -> RfPoset | None:
                 order.add_edge(u, v)
     except CycleError:
         return None
-    return RfPoset(poset.trace, order, poset.rf)
+    return RfPoset(poset.trace, order)

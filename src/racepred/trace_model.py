@@ -28,6 +28,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -438,6 +439,18 @@ def _cut(rows: Sequence[list[int]], lengths: Iterable[int]) -> list[list[int]]:
 
 def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(max, a, b))
+
+
+def _is_closed(table: _Table, prefix: Sequence[int]) -> bool:
+    """Whether per-thread prefix lengths form a trace ideal.
+
+    They do iff the downward closure of each thread's last included event
+    fits inside them, since closures grow along each thread.
+    """
+    for b, m in enumerate(prefix):
+        if m and any(map(gt, table.down[table.ids[b][m - 1]], prefix)):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

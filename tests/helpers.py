@@ -10,6 +10,7 @@ import itertools
 import os
 from bisect import bisect_left, bisect_right
 from pathlib import Path
+from typing import Iterable
 
 import networkx as nx
 import numpy as np
@@ -183,20 +184,33 @@ def realizable_sets(trace: Trace) -> set[frozenset[int]]:
     return out
 
 
+def triplets(poset: RfPoset) -> Iterable[tuple[int, int, int]]:
+    """All (writer, observer, interfering-writer) combinations of an rf-poset."""
+    writers: dict[str, list[int]] = {}
+    for eid in poset.order.events():
+        ev = poset.trace.event(eid)
+        if ev.writes_like:
+            writers.setdefault(ev.loc, []).append(eid)
+    for r, w in poset.rf.items():
+        for x in writers.get(poset.trace.event(r).loc, ()):
+            if x != w:
+                yield w, r, x
+
+
 def closure_by_triplets(poset: RfPoset) -> PartialOrder | None:
     """The rf-poset closure recomputed one triplet at a time.
 
-    Sweeps every (writer, observer, interferer) triplet of
-    ``RfPoset.triplets()``, inserting each edge the closure conditions demand,
-    until a sweep adds nothing.  Returns None when an edge closes a cycle.
+    Sweeps every (writer, observer, interferer) triplet of :func:`triplets`,
+    inserting each edge the closure conditions demand, until a sweep adds
+    nothing.  Returns None when an edge closes a cycle.
     """
     order = poset.order.copy()
-    triplets = list(poset.triplets())
+    trips = list(triplets(poset))
     changed = True
     try:
         while changed:
             changed = False
-            for w, r, x in triplets:
+            for w, r, x in trips:
                 if order.ordered(x, r) and not order.ordered(x, w):
                     changed |= order.add_edge(x, w)
                 if order.ordered(w, x) and not order.ordered(r, x):

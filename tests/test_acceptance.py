@@ -255,7 +255,7 @@ def test_criterion_05_closure_properties_on_random_rf_posets():
                     refined.add_edge(u, v)
                 except CycleError:
                     continue
-                samples.append((t, RfPoset(t, refined, dict(res.poset.rf))))
+                samples.append((t, RfPoset(t, refined)))
     assert len(samples) >= 1000
 
     witness_buckets: dict[int, dict[frozenset, list[list[int]]]] = {}

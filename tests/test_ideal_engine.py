@@ -167,6 +167,13 @@ def test_cone_of_first_event_is_empty():
     assert cone(THREE, [3]).members == frozenset()
 
 
+def test_cone_rejects_unknown_ids():
+    # as lcone, Ideal.from_members and is_ideal do
+    for events in ([999], [0], [-1], [2, 4]):
+        with pytest.raises(TraceError, match="out of range"):
+            cone(THREE, events)
+
+
 def test_cone_takes_predecessor_closure():
     assert cone(THREE, [2]).members == {1}
     # reader's cone follows rf back into the other thread
@@ -229,12 +236,33 @@ def test_lock_free_ideal_is_feasible_with_plain_order():
     x = Ideal.from_members(THREE, [1, 2])
     res = feasibility(x)
     assert res.status is Feasibility.FEASIBLE
-    want = compute_trf(THREE, [1, 2])
+    want = compute_trf(THREE, (2, 0))
     got = res.poset.order
     evs = [1, 2]
     assert {(u, v) for u in evs for v in evs if u != v and want.ordered(u, v)} == {
         (u, v) for u in evs for v in evs if u != v and got.ordered(u, v)
     }
+
+
+def test_feasible_poset_observes_as_the_trace():
+    # every feasible candidate's rf-poset carries the trace's own observation
+    # map cut to its universe, iterated in event-id order
+    posets = 0
+    for s in range(40):
+        t = gen_random_trace(
+            s, n=14, k=3, d_globals=2, d_locks=1, read_ratio=0.4,
+            lock_ratio=0.3, nesting_max=2,
+        )
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            for x in candidate_ideal_set(t, e1, e2):
+                res = feasibility(x)
+                if res:
+                    want = [(e, t.rf[e]) for e in sorted(x.members) if e in t.rf]
+                    assert list(res.poset.rf.items()) == want, (s, e1, e2, x.prefix)
+                    posets += 1
+    assert posets >= 500
 
 
 def test_mandated_release_edge_can_contradict_observation():

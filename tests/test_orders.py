@@ -23,12 +23,14 @@ from racepred import (
 )
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _table
+from racepred.realizability import realize_general
 from racepred.trace_model import from_events
 
 from helpers import (
     add_edge_by_mask,
     closure_by_triplets,
     trace_events,
+    triplets,
     trf_by_replay,
     trf_digraph,
 )
@@ -324,19 +326,17 @@ def test_trf_release_edge_stays_intra_thread():
 
 def test_trf_restriction_requires_observation_closure():
     t = parse_trace("t1 w x\nt2 r x")
-    with pytest.raises(ValueError, match="not a trace ideal"):
-        compute_trf(t, members=[2])  # reader without its writer
-    t = parse_trace("t1 w x\nt1 w y\nt1 w z")
-    with pytest.raises(ValueError, match="not a trace ideal"):
-        compute_trf(t, members=[1, 3])  # a gap in the thread
+    with pytest.raises(ValueError, match="not the prefix vector of a trace ideal"):
+        compute_trf(t, prefix=(0, 1))  # reader without its writer
+    assert compute_trf(t, (1, 0)).blocks == ((1,), ())
 
 
-def test_trf_restriction_rejects_unknown_ids():
+def test_trf_restriction_rejects_a_misshapen_prefix_vector():
     t = parse_trace("t1 w x\nt2 r x\n")
-    for members in ([1, 2, 999], [1, 0], [-1]):
-        with pytest.raises(ValueError, match="not events of the trace"):
-            compute_trf(t, members)
-    assert compute_trf(t, [1, 2]).blocks == ((1,), (2,))
+    for prefix in ((1,), (1, 1, 0), (-1, 0), (1, -1), (2, 1), (1, 2)):
+        with pytest.raises(ValueError, match="not the prefix vector of a trace ideal"):
+            compute_trf(t, prefix)
+    assert compute_trf(t, [1, 1]).blocks == ((1,), (2,))
 
 
 def test_compute_trf_returns_a_fresh_mutable_order():
@@ -351,11 +351,10 @@ def test_compute_trf_returns_a_fresh_mutable_order():
     assert _table(t).down[2] == (0, 1)
 
 
-def down_set_ideal(trace, eids) -> list[int]:
-    """Members of the least ideal holding ``eids``: the join of their down-sets."""
+def down_set_ideal(trace, eids) -> tuple[int, ...]:
+    """Prefix vector of the least ideal holding ``eids``: the join of their down-sets."""
     table = _table(trace)
-    lengths = [max(col) for col in zip(table.down[0], *(table.down[e] for e in eids))]
-    return [e for ids, m in zip(table.ids, lengths) for e in ids[:m]]
+    return tuple(max(col) for col in zip(table.down[0], *(table.down[e] for e in eids)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,8 +366,9 @@ def test_trf_matches_networkx_closure(items, data):
     closure_graph = trf_digraph(t)
     eids = [ev.eid for ev in t]
     seeds = data.draw(st.lists(st.sampled_from(eids), max_size=3)) if eids else []
-    for members in (None, down_set_ideal(t, seeds)):
-        po = compute_trf(t, members)
+    for prefix in (None, down_set_ideal(t, seeds)):
+        po = compute_trf(t, prefix)
+        members = None if prefix is None else Ideal(t, prefix).members
         universe = eids if members is None else members
         assert ordered_pairs(po) == set(closure_graph.subgraph(universe).edges())
         want = trf_by_replay(t, members)
@@ -452,15 +452,25 @@ def test_linearize_is_least_linear_extension():
 
 
 def make_poset(trace) -> RfPoset:
-    return RfPoset(trace, compute_trf(trace), dict(trace.rf))
+    return RfPoset(trace, compute_trf(trace))
 
 
 def test_rf_poset_blocks_must_be_thread_prefixes():
     t = parse_trace("t1 w x\nt1 w y\nt2 r x\n")
-    RfPoset(t, PartialOrder([[1], []]), {})  # a prefix of each thread
+    RfPoset(t, PartialOrder([[1], []]))  # a prefix of each thread
     for blocks in ([[2], []], [[1, 2]], [[1, 2], [3], []], [[2, 1], [3]], [[1], [3], []]):
         with pytest.raises(ValueError, match="prefix of its thread"):
-            RfPoset(t, PartialOrder(blocks), {})
+            RfPoset(t, PartialOrder(blocks))
+
+
+def test_rf_poset_universe_must_be_a_trace_ideal():
+    # thread prefixes that hold a read without its writer are no rf-poset,
+    # so no backend ever sees an observer whose writer is missing
+    t = parse_trace("t1 w x\nt2 r x\n")
+    with pytest.raises(ValueError, match="trace ideal"):
+        realize_general(RfPoset(t, PartialOrder([[], [2]])))
+    poset = make_poset(t)
+    assert poset.rf == {2: 1} and realize_general(poset) == [1, 2]
 
 
 def test_no_triplets_is_closed():
@@ -470,7 +480,7 @@ def test_no_triplets_is_closed():
 
 def test_triplet_enumeration_includes_locks():
     t = parse_trace("t1 acq l\nt1 rel l\nt2 acq l\nt2 rel l")
-    trips = set(make_poset(t).triplets())
+    trips = set(triplets(make_poset(t)))
     # each release forms a triplet with the other critical section's acquire
     assert trips == {(1, 2, 3), (3, 4, 1)}
 
@@ -479,7 +489,7 @@ def test_open_rule_violation_detected():
     # w' precedes the read in thread order but is unordered vs its writer
     t = parse_trace("t1 w x\nt2 w x\nt1 r x")
     poset = make_poset(t)
-    assert set(poset.triplets()) == {(2, 3, 1)}
+    assert set(triplets(poset)) == {(2, 3, 1)}
     assert poset.order.ordered(1, 3) and poset.order.unordered(1, 2)
     assert not is_closed(poset)
 
@@ -519,7 +529,7 @@ def test_closure_cycle_yields_bottom():
     order = compute_trf(t)
     order.add_edge(1, 3)
     order.add_edge(3, 2)
-    poset = RfPoset(t, order, dict(t.rf))
+    poset = RfPoset(t, order)
     assert closure(poset) is None
     # cross-check: no linearization of the input realizes rf
     assert not some_linearization_realizes(poset)
@@ -556,7 +566,7 @@ def test_closure_is_weakest_closed_refinement(items):
             refined.add_edge(u, v)
         except CycleError:
             continue
-        candidate = closure(RfPoset(t, refined, dict(t.rf)))
+        candidate = closure(RfPoset(t, refined))
         if candidate is None:
             continue
         assert refines(candidate.order, closed.order)
@@ -590,9 +600,7 @@ def assert_closure_matches_reference(poset: RfPoset) -> None:
 
 def prefix_poset(trace, eid: int) -> RfPoset:
     """The rf-poset of the downward TRF closure of one event, itself included."""
-    members = down_set_ideal(trace, [eid])
-    rf = {e: trace.rf[e] for e in members if trace.event(e).observes}
-    return RfPoset(trace, compute_trf(trace, members), rf)
+    return RfPoset(trace, compute_trf(trace, down_set_ideal(trace, [eid])))
 
 
 @settings(max_examples=150, deadline=None)
@@ -616,7 +624,7 @@ def test_closure_matches_triplet_fixpoint(items, data):
         refined.add_edge(u, v)
     except CycleError:
         return
-    assert_closure_matches_reference(RfPoset(t, refined, dict(t.rf)))
+    assert_closure_matches_reference(RfPoset(t, refined))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -171,7 +171,7 @@ def test_tree_resolves_unordered_pairs_parent_first():
     # unordered, so resolution puts t1's write 3 before t2's write 2 and the
     # least linear extension is [1, 3, 2] (child first would give [1, 2, 3])
     t = parse_trace("t1 w y\nt2 w x\nt1 w x\n")
-    p = RfPoset(t, compute_trf(t), dict(t.rf))
+    p = RfPoset(t, compute_trf(t))
     stats = {}
     assert realize_tree(p, stats=stats) == [1, 3, 2]
     assert stats["resolution_edges"] == 1
@@ -285,7 +285,7 @@ def resolves_like_the_pairwise_loop(p) -> bool:
 
 
 def trf_poset(trace):
-    return RfPoset(trace, compute_trf(trace), dict(trace.rf))
+    return RfPoset(trace, compute_trf(trace))
 
 
 def cone_poset(trace, e1, e2):
@@ -603,7 +603,7 @@ def test_replay_orders_like_the_pairwise_replay():
                     g.add_edge(u, v)
             except CycleError:
                 continue
-            assert is_closed(RfPoset(p.trace, g, p.rf)), (s, x.prefix)
+            assert is_closed(RfPoset(p.trace, g)), (s, x.prefix)
     assert compared >= 20_000 and flipped >= 8_000
 
 
