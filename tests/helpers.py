@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_left, bisect_right
+from collections import deque
+from operator import lt
 from pathlib import Path
 from typing import Iterable
 
@@ -20,7 +22,7 @@ import racepred
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
 from racepred.realizability import _shrink_cross
-from racepred.trace_model import from_events
+from racepred.trace_model import _cut, _table, from_events
 
 
 def child_env(**extra) -> dict[str, str]:
@@ -388,6 +390,94 @@ def add_edge_by_mask(order: PartialOrder, u: int, v: int) -> bool:
     order.pred[above] = np.maximum(order.pred[above], down)
     order.edges.append((u, v))
     return True
+
+
+def realize_general_by_watchers(p: RfPoset, stats: dict | None = None) -> list[int] | None:
+    """The general backend's breadth-first search with per-channel watcher
+    lists: each writer it could place is tested against every observation
+    on its channel, pending when the observation's writer is placed and its
+    observer is not.  The same expansion order and dedupe as
+    :func:`racepred.realize_general`, and the same ``search_nodes``."""
+    order = p.order
+    blocks = order.blocks
+    k = len(blocks)
+    rows = order.pred.tolist()
+    block_rows = [[rows[order.index_of(e)] for e in block] for block in blocks]
+
+    table = _table(p.trace)
+    lengths = [len(block) for block in blocks]
+    watch: list[list[list[tuple[int, ...]]]] = [[[]] * m for m in lengths]
+    for x, users in table.users.items():
+        watchers = [
+            (p.rf[r], *order.location(p.rf[r]), b, pos)
+            for b, row in enumerate(_cut(users, lengths))
+            for pos in row
+            if (r := blocks[b][pos]) in p.rf
+        ]
+        for b, row in enumerate(_cut(table.writers[x], lengths)):
+            for pos in row:
+                watch[b][pos] = watchers
+
+    def blocked(e: int, b: int, prefix: tuple[int, ...]) -> bool:
+        for w, bw, pw, br, pr in watch[b][prefix[b]]:
+            if w != e and pw < prefix[bw] and pr >= prefix[br]:
+                return True
+        return False
+
+    start = (0,) * k
+    goal = tuple(lengths)
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
+    queue = deque([start])
+    found = False
+    while queue:
+        y = queue.popleft()
+        if y == goal:
+            found = True
+            break
+        frontier = sorted((blocks[b][y[b]], b) for b in range(k) if y[b] < len(blocks[b]))
+        for e, b in frontier:
+            if not all(map(lt, block_rows[b][y[b]], y)):
+                continue
+            if blocked(e, b, y):
+                continue
+            y2 = y[:b] + (y[b] + 1,) + y[b + 1 :]
+            if y2 in parents:
+                continue
+            parents[y2] = (y, e)
+            queue.append(y2)
+
+    if stats is not None:
+        stats["search_nodes"] = len(parents)
+    if not found:
+        return None
+    out: list[int] = []
+    state = goal
+    while parents[state] is not None:
+        state, e = parents[state]
+        out.append(e)
+    out.reverse()
+    return out
+
+
+def linearize_by_scan(order: PartialOrder) -> list[int]:
+    """The lexicographically least linear extension of ``order``, each step
+    re-testing every block head: the smallest-id head whose ``pred`` row is
+    below the placed count in every block goes next."""
+    rows = order.pred.tolist()
+    placed = [0] * order.k
+    out: list[int] = []
+    while len(out) < order.n:
+        ready = [
+            (block[p], b)
+            for b, (block, p) in enumerate(zip(order.blocks, placed))
+            if p < len(block) and all(map(lt, rows[order.index_of(block[p])], placed))
+        ]
+        if not ready:
+            raise CycleError((-1, -1))
+        eid, b = min(ready)
+        out.append(eid)
+        placed[b] += 1
+    return out
 
 
 def resolve_by_pairs(trace: Trace, fixed: PartialOrder, children_order) -> PartialOrder:

@@ -36,13 +36,17 @@ from racepred import (
 from racepred import realizability
 from racepred.cli import predict, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
+from racepred.ideal_engine import _candidates
 from racepred.orders import _Guards
 from racepred.realizability import _resolve, _shrink_cross
 from racepred.trace_model import _adjacency, _conflict_edges, _forest_order, _table
 
 from helpers import (
     bounded_by_pairs,
+    linearize_by_scan,
+    lock_handoff_traces,
     realizable_sets,
+    realize_general_by_watchers,
     replay_by_pairs,
     resolve_by_pairs,
     reversal_pairs_by_combinations,
@@ -143,6 +147,107 @@ def test_general_search_node_count_is_reported():
     p = feasibility(Ideal.from_members(FOUR, [1, 2, 3, 4])).poset
     realize_general(p, stats=stats)
     assert 1 <= stats["search_nodes"] <= prod(len(b) + 1 for b in p.order.blocks)
+
+
+def searches_like_the_watchers(p) -> list[int] | None:
+    """``realize_general(p)``, checked against the watcher-list reference:
+    the same witness and the same ``search_nodes``."""
+    got, want = {}, {}
+    w = realize_general(p, stats=got)
+    assert w == realize_general_by_watchers(p, stats=want)
+    assert got == want
+    return w
+
+
+def test_general_matches_watcher_search_on_wide_corpus():
+    # every feasible candidate poset of every cross-thread pair, over traces
+    # with up to 5 threads, 3 locks and nesting 3
+    posets = found = 0
+    for s in range(320):
+        t = gen_random_trace(
+            30_000 + s, n=10 + s % 21, k=2 + s % 4, d_globals=2 + s % 2,
+            d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.35,
+            nesting_max=1 + s % 3,
+        )
+        seen = set()
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            for x in _candidates(t, e1, e2):
+                if x.prefix in seen:
+                    continue
+                seen.add(x.prefix)
+                res = feasibility(x)
+                if res:
+                    posets += 1
+                    found += searches_like_the_watchers(res.poset) is not None
+    assert posets >= 5_000 and 1_000 <= found < posets
+
+
+@given(st.one_of(traces(max_events=12), lock_handoff_traces()))
+@settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+def test_general_matches_watcher_search_on_every_feasible_ideal(trace):
+    for x, res in each_feasible_ideal(trace):
+        if res:
+            searches_like_the_watchers(res.poset)
+
+
+def test_general_matches_watcher_search_on_chain_and_star():
+    for t in (chain_trace(200), star_trace(200)):
+        assert searches_like_the_watchers(trf_poset(t)) is not None
+        assert searches_like_the_watchers(cone_poset(t, 199, 200)) is not None
+
+
+def agrees_on_every_ideal(trace) -> None:
+    """On every feasible ideal of ``trace``, the general search matches the
+    watcher reference and finds a witness exactly when brute force does."""
+    reachable = realizable_sets(trace)
+    for x, res in each_feasible_ideal(trace):
+        if res:
+            w = searches_like_the_watchers(res.poset)
+            assert (w is not None) == (x.members in reachable), x.prefix
+
+
+def general_witness(trace, members) -> list[int]:
+    w = searches_like_the_watchers(feasibility(Ideal.from_members(trace, members)).poset)
+    assert w is not None and verify_witness(trace, w)
+    return w
+
+
+def test_general_write_waits_for_both_readers_of_a_pending_write():
+    # t1's write is read in t2 and in t3; t4's write of x may not come
+    # between that write and either read
+    t = parse_trace("t1 w x\nt2 r x\nt3 r x\nt4 w x\n")
+    agrees_on_every_ideal(t)
+    w = general_witness(t, [1, 2, 3, 4])
+    assert w.index(4) > max(w.index(2), w.index(3)) or w.index(4) < w.index(1)
+
+
+def test_general_reader_outside_the_universe_holds_no_channel():
+    # t3's read of t1's write is outside the prefix, so once t2 has read,
+    # nothing on x is pending and t4's write may follow
+    t = parse_trace("t1 w x\nt2 r x\nt3 r x\nt4 w x\n")
+    assert general_witness(t, [1, 2, 4]) == [1, 2, 4]
+    assert frozenset([1, 2, 4]) in realizable_sets(t)
+
+
+def test_general_held_lock_blocks_another_threads_acquire():
+    # t1 has acquired l and not yet released it while t2's acquire of l is
+    # in the frontier: t2's section goes wholly before or after t1's
+    t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq l\nt2 w y\nt2 rel l\n")
+    agrees_on_every_ideal(t)
+    w = general_witness(t, range(1, 7))
+    assert not w.index(1) < w.index(4) < w.index(3)
+
+
+def test_general_read_of_a_synthesized_write():
+    # the read of x observes the synthesized initial write 1, so t2's write
+    # waits for it; without the read, it need not
+    t = parse_trace("t1 r x\nt2 w x\n")
+    assert t.is_synthesized(1) and t.rf[2] == 1
+    agrees_on_every_ideal(t)
+    assert general_witness(t, [1, 2, 3]) == [1, 2, 3]
+    assert general_witness(t, [1, 3]) == [1, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +743,55 @@ def test_bounded_predict_matches_min_distance_on_wide_corpus():
                     assert reversal_count(t, v.witness) == v.distance <= budget
                 runs += 1
     assert runs >= 30_000
+
+
+# ---------------------------------------------------------------------------
+# linearization
+# ---------------------------------------------------------------------------
+
+
+def test_linearize_matches_scan_on_ov_closed_orders():
+    # the closed TRF and cone orders of OV traces in 3 dimensions, and the
+    # resolved cone order the tree backend linearizes
+    rng = random.Random(7)
+    orders = 0
+    for m in range(1, 5):
+        for _ in range(6):
+            a = [[rng.randint(0, 1) for _ in range(3)] for _ in range(m)]
+            b = [[rng.randint(0, 1) for _ in range(3)] for _ in range(m)]
+            t, (e1, e2) = gen_ov_trace(OvInstance(a, b, 3))
+            for p in (trf_poset(t), cone_poset(t, e1, e2)):
+                closed = None if p is None else closure(p)
+                if closed is None:
+                    continue
+                resolved, _ = _resolve(_table(t), closed.order, tree_children(closed))
+                for q in (closed.order, resolved):
+                    assert q.linearize() == linearize_by_scan(q)
+                    orders += 1
+    assert orders >= 80
+
+
+def test_linearize_matches_scan_on_bounded_corpus(monkeypatch):
+    # every order the bounded search linearizes, on the branch path too; at
+    # budget 2 that includes each root order budget 0 would linearize
+    real, calls = PartialOrder.linearize, []
+
+    def spy(self):
+        out = real(self)
+        assert out == linearize_by_scan(self)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(PartialOrder, "linearize", spy)
+    for s, x, p in branching_corpus():
+        realize_bounded(p, 2)
+    assert len(calls) >= 10_000
+
+
+def test_linearize_matches_scan_on_chain_and_star():
+    for t in (chain_trace(2000), star_trace(2000)):
+        q = compute_trf(t)
+        assert q.linearize() == linearize_by_scan(q) == list(range(1, 2001))
 
 
 # ---------------------------------------------------------------------------
