@@ -6,14 +6,18 @@ can be completed into a real trace (a witness):
 
 * :func:`realize_general` — breadth-first search over the ideal graph of
   the poset; works on any feasible ideal, exponential in the thread count
-  only.
+  only.  Each state carries one count per channel of the observations
+  pending at it (writer placed, observer not), and a write or acquire
+  extends it only when its channel's count is zero, so a step costs O(k)
+  plus one copy of the counts, whatever the number of observations.
 * :func:`realize_tree` — when the poset's block conflict graph (one edge
   per pair of threads holding conflicting events) is a forest, the closure
   plus one top-down edge-resolution pass yields a witness directly, with no
   search.  The pass collects at most one edge per child event: from the
   latest conflicting parent event that the closure does not put above it,
   found by bisection in the parent's row of the trace's channel index.  It
-  inserts them as one batch (:meth:`~racepred.orders.PartialOrder.add_edges`).
+  inserts them as one batch (:meth:`~racepred.orders.PartialOrder.add_edges`)
+  and linearizes the result.
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
   whose order flips at most a given number of conflicting write/acquire
   pairs relative to the observed trace.  On the closure's (channel, block)
@@ -34,13 +38,13 @@ contract).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
+from collections import Counter, deque
 from itertools import accumulate
 from operator import lt
 from typing import Iterable
 
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
-from .trace_model import Trace, _Table, _adjacency, _conflict_edges, _cut, _forest_order, _table
+from .trace_model import Trace, _Table, _adjacency, _conflict_edges, _forest_order, _table
 
 __all__ = [
     "realize_general",
@@ -59,13 +63,15 @@ __all__ = [
 def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     """Search the ideal graph of ``p`` for a witness.
 
-    States are per-thread prefix-length tuples; an event extends a state
-    when all its order-predecessors are inside and no pending observation
-    (writer placed, observer not) shares its channel.  A watcher holds one
-    observation as (writer, writer's block, writer's position, observer's
-    block, observer's position), listed under each writer on its channel, so
-    both membership tests compare a position with the state.  Returns the
-    event sequence of the first path reaching the full universe, or ``None``.
+    States are per-thread prefix-length tuples, each queued with one count
+    per channel: the observations pending at it, writer placed and observer
+    not.  Placing a writer adds its observers in the universe to its
+    channel's count, and placing an observer takes one off, since the order
+    puts every writer before its observers.  An event extends a state when
+    all its order-predecessors are inside and, for a write or acquire, its
+    channel's count is zero, so a step costs O(k) plus one copy of the counts.
+    Returns the event sequence of the first path reaching the full universe,
+    or ``None``.
     """
     order = p.order
     blocks = order.blocks
@@ -73,47 +79,44 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     rows = order.pred.tolist()
     block_rows = [[rows[order.index_of(e)] for e in block] for block in blocks]
 
-    table = _table(p.trace)
-    lengths = [len(block) for block in blocks]
-    watch: list[list[list[tuple[int, ...]]]] = [[[]] * m for m in lengths]
-    for x, users in table.users.items():
-        watchers = [
-            (p.rf[r], *order.location(p.rf[r]), b, pos)
-            for b, row in enumerate(_cut(users, lengths))
-            for pos in row
-            if (r := blocks[b][pos]) in p.rf
-        ]
-        for b, row in enumerate(_cut(table.writers[x], lengths)):
-            for pos in row:
-                watch[b][pos] = watchers
-
-    def blocked(e: int, b: int, prefix: tuple[int, ...]) -> bool:
-        for w, bw, pw, br, pr in watch[b][prefix[b]]:
-            if w != e and pw < prefix[bw] and pr >= prefix[br]:
-                return True
-        return False
+    trace, rf = p.trace, p.rf
+    observers = Counter(rf.values())
+    channels: dict[str, int] = {}
+    # per event: its channel, the change to that channel's count, and
+    # whether it must wait for the count to reach zero
+    steps: list[list[tuple[int, int, bool]]] = []
+    for block in blocks:
+        row = []
+        for e in block:
+            ev = trace.event(e)
+            c = channels.setdefault(ev.loc, len(channels))
+            delta = observers[e] if ev.writes_like else -1 if e in rf else 0
+            row.append((c, delta, ev.writes_like))
+        steps.append(row)
 
     start = (0,) * k
-    goal = tuple(lengths)
+    goal = tuple(map(len, blocks))
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
-    queue = deque([start])
+    queue = deque([(start, (0,) * len(channels))])
     found = False
     while queue:
-        y = queue.popleft()
+        y, pending = queue.popleft()
         if y == goal:
             found = True
             break
-        frontier = sorted((blocks[b][y[b]], b) for b in range(k) if y[b] < len(blocks[b]))
+        frontier = sorted((blocks[b][y[b]], b) for b in range(k) if y[b] < goal[b])
         for e, b in frontier:
-            if not all(map(lt, block_rows[b][y[b]], y)):
-                continue
-            if blocked(e, b, y):
+            c, delta, waits = steps[b][y[b]]
+            if waits and pending[c] or not all(map(lt, block_rows[b][y[b]], y)):
                 continue
             y2 = y[:b] + (y[b] + 1,) + y[b + 1 :]
             if y2 in parents:
                 continue
             parents[y2] = (y, e)
-            queue.append(y2)
+            if delta:
+                queue.append((y2, pending[:c] + (pending[c] + delta,) + pending[c + 1 :]))
+            else:
+                queue.append((y2, pending))
 
     if stats is not None:
         stats["search_nodes"] = len(parents)
