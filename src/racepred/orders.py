@@ -8,10 +8,10 @@ predecessor position ``pred``, from which the earliest successor position
 a block every ``pred`` column is non-decreasing, so the rows an inserted edge
 u -> v can raise form one suffix per block, found by one bisection;
 :meth:`PartialOrder.add_edge` updates only those suffixes.
-:meth:`PartialOrder.add_edges` inserts a batch at once: it writes each edge
-into its target's row, then alternates a per-block running max with a gather
-of each row's frontier rows until nothing changes.  A batch that closes a
-cycle changes nothing.
+:meth:`PartialOrder.linearize` takes a last set of edges without closing
+them: a linear extension needs only each event's direct predecessors, so it
+writes each edge into its target's row of a copy of ``pred`` and places
+events from that.
 
 The module also provides:
 
@@ -196,60 +196,14 @@ class PartialOrder:
         self.edges.append((u, v))
         return True
 
-    def add_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Insert every u < v of ``edges`` and transitively close, as one batch.
-
-        Returns how many distinct edges the order did not already imply, and
-        ``edges`` gains those.  A later edge of the batch that an earlier one
-        implies is among them, where the one-at-a-time loop would leave it
-        out.  All or nothing: when the batch closes a cycle, ``pred`` and
-        ``edges`` keep their values, and the :class:`CycleError` names the
-        first batch edge on a cycle, not necessarily the edge at which that
-        loop would stop.
-
-        Each edge raises its target's entry for the source's block.  Then
-        two steps repeat until neither changes ``pred``: a running max down
-        each block (program order), and, for each row, the max of the rows
-        it reaches in every block (its frontier).  Each round about doubles
-        the length of the paths every row has seen.
-        """
-        edges = list(dict.fromkeys(edges))
-        if not edges:
-            return 0
-        idx = self._idx
-        iu = np.array([idx[u] for u, _ in edges], dtype=np.int64)
-        iv = np.array([idx[v] for _, v in edges], dtype=np.int64)
-        bu, pu = self._block[iu], self._pos[iu]
-        new = self.pred[iv, bu] < pu
-        if not new.any():
-            return 0
-
-        work = self.pred.copy()
-        np.maximum.at(work, (iv[new], bu[new]), pu[new])
-        rows = np.arange(self.n)
-        base = np.array(self._starts[:-1], dtype=np.int64)
-        while True:
-            for start, end in zip(self._starts, self._starts[1:]):
-                np.maximum.accumulate(work[start:end], axis=0, out=work[start:end])
-            # an empty entry gathers the row itself
-            front = np.where(work >= 0, work + base, rows[:, None])
-            grown = np.maximum(work, work[front].max(axis=1))
-            if np.array_equal(grown, work):
-                break
-            work = grown
-        if (work[rows, self._block] >= self._pos).any():
-            # the order was acyclic, so a cycle takes some batch edge u -> v,
-            # and then v reaches u
-            back = work[iu, self._block[iv]] >= self._pos[iv]
-            raise CycleError(edges[int(back.argmax())])
-        self.pred = work
-        self.edges += [e for e, fresh in zip(edges, new.tolist()) if fresh]
-        return int(new.sum())
-
     # -- derived structure -------------------------------------------------
 
-    def linearize(self) -> list[int]:
-        """The lexicographically least linear extension of the order.
+    def linearize(self, edges: Iterable[tuple[int, int]] = ()) -> list[int]:
+        """The lexicographically least linear extension of the order plus
+        ``edges``; the order itself is left as it is.
+
+        Raises :class:`CycleError` when ``edges`` close a cycle, naming the
+        first of them whose ends both stay unplaced.
 
         Each step places the smallest-id block head whose predecessors are
         all placed: its ``pred`` row is below the placed count in every
@@ -257,9 +211,18 @@ class PartialOrder:
         not ready waits on the first block still holding a predecessor, and
         is tested again, from the next block on, only when that block's
         placed count reaches the one it needs, so each head's row is read
-        once in all: O(n·k) tests and O(n log k) heap steps.
+        once in all: O(n·k) tests and O(n log k) heap steps.  That needs
+        only each event's direct predecessors, so each edge u -> v just
+        raises v's entry for u's block in a copy of ``pred``.
         """
-        rows = self.pred.tolist()
+        edges = list(edges)
+        pred = self.pred
+        if edges:
+            iu = np.array([self._idx[u] for u, _ in edges], dtype=np.int64)
+            iv = np.array([self._idx[v] for _, v in edges], dtype=np.int64)
+            pred = pred.copy()
+            np.maximum.at(pred, (iv, self._block[iu]), self._pos[iu])
+        rows = pred.tolist()
         blocks, starts, k = self.blocks, self._starts, self.k
         placed = [0] * k
         # (c, m): the blocks whose head waits for m events of block c placed
@@ -288,7 +251,10 @@ class PartialOrder:
             for b2 in waiting.pop((b, placed[b]), ()):
                 offer(b2, b + 1)
         if len(out) < self.n:
-            raise CycleError((-1, -1))  # cannot happen for a valid order
+            # the order is acyclic, so every cycle takes an edge of ``edges``
+            # whose ends both stay unplaced
+            done = set(out)
+            raise CycleError(next(e for e in edges if done.isdisjoint(e)))
         return out
 
     def path_between(self, u: int, v: int) -> list[tuple[int, int]]:
@@ -413,7 +379,9 @@ class _Guards:
     contiguous run.  Each slot pairs an observer with one block that holds
     writers on its channel.  The same segments serve :meth:`replay`, whose
     slots pair a writer with another block that holds writers on its
-    channel; they are built on its first call, so the closure never pays.
+    channel, and :meth:`unprotected_after_replay`, which counts per slot the
+    block's events earlier in the trace than the writer; both are built on
+    first call, so the closure never pays.
     """
 
     def __init__(self, poset: RfPoset):
@@ -433,6 +401,7 @@ class _Guards:
         self.writers = np.array(writers, dtype=np.int64)
         self._by_channel = by_channel
         self._replay_slots: tuple[np.ndarray, ...] | None = None
+        self._below: np.ndarray | None = None
         slots = []
         for r, w in poset.rf.items():
             ir, iw = order.index_of(r), order.index_of(w)
@@ -464,9 +433,39 @@ class _Guards:
         Writers in ``[succ[w, b], succ[r, b])`` are after w but not after r;
         r must precede the earliest of them.
         """
-        b, base, keys, succ = self.block, self.base, self.keys, order.succ
-        first = np.searchsorted(keys, base + succ[self.iw, b], side="left")
-        end = np.searchsorted(keys, base + succ[self.ir, b], side="left")
+        succ = order.succ
+        return self._earliest(succ[self.iw, self.block], succ[self.ir, self.block])
+
+    def unprotected_after_replay(self, order: PartialOrder) -> list[tuple[int, int]]:
+        """Condition 2 on ``order`` plus its :meth:`replay` edges, read off
+        ``order`` alone, in slot order.
+
+        Once the replay puts every pair of same-channel writers that
+        ``order`` leaves unordered in trace order, the writers of w's
+        channel in block b after w are those ``order`` puts there, from
+        ``succ[w, b]`` on, and the unordered ones later in the trace, from
+        ``max(pred[w, b] + 1, below)`` on, where ``below`` counts b's events
+        earlier in the trace than w (plus w itself in its own block).  So the
+        earliest of them is the first at or after the smaller bound, and no
+        closure is needed.  Edges that ``order`` plus the replay implies, but
+        ``order`` alone does not, are among those returned.  All this holds
+        when ``order`` plus the replay is acyclic; when it is not, adding
+        these edges leaves a cycle all the same.
+        """
+        if self._below is None:
+            blocks = order.blocks
+            ws, bs = self.w.tolist(), self.block.tolist()
+            below = [bisect_left(blocks[b], w) for w, b in zip(ws, bs)]
+            self._below = np.array(below, dtype=np.int64) + self.own
+        iw, b, succ = self.iw, self.block, order.succ
+        after = np.minimum(succ[iw, b], np.maximum(order.pred[iw, b] + 1, self._below))
+        return self._earliest(after, succ[self.ir, b])
+
+    def _earliest(self, after: np.ndarray, above: np.ndarray) -> list[tuple[int, int]]:
+        """Per slot, (r, y) for the slot segment's earliest writer y at a
+        position from ``after`` on, when y sits below ``above``."""
+        first = np.searchsorted(self.keys, self.base + after, side="left")
+        end = np.searchsorted(self.keys, self.base + above, side="left")
         out = end > first
         return list(zip(self.r[out].tolist(), self.writers[first[out]].tolist()))
 

@@ -15,17 +15,18 @@ can be completed into a real trace (a witness):
   plus one top-down edge-resolution pass yields a witness directly, with no
   search.  The pass collects at most one edge per child event: from the
   latest conflicting parent event that the closure does not put above it,
-  found by bisection in the parent's row of the trace's channel index.  It
-  inserts them as one batch (:meth:`~racepred.orders.PartialOrder.add_edges`)
-  and linearizes the result.
+  found by bisection in the parent's row of the trace's channel index, and
+  only when the closure does not already put it below.  The closed order
+  linearizes under those edges
+  (:meth:`~racepred.orders.PartialOrder.linearize`), with no closing.
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
   whose order flips at most a given number of conflicting write/acquire
   pairs relative to the observed trace.  On the closure's (channel, block)
   segment tables it orders the unordered writer pairs as the trace does,
-  then puts each observer before the writers that follow its source (one
-  batch of edges each).  When that closes a cycle it inserts the same edges
-  again one at a time and branches on the cross edges of the cycle that
-  loop meets.
+  and puts each observer before the writers that then follow its source;
+  both edge sets are read off the node's own order, and the node
+  linearizes under them.  When they close a cycle it inserts them one at a
+  time and branches on the cross edges of the cycle that loop meets.
   :func:`reversal_pairs` measures a witness's distance with one merge per
   channel.
 
@@ -143,12 +144,11 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     one write or acquire).  The forest is walked breadth-first from each
     lowest-index root; after the closure, every conflicting pair between a
     parent and a child block that the closure left unordered is resolved
-    parent-first, one edge per child event, all inserted as one batch, and
-    the result linearizes to a witness.  ``stats`` receives
+    parent-first, at most one edge per child event, and the closed order
+    linearizes under those edges to a witness.  ``stats`` receives
     ``closure_edges`` (``None`` when the closure is contradictory) and
-    ``resolution_edges``, the batch edges that the closed order did not
-    already imply.  Returns ``None`` exactly when the closure is
-    contradictory.
+    ``resolution_edges``, the edges that the closed order did not already
+    imply.  Returns ``None`` exactly when the closure is contradictory.
 
     Raises :class:`ValueError` when the block conflict graph has a cycle.
     """
@@ -168,23 +168,24 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     if stats is not None:
         stats["closure_edges"] = len(fixed.edges) - len(p.order.edges)
 
-    q, resolved = _resolve(table, fixed, children_order)
+    edges = _resolve(table, fixed, children_order)
     if stats is not None:
-        stats["resolution_edges"] = resolved
-    return q.linearize()
+        stats["resolution_edges"] = len(edges)
+    return fixed.linearize(edges)
 
 
 def _resolve(
     table: _Table, fixed: PartialOrder, children_order: Iterable[tuple[int, int]]
-) -> tuple[PartialOrder, int]:
-    """``fixed`` with every conflicting (parent, child) pair it leaves unordered
-    put parent first, and the number of edges that ``fixed`` did not imply.
+) -> list[tuple[int, int]]:
+    """The edges that put every conflicting (parent, child) pair ``fixed``
+    leaves unordered parent first, none of them implied by ``fixed``.
 
     The parent events that ``fixed`` does not put above a child event e2 are
     the parent's positions below ``succ[e2, parent]``, a program-order
     prefix.  Only the latest of them on e2's channel that conflicts with e2
-    needs an edge to e2; program order implies the rest.  Every edge is read
-    from ``fixed``, so they go in as one batch.
+    needs an edge to e2, and only when ``fixed`` does not put it below e2;
+    program order implies the rest.  Every edge is read from ``fixed``, and
+    each has its own target.
     """
     blocks = fixed.blocks
     lengths = [len(block) for block in blocks]
@@ -193,7 +194,8 @@ def _resolve(
     edges = []
     wl = table.writes_like
     for child, par in children_order:
-        above = succ[starts[child] : starts[child + 1], par].tolist()
+        rows = slice(starts[child], starts[child + 1])
+        above, below = succ[rows, par].tolist(), fixed.pred[rows, par].tolist()
         for x, users in table.users.items():
             row = users[child]
             for p2 in row[: bisect_left(row, lengths[child])]:
@@ -201,10 +203,9 @@ def _resolve(
                 # a read or a release conflicts only with writes and acquires
                 prefix = (table.users if wl[e2] else table.writers)[x][par]
                 j = bisect_left(prefix, above[p2]) - 1
-                if j >= 0:
+                if j >= 0 and prefix[j] > below[p2]:
                     edges.append((blocks[par][prefix[j]], e2))
-    q = fixed.copy()
-    return q, q.add_edges(edges)
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -270,75 +271,6 @@ def _shrink_cross(
     return cross
 
 
-def _bounded_search(
-    trace: Trace,
-    q: PartialOrder,
-    rf: dict[int, int],
-    guards: _Guards,
-    budget: int,
-    full_budget: int,
-    counters: dict[str, int],
-) -> tuple[list[int], list[tuple[int, int]]] | None:
-    g = q.copy()
-    replay = guards.replay(q)  # the trace's own orientation
-    try:
-        g.add_edges(replay)
-        # with every conflicting writer pair ordered, condition 1 follows
-        # from condition 2, and condition-2 edges demand no further ones
-        g.add_edges(guards.unprotected(g))
-    except CycleError:
-        if budget == 0:
-            return None
-        # the branches follow the cycle that inserting these edges one at a
-        # time meets, and the path that loop's edges give: a batch may name
-        # another cycle edge, and it keeps edges that earlier ones imply,
-        # shortcuts for path_between that lead to other branches
-        g = q.copy()
-        try:
-            for u, v in replay:
-                g.add_edge(u, v)
-            for u, v in guards.unprotected(g):
-                g.add_edge(u, v)
-        except CycleError as exc:
-            u0, v0 = exc.edge
-        else:
-            raise AssertionError("a batch closed a cycle that its edges do not")
-        cycle = [(u0, v0)] + g.path_between(v0, u0)
-        cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
-        branches: list[tuple[int, int]] = []
-        wl = _table(trace).writes_like
-        for e1, e2 in cross:
-            wl1, wl2 = wl[e1], wl[e2]
-            if wl1 and wl2:
-                b = (e2, e1)
-            elif wl1:
-                b = (rf[e2], e1)  # flip the source under the observer
-            elif wl2:
-                b = (e2, rf[e1])  # flip the writer under the source
-            else:
-                raise AssertionError("cycle edge between two observers")
-            if b not in branches:
-                branches.append(b)
-        for b in branches:
-            if q.ordered(*b):
-                continue  # flip already present; this cycle would recur
-            q2 = q.copy()
-            try:
-                q2.add_edge(*b)
-            except CycleError:
-                continue
-            counters["branches"] += 1
-            found = _bounded_search(
-                trace, q2, rf, guards, budget - 1, full_budget, counters
-            )
-            if found is not None:
-                return found
-        return None
-    w = g.linearize()
-    flips = reversal_pairs(trace, w)
-    return (w, flips) if len(flips) <= full_budget else None
-
-
 def realize_bounded(
     p: RfPoset, budget: int, stats: dict | None = None
 ) -> list[int] | None:
@@ -350,15 +282,77 @@ def realize_bounded(
     the budget.  ``stats`` receives ``branches`` (flips tried) and
     ``reversals`` (the witness's flipped pairs).
 
+    A search node orders the writer pairs its order leaves unordered as the
+    trace does (:meth:`~racepred.orders._Guards.replay`); then condition 1
+    follows from condition 2, and condition-2 edges demand no further ones,
+    so the node linearizes under those two edge sets, both read off its own
+    order.  When they close a cycle and budget is left, it inserts them one
+    at a time into a copy and branches on flips of the cross edges of the
+    cycle that loop meets, each branch a node with one flip more.
+
     Raises :class:`ValueError` on a negative budget.
     """
     if budget < 0:
         raise ValueError("reversal budget must be non-negative")
-    counters = {"branches": 0}
-    found = _bounded_search(
-        p.trace, p.order, p.rf, _Guards(p), budget, budget, counters
-    )
+    trace, rf, guards = p.trace, p.rf, _Guards(p)
+    wl = _table(trace).writes_like
+    branches = 0
+
+    def search(q: PartialOrder, left: int) -> tuple[list[int], list[tuple[int, int]]] | None:
+        nonlocal branches
+        edges = guards.replay(q) + guards.unprotected_after_replay(q)
+        try:
+            w = q.linearize(edges)
+        except CycleError:
+            if left == 0:
+                return None
+            # the branches follow the cycle that inserting these edges one
+            # at a time meets, and the path that loop's edges give; an edge
+            # already implied is not recorded, so leads to no other branch
+            g = q.copy()
+            try:
+                for u, v in edges:
+                    g.add_edge(u, v)
+            except CycleError as exc:
+                u0, v0 = exc.edge
+            else:
+                raise AssertionError("edges close a cycle under linearize but not one at a time")
+            cycle = [(u0, v0)] + g.path_between(v0, u0)
+            cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
+            flips: list[tuple[int, int]] = []
+            for e1, e2 in cross:
+                wl1, wl2 = wl[e1], wl[e2]
+                if wl1 and wl2:
+                    flip = (e2, e1)
+                elif wl1:
+                    flip = (rf[e2], e1)  # flip the source under the observer
+                elif wl2:
+                    flip = (e2, rf[e1])  # flip the writer under the source
+                else:
+                    raise AssertionError("cycle edge between two observers")
+                if flip not in flips:
+                    flips.append(flip)
+            for flip in flips:
+                if q.ordered(*flip):
+                    continue  # flip already present; this cycle would recur
+                q2 = q.copy()
+                try:
+                    q2.add_edge(*flip)
+                except CycleError:
+                    continue
+                branches += 1
+                found = search(q2, left - 1)
+                if found is not None:
+                    return found
+            return None
+        flips = reversal_pairs(trace, w)
+        return (w, flips) if len(flips) <= budget else None
+
+    found = search(p.order, budget)
+    # search refers to itself; left alone, that cycle would keep the guards
+    # and the trace alive until the next full garbage collection
+    del search
     if stats is not None:
-        stats["branches"] = counters["branches"]
+        stats["branches"] = branches
         stats["reversals"] = [] if found is None else found[1]
     return None if found is None else found[0]

@@ -1,5 +1,6 @@
 """Command-line interface: verdicts, exit codes, scanning, generation."""
 
+import ast
 import io
 import json
 import os
@@ -8,11 +9,13 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import racepred
 from racepred import (
     Trace,
     TraceError,
@@ -748,6 +751,50 @@ def test_stdin_trace_subprocess():
     )
     assert proc.returncode == 1
     assert "1 racy pairs" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# running under python -O
+# ---------------------------------------------------------------------------
+
+
+def without_wall_ms(out: str):
+    """A JSON verdict or scan report with every ``wall_ms`` stat dropped."""
+    doc = json.loads(out)
+    for verdict in doc.get("pairs", [doc]):
+        del verdict["stats"]["wall_ms"]
+    return doc
+
+
+def test_python_O_strips_nothing_the_engine_needs(tmp_path):
+    # no module holds an assert statement, so -O changes no check; and
+    # predict and scan on a racy trace answer the same under -O
+    src = Path(racepred.__file__).resolve().parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+    path = write_trace(tmp_path, FORCED_FLIP)
+    for argv in (
+        ["predict", "--trace", path, "--e1", "2", "--e2", "7"],
+        ["predict", "--trace", path, "--e1", "2", "--e2", "7", "--algo", "bounded",
+         "--distance", "1"],
+        ["scan", "--trace", path, "--json"],
+    ):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "racepred", *argv],
+                capture_output=True, text=True, env=child_env(),
+            )
+            for flags in ([], ["-O"])
+        ]
+        plain, optimized = runs
+        assert plain.returncode == optimized.returncode == 1, argv
+        assert without_wall_ms(plain.stdout) == without_wall_ms(optimized.stdout), argv
+        assert plain.stderr == optimized.stderr == "", argv
 
 
 # ---------------------------------------------------------------------------

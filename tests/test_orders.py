@@ -29,6 +29,7 @@ from racepred.trace_model import from_events
 from helpers import (
     add_edge_by_mask,
     closure_by_triplets,
+    linearize_by_scan,
     trace_events,
     triplets,
     trf_by_replay,
@@ -165,126 +166,49 @@ def test_add_edge_matches_mask_reference(case):
         assert got.edges == want.edges
 
 
-def on_a_cycle(order: PartialOrder, batch, edge) -> bool:
-    """Whether ``edge`` of ``batch`` lies on a cycle of ``order`` plus the
-    batch: its target reaches its source."""
-    graph = nx.DiGraph(ordered_pairs(order))
-    graph.add_nodes_from(order.events())
-    graph.add_edges_from(batch)
-    u, v = edge
-    return u == v or nx.has_path(graph, v, u)
-
-
-def assert_batches_match_loop(blocks, batches) -> bool:
-    """Insert each batch with ``add_edges`` on one order and one edge at a
-    time on another.  After each batch both have the same ``pred``, and the
-    batch order's ``edges`` gained the batch edges it did not imply.  A batch
-    raises exactly when the loop does; it then keeps its ``pred`` and
-    ``edges``, and names an edge of the batch on a cycle.  Whether a batch
-    closed a cycle."""
-    got, want = PartialOrder(blocks), PartialOrder(blocks)
-    for batch in batches:
-        fresh = [e for e in dict.fromkeys(batch) if not got.ordered(*e)]
-        pred, kept = got.pred.copy(), list(got.edges)
-        try:
-            added = got.add_edges(batch)
-        except CycleError as exc:
-            added = ("cycle", exc.edge)
-        looped = None
-        for u, v in batch:
-            looped = insert(want, PartialOrder.add_edge, u, v)
-            if isinstance(looped, tuple):
-                break
-        if isinstance(looped, tuple):
-            assert isinstance(added, tuple), (blocks, batches)
-            assert (got.pred == pred).all() and got.edges == kept, (blocks, batches)
-            assert added[1] in batch and on_a_cycle(got, batch, added[1]), (blocks, batches)
-            return True
-        assert (got.pred == want.pred).all(), (blocks, batches)
-        assert added == len(fresh) and got.edges == kept + fresh, (blocks, batches)
-    return False
+@settings(max_examples=300, deadline=None)
+@given(blocks_and_edges(max_edges=16), st.integers(0, 16))
+@example(case=([[], [1, 2, 3], [], [4, 5, 6], []], [(1, 5), (6, 2), (3, 4)]), cut=1)
+@example(case=([[1, 2, 3], [4, 5, 6], []], [(2, 4), (6, 3)]), cut=0)
+@example(case=([[1, 2, 3], [], [4, 5, 6]], [(1, 5), (4, 4)]), cut=0)
+def test_linearize_under_edges_matches_scan_of_the_edge_loop(case, cut):
+    # the edges before the cut go into the order one at a time, cycles
+    # skipped; linearize under the rest must order as the scan of a copy
+    # with them added one at a time, raise exactly when that loop does,
+    # and leave the order as it was
+    blocks, edges = case
+    order = PartialOrder(blocks)
+    for u, v in edges[:cut]:
+        with suppress(CycleError):
+            order.add_edge(u, v)
+    last = edges[cut:]
+    want = order.copy()
+    try:
+        for u, v in last:
+            want.add_edge(u, v)
+        expected = linearize_by_scan(want)
+    except CycleError:
+        expected = "cycle"
+    pred, kept = order.pred.copy(), list(order.edges)
+    try:
+        got = order.linearize(iter(last))
+    except CycleError as exc:
+        assert exc.edge in last, (blocks, edges, cut)
+        got = "cycle"
+    assert got == expected, (blocks, edges, cut)
+    assert (order.pred == pred).all() and order.edges == kept
 
 
 @settings(max_examples=300, deadline=None)
-@given(blocks_and_edges(max_edges=16), st.data())
-def test_add_edges_matches_add_edge_loop(case, data):
-    blocks, edges = case
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(edges)), max_size=3)))
-    bounds = [0, *cuts, len(edges)]
-    assert_batches_match_loop(blocks, [edges[a:b] for a, b in itertools.pairwise(bounds)])
-
-
-@pytest.mark.parametrize(
-    "blocks",
-    [
-        [[], [1, 2, 3], [4, 5, 6]],
-        [[1, 2, 3], [], [4, 5, 6]],
-        [[1, 2, 3], [4, 5, 6], []],
-        [[], [1, 2, 3], [], [4, 5, 6], []],
-    ],
-)
-def test_add_edges_with_empty_blocks(blocks):
-    # the gather reads each row's frontier rows; an empty block has none
-    x, y = [b for b in blocks if b]
-    assert not assert_batches_match_loop(blocks, [[(x[0], y[1]), (y[2], x[1])]])
-    assert not assert_batches_match_loop(blocks, [[(y[2], x[0])]])
-    # the second batch's second edge closes y2 < x2 < y0 < y2
-    assert assert_batches_match_loop(blocks, [[(x[0], y[1])], [(y[2], x[2]), (x[2], y[0])]])
-    assert not assert_batches_match_loop(blocks, [[(x[1], y[1])], []])
-
-
-def test_add_edges_edge_cases():
-    blocks = [[1, 2, 3], [4, 5, 6]]
-    order = PartialOrder(blocks)
-    assert order.add_edges([]) == 0 and order.add_edges(iter(())) == 0
-    # a self-loop closes a cycle on its own
-    assert assert_batches_match_loop(blocks, [[(1, 5), (4, 4), (2, 6)]])
-    with pytest.raises(CycleError) as exc:
-        PartialOrder(blocks).add_edges([(1, 5), (4, 4)])
-    assert exc.value.edge == (4, 4)
-    # the loop stops at (2, 4), closing 2 < 4 < 5 < 1 < 2; the batch names the
-    # first edge of that cycle and keeps none of its edges
-    failed = PartialOrder(blocks)
-    failed.add_edge(3, 6)
-    before = failed.copy()
-    with pytest.raises(CycleError) as exc:
-        failed.add_edges([(5, 1), (2, 4)])
-    assert exc.value.edge == (5, 1)
-    assert failed.edges == before.edges and (failed.pred == before.pred).all()
-    # edges the order already implies, by program order or earlier edges
-    order.add_edge(2, 5)
-    assert order.add_edges([(1, 2), (1, 6), (2, 5)]) == 0
-    assert order.edges == [(2, 5)]
-    assert not assert_batches_match_loop(blocks, [[(2, 5)], [(1, 6), (3, 4), (1, 3)]])
-    # an edge implied only by an earlier one of the same batch still counts
-    order = PartialOrder(blocks)
-    assert order.add_edges([(2, 4), (1, 5), (2, 4)]) == 2
-    assert order.ordered(1, 6) and not order.ordered(3, 4)
-    assert order.edges == [(2, 4), (1, 5)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    blocks_and_edges(max_edges=16),
-    st.lists(st.integers(0, 16), max_size=4),
-    st.lists(st.booleans(), max_size=5),
-)
-# (1, 5) follows from 1 < 2 -> 4 < 5 but is a batch edge all the same
-@example(case=([[1, 2, 3], [4, 5, 6]], [(2, 4), (1, 5)]), cuts=[], singly=[])
-def test_path_between_reads_the_order_without_changing_it(case, cuts, singly):
-    # after any mix of batches and single edges, cycles skipped, every
-    # ordered pair has a chain of block steps and inserted edges
+@given(blocks_and_edges(max_edges=16))
+def test_path_between_reads_the_order_without_changing_it(case):
+    # after single edges, cycles skipped, every ordered pair has a chain of
+    # block steps and inserted edges
     blocks, edges = case
     order = PartialOrder(blocks)
-    bounds = [0, *sorted(min(c, len(edges)) for c in cuts), len(edges)]
-    for i, (a, b) in enumerate(itertools.pairwise(bounds)):
-        if i < len(singly) and singly[i]:
-            for u, v in edges[a:b]:
-                with suppress(CycleError):
-                    order.add_edge(u, v)
-        else:
-            with suppress(CycleError):
-                order.add_edges(edges[a:b])
+    for u, v in edges:
+        with suppress(CycleError):
+            order.add_edge(u, v)
     steps = set(order.edges) | {s for b in order.blocks for s in itertools.pairwise(b)}
     pred, kept = order.pred.copy(), list(order.edges)
     for u, v in ordered_pairs(order):

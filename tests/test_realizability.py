@@ -33,7 +33,6 @@ from racepred import (
     reversal_pairs,
     verify_witness,
 )
-from racepred import realizability
 from racepred.cli import predict, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _candidates
@@ -382,7 +381,11 @@ def resolves_like_the_pairwise_loop(p) -> bool:
     if closed is None:
         return False
     children = tree_children(p)
-    got, _ = _resolve(_table(p.trace), closed.order, children)
+    edges = _resolve(_table(p.trace), closed.order, children)
+    assert not any(closed.order.ordered(u, v) for u, v in edges)
+    got = closed.order.copy()
+    for u, v in edges:
+        got.add_edge(u, v)
     want = resolve_by_pairs(p.trace, closed.order, children)
     assert (got.pred == want.pred).all()
     assert realize_tree(p) == want.linearize()
@@ -463,36 +466,21 @@ def test_resolution_matches_pairwise_loop_on_ov():
     assert resolved >= 24
 
 
-def resolution_add_edges(monkeypatch, p) -> tuple[int, int]:
-    """Edges passed to ``PartialOrder.add_edges`` after ``realize_tree(p)``'s
-    closure returns, and the number of events in the child blocks."""
-    passed, closed = [], []
-    real_closure, real_add = realizability.closure, PartialOrder.add_edges
-
-    def spy_closure(poset):
-        out = real_closure(poset)
-        closed.append(out)
-        return out
-
-    def spy_add(self, edges):
-        edges = list(edges)
-        if closed:
-            passed.extend(edges)
-        return real_add(self, edges)
-
-    monkeypatch.setattr(realizability, "closure", spy_closure)
-    monkeypatch.setattr(PartialOrder, "add_edges", spy_add)
-    assert realize_tree(p) is not None
-    return len(passed), sum(len(p.order.blocks[child]) for child, _ in tree_children(p))
+def resolution_edges(p) -> tuple[int, int]:
+    """The edges ``realize_tree(p)`` resolves under, as its stats count
+    them, and the number of events in the child blocks."""
+    stats = {}
+    assert realize_tree(p, stats=stats) is not None
+    return stats["resolution_edges"], sum(len(p.order.blocks[c]) for c, _ in tree_children(p))
 
 
-def test_resolution_adds_at_most_one_edge_per_child_event(monkeypatch):
+def test_resolution_adds_at_most_one_edge_per_child_event():
     # the pairwise loop inserts one edge per unordered conflicting pair,
     # n * n of them on the two runs of writes
     n = 150
     runs = parse_trace("t1 w x\n" * n + "t2 w x\n" * n)
     for t in (runs, chain_trace(200)):
-        edges, child_events = resolution_add_edges(monkeypatch, trf_poset(t))
+        edges, child_events = resolution_edges(trf_poset(t))
         assert 0 < edges <= child_events
 
 
@@ -581,10 +569,11 @@ def test_bounded_takes_one_branch_to_flip_two_pairs():
 
 
 def test_bounded_inserts_replay_and_condition_two_edges_as_two_batches(monkeypatch):
-    # with no cycle, the replay edges go in as one batch and the
-    # condition-2 edges as another; no edge is inserted on its own
+    # with no cycle, the replay edges and the condition-2 edges, two
+    # batches read off the node's order, go to one linearize call; no edge
+    # is inserted on its own
     p = trf_poset(chain_trace(200))
-    calls = {"add_edge": 0, "add_edges": 0}
+    calls = {"add_edge": 0, "linearize": 0}
     for name in calls:
         real = getattr(PartialOrder, name)
 
@@ -596,7 +585,7 @@ def test_bounded_inserts_replay_and_condition_two_edges_as_two_batches(monkeypat
     stats = {}
     assert realize_bounded(p, 0, stats=stats) is not None
     assert stats["branches"] == 0
-    assert calls == {"add_edge": 0, "add_edges": 2}
+    assert calls == {"add_edge": 0, "linearize": 1}
 
 
 def branching_corpus():
@@ -632,11 +621,11 @@ def test_bounded_matches_pairwise_reference_on_branching_corpus():
 
 
 def test_bounded_redoes_a_cyclic_node_one_edge_at_a_time_once(monkeypatch):
-    # at budget 1 only the root can branch.  When its batches close a cycle
-    # it inserts the same edges once more, one at a time, into one order,
-    # then each branch tried inserts its flip into a copy of its own: at
-    # most one add_edge call per replay and condition-2 edge, plus one per
-    # branch tried
+    # at budget 1 only the root can branch.  When its edges close a cycle
+    # under linearize it inserts them once more, one at a time, into one
+    # order, then each branch tried inserts its flip into a copy of its own:
+    # at most one add_edge call per edge of the root, plus one per branch
+    # tried
     calls = []  # the order each call went to; kept alive, so ids stay apart
     real = PartialOrder.add_edge
 
@@ -647,14 +636,10 @@ def test_bounded_redoes_a_cyclic_node_one_edge_at_a_time_once(monkeypatch):
     monkeypatch.setattr(PartialOrder, "add_edge", spy)
     cyclic = 0
     for s, x, p in branching_corpus():
-        guards, g = _Guards(p), p.order.copy()
-        replay = guards.replay(p.order)
-        inserted = len(replay)
+        guards = _Guards(p)
+        edges = guards.replay(p.order) + guards.unprotected_after_replay(p.order)
         try:
-            g.add_edges(replay)
-            unprotected = guards.unprotected(g)
-            inserted += len(unprotected)
-            g.add_edges(unprotected)
+            p.order.linearize(edges)
             continue
         except CycleError:
             pass
@@ -662,7 +647,7 @@ def test_bounded_redoes_a_cyclic_node_one_edge_at_a_time_once(monkeypatch):
         stats = {}
         realize_bounded(p, 1, stats=stats)
         per_order = [calls.count(order) for order in dict.fromkeys(calls)]
-        assert per_order and per_order[0] <= inserted, (s, x.prefix)
+        assert per_order and per_order[0] <= len(edges), (s, x.prefix)
         assert per_order[1:] == [1] * (len(per_order) - 1), (s, x.prefix)
         assert len(per_order) - 1 >= stats["branches"]
         cyclic += 1
@@ -701,6 +686,9 @@ def test_replay_orders_like_the_pairwise_replay():
             except CycleError:
                 continue
             assert (g.succ == want.succ).all() and (g.pred == want.pred).all(), (s, x.prefix)
+            # condition 2 read off q alone, less what the replay implies
+            extension = [e for e in guards.unprotected_after_replay(q) if not g.ordered(*e)]
+            assert extension == guards.unprotected(g), (s, x.prefix)
             compared += 1
             flipped += q is not p.order
             try:
@@ -764,7 +752,11 @@ def test_linearize_matches_scan_on_ov_closed_orders():
                 closed = None if p is None else closure(p)
                 if closed is None:
                     continue
-                resolved, _ = _resolve(_table(t), closed.order, tree_children(closed))
+                edges = _resolve(_table(t), closed.order, tree_children(closed))
+                resolved = closed.order.copy()
+                for u, v in edges:
+                    resolved.add_edge(u, v)
+                assert closed.order.linearize(edges) == linearize_by_scan(resolved)
                 for q in (closed.order, resolved):
                     assert q.linearize() == linearize_by_scan(q)
                     orders += 1
@@ -772,13 +764,18 @@ def test_linearize_matches_scan_on_ov_closed_orders():
 
 
 def test_linearize_matches_scan_on_bounded_corpus(monkeypatch):
-    # every order the bounded search linearizes, on the branch path too; at
-    # budget 2 that includes each root order budget 0 would linearize
+    # every order the bounded search linearizes, under the edges it passes,
+    # on the branch path too; at budget 2 that includes each root order
+    # budget 0 would linearize
     real, calls = PartialOrder.linearize, []
 
-    def spy(self):
-        out = real(self)
-        assert out == linearize_by_scan(self)
+    def spy(self, edges=()):
+        edges = list(edges)
+        out = real(self, edges)
+        g = self.copy()
+        for u, v in edges:
+            g.add_edge(u, v)
+        assert out == linearize_by_scan(g)
         calls.append(len(out))
         return out
 
