@@ -11,7 +11,9 @@ u -> v can raise form one suffix per block, found by one bisection;
 :meth:`PartialOrder.linearize` takes a last set of edges without closing
 them: a linear extension needs only each event's direct predecessors, so it
 writes each edge into its target's row of a copy of ``pred`` and places
-events from that.
+events from that.  When it stalls, following the waits of the unplaced
+block heads closes a cycle, whose cross edges its :class:`CycleError`
+carries.
 
 The module also provides:
 
@@ -40,7 +42,6 @@ positions segmented by (channel, block), cut from the trace's channel index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -62,11 +63,16 @@ __all__ = [
 
 
 class CycleError(Exception):
-    """Adding an edge would contradict the existing order."""
+    """Adding edges would contradict the existing order.
 
-    def __init__(self, edge: tuple[int, int]):
-        super().__init__(f"edge {edge[0]} -> {edge[1]} closes a cycle")
-        self.edge = edge
+    ``cross`` holds the added edges of one cycle in cycle order, the order
+    leading from each head to the next tail; ``edge`` is the first.
+    """
+
+    def __init__(self, *cross: tuple[int, int]):
+        super().__init__("cycle through " + ", ".join(f"{u} -> {v}" for u, v in cross))
+        self.cross = list(cross)
+        self.edge = cross[0]
 
 
 class PartialOrder:
@@ -98,7 +104,7 @@ class PartialOrder:
         # pred[x, b]: greatest position in block b strictly below x (or -1)
         self.pred = np.full((self.n, self.k), -1, dtype=np.int64)
         self.pred[np.arange(self.n), self._block] = self._pos - 1
-        #: explicitly inserted (u, v) event-id pairs, for path recovery
+        #: explicitly inserted (u, v) event-id pairs, counted as closure edges
         self.edges: list[tuple[int, int]] = []
 
     # -- basics ---------------------------------------------------------
@@ -202,8 +208,10 @@ class PartialOrder:
         """The lexicographically least linear extension of the order plus
         ``edges``; the order itself is left as it is.
 
-        Raises :class:`CycleError` when ``edges`` close a cycle, naming the
-        first of them whose ends both stay unplaced.
+        Raises :class:`CycleError` when ``edges`` close a cycle.  Its
+        ``cross`` lists, in cycle order, edges of ``edges`` that close a
+        cycle with the order alone, no two with tails in one block, starting
+        at the one latest in ``edges`` (see :meth:`_stuck_cycle`).
 
         Each step places the smallest-id block head whose predecessors are
         all placed: its ``pred`` row is below the placed count in every
@@ -251,50 +259,39 @@ class PartialOrder:
             for b2 in waiting.pop((b, placed[b]), ()):
                 offer(b2, b + 1)
         if len(out) < self.n:
-            # the order is acyclic, so every cycle takes an edge of ``edges``
-            # whose ends both stay unplaced
-            done = set(out)
-            raise CycleError(next(e for e in edges if done.isdisjoint(e)))
+            # every unplaced head waits on a block whose head is unplaced too
+            on = {b: c for (c, _), bs in waiting.items() for b in bs}
+            raise CycleError(*self._stuck_cycle(edges, placed, on))
         return out
 
-    def path_between(self, u: int, v: int) -> list[tuple[int, int]]:
-        """A chain of generator edges witnessing u < v.
-
-        Generator edges are block-chain steps and explicitly inserted edges.
-        Raises ValueError when v is not reachable (i.e. not u < v).
+    def _stuck_cycle(
+        self, edges: list[tuple[int, int]], placed: list[int], on: dict[int, int]
+    ) -> list[tuple[int, int]]:
+        """Cross edges of the cycle that following the waits (b's head on
+        block ``on[b]``) from the smallest stuck block closes, in cycle order
+        from the one latest in ``edges``.  An arc b -> c is the order's own,
+        or edges u -> b's head with u unplaced in c make it: the earliest u.
         """
-        if not self.ordered(u, v):
-            raise ValueError(f"{u} is not ordered before {v}")
-        fwd: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            fwd.setdefault(a, []).append(b)
-
-        parent: dict[int, int] = {u: 0}
-        queue = deque([u])
-        while queue:
-            cur = queue.popleft()
-            if cur == v:
-                break
-            b, p = self.location(cur)
-            steps = list(fwd.get(cur, ()))
-            if p + 1 < len(self.blocks[b]):
-                steps.append(self.blocks[b][p + 1])
-            for nxt in steps:
-                # every node on a generator path to v is itself below v, so
-                # the search can prune anything that is not
-                if nxt not in parent and (nxt == v or self.ordered(nxt, v)):
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        if v not in parent:
-            raise ValueError(f"no generator path from {u} to {v}")
-        chain: list[tuple[int, int]] = []
-        cur = v
-        while cur != u:
-            prv = parent[cur]
-            chain.append((prv, cur))
-            cur = prv
-        chain.reverse()
-        return chain
+        b, loop = min(on), []
+        while b not in loop:
+            loop.append(b)
+            b = on[b]
+        loop = loop[loop.index(b) :]
+        starts, blocks, pred = self._starts, self.blocks, self.pred
+        arcs = {
+            blocks[b][placed[b]]: on[b]
+            for b in reversed(loop)
+            if pred[starts[b] + placed[b], on[b]] < placed[on[b]]
+        }
+        tails: dict[int, int] = {}  # head -> earliest tail row
+        for u, v in edges:
+            if (c := arcs.get(v)) is not None:
+                # block c's rows at or past its placed count, before the tail so far
+                if starts[c] + placed[c] <= (iu := self._idx[u]) < tails.get(v, starts[c + 1]):
+                    tails[v] = iu
+        cross = [(self._eids[tails[v]], v) for v in arcs]
+        at = max(range(len(cross)), key=lambda j: edges.index(cross[j]))
+        return cross[at:] + cross[:at]
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +433,12 @@ class _Guards:
         succ = order.succ
         return self._earliest(succ[self.iw, self.block], succ[self.ir, self.block])
 
-    def unprotected_after_replay(self, order: PartialOrder) -> list[tuple[int, int]]:
+    def unprotected_after_replay(
+        self, order: PartialOrder, succ: np.ndarray | None = None
+    ) -> list[tuple[int, int]]:
         """Condition 2 on ``order`` plus its :meth:`replay` edges, read off
-        ``order`` alone, in slot order.
+        ``order`` alone (and ``succ``, its :attr:`~PartialOrder.succ` when
+        given), in slot order.
 
         Once the replay puts every pair of same-channel writers that
         ``order`` leaves unordered in trace order, the writers of w's
@@ -457,7 +457,8 @@ class _Guards:
             ws, bs = self.w.tolist(), self.block.tolist()
             below = [bisect_left(blocks[b], w) for w, b in zip(ws, bs)]
             self._below = np.array(below, dtype=np.int64) + self.own
-        iw, b, succ = self.iw, self.block, order.succ
+        iw, b = self.iw, self.block
+        succ = order.succ if succ is None else succ
         after = np.minimum(succ[iw, b], np.maximum(order.pred[iw, b] + 1, self._below))
         return self._earliest(after, succ[self.ir, b])
 
@@ -469,8 +470,9 @@ class _Guards:
         out = end > first
         return list(zip(self.r[out].tolist(), self.writers[first[out]].tolist()))
 
-    def replay(self, order: PartialOrder) -> list[tuple[int, int]]:
-        """Trace-order edges for the writer pairs ``order`` leaves unordered.
+    def replay(self, order: PartialOrder, succ: np.ndarray | None = None) -> list[tuple[int, int]]:
+        """Trace-order edges for the writer pairs ``order`` leaves unordered;
+        ``succ``, when given, is ``order``'s :attr:`~PartialOrder.succ`.
 
         For a writer v and another block b with writers on v's channel, the
         writers of b that are earlier in the trace and not already after v
@@ -495,7 +497,8 @@ class _Guards:
             ]
             self._replay_slots = tuple(np.array(slots, dtype=np.int64).reshape(-1, 5).T)
         iv, v, b, base, below = self._replay_slots
-        j = np.searchsorted(self.keys, base + np.minimum(order.succ[iv, b], below), side="left") - 1
+        succ = order.succ if succ is None else succ
+        j = np.searchsorted(self.keys, base + np.minimum(succ[iv, b], below), side="left") - 1
         # a j in an earlier segment gives a position below -1, so fails the test
         take = (j >= 0) & (self.keys[j] - base > order.pred[iv, b])
         return sorted(zip(self.writers[j[take]].tolist(), v[take].tolist()))

@@ -25,8 +25,8 @@ can be completed into a real trace (a witness):
   segment tables it orders the unordered writer pairs as the trace does,
   and puts each observer before the writers that then follow its source;
   both edge sets are read off the node's own order, and the node
-  linearizes under them.  When they close a cycle it inserts them one at a
-  time and branches on the cross edges of the cycle that loop meets.
+  linearizes under them.  When they close a cycle it branches on the cross
+  edges of the cycle that the stalled linearization met.
   :func:`reversal_pairs` measures a witness's distance with one merge per
   channel.
 
@@ -240,37 +240,6 @@ def reversal_count(trace: Trace, witness: list[int]) -> int:
     return len(reversal_pairs(trace, witness))
 
 
-def _shrink_cross(
-    cross: list[tuple[int, int]], q: PartialOrder
-) -> list[tuple[int, int]]:
-    """Cut a cyclic cross-edge sequence down to one tail per thread.
-
-    Input edges appear in cycle order with q-paths linking consecutive
-    heads to tails; both splice cases preserve that invariant, so the
-    result still witnesses a cycle and has at most one edge per block.
-    """
-    while True:
-        seen: dict[int, int] = {}
-        dup = None
-        for i, (tail, _head) in enumerate(cross):
-            b = q.location(tail)[0]
-            if b in seen:
-                dup = (seen[b], i)
-                break
-            seen[b] = i
-        if dup is None:
-            break
-        j0, j1 = dup
-        a0, a1 = cross[j0][0], cross[j1][0]
-        if q.location(a0)[1] <= q.location(a1)[1]:
-            cross = cross[:j0] + cross[j1:]
-        else:
-            cross = cross[j0:j1]
-    if not 1 <= len(cross) <= q.k:
-        raise RuntimeError(f"cycle shrank to {len(cross)} cross edges over {q.k} blocks")
-    return cross
-
-
 def realize_bounded(
     p: RfPoset, budget: int, stats: dict | None = None
 ) -> list[int] | None:
@@ -286,9 +255,11 @@ def realize_bounded(
     trace does (:meth:`~racepred.orders._Guards.replay`); then condition 1
     follows from condition 2, and condition-2 edges demand no further ones,
     so the node linearizes under those two edge sets, both read off its own
-    order.  When they close a cycle and budget is left, it inserts them one
-    at a time into a copy and branches on flips of the cross edges of the
-    cycle that loop meets, each branch a node with one flip more.
+    order.  When they close a cycle and budget is left, it branches on flips
+    of the cross edges :meth:`~racepred.orders.PartialOrder.linearize`
+    raises with, each branch a copy with one flip more.  Each edge ends at a
+    writer; one from a writer flips, one from an observer flips the writer
+    under the observer's source.
 
     Raises :class:`ValueError` on a negative budget.
     """
@@ -300,38 +271,14 @@ def realize_bounded(
 
     def search(q: PartialOrder, left: int) -> tuple[list[int], list[tuple[int, int]]] | None:
         nonlocal branches
-        edges = guards.replay(q) + guards.unprotected_after_replay(q)
+        succ = q.succ
+        edges = guards.replay(q, succ) + guards.unprotected_after_replay(q, succ)
         try:
             w = q.linearize(edges)
-        except CycleError:
+        except CycleError as exc:
             if left == 0:
                 return None
-            # the branches follow the cycle that inserting these edges one
-            # at a time meets, and the path that loop's edges give; an edge
-            # already implied is not recorded, so leads to no other branch
-            g = q.copy()
-            try:
-                for u, v in edges:
-                    g.add_edge(u, v)
-            except CycleError as exc:
-                u0, v0 = exc.edge
-            else:
-                raise AssertionError("edges close a cycle under linearize but not one at a time")
-            cycle = [(u0, v0)] + g.path_between(v0, u0)
-            cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
-            flips: list[tuple[int, int]] = []
-            for e1, e2 in cross:
-                wl1, wl2 = wl[e1], wl[e2]
-                if wl1 and wl2:
-                    flip = (e2, e1)
-                elif wl1:
-                    flip = (rf[e2], e1)  # flip the source under the observer
-                elif wl2:
-                    flip = (e2, rf[e1])  # flip the writer under the source
-                else:
-                    raise AssertionError("cycle edge between two observers")
-                if flip not in flips:
-                    flips.append(flip)
+            flips = dict.fromkeys((e2, e1) if wl[e1] else (e2, rf[e1]) for e1, e2 in exc.cross)
             for flip in flips:
                 if q.ordered(*flip):
                     continue  # flip already present; this cycle would recur

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import racepred
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
-from racepred.realizability import _shrink_cross
 from racepred.trace_model import _cut, _table, from_events
 
 
@@ -541,6 +540,75 @@ def replay_by_pairs(trace: Trace, q: PartialOrder, g: PartialOrder) -> None:
             g.add_edge(u, v)
 
 
+def path_between(order: PartialOrder, u: int, v: int) -> list[tuple[int, int]]:
+    """A chain of generator edges of ``order`` witnessing u < v.
+
+    Generator edges are block-chain steps and ``order.edges``.  Raises
+    ValueError when v is not reachable (i.e. not u < v).
+    """
+    if not order.ordered(u, v):
+        raise ValueError(f"{u} is not ordered before {v}")
+    fwd: dict[int, list[int]] = {}
+    for a, b in order.edges:
+        fwd.setdefault(a, []).append(b)
+
+    parent: dict[int, int] = {u: 0}
+    queue = deque([u])
+    while queue:
+        cur = queue.popleft()
+        if cur == v:
+            break
+        b, p = order.location(cur)
+        steps = list(fwd.get(cur, ()))
+        if p + 1 < len(order.blocks[b]):
+            steps.append(order.blocks[b][p + 1])
+        for nxt in steps:
+            # every node on a generator path to v is itself below v, so
+            # the search can prune anything that is not
+            if nxt not in parent and (nxt == v or order.ordered(nxt, v)):
+                parent[nxt] = cur
+                queue.append(nxt)
+    if v not in parent:
+        raise ValueError(f"no generator path from {u} to {v}")
+    chain: list[tuple[int, int]] = []
+    cur = v
+    while cur != u:
+        prv = parent[cur]
+        chain.append((prv, cur))
+        cur = prv
+    chain.reverse()
+    return chain
+
+
+def shrink_cross(cross: list[tuple[int, int]], q: PartialOrder) -> list[tuple[int, int]]:
+    """Cut a cyclic cross-edge sequence down to one tail per thread.
+
+    Input edges appear in cycle order with q-paths linking consecutive
+    heads to tails; both splice cases preserve that invariant, so the
+    result still witnesses a cycle and has at most one edge per block.
+    """
+    while True:
+        seen: dict[int, int] = {}
+        dup = None
+        for i, (tail, _head) in enumerate(cross):
+            b = q.location(tail)[0]
+            if b in seen:
+                dup = (seen[b], i)
+                break
+            seen[b] = i
+        if dup is None:
+            break
+        j0, j1 = dup
+        a0, a1 = cross[j0][0], cross[j1][0]
+        if q.location(a0)[1] <= q.location(a1)[1]:
+            cross = cross[:j0] + cross[j1:]
+        else:
+            cross = cross[j0:j1]
+    if not 1 <= len(cross) <= q.k:
+        raise RuntimeError(f"cycle shrank to {len(cross)} cross edges over {q.k} blocks")
+    return cross
+
+
 def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list[int] | None:
     """The bounded search with an all-pairs trace replay and a per-observer,
     per-block read extension.
@@ -592,8 +660,8 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
             if left == 0:
                 return None
             u0, v0 = exc.edge
-            cycle = [(u0, v0)] + g.path_between(v0, u0)
-            cross = _shrink_cross([e for e in cycle if not q.ordered(*e)], q)
+            cycle = [(u0, v0)] + path_between(g, v0, u0)
+            cross = shrink_cross([e for e in cycle if not q.ordered(*e)], q)
             flips: list[tuple[int, int]] = []
             for e1, e2 in cross:
                 wl1, wl2 = trace.event(e1).writes_like, trace.event(e2).writes_like

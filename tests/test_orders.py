@@ -30,6 +30,7 @@ from helpers import (
     add_edge_by_mask,
     closure_by_triplets,
     linearize_by_scan,
+    path_between,
     trace_events,
     triplets,
     trf_by_replay,
@@ -121,7 +122,7 @@ def test_path_between_follows_generator_edges():
     po = PartialOrder([[1, 2], [3, 4], [5]])
     po.add_edge(2, 3)
     po.add_edge(4, 5)
-    path = po.path_between(1, 5)
+    path = path_between(po, 1, 5)
     assert path[0][0] == 1 and path[-1][1] == 5
     for (a, b), (c, d) in itertools.pairwise(path):
         assert b == c
@@ -175,7 +176,8 @@ def test_linearize_under_edges_matches_scan_of_the_edge_loop(case, cut):
     # the edges before the cut go into the order one at a time, cycles
     # skipped; linearize under the rest must order as the scan of a copy
     # with them added one at a time, raise exactly when that loop does,
-    # and leave the order as it was
+    # and leave the order as it was.  The cross edges it raises with are
+    # edges of the rest, one per tail block, and close a cycle on their own
     blocks, edges = case
     order = PartialOrder(blocks)
     for u, v in edges[:cut]:
@@ -193,7 +195,13 @@ def test_linearize_under_edges_matches_scan_of_the_edge_loop(case, cut):
     try:
         got = order.linearize(iter(last))
     except CycleError as exc:
-        assert exc.edge in last, (blocks, edges, cut)
+        assert exc.edge == exc.cross[0] and set(exc.cross) <= set(last), (blocks, edges, cut)
+        tails = [order.location(u)[0] for u, _ in exc.cross]
+        assert len(set(tails)) == len(tails), (blocks, edges, cut)
+        with pytest.raises(CycleError):
+            cyclic = order.copy()
+            for u, v in exc.cross:
+                cyclic.add_edge(u, v)
         got = "cycle"
     assert got == expected, (blocks, edges, cut)
     assert (order.pred == pred).all() and order.edges == kept
@@ -212,7 +220,7 @@ def test_path_between_reads_the_order_without_changing_it(case):
     steps = set(order.edges) | {s for b in order.blocks for s in itertools.pairwise(b)}
     pred, kept = order.pred.copy(), list(order.edges)
     for u, v in ordered_pairs(order):
-        path = order.path_between(u, v)
+        path = path_between(order, u, v)
         assert path[0][0] == u and path[-1][1] == v
         assert all(b == c for (_, b), (c, _) in itertools.pairwise(path))
         assert set(path) <= steps, (blocks, edges, (u, v))
