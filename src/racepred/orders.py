@@ -3,11 +3,13 @@
 Every order handled here refines per-thread program order, so the universe
 splits into one chain ("block") per thread.  That makes a compact reachability
 representation possible: for each event we keep, per block, the latest
-predecessor position ``pred``, from which the earliest successor position
-``succ`` is derived when asked.  Order queries are O(1) array lookups.  Down
-a block every ``pred`` column is non-decreasing, so the rows an inserted edge
-u -> v can raise form one suffix per block, found by one bisection;
-:meth:`PartialOrder.add_edge` updates only those suffixes.
+predecessor position ``pred``, and nothing else.  Order queries are O(1)
+array lookups.  Down a block every ``pred`` column is non-decreasing, so the
+rows an inserted edge u -> v can raise form one suffix per block, found by
+one bisection; :meth:`PartialOrder.add_edge` updates only those suffixes.
+The same monotony gives successors: the events of block c above x start at
+the first row of c whose ``pred`` entry for x's block reaches x's position,
+so a caller finds them by one ``searchsorted`` over the rows it needs.
 :meth:`PartialOrder.linearize` takes a last set of edges without closing
 them: a linear extension needs only each event's direct predecessors, so it
 writes each edge into its target's row of a copy of ``pred`` and places
@@ -31,12 +33,14 @@ location both as a global and as a lock, so globals and locks never share a
 channel.  The closure conditions are checked per (channel, block), not per
 writer.  For an observer r reading from w, the writers of r's channel in
 block b that sit before r but not before w are exactly those at positions
-``(pred[w, b], pred[r, b]]``, and those after w but not after r are at
-``[succ[w, b], succ[r, b])``.  Program order already orders each such run, so
-only its end nearest to the pair needs an explicit edge: the latest writer
-before w, or r before the earliest writer.  All runs of every observer are
-found with four ``searchsorted`` calls over one sorted array of writer
-positions segmented by (channel, block), cut from the trace's channel index.
+``(pred[w, b], pred[r, b]]``, and those after w but not after r run from
+the first writer above w to the first writer above r.  Program order already
+orders each such run, so only its end nearest to the pair needs an explicit
+edge: the latest writer before w, or r before the earliest writer.  The
+writers are one sorted array of positions segmented by (channel, block), cut
+from the trace's channel index; the runs before come from ``searchsorted``
+over it, and the first writers above from one ``searchsorted`` over the
+writers' ``pred`` rows, gathered per round.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class PartialOrder:
         # pred[x, b]: greatest position in block b strictly below x (or -1)
         self.pred = np.full((self.n, self.k), -1, dtype=np.int64)
         self.pred[np.arange(self.n), self._block] = self._pos - 1
-        #: explicitly inserted (u, v) event-id pairs, counted as closure edges
+        #: the (u, v) event-id pairs :meth:`add_edge` inserted, in order
         self.edges: list[tuple[int, int]] = []
 
     # -- basics ---------------------------------------------------------
@@ -146,23 +150,6 @@ class PartialOrder:
 
     def unordered(self, u: int, v: int) -> bool:
         return u != v and not self.ordered(u, v) and not self.ordered(v, u)
-
-    @property
-    def succ(self) -> np.ndarray:
-        """succ[x, b]: least position in block b strictly above x, or len(block b).
-
-        Down block b every ``pred`` column is non-decreasing, so one
-        ``searchsorted`` over those columns, shifted apart, finds every x.
-        """
-        span = self.n + 2  # entries and positions run -1 .. n - 1
-        shift, query = np.arange(self.k) * span, self._block * span + self._pos
-        out = np.empty((self.n, self.k), dtype=np.int64)
-        start = 0
-        for b, block in enumerate(self.blocks):
-            keys = (self.pred[start : start + len(block)] + shift).T.ravel()
-            out[:, b] = np.searchsorted(keys, query) - self._block * len(block)
-            start += len(block)
-        return out
 
     # -- mutation ---------------------------------------------------------
 
@@ -307,8 +294,7 @@ def compute_trf(trace: Trace, prefix: Sequence[int] | None = None) -> PartialOrd
     of thread b.  A vector of the wrong length, an entry outside
     ``0..len(thread)``, or one that is not an ideal raises ``ValueError``.
     The order is the TRF projected on the universe, read from the down-set
-    table.  ``edges`` holds the (writer, read) pairs that inserting the
-    cross-thread reads one by one, in trace order, would add.
+    table.
     """
     table = _table(trace)
     ids = table.ids
@@ -322,12 +308,6 @@ def compute_trf(trace: Trace, prefix: Sequence[int] | None = None) -> PartialOrd
     down = np.array([table.down[e] for e in order.events()], np.int64).reshape(order.n, order.k)
     order.pred = down - 1
     order.pred[np.arange(order.n), order._block] -= 1
-    for r in sorted(e for e in order.events() if e in trace.rf):
-        w = trace.rf[r]
-        (bw, pw), (b, p) = order.location(w), order.location(r)
-        # w < r already if w is below r's thread predecessor, as a release's acquire is
-        if bw != b and pw >= table.down[blocks[b][p - 1] if p else 0][bw]:
-            order.edges.append((w, r))
     return order
 
 
@@ -378,7 +358,9 @@ class _Guards:
     slots pair a writer with another block that holds writers on its
     channel, and :meth:`unprotected_after_replay`, which counts per slot the
     block's events earlier in the trace than the writer; both are built on
-    first call, so the closure never pays.
+    first call, so the closure never pays.  Of an order only ``pred`` is
+    read: :meth:`_first_above` finds, per slot, the first writer of the
+    segment above a given event from the writers' own ``pred`` rows.
     """
 
     def __init__(self, poset: RfPoset):
@@ -396,6 +378,12 @@ class _Guards:
                     by_channel.setdefault(x, []).append((b, base, writers[-len(row) :]))
         self.keys = np.array(keys, dtype=np.int64)
         self.writers = np.array(writers, dtype=np.int64)
+        self._rows = np.array([order.index_of(y) for y in writers], dtype=np.int64)
+        # _first_above's runs of keys, one per block, each past the last; a
+        # writer's key less its position is its segment's base
+        self._shift = (len(writers) + 1) * span
+        bases = self.keys - order._pos[self._rows]
+        self._offsets = np.arange(order.k)[:, None] * self._shift + bases
         self._by_channel = by_channel
         self._replay_slots: tuple[np.ndarray, ...] | None = None
         self._below: np.ndarray | None = None
@@ -407,6 +395,22 @@ class _Guards:
                 slots.append((ir, iw, r, w, b, base, b == bw))
         cols = np.array(slots, dtype=np.int64).reshape(-1, 7).T
         self.ir, self.iw, self.r, self.w, self.block, self.base, self.own = cols
+
+    def _first_above(self, order: PartialOrder, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Per slot, the index in ``writers`` of the first writer of the
+        segment at ``base`` that ``order`` puts above the event at row
+        ``rows``, or the segment's end.
+
+        Down a block every ``pred`` column is non-decreasing, so within a
+        segment the writers' entries for block c, each plus its base, rise;
+        run c of the keys holds them for every segment in turn.  The event
+        at position p of block c is below exactly the writers whose entry
+        reaches p.
+        """
+        c = order._block[rows]
+        keys = (order.pred[self._rows].T + self._offsets).ravel()
+        query = c * self._shift + base + order._pos[rows]
+        return np.searchsorted(keys, query) - c * len(self.writers)
 
     def violations(self, order: PartialOrder) -> list[tuple[int, int]]:
         """Edges the closure conditions demand of ``order``, deduplicated.
@@ -427,66 +431,61 @@ class _Guards:
     def unprotected(self, order: PartialOrder) -> list[tuple[int, int]]:
         """Condition 2 alone, one edge per slot that needs one, in slot order.
 
-        Writers in ``[succ[w, b], succ[r, b])`` are after w but not after r;
-        r must precede the earliest of them.
+        The writers from the first one above w up to the first one above r
+        are after w but not after r; r must precede the earliest of them.
         """
-        succ = order.succ
-        return self._earliest(succ[self.iw, self.block], succ[self.ir, self.block])
+        return self._earliest(*self._first_above(order, np.stack((self.iw, self.ir)), self.base))
 
-    def unprotected_after_replay(
-        self, order: PartialOrder, succ: np.ndarray | None = None
-    ) -> list[tuple[int, int]]:
+    def unprotected_after_replay(self, order: PartialOrder) -> list[tuple[int, int]]:
         """Condition 2 on ``order`` plus its :meth:`replay` edges, read off
-        ``order`` alone (and ``succ``, its :attr:`~PartialOrder.succ` when
-        given), in slot order.
+        ``order`` alone, in slot order.
 
         Once the replay puts every pair of same-channel writers that
         ``order`` leaves unordered in trace order, the writers of w's
-        channel in block b after w are those ``order`` puts there, from
-        ``succ[w, b]`` on, and the unordered ones later in the trace, from
-        ``max(pred[w, b] + 1, below)`` on, where ``below`` counts b's events
-        earlier in the trace than w (plus w itself in its own block).  So the
-        earliest of them is the first at or after the smaller bound, and no
-        closure is needed.  Edges that ``order`` plus the replay implies, but
-        ``order`` alone does not, are among those returned.  All this holds
-        when ``order`` plus the replay is acyclic; when it is not, adding
-        these edges leaves a cycle all the same.
+        channel in block b after w are those ``order`` puts there, from the
+        first writer above w on, and the unordered ones later in the trace,
+        from position ``max(pred[w, b] + 1, below)`` on, where ``below``
+        counts b's events earlier in the trace than w (plus w itself in its
+        own block).  So the earliest of them is the first of the two, and
+        no closure is needed.  Edges that ``order`` plus the replay implies,
+        but ``order`` alone does not, are among those returned.  All this
+        holds when ``order`` plus the replay is acyclic; when it is not,
+        adding these edges leaves a cycle all the same.
         """
         if self._below is None:
             blocks = order.blocks
             ws, bs = self.w.tolist(), self.block.tolist()
             below = [bisect_left(blocks[b], w) for w, b in zip(ws, bs)]
             self._below = np.array(below, dtype=np.int64) + self.own
-        iw, b = self.iw, self.block
-        succ = order.succ if succ is None else succ
-        after = np.minimum(succ[iw, b], np.maximum(order.pred[iw, b] + 1, self._below))
-        return self._earliest(after, succ[self.ir, b])
+        iw, base = self.iw, self.base
+        first, end = self._first_above(order, np.stack((iw, self.ir)), base)
+        later = np.maximum(order.pred[iw, self.block] + 1, self._below)
+        return self._earliest(np.minimum(first, np.searchsorted(self.keys, base + later)), end)
 
-    def _earliest(self, after: np.ndarray, above: np.ndarray) -> list[tuple[int, int]]:
-        """Per slot, (r, y) for the slot segment's earliest writer y at a
-        position from ``after`` on, when y sits below ``above``."""
-        first = np.searchsorted(self.keys, self.base + after, side="left")
-        end = np.searchsorted(self.keys, self.base + above, side="left")
+    def _earliest(self, first: np.ndarray, end: np.ndarray) -> list[tuple[int, int]]:
+        """Per slot, (r, y) for the writer y at index ``first`` in
+        ``writers``, when it comes before index ``end``."""
         out = end > first
         return list(zip(self.r[out].tolist(), self.writers[first[out]].tolist()))
 
-    def replay(self, order: PartialOrder, succ: np.ndarray | None = None) -> list[tuple[int, int]]:
-        """Trace-order edges for the writer pairs ``order`` leaves unordered;
-        ``succ``, when given, is ``order``'s :attr:`~PartialOrder.succ`.
+    def replay(self, order: PartialOrder) -> list[tuple[int, int]]:
+        """Trace-order edges for the writer pairs ``order`` leaves unordered.
 
         For a writer v and another block b with writers on v's channel, the
         writers of b that are earlier in the trace and not already after v
-        form a prefix of the segment; its last one, u, gets the edge u -> v
-        unless ``order`` already has it, and program order then orders the
-        rest of the prefix.  Writers that ``order`` puts after v stay there,
-        so a pair flipped against the trace stays flipped.  With every slot's
-        edge added (and no cycle), each same-channel writer pair that
-        ``order`` left unordered is ordered as in the trace.  Sorted.
+        form a prefix of the segment, up to the first writer above v or the
+        first one later in the trace, whichever comes first; its last one,
+        u, gets the edge u -> v unless ``order`` already has it, and program
+        order then orders the rest of the prefix.  Writers that ``order``
+        puts after v stay there, so a pair flipped against the trace stays
+        flipped.  With every slot's edge added (and no cycle), each
+        same-channel writer pair that ``order`` left unordered is ordered as
+        in the trace.  Sorted.
         """
         if self._replay_slots is None:
             # per (writer v, other block b on v's channel): v's index, v, b,
-            # the segment's base, and how many events of b precede v; every
-            # order passed in shares the poset's universe
+            # the segment's base, and the index of its first writer later in
+            # the trace than v; every order passed in shares the poset's universe
             slots = [
                 (order.index_of(v), v, b, base, bisect_left(order.blocks[b], v))
                 for segs in self._by_channel.values()
@@ -495,13 +494,13 @@ class _Guards:
                 for b, base, _ in segs
                 if b != bv
             ]
-            self._replay_slots = tuple(np.array(slots, dtype=np.int64).reshape(-1, 5).T)
-        iv, v, b, base, below = self._replay_slots
-        succ = order.succ if succ is None else succ
-        j = np.searchsorted(self.keys, base + np.minimum(succ[iv, b], below), side="left") - 1
-        # a j in an earlier segment gives a position below -1, so fails the test
-        take = (j >= 0) & (self.keys[j] - base > order.pred[iv, b])
-        return sorted(zip(self.writers[j[take]].tolist(), v[take].tolist()))
+            iv, v, b, base, below = np.array(slots, dtype=np.int64).reshape(-1, 5).T
+            self._replay_slots = iv, v, b, base, np.searchsorted(self.keys, base + below)
+        iv, v, b, base, later = self._replay_slots
+        hi = np.minimum(self._first_above(order, iv, base), later)
+        lo = np.searchsorted(self.keys, base + order.pred[iv, b], side="right")
+        take = hi > lo
+        return sorted(zip(self.writers[hi[take] - 1].tolist(), v[take].tolist()))
 
 
 def is_closed(poset: RfPoset) -> bool:

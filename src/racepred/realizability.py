@@ -44,6 +44,8 @@ from itertools import accumulate
 from operator import lt
 from typing import Iterable
 
+import numpy as np
+
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
 from .trace_model import Trace, _Table, _adjacency, _conflict_edges, _forest_order, _table
 
@@ -181,21 +183,24 @@ def _resolve(
     leaves unordered parent first, none of them implied by ``fixed``.
 
     The parent events that ``fixed`` does not put above a child event e2 are
-    the parent's positions below ``succ[e2, parent]``, a program-order
-    prefix.  Only the latest of them on e2's channel that conflicts with e2
-    needs an edge to e2, and only when ``fixed`` does not put it below e2;
-    program order implies the rest.  Every edge is read from ``fixed``, and
-    each has its own target.
+    a program-order prefix: they end where the parent's ``pred`` column for
+    the child's block first reaches e2's position, a column that is
+    non-decreasing down the parent, so one ``searchsorted`` finds every
+    child event's end.  Only the latest of them on e2's channel that
+    conflicts with e2 needs an edge to e2, and only when ``fixed`` does not
+    put it below e2; program order implies the rest.  Every edge is read
+    from ``fixed``, and each has its own target.
     """
     blocks = fixed.blocks
     lengths = [len(block) for block in blocks]
     starts = [0, *accumulate(lengths)]  # each block's first row
-    succ = fixed.succ
     edges = []
     wl = table.writes_like
     for child, par in children_order:
         rows = slice(starts[child], starts[child + 1])
-        above, below = succ[rows, par].tolist(), fixed.pred[rows, par].tolist()
+        column = fixed.pred[starts[par] : starts[par + 1], child]
+        above = np.searchsorted(column, np.arange(lengths[child])).tolist()
+        below = fixed.pred[rows, par].tolist()
         for x, users in table.users.items():
             row = users[child]
             for p2 in row[: bisect_left(row, lengths[child])]:
@@ -271,8 +276,7 @@ def realize_bounded(
 
     def search(q: PartialOrder, left: int) -> tuple[list[int], list[tuple[int, int]]] | None:
         nonlocal branches
-        succ = q.succ
-        edges = guards.replay(q, succ) + guards.unprotected_after_replay(q, succ)
+        edges = guards.replay(q) + guards.unprotected_after_replay(q)
         try:
             w = q.linearize(edges)
         except CycleError as exc:

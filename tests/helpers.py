@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from operator import lt
 from pathlib import Path
@@ -540,16 +540,20 @@ def replay_by_pairs(trace: Trace, q: PartialOrder, g: PartialOrder) -> None:
             g.add_edge(u, v)
 
 
-def path_between(order: PartialOrder, u: int, v: int) -> list[tuple[int, int]]:
+def path_between(
+    order: PartialOrder, u: int, v: int, observed: Iterable[tuple[int, int]] = ()
+) -> list[tuple[int, int]]:
     """A chain of generator edges of ``order`` witnessing u < v.
 
-    Generator edges are block-chain steps and ``order.edges``.  Raises
-    ValueError when v is not reachable (i.e. not u < v).
+    Generator edges are block-chain steps, ``observed`` (edges the order
+    held before any was inserted, such as a TRF's observation edges) and
+    ``order.edges``.  Raises ValueError when v is not reachable (i.e. not
+    u < v).
     """
     if not order.ordered(u, v):
         raise ValueError(f"{u} is not ordered before {v}")
     fwd: dict[int, list[int]] = {}
-    for a, b in order.edges:
+    for a, b in [*observed, *order.edges]:
         fwd.setdefault(a, []).append(b)
 
     parent: dict[int, int] = {u: 0}
@@ -620,6 +624,8 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
     source, one block at a time, found by bisection over the block's writers.
     """
     trace, rf = p.trace, p.rf
+    # the TRF's cross-thread reads, which the order holds but does not list
+    observed = trf_by_replay(trace, p.order.events()).edges
     writers: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
     for b, block in enumerate(p.order.blocks):
         for pos, e in enumerate(block):
@@ -632,9 +638,8 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
 
     def extend_reads(g: PartialOrder) -> None:
         # the replay ordered every same-channel writer pair, so the edges
-        # added here move no writer across a source and a stale succ finds
-        # the same writers
-        succ = g.succ
+        # added here move no writer across a source: each source's nearest
+        # writers below and above stay the same while they go in
         for r in sorted(rf):
             i_s = g.index_of(rf[r])
             for b in range(g.k):
@@ -643,7 +648,7 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
                     continue
                 plist, elist = got
                 j_lo = bisect_right(plist, int(g.pred[i_s, b])) - 1
-                j_hi = bisect_left(plist, int(succ[i_s, b]))
+                j_hi = next((j for j, e in enumerate(elist) if g.ordered(rf[r], e)), len(elist))
                 assert all(elist[j] == rf[r] for j in range(j_lo + 1, j_hi))
                 if j_lo >= 0:
                     g.add_edge(elist[j_lo], r)
@@ -660,7 +665,7 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
             if left == 0:
                 return None
             u0, v0 = exc.edge
-            cycle = [(u0, v0)] + path_between(g, v0, u0)
+            cycle = [(u0, v0)] + path_between(g, v0, u0, observed)
             cross = shrink_cross([e for e in cycle if not q.ordered(*e)], q)
             flips: list[tuple[int, int]] = []
             for e1, e2 in cross:

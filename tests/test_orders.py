@@ -23,6 +23,7 @@ from racepred import (
 )
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _table
+from racepred.orders import _Guards
 from racepred.realizability import realize_general
 from racepred.trace_model import from_events
 
@@ -293,7 +294,7 @@ def down_set_ideal(trace, eids) -> tuple[int, ...]:
 @given(trace_events(max_events=10), st.data())
 def test_trf_matches_networkx_closure(items, data):
     # on the whole trace and on a down-set ideal Y, the order is the TRF
-    # projected on Y, and its edges are those of the read-by-read replay
+    # projected on Y
     t = from_events(items)
     closure_graph = trf_digraph(t)
     eids = [ev.eid for ev in t]
@@ -305,14 +306,16 @@ def test_trf_matches_networkx_closure(items, data):
         assert ordered_pairs(po) == set(closure_graph.subgraph(universe).edges())
         want = trf_by_replay(t, members)
         assert po.blocks == want.blocks and (po.pred == want.pred).all()
-        assert po.edges == want.edges
 
 
-def test_succ_is_least_position_above():
-    # after random refinements of whole-trace and ideal TRFs, the derived
-    # succ[x, b] is the least position in block b of an event above x, or
-    # the block's length when there is none
-    checked = 0
+def test_first_above_is_the_first_writer_above():
+    # after random refinements of whole-trace and ideal TRFs, the guards'
+    # reader gives, for every closure slot (from its observer and from its
+    # writer) and every replay slot, the first writer of the slot's segment
+    # that the order puts above the event, or the segment's end.  And no
+    # edge the closure conditions demand is one the order already has: the
+    # closure's termination rests on that
+    checked = slots = 0
     for s in range(150):
         rng = random.Random(s)
         t = gen_random_trace(
@@ -321,16 +324,27 @@ def test_succ_is_least_position_above():
         )
         ideal = down_set_ideal(t, [rng.randint(1, len(t))])
         for po in (compute_trf(t), compute_trf(t, ideal)):
+            guards = _Guards(RfPoset(t, po))
+            guards.replay(po)  # builds the replay slots
+            iv, _, _, replay_base, _ = guards._replay_slots
             evs = list(po.events())
+            keys, writers = guards.keys.tolist(), guards.writers.tolist()
             for step in range(4):
-                succ = po.succ
-                assert succ.shape == (po.n, po.k)
-                for x in evs:
-                    for b, block in enumerate(po.blocks):
+                for rows, bases in (
+                    (guards.ir, guards.base), (guards.iw, guards.base), (iv, replay_base)
+                ):
+                    got = guards._first_above(po, rows, bases).tolist()
+                    slots += len(got)
+                    for i, base, j in zip(rows.tolist(), bases.tolist(), got):
+                        # a key is its segment's base plus a position below n
+                        segment = [y for y, key in enumerate(keys) if 0 <= key - base < po.n]
                         want = next(
-                            (p for p, y in enumerate(block) if po.ordered(x, y)), len(block)
+                            (y for y in segment if po.ordered(evs[i], writers[y])),
+                            segment[-1] + 1,
                         )
-                        assert succ[po.index_of(x), b] == want, (s, step, x, b)
+                        assert j == want, (s, step, evs[i], base)
+                implied = [e for e in guards.violations(po) if po.ordered(*e)]
+                assert not implied, (s, step, implied)
                 checked += 1
                 if len(evs) < 2:
                     break
@@ -338,7 +352,7 @@ def test_succ_is_least_position_above():
                     po.add_edge(*rng.sample(evs, 2))
                 except CycleError:
                     pass
-    assert checked >= 900
+    assert checked >= 900 and slots >= 9_000
 
 
 @settings(max_examples=40, deadline=None)
