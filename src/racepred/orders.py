@@ -38,9 +38,14 @@ the first writer above w to the first writer above r.  Program order already
 orders each such run, so only its end nearest to the pair needs an explicit
 edge: the latest writer before w, or r before the earliest writer.  The
 writers are one sorted array of positions segmented by (channel, block), cut
-from the trace's channel index; the runs before come from ``searchsorted``
-over it, and the first writers above from one ``searchsorted`` over the
-writers' ``pred`` rows, gathered per round.
+from the trace's channel index.  A closure round is one fused pass over
+every (observer, block) slot, on row indices: one gather of the observers'
+and writers' ``pred`` entries and one ``searchsorted`` over the positions
+give the runs before, and one gather of the writers' ``pred`` rows into
+sorted runs and one ``searchsorted`` over them the first writers above.
+The gather indices and the queries depend only on the universe, so they
+are built once; the demanded edges come out as row pairs, and the closure
+inserts them by row.
 """
 
 from __future__ import annotations
@@ -88,7 +93,8 @@ class PartialOrder:
     """
 
     __slots__ = (
-        "blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "_starts", "pred", "edges"
+        "blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "_loc", "_starts", "pred",
+        "edges",
     )
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
@@ -105,6 +111,8 @@ class PartialOrder:
         self._starts: list[int] = [0, *accumulate(lengths)]
         # a row's position is its distance from the first row of its block
         self._pos = np.arange(self.n, dtype=np.int64) - np.searchsorted(self._block, self._block)
+        #: each row's (block, position), for scalar reads
+        self._loc: list[tuple[int, int]] = list(zip(self._block.tolist(), self._pos.tolist()))
         # pred[x, b]: greatest position in block b strictly below x (or -1)
         self.pred = np.full((self.n, self.k), -1, dtype=np.int64)
         self.pred[np.arange(self.n), self._block] = self._pos - 1
@@ -122,6 +130,7 @@ class PartialOrder:
         clone._idx = self._idx
         clone._block = self._block
         clone._pos = self._pos
+        clone._loc = self._loc
         clone._starts = self._starts
         clone.pred = self.pred.copy()
         clone.edges = list(self.edges)
@@ -135,8 +144,7 @@ class PartialOrder:
 
     def location(self, eid: int) -> tuple[int, int]:
         """(block, position) of an event."""
-        i = self._idx[eid]
-        return int(self._block[i]), int(self._pos[i])
+        return self._loc[self._idx[eid]]
 
     def events(self) -> Iterable[int]:
         return iter(self._eids)
@@ -145,8 +153,8 @@ class PartialOrder:
 
     def ordered(self, u: int, v: int) -> bool:
         """Strictly ordered u < v."""
-        iu, iv = self._idx[u], self._idx[v]
-        return bool(self.pred[iv, self._block[iu]] >= self._pos[iu])
+        bu, pu = self._loc[self._idx[u]]
+        return bool(self.pred[self._idx[v], bu] >= pu)
 
     def unordered(self, u: int, v: int) -> bool:
         return u != v and not self.ordered(u, v) and not self.ordered(v, u)
@@ -158,16 +166,21 @@ class PartialOrder:
 
         Returns False when the pair was already ordered.  Raises
         :class:`CycleError` when v < u already holds.
+        """
+        return self._insert(self._idx[u], self._idx[v])
+
+    def _insert(self, iu: int, iv: int) -> bool:
+        """:meth:`add_edge` on the events at rows ``iu`` and ``iv``.
 
         The rows that gain u's predecessors are v and everything above it:
         in v's own block the rows from v on, in any other block the rows
         whose ``pred`` column for v's block reaches v's position, a suffix.
         """
-        if u == v:
+        u, v = self._eids[iu], self._eids[iv]
+        if iu == iv:
             raise CycleError((u, v))
-        iu, iv = self._idx[u], self._idx[v]
-        bu, pu = self._block[iu], self._pos[iu]
-        bv, pv = self._block[iv], self._pos[iv]
+        bu, pu = self._loc[iu]
+        bv, pv = self._loc[iv]
         pred = self.pred
         if pred[iv, bu] >= pu:
             return False
@@ -358,9 +371,11 @@ class _Guards:
     slots pair a writer with another block that holds writers on its
     channel, and :meth:`unprotected_after_replay`, which counts per slot the
     block's events earlier in the trace than the writer; both are built on
-    first call, so the closure never pays.  Of an order only ``pred`` is
-    read: :meth:`_first_above` finds, per slot, the first writer of the
-    segment above a given event from the writers' own ``pred`` rows.
+    first call, so the closure never pays, and so are the closure round's
+    gather indices and queries.  Of an order only ``pred`` is read:
+    :meth:`_first_above` finds, per slot, the first writer of the segment
+    above a given event from the writers' own ``pred`` rows, laid out by
+    :meth:`_run_keys`, as the closure round does.
     """
 
     def __init__(self, poset: RfPoset):
@@ -369,72 +384,98 @@ class _Guards:
         by_channel: dict[str, list[tuple[int, int, list[int]]]] = {}
         keys: list[int] = []
         writers: list[int] = []
+        at: list[int] = []  # the writers' rows
         for x, rows in _table(trace).writers.items():
             for b, row in enumerate(_cut(rows, map(len, order.blocks))):
                 if row:
                     base = len(keys) * span + 1  # every earlier segment is non-empty
                     keys += [base + pos for pos in row]
                     writers += [order.blocks[b][pos] for pos in row]
+                    at += [order._starts[b] + pos for pos in row]
                     by_channel.setdefault(x, []).append((b, base, writers[-len(row) :]))
         self.keys = np.array(keys, dtype=np.int64)
         self.writers = np.array(writers, dtype=np.int64)
-        self._rows = np.array([order.index_of(y) for y in writers], dtype=np.int64)
-        # _first_above's runs of keys, one per block, each past the last; a
-        # writer's key less its position is its segment's base
+        self._rows = np.array(at, dtype=np.int64)
+        # _run_keys' runs, one per block, each past the last: run c gathers
+        # the writers' pred entries for c, each plus its segment's base (a
+        # writer's key less its position)
         self._shift = (len(writers) + 1) * span
-        bases = self.keys - order._pos[self._rows]
-        self._offsets = np.arange(order.k)[:, None] * self._shift + bases
+        runs = np.arange(order.k)[:, None]
+        self._gather = (self._rows * order.k + runs).ravel()
+        self._offsets = (runs * self._shift + self.keys - order._pos[self._rows]).ravel()
         self._by_channel = by_channel
+        self._round_consts: tuple[np.ndarray, ...] | None = None
         self._replay_slots: tuple[np.ndarray, ...] | None = None
         self._below: np.ndarray | None = None
-        slots = []
+        slots: list[int] = []  # seven entries per slot, flat
         for r, w in poset.rf.items():
             ir, iw = order.index_of(r), order.index_of(w)
-            bw = order._block[iw]
+            bw = order._loc[iw][0]
             for b, base, _ in by_channel.get(trace.events[r - 1].loc, ()):
-                slots.append((ir, iw, r, w, b, base, b == bw))
+                slots += (ir, iw, r, w, b, base, b == bw)
         cols = np.array(slots, dtype=np.int64).reshape(-1, 7).T
         self.ir, self.iw, self.r, self.w, self.block, self.base, self.own = cols
+
+    def _run_keys(self, order: PartialOrder) -> np.ndarray:
+        """The writers' ``pred`` rows of ``order`` as sorted runs of keys.
+
+        Down a block every ``pred`` column is non-decreasing, so within a
+        segment the writers' entries for block c, each plus its base, rise;
+        run c holds them for every segment in turn.
+        """
+        return order.pred.take(self._gather) + self._offsets
+
+    def _queries(
+        self, order: PartialOrder, rows: np.ndarray, base: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot, the key that :meth:`_run_keys` holds for the event at
+        row ``rows`` against the segment at ``base``, in the run of the
+        event's block, and the index in the keys where that run starts."""
+        c = order._block[rows]
+        return c * self._shift + base + order._pos[rows], c * len(self.writers)
 
     def _first_above(self, order: PartialOrder, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Per slot, the index in ``writers`` of the first writer of the
         segment at ``base`` that ``order`` puts above the event at row
         ``rows``, or the segment's end.
 
-        Down a block every ``pred`` column is non-decreasing, so within a
-        segment the writers' entries for block c, each plus its base, rise;
-        run c of the keys holds them for every segment in turn.  The event
-        at position p of block c is below exactly the writers whose entry
-        reaches p.
+        The event at position p of block c is below exactly the writers
+        whose entry for c reaches p.
         """
-        c = order._block[rows]
-        keys = (order.pred[self._rows].T + self._offsets).ravel()
-        query = c * self._shift + base + order._pos[rows]
-        return np.searchsorted(keys, query) - c * len(self.writers)
+        query, start = self._queries(order, rows, base)
+        return self._run_keys(order).searchsorted(query) - start
 
     def violations(self, order: PartialOrder) -> list[tuple[int, int]]:
-        """Edges the closure conditions demand of ``order``, deduplicated.
+        """Edges the closure conditions demand of ``order``, deduplicated:
+        the condition-1 edges first, then the condition-2 ones, each in slot
+        order.  :meth:`_round` finds them as row pairs."""
+        eids = order._eids
+        return [(eids[iu], eids[iv]) for iu, iv in self._round(order)]
+
+    def _round(self, order: PartialOrder) -> list[tuple[int, int]]:
+        """:meth:`violations` as (row, row) pairs, in one vectorised pass.
 
         Condition 1: writers in ``(pred[w, b], pred[r, b]]`` are before r but
         not before w (in w's own block the run starts after w itself); the
-        latest of them must precede w.  Condition 2 is :meth:`unprotected`.
-        The condition-1 edges come first, then the condition-2 ones.
+        latest of them must precede w.  Condition 2: the writers from the
+        first one above w up to the first one above r are after w but not
+        after r; r must precede the earliest of them.  Stacked over the
+        slots, w's half then r's, each condition is one ``searchsorted``.
+        What depends only on the universe, the ``pred`` entries to gather
+        and the queries into :meth:`_run_keys`, is built on the first round.
         """
-        ir, iw, b, base, keys = self.ir, self.iw, self.block, self.base, self.keys
-        lo = np.searchsorted(keys, base + order.pred[iw, b] + self.own, side="right")
-        hi = np.searchsorted(keys, base + order.pred[ir, b], side="right")
-        into = hi > lo
-        edges = list(zip(self.writers[hi[into] - 1].tolist(), self.w[into].tolist()))
-        edges += self.unprotected(order)
-        return list(dict.fromkeys(edges))
-
-    def unprotected(self, order: PartialOrder) -> list[tuple[int, int]]:
-        """Condition 2 alone, one edge per slot that needs one, in slot order.
-
-        The writers from the first one above w up to the first one above r
-        are after w but not after r; r must precede the earliest of them.
-        """
-        return self._earliest(*self._first_above(order, np.stack((self.iw, self.ir)), self.base))
+        if self._round_consts is None:
+            rows, base = np.concatenate((self.iw, self.ir)), np.tile(self.base, 2)
+            at = rows * order.k + np.tile(self.block, 2)  # pred[rows, b], flat
+            offset = base + np.concatenate((self.own, np.zeros_like(self.own)))
+            self._round_consts = at, offset, *self._queries(order, rows, base)
+        at, offset, query, start = self._round_consts
+        lo, hi = self.keys.searchsorted(order.pred.take(at) + offset, side="right").reshape(2, -1)
+        first, end = (self._run_keys(order).searchsorted(query) - start).reshape(2, -1)
+        into, out = hi > lo, end > first
+        us = np.concatenate((self._rows[hi[into] - 1], self.ir[out]))
+        vs = np.concatenate((self.iw[into], self._rows[first[out]]))
+        return list(dict.fromkeys(zip(us.tolist(), vs.tolist())))
 
     def unprotected_after_replay(self, order: PartialOrder) -> list[tuple[int, int]]:
         """Condition 2 on ``order`` plus its :meth:`replay` edges, read off
@@ -515,11 +556,12 @@ def closure(poset: RfPoset) -> RfPoset | None:
     """The least observation-protecting refinement, or None on a cycle.
 
     Each round evaluates every closure condition of the current order in one
-    vectorised pass and inserts the demanded edges; the loop ends when a round
-    demands nothing.  Since every order here refines the block chains, the
-    interferers an observer must move within one block form a contiguous run
-    of that block's writers on its channel, and one edge to the run's nearest
-    end (latest writer before w, earliest writer after r) orders the whole run
+    vectorised pass (:meth:`_Guards._round`) and inserts the demanded edges,
+    as row pairs, in its order; the loop ends when a round demands nothing.
+    Since every order here refines the block chains, the interferers an
+    observer must move within one block form a contiguous run of that
+    block's writers on its channel, and one edge to the run's nearest end
+    (latest writer before w, earliest writer after r) orders the whole run
     by program order.  Every demanded edge belongs to every closed refinement,
     so the result does not depend on insertion order, and an edge that closes
     a cycle proves no closed refinement exists.
@@ -529,9 +571,9 @@ def closure(poset: RfPoset) -> RfPoset | None:
     order = poset.order.copy()
     guards = _Guards(poset)
     try:
-        while edges := guards.violations(order):
-            for u, v in edges:
-                order.add_edge(u, v)
+        while edges := guards._round(order):
+            for iu, iv in edges:
+                order._insert(iu, iv)
     except CycleError:
         return None
     return RfPoset(poset.trace, order)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import racepred
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
+from racepred.orders import _Guards
 from racepred.trace_model import _cut, _table, from_events
 
 
@@ -219,6 +220,75 @@ def closure_by_triplets(poset: RfPoset) -> PartialOrder | None:
     except CycleError:
         return None
     return order
+
+
+def violations_by_slots(poset: RfPoset, order: PartialOrder) -> list[tuple[int, int]]:
+    """One closure round of ``order`` computed slot by slot: the edges the
+    closure conditions demand, the condition-1 edges first, then the
+    condition-2 ones, each in slot order, deduplicated.
+
+    A slot is an observer r (in event-id order) reading from w, and a block b
+    (ascending) holding writers on r's channel.  Condition 1 bisects the
+    positions of those writers: the ones in ``(pred[w, b], pred[r, b]]``
+    (past w itself in w's own block) are before r but not before w, and the
+    latest of them must precede w.  Condition 2 scans them: r must precede
+    the first writer above w when it comes before the first writer above r.
+    """
+    trace = poset.trace
+    segments: dict[str, dict[int, list[int]]] = {}  # channel -> block -> writers
+    positions: dict[str, dict[int, list[int]]] = {}  # and their positions
+    for b, block in enumerate(order.blocks):
+        for pos, e in enumerate(block):
+            if (ev := trace.event(e)).writes_like:
+                segments.setdefault(ev.loc, {}).setdefault(b, []).append(e)
+                positions.setdefault(ev.loc, {}).setdefault(b, []).append(pos)
+    latest, earliest = [], []
+    for r, w in poset.rf.items():
+        ir, iw, bw = order.index_of(r), order.index_of(w), order.location(w)[0]
+        x = trace.event(r).loc
+        for b, segment in sorted(segments.get(x, {}).items()):
+            lo = bisect_right(positions[x][b], order.pred[iw, b] + (b == bw))
+            hi = bisect_right(positions[x][b], order.pred[ir, b])
+            if hi > lo:
+                latest.append((segment[hi - 1], w))
+            # above r is above w, so the runs differ iff w's first is not r's
+            first = next((y for y in segment if order.ordered(w, y)), None)
+            if first is not None and not order.ordered(r, first):
+                earliest.append((r, first))
+    return list(dict.fromkeys(latest + earliest))
+
+
+def closure_by_rounds(
+    poset: RfPoset,
+) -> tuple[PartialOrder | None, list[list[tuple[int, int]]]]:
+    """The rf-poset closure as rounds of :func:`violations_by_slots`, each
+    round's edges inserted in order, until a round demands nothing.
+
+    Returns the closed order, or None when an edge closes a cycle, and the
+    edge list of every round evaluated: the last is empty when the closure
+    exists, and holds the contradicting edge when it does not.
+    """
+    order = poset.order.copy()
+    rounds: list[list[tuple[int, int]]] = []
+    try:
+        while edges := violations_by_slots(poset, order):
+            rounds.append(edges)
+            for u, v in edges:
+                order.add_edge(u, v)
+    except CycleError:
+        return None, rounds
+    return order, rounds + [[]]
+
+
+def unprotected(guards: _Guards, order: PartialOrder) -> list[tuple[int, int]]:
+    """Closure condition 2 alone on ``order``, read through ``guards``: one
+    edge per slot that needs one, in slot order.
+
+    The writers from the first one above w up to the first one above r are
+    after w but not after r; r must precede the earliest of them.
+    """
+    rows = np.stack((guards.iw, guards.ir))
+    return guards._earliest(*guards._first_above(order, rows, guards.base))
 
 
 def down_close(trace: Trace, seeds) -> set[int]:

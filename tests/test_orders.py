@@ -29,6 +29,7 @@ from racepred.trace_model import from_events
 
 from helpers import (
     add_edge_by_mask,
+    closure_by_rounds,
     closure_by_triplets,
     linearize_by_scan,
     path_between,
@@ -533,7 +534,28 @@ def test_realizable_inputs_have_closure(items):
 # ----------------------------------------------------------------------
 
 
+def assert_rounds_match_reference(poset: RfPoset) -> tuple[int, int]:
+    """Every round's ``violations`` equals the slot-by-slot reference's, in
+    order, and ``closure`` ends at its ``pred`` and ``edges``; the rounds
+    and the edges inserted, for floors."""
+    want, rounds = closure_by_rounds(poset)
+    guards, order = _Guards(poset), poset.order.copy()
+    with suppress(CycleError):
+        for step, edges in enumerate(rounds):
+            assert guards.violations(order) == edges, step
+            for u, v in edges:
+                order.add_edge(u, v)
+    closed = closure(poset)
+    assert (closed is None) == (want is None)
+    if closed is not None:
+        assert (closed.order.pred == want.pred).all()
+        assert closed.order.edges == want.edges
+    assert is_closed(poset) == (rounds == [[]])
+    return len(rounds), len(order.edges) - len(poset.order.edges)
+
+
 def assert_closure_matches_reference(poset: RfPoset) -> None:
+    assert_rounds_match_reference(poset)
     expected = closure_by_triplets(poset)
     closed = closure(poset)
     assert (closed is None) == (expected is None)
@@ -542,6 +564,73 @@ def assert_closure_matches_reference(poset: RfPoset) -> None:
     if closed is not None:
         assert ordered_pairs(closed.order) == ordered_pairs(expected)
         assert is_closed(closed)
+
+
+def ov_instance(rng: random.Random, m: int, dim: int, yes: bool) -> OvInstance:
+    """m vectors per side, each with coordinate 0 set; when ``yes``, one
+    pair made orthogonal off coordinate 0 (the a vector's is cleared)."""
+    a, b = ([[1] + [rng.randint(0, 1) for _ in range(dim - 1)] for _ in range(m)] for _ in "ab")
+    if yes:
+        i, j = rng.randrange(m), rng.randrange(m)
+        a[i][0] = 0
+        b[j] = [0 if x else rng.randint(0, 1) for x in a[i]]
+    inst = OvInstance(tuple(map(tuple, a)), tuple(map(tuple, b)), dim)
+    assert inst.has_orthogonal_pair == yes
+    return inst
+
+
+def test_closure_rounds_match_slot_reference_on_ov():
+    # on OV traces, yes and no, the tree route's lock-cone poset and the
+    # whole-trace TRF: each round demands the reference's edges in its order
+    rounds = edges = contradictions = 0
+    for seed, (m, dim) in enumerate(itertools.product((1, 2, 4, 8), (3, 8))):
+        rng = random.Random(seed)
+        for yes in (True, False):
+            trace, (e1, e2) = gen_ov_trace(ov_instance(rng, m, dim, yes))
+            union = lcone(trace, e1).members | lcone(trace, e2).members
+            posets = [feasibility(Ideal.from_members(trace, union)).poset]
+            if (m, dim) != (8, 8):  # the reference takes seconds on its 780 events
+                posets.append(make_poset(trace))
+            for poset in posets:
+                r, e = assert_rounds_match_reference(poset)
+                rounds, edges = rounds + r, edges + e
+                contradictions += closure(poset) is None
+    assert rounds >= 1_200 and edges >= 5_000 and contradictions >= 8, (
+        rounds, edges, contradictions
+    )
+
+
+def test_closure_rounds_match_slot_reference_on_edge_cases():
+    def poset(text: str, prefix=None, *edges) -> RfPoset:
+        trace = parse_trace(text)
+        order = compute_trf(trace, prefix)
+        for u, v in edges:
+            order.add_edge(u, v)
+        return RfPoset(trace, order)
+
+    cases = {
+        # no observers: no slot at all, and writers on two blocks
+        "no observers": poset("t1 w x\nt2 w x\nt2 w y"),
+        # every writer of x in one block: w's own segment only
+        "one block": poset("t1 w x\nt2 r x\nt1 w x\nt2 r x"),
+        # the third thread's block is empty
+        "empty block": poset("t1 w x\nt2 w x\nt1 r x\nt2 r x\nt3 w x", [2, 2, 0]),
+        # every block is empty
+        "empty blocks": poset("t1 w x\nt2 w x\nt1 r x", [0, 0]),
+        # w < w' < r with rf(r) = w: the first round closes a cycle
+        "contradictory": poset("t1 w x\nt1 r x\nt2 w x", None, (1, 3), (3, 2)),
+    }
+    # (rounds, edges inserted) of each
+    assert {name: assert_rounds_match_reference(p) for name, p in cases.items()} == {
+        "no observers": (1, 0),
+        "one block": (2, 1),
+        "empty block": (2, 1),
+        "empty blocks": (1, 0),
+        "contradictory": (1, 0),
+    }
+    assert closure(cases["one block"]).order.edges[-1] == (2, 3)
+    assert closure(cases["empty block"]).order.edges[-1] == (1, 2)
+    assert closure(cases["contradictory"]) is None
 
 
 def prefix_poset(trace, eid: int) -> RfPoset:

@@ -51,6 +51,7 @@ from helpers import (
     reversal_pairs_by_combinations,
     shrink_cross,
     traces,
+    unprotected,
 )
 
 
@@ -686,11 +687,11 @@ def test_replay_orders_like_the_pairwise_replay():
             assert (g.pred == want.pred).all(), (s, x.prefix)
             # condition 2 read off q alone, less what the replay implies
             extension = [e for e in guards.unprotected_after_replay(q) if not g.ordered(*e)]
-            assert extension == guards.unprotected(g), (s, x.prefix)
+            assert extension == unprotected(guards, g), (s, x.prefix)
             compared += 1
             flipped += q is not p.order
             try:
-                for u, v in guards.unprotected(g):
+                for u, v in unprotected(guards, g):
                     g.add_edge(u, v)
             except CycleError:
                 continue
