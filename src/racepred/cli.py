@@ -81,7 +81,8 @@ class Verdict:
       the tree route);
     * ``search_nodes`` -- states the general search reached, branches
       tried by the bounded search, 0 on the tree route;
-    * ``closure_edges`` -- orderings the tree backend's closure added (0
+    * ``closure_edges`` -- edges the tree backend's closure inserted,
+      each round's latest target first, that were not already implied (0
       when it is contradictory), 0 on the general and bounded routes;
     * ``wall_ms``.
     """

@@ -401,11 +401,12 @@ def _table(trace: Trace) -> _Table:
         zero = (0,) * k
         down = [zero] * (len(trace) + 1)
         last = [zero] * k  # down of each thread's latest event so far
+        index, rf = trace.thread_index, trace.rf
         for ev in trace.events:
-            b = trace.thread_index[ev.thread]
+            b = index[ev.thread]
             vec = last[b]
-            if ev.is_read:
-                vec = _join(vec, down[trace.rf[ev.eid]])
+            if ev.kind == "r":
+                vec = _join(vec, down[rf[ev.eid]])
             down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
         opens = []
         users = {x: [[] for _ in range(k)] for x in sorted(trace.globals_ | trace.locks)}
@@ -414,12 +415,13 @@ def _table(trace: Trace) -> _Table:
             stack: tuple[int, ...] = ()
             row = [stack]
             for pos, ev in enumerate(proj):
+                kind = ev.kind
                 users[ev.loc][b].append(pos)
-                if ev.writes_like:
+                if kind == "w" or kind == "acq":
                     writers[ev.loc][b].append(pos)
-                if ev.is_acquire:
-                    stack += (ev.eid,)
-                elif ev.is_release:
+                    if kind == "acq":
+                        stack += (ev.eid,)
+                elif kind == "rel":
                     stack = stack[:-1]  # the trace guarantees proper nesting
                 row.append(stack)
             opens.append(tuple(row))

@@ -262,7 +262,8 @@ def closure_by_rounds(
     poset: RfPoset,
 ) -> tuple[PartialOrder | None, list[list[tuple[int, int]]]]:
     """The rf-poset closure as rounds of :func:`violations_by_slots`, each
-    round's edges inserted in order, until a round demands nothing.
+    round's edges inserted latest target first (a stable sort by the
+    target's event id, largest first), until a round demands nothing.
 
     Returns the closed order, or None when an edge closes a cycle, and the
     edge list of every round evaluated: the last is empty when the closure
@@ -273,7 +274,7 @@ def closure_by_rounds(
     try:
         while edges := violations_by_slots(poset, order):
             rounds.append(edges)
-            for u, v in edges:
+            for u, v in sorted(edges, key=lambda e: e[1], reverse=True):
                 order.add_edge(u, v)
     except CycleError:
         return None, rounds

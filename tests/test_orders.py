@@ -159,8 +159,15 @@ def insert(order: PartialOrder, insert_edge, u: int, v: int):
 
 @settings(max_examples=300, deadline=None)
 @given(blocks_and_edges(max_edges=16))
+# the third block's rows above 3 are 5, 6 and 7, and 7 is above 1 already
+@example(case=([[1, 2], [3, 4], [5, 6, 7]], [(3, 5), (1, 7), (1, 3)]))
+# 3, in the source's own block, is above the target 4
+@example(case=([[1, 2, 3], [4, 5]], [(4, 3), (1, 4)]))
+@example(case=([[1, 2, 3]], [(1, 3), (3, 1), (2, 2)]))
+@example(case=([[], [1, 2], [], [3, 4], []], [(1, 4), (3, 2), (4, 1)]))
 def test_add_edge_matches_mask_reference(case):
-    # the per-block suffix update against the update over a mask of all rows
+    # the update of the rows above v not yet above u, per block, against
+    # the update over a mask of all rows
     blocks, edges = case
     got, want = PartialOrder(blocks), PartialOrder(blocks)
     for u, v in edges:
@@ -169,11 +176,32 @@ def test_add_edge_matches_mask_reference(case):
         assert got.edges == want.edges
 
 
+def test_add_edge_matches_mask_reference_on_a_chain_round():
+    # the 200-event chain's first closure round, inserted latest target
+    # first as the closure does: each insert raises only the rows between
+    # its target and the rows an earlier insert put above its source
+    poset = make_poset(from_events([("t1", "w", "x"), ("t2", "r", "x")] * 100))
+    edges = _Guards(poset).violations(poset.order)
+    assert len(edges) == 99
+    got, want = poset.order.copy(), poset.order.copy()
+    for u, v in sorted(edges, key=lambda e: e[1], reverse=True):
+        assert got.add_edge(u, v) == add_edge_by_mask(want, u, v)
+        assert (got.pred == want.pred).all(), (u, v)
+
+
 @settings(max_examples=300, deadline=None)
 @given(blocks_and_edges(max_edges=16), st.integers(0, 16))
 @example(case=([[], [1, 2, 3], [], [4, 5, 6], []], [(1, 5), (6, 2), (3, 4)]), cut=1)
 @example(case=([[1, 2, 3], [4, 5, 6], []], [(2, 4), (6, 3)]), cut=0)
 @example(case=([[1, 2, 3], [], [4, 5, 6]], [(1, 5), (4, 4)]), cut=0)
+# id order is already an extension: the whole universe is the placed prefix
+@example(case=([[1, 3, 5], [2, 4, 6]], [(1, 2), (3, 4)]), cut=1)
+# the smallest id waits for 3, so the placed prefix is empty
+@example(case=([[1, 2], [3, 4]], [(3, 1)]), cut=0)
+# edges into the first rows of blocks 1 and 2, the one into 3 late
+@example(case=([[1, 2], [3, 4], [5, 6]], [(2, 5), (6, 3)]), cut=0)
+# row order is not id order: the first late row holds 3, the least late id is 2
+@example(case=([[3], [1, 2], [4]], [(4, 3), (4, 2)]), cut=0)
 def test_linearize_under_edges_matches_scan_of_the_edge_loop(case, cut):
     # the edges before the cut go into the order one at a time, cycles
     # skipped; linearize under the rest must order as the scan of a copy
