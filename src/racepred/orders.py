@@ -49,8 +49,12 @@ and writers' ``pred`` entries and one ``searchsorted`` over the positions
 give the runs before, and one gather of the writers' ``pred`` rows into
 sorted runs and one ``searchsorted`` over them the first writers above.
 The gather indices and the queries depend only on the universe, so they
-are built once; the demanded edges come out as row pairs, and the closure
-inserts them by row.
+are built once, with the guards, and the bounded search's condition-2 read
+shares the round's queries.  The guards hold rows only: the demanded edges
+come out as row pairs, and the closure inserts them by row; event ids are
+read off the order only for the edges the bounded search takes.  A round
+whose first inserted edge stays unordered raises, so a faulty insert
+cannot make the closure loop.
 """
 
 from __future__ import annotations
@@ -136,18 +140,8 @@ class PartialOrder:
 
     def copy(self) -> "PartialOrder":
         clone = object.__new__(PartialOrder)
-        clone.blocks = self.blocks
-        clone.n = self.n
-        clone.k = self.k
-        clone._eids = self._eids
-        clone._idx = self._idx
-        clone._block = self._block
-        clone._pos = self._pos
-        clone._loc = self._loc
-        clone._starts = self._starts
-        clone._ids = self._ids
-        clone._sorted = self._sorted
-        clone._first = self._first
+        for name in self.__slots__:  # the universe's layout is shared
+            setattr(clone, name, getattr(self, name))
         clone.pred = self.pred.copy()
         clone.edges = list(self.edges)
         return clone
@@ -388,25 +382,28 @@ class RfPoset:
     def rf(self) -> dict[int, int]:
         """Observer -> observed writer, over the universe, in event-id order."""
         rf = self.trace.rf
-        return {e: rf[e] for e in sorted(self.order.events()) if e in rf}
+        return {e: rf[e] for e in self.order._sorted if e in rf}
 
 
 class _Guards:
-    """The closure conditions of an rf-poset, as flat arrays over its universe.
+    """The closure conditions of an rf-poset, as flat arrays of rows.
 
     A segment is one (channel, block) row of the channel index, cut at the
     block's length.  ``keys`` holds every writer as its segment's base plus
     its position, so in index order it is sorted and each segment is one
-    contiguous run.  Each slot pairs an observer with one block that holds
-    writers on its channel.  The same segments serve :meth:`replay`, whose
-    slots pair a writer with another block that holds writers on its
-    channel, and :meth:`unprotected_after_replay`, which counts per slot the
-    block's events earlier in the trace than the writer; both are built on
-    first call, so the closure never pays, and so are the closure round's
-    gather indices and queries.  Of an order only ``pred`` is read:
-    :meth:`_first_above` finds, per slot, the first writer of the segment
-    above a given event from the writers' own ``pred`` rows, laid out by
-    :meth:`_run_keys`, as the closure round does.
+    contiguous run; ``_rows`` holds the writers' rows in the same order.
+    Each slot pairs an observer with one block that holds writers on its
+    channel.  Everything here is a row of the universe, and event ids are
+    read off ``order._ids`` only for the edges returned.  What depends only
+    on the universe is built once, here: condition 1's ``pred`` indices and
+    offsets, and condition 2's queries, which :meth:`_round` and
+    :meth:`unprotected_after_replay` share.  The same segments serve
+    :meth:`replay`, whose slots pair a writer with another block that holds
+    writers on its channel and carry their own queries, and
+    :meth:`unprotected_after_replay`, which counts per slot the block's
+    events earlier in the trace than the writer; both are built on first
+    call, so the closure never pays.  Of an order only ``pred`` is read,
+    by :meth:`_above` and the condition-1 gather.
     """
 
     def __init__(self, poset: RfPoset):
@@ -414,67 +411,63 @@ class _Guards:
         span = order.n + 2  # room for positions -1 .. n per segment
         by_channel: dict[str, list[tuple[int, int, list[int]]]] = {}
         keys: list[int] = []
-        writers: list[int] = []
         at: list[int] = []  # the writers' rows
         for x, rows in _table(trace).writers.items():
             for b, row in enumerate(_cut(rows, map(len, order.blocks))):
                 if row:
                     base = len(keys) * span + 1  # every earlier segment is non-empty
                     keys += [base + pos for pos in row]
-                    writers += [order.blocks[b][pos] for pos in row]
                     at += [order._starts[b] + pos for pos in row]
-                    by_channel.setdefault(x, []).append((b, base, writers[-len(row) :]))
+                    by_channel.setdefault(x, []).append((b, base, at[-len(row) :]))
         self.keys = np.array(keys, dtype=np.int64)
-        self.writers = np.array(writers, dtype=np.int64)
         self._rows = np.array(at, dtype=np.int64)
-        # _run_keys' runs, one per block, each past the last: run c gathers
+        # _above's runs, one per block, each past the last: run c gathers
         # the writers' pred entries for c, each plus its segment's base (a
         # writer's key less its position)
-        self._shift = (len(writers) + 1) * span
+        self._shift = (len(at) + 1) * span
         runs = np.arange(order.k)[:, None]
         self._gather = (self._rows * order.k + runs).ravel()
         self._offsets = (runs * self._shift + self.keys - order._pos[self._rows]).ravel()
         self._by_channel = by_channel
-        self._round_consts: tuple[np.ndarray, ...] | None = None
         self._replay_slots: tuple[np.ndarray, ...] | None = None
         self._below: np.ndarray | None = None
-        slots: list[int] = []  # seven entries per slot, flat
+        slots: list[int] = []  # five entries per slot, flat
         for r, w in poset.rf.items():
             ir, iw = order.index_of(r), order.index_of(w)
             bw = order._loc[iw][0]
             for b, base, _ in by_channel.get(trace.events[r - 1].loc, ()):
-                slots += (ir, iw, r, w, b, base, b == bw)
-        cols = np.array(slots, dtype=np.int64).reshape(-1, 7).T
-        self.ir, self.iw, self.r, self.w, self.block, self.base, self.own = cols
-
-    def _run_keys(self, order: PartialOrder) -> np.ndarray:
-        """The writers' ``pred`` rows of ``order`` as sorted runs of keys.
-
-        Down a block every ``pred`` column is non-decreasing, so within a
-        segment the writers' entries for block c, each plus its base, rise;
-        run c holds them for every segment in turn.
-        """
-        return order.pred.take(self._gather) + self._offsets
+                slots += (ir, iw, b, base, b == bw)
+        cols = np.array(slots, dtype=np.int64).reshape(-1, 5).T
+        self.ir, self.iw, self.block, self.base, self.own = cols
+        # both conditions run over the slots stacked, w's half then r's
+        rows, base = np.concatenate((self.iw, self.ir)), np.tile(self.base, 2)
+        at = rows * order.k + np.tile(self.block, 2)  # pred[rows, b], flat
+        offset = base + np.concatenate((self.own, np.zeros_like(self.own)))
+        self._cond1, self._cond2 = (at, offset), self._queries(order, rows, base)
 
     def _queries(
         self, order: PartialOrder, rows: np.ndarray, base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per slot, the key that :meth:`_run_keys` holds for the event at
-        row ``rows`` against the segment at ``base``, in the run of the
-        event's block, and the index in the keys where that run starts."""
+        """Per slot, the key that :meth:`_above` holds for the event at row
+        ``rows`` against the segment at ``base``, in the run of the event's
+        block, and the index in the keys where that run starts.  They
+        depend only on the universe."""
         c = order._block[rows]
-        return c * self._shift + base + order._pos[rows], c * len(self.writers)
+        return c * self._shift + base + order._pos[rows], c * len(self._rows)
 
-    def _first_above(self, order: PartialOrder, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Per slot, the index in ``writers`` of the first writer of the
-        segment at ``base`` that ``order`` puts above the event at row
-        ``rows``, or the segment's end.
+    def _above(self, order: PartialOrder, queries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Per slot of ``queries`` (see :meth:`_queries`), the index in
+        ``_rows`` of the first writer of the slot's segment that ``order``
+        puts above the slot's event, or the segment's end.
 
         The event at position p of block c is below exactly the writers
-        whose entry for c reaches p.
+        whose entry for c reaches p.  Down a block every ``pred`` column is
+        non-decreasing, so within a segment the writers' entries for block
+        c, each plus its base, rise; run c holds them for every segment in
+        turn, and one ``searchsorted`` answers every slot.
         """
-        query, start = self._queries(order, rows, base)
-        return self._run_keys(order).searchsorted(query) - start
+        query, start = queries
+        return (order.pred.take(self._gather) + self._offsets).searchsorted(query) - start
 
     def violations(self, order: PartialOrder) -> list[tuple[int, int]]:
         """Edges the closure conditions demand of ``order``, deduplicated:
@@ -492,17 +485,10 @@ class _Guards:
         first one above w up to the first one above r are after w but not
         after r; r must precede the earliest of them.  Stacked over the
         slots, w's half then r's, each condition is one ``searchsorted``.
-        What depends only on the universe, the ``pred`` entries to gather
-        and the queries into :meth:`_run_keys`, is built on the first round.
         """
-        if self._round_consts is None:
-            rows, base = np.concatenate((self.iw, self.ir)), np.tile(self.base, 2)
-            at = rows * order.k + np.tile(self.block, 2)  # pred[rows, b], flat
-            offset = base + np.concatenate((self.own, np.zeros_like(self.own)))
-            self._round_consts = at, offset, *self._queries(order, rows, base)
-        at, offset, query, start = self._round_consts
+        at, offset = self._cond1
         lo, hi = self.keys.searchsorted(order.pred.take(at) + offset, side="right").reshape(2, -1)
-        first, end = (self._run_keys(order).searchsorted(query) - start).reshape(2, -1)
+        first, end = self._above(order, self._cond2).reshape(2, -1)
         into, out = hi > lo, end > first
         us = np.concatenate((self._rows[hi[into] - 1], self.ir[out]))
         vs = np.concatenate((self.iw[into], self._rows[first[out]]))
@@ -524,21 +510,16 @@ class _Guards:
         holds when ``order`` plus the replay is acyclic; when it is not,
         adding these edges leaves a cycle all the same.
         """
+        ids = order._ids
         if self._below is None:
-            blocks = order.blocks
-            ws, bs = self.w.tolist(), self.block.tolist()
-            below = [bisect_left(blocks[b], w) for w, b in zip(ws, bs)]
+            ws, bs = ids[self.iw].tolist(), self.block.tolist()
+            below = [bisect_left(order.blocks[b], w) for w, b in zip(ws, bs)]
             self._below = np.array(below, dtype=np.int64) + self.own
-        iw, base = self.iw, self.base
-        first, end = self._first_above(order, np.stack((iw, self.ir)), base)
-        later = np.maximum(order.pred[iw, self.block] + 1, self._below)
-        return self._earliest(np.minimum(first, np.searchsorted(self.keys, base + later)), end)
-
-    def _earliest(self, first: np.ndarray, end: np.ndarray) -> list[tuple[int, int]]:
-        """Per slot, (r, y) for the writer y at index ``first`` in
-        ``writers``, when it comes before index ``end``."""
+        first, end = self._above(order, self._cond2).reshape(2, -1)
+        later = np.maximum(order.pred[self.iw, self.block] + 1, self._below)
+        first = np.minimum(first, np.searchsorted(self.keys, self.base + later))
         out = end > first
-        return list(zip(self.r[out].tolist(), self.writers[first[out]].tolist()))
+        return list(zip(ids[self.ir[out]].tolist(), ids[self._rows[first[out]]].tolist()))
 
     def replay(self, order: PartialOrder) -> list[tuple[int, int]]:
         """Trace-order edges for the writer pairs ``order`` leaves unordered.
@@ -554,25 +535,28 @@ class _Guards:
         same-channel writer pair that ``order`` left unordered is ordered as
         in the trace.  Sorted.
         """
+        ids = order._ids
         if self._replay_slots is None:
-            # per (writer v, other block b on v's channel): v's index, v, b,
-            # the segment's base, and the index of its first writer later in
-            # the trace than v; every order passed in shares the poset's universe
+            # per (writer v, other block b on v's channel): v's row, b, the
+            # segment's base, the index of its first writer later in the
+            # trace than v, and v's queries; every order passed in shares
+            # the poset's universe
             slots = [
-                (order.index_of(v), v, b, base, bisect_left(order.blocks[b], v))
+                (iv, b, base, bisect_left(order.blocks[b], order._eids[iv]))
                 for segs in self._by_channel.values()
                 for bv, _, segment in segs
-                for v in segment
+                for iv in segment
                 for b, base, _ in segs
                 if b != bv
             ]
-            iv, v, b, base, below = np.array(slots, dtype=np.int64).reshape(-1, 5).T
-            self._replay_slots = iv, v, b, base, np.searchsorted(self.keys, base + below)
-        iv, v, b, base, later = self._replay_slots
-        hi = np.minimum(self._first_above(order, iv, base), later)
+            iv, b, base, below = np.array(slots, dtype=np.int64).reshape(-1, 4).T
+            later = np.searchsorted(self.keys, base + below)
+            self._replay_slots = iv, b, base, later, self._queries(order, iv, base)
+        iv, b, base, later, queries = self._replay_slots
+        hi = np.minimum(self._above(order, queries), later)
         lo = np.searchsorted(self.keys, base + order.pred[iv, b], side="right")
         take = hi > lo
-        return sorted(zip(self.writers[hi[take] - 1].tolist(), v[take].tolist()))
+        return sorted(zip(ids[self._rows[hi[take] - 1]].tolist(), ids[iv[take]].tolist()))
 
 
 def is_closed(poset: RfPoset) -> bool:
@@ -601,6 +585,9 @@ def closure(poset: RfPoset) -> RfPoset | None:
     an insert raises the rows above its target not yet above its source, and
     the rows above a later target have often taken that source's
     predecessors already: on a 2-thread chain an insert raises about one row.
+    No demanded edge is already implied, so a round whose first inserted
+    edge stays unordered raises :class:`RuntimeError` rather than loop: each
+    round orders at least one new pair.
 
     The input poset is not modified.
     """
@@ -612,6 +599,9 @@ def closure(poset: RfPoset) -> RfPoset | None:
             edges.sort(key=lambda e: eids[e[1]], reverse=True)
             for iu, iv in edges:
                 order._insert(iu, iv)
+            u, v = (eids[i] for i in edges[0])
+            if not order.ordered(u, v):
+                raise RuntimeError(f"closure round left {u} -> {v} unordered")
     except CycleError:
         return None
     return RfPoset(poset.trace, order)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
-from itertools import accumulate
 from operator import lt
 from typing import Iterable
 
@@ -79,8 +78,8 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     order = p.order
     blocks = order.blocks
     k = len(blocks)
-    rows = order.pred.tolist()
-    block_rows = [[rows[order.index_of(e)] for e in block] for block in blocks]
+    rows, starts = order.pred.tolist(), order._starts
+    block_rows = [rows[starts[b] : starts[b + 1]] for b in range(k)]
 
     trace, rf = p.trace, p.rf
     observers = Counter(rf.values())
@@ -193,7 +192,7 @@ def _resolve(
     """
     blocks = fixed.blocks
     lengths = [len(block) for block in blocks]
-    starts = [0, *accumulate(lengths)]  # each block's first row
+    starts = fixed._starts
     edges = []
     wl = table.writes_like
     for child, par in children_order:

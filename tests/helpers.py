@@ -267,15 +267,21 @@ def closure_by_rounds(
 
     Returns the closed order, or None when an edge closes a cycle, and the
     edge list of every round evaluated: the last is empty when the closure
-    exists, and holds the contradicting edge when it does not.
+    exists, and holds the contradicting edge when it does not.  Raises
+    RuntimeError when a round's first inserted edge stays unordered, as
+    :func:`~racepred.orders.closure` does, so a broken insert fails rather
+    than loops.
     """
     order = poset.order.copy()
     rounds: list[list[tuple[int, int]]] = []
     try:
         while edges := violations_by_slots(poset, order):
             rounds.append(edges)
-            for u, v in sorted(edges, key=lambda e: e[1], reverse=True):
+            edges = sorted(edges, key=lambda e: e[1], reverse=True)
+            for u, v in edges:
                 order.add_edge(u, v)
+            if not order.ordered(*edges[0]):
+                raise RuntimeError(f"round {len(rounds)} left {edges[0]} unordered")
     except CycleError:
         return None, rounds
     return order, rounds + [[]]
@@ -288,8 +294,10 @@ def unprotected(guards: _Guards, order: PartialOrder) -> list[tuple[int, int]]:
     The writers from the first one above w up to the first one above r are
     after w but not after r; r must precede the earliest of them.
     """
-    rows = np.stack((guards.iw, guards.ir))
-    return guards._earliest(*guards._first_above(order, rows, guards.base))
+    first, end = guards._above(order, guards._cond2).reshape(2, -1)
+    out = end > first
+    ids = order._ids
+    return list(zip(ids[guards.ir[out]].tolist(), ids[guards._rows[first[out]]].tolist()))
 
 
 def down_close(trace: Trace, seeds) -> set[int]:

@@ -1,0 +1,231 @@
+"""Checked-in mutants: small faults that named tests must catch.
+
+Each mutant replaces one exact snippet of a source file with another and
+names the tests that must then fail.  Run the list from the repository root:
+
+    python tests/mutants.py
+
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory outside the checkout.  It first runs every named test there on the
+unchanged code, which must pass, and then applies one mutant at a time and
+runs its tests with ``pytest -x``.  A mutant is killed when a test fails.
+Each run is its own process group, with a wall-clock timeout and an
+address-space cap set in the child, and the whole group is killed when the
+run ends, so no process outlives it.  The runner prints one line per mutant
+and exits non-zero unless every mutant is killed.
+
+pytest does not collect this file.  ``tests/test_mutants.py`` checks in
+tier 1 that each old snippet occurs exactly once in its file, so a refactor
+that moves the code makes the list fail instead of rot.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TIMEOUT_S = 600  # per run
+MEMORY_CAP = 4 << 30  # bytes of address space per run
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """Replace ``old`` by ``new`` in ``path`` (from the repository root);
+    one of ``tests`` must then fail."""
+
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ORDERS = "src/racepred/orders.py"
+ROUND_GATES = (
+    "tests/test_orders.py::test_closure_rounds_match_slot_reference_on_edge_cases",
+    "tests/test_orders.py::test_closure_rounds_match_slot_reference_on_ov",
+)
+
+MUTANTS = (
+    # closure round, condition 1: a writer at pred[w, b] itself counts as
+    # after w, and one at pred[r, b] as not before r
+    Mutant(
+        "round-cond1-side",
+        ORDERS,
+        'lo, hi = self.keys.searchsorted(order.pred.take(at) + offset, side="right")',
+        'lo, hi = self.keys.searchsorted(order.pred.take(at) + offset, side="left")',
+        ROUND_GATES,
+    ),
+    # closure round, condition 1: in w's own block the run takes w itself
+    Mutant(
+        "round-cond1-own",
+        ORDERS,
+        "offset = base + np.concatenate((self.own, np.zeros_like(self.own)))",
+        "offset = base",
+        ROUND_GATES,
+    ),
+    # closure round, condition 2: the first writer above r taken for the
+    # first above w
+    Mutant(
+        "round-cond2-swap",
+        ORDERS,
+        "side=\"right\").reshape(2, -1)\n"
+        "        first, end = self._above(order, self._cond2).reshape(2, -1)",
+        "side=\"right\").reshape(2, -1)\n"
+        "        end, first = self._above(order, self._cond2).reshape(2, -1)",
+        ROUND_GATES,
+    ),
+    # insert: the rows already above u found in the column of v's block,
+    # so rows that need u's predecessors keep their old entries
+    Mutant(
+        "insert-above-u",
+        ORDERS,
+        "hi = start + bisect_left(pred[start:end, bu], pu)",
+        "hi = start + bisect_left(pred[start:end, bv], pu)",
+        (
+            "tests/test_orders.py::test_add_edge_matches_mask_reference_on_a_chain_round",
+            "tests/test_orders.py::test_add_edge_matches_mask_reference",
+        ),
+    ),
+    # linearize: the id-ordered prefix cut at the first late row, not at
+    # the least late id
+    Mutant(
+        "linearize-prefix-row-order",
+        ORDERS,
+        "stop = int(ids[late].min(initial=_NO_ID))",
+        "stop = int(ids[late][:1].min(initial=_NO_ID))",
+        (
+            "tests/test_orders.py::test_linearize_under_edges_matches_scan_of_the_edge_loop",
+            "tests/test_orders.py::test_linearize_is_least_linear_extension",
+        ),
+    ),
+    # linearize: a self-loop edge no longer makes its event late
+    Mutant(
+        "linearize-late-strict",
+        ORDERS,
+        "ids.take(pred + self._first) >= ids[:, None]",
+        "ids.take(pred + self._first) > ids[:, None]",
+        ("tests/test_orders.py::test_linearize_under_edges_matches_scan_of_the_edge_loop",),
+    ),
+    # guards: the first writer above an event taken one past a writer whose
+    # entry equals the event's position
+    Mutant(
+        "guards-above-side",
+        ORDERS,
+        "+ self._offsets).searchsorted(query) - start",
+        '+ self._offsets).searchsorted(query, side="right") - start',
+        ("tests/test_orders.py::test_first_above_is_the_first_writer_above",),
+    ),
+    # bounded replay: the prefix of earlier writers runs to the later of its
+    # two ends, past writers the order already puts after v
+    Mutant(
+        "replay-prefix-end",
+        ORDERS,
+        "hi = np.minimum(self._above(order, queries), later)",
+        "hi = np.maximum(self._above(order, queries), later)",
+        ("tests/test_realizability.py::test_replay_orders_like_the_pairwise_replay",),
+    ),
+    # tree resolution: the parent's successors read from the child's column
+    Mutant(
+        "resolve-column",
+        "src/racepred/realizability.py",
+        "column = fixed.pred[starts[par] : starts[par + 1], child]",
+        "column = fixed.pred[starts[child] : starts[child + 1], par]",
+        ("tests/test_realizability.py::test_resolution_matches_pairwise_loop_on_ov",),
+    ),
+)
+
+
+def _cap_memory() -> None:
+    """Runs in the child before exec: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> tuple[str, str, float]:
+    """Run ``tests`` in ``copy`` with ``-x``: the outcome (passed, failed,
+    timeout or error), the failing test or the output's last line, and the
+    seconds taken."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(copy / "src"), env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    started = time.monotonic()
+    proc = subprocess.Popen(
+        argv,
+        cwd=copy,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+        preexec_fn=_cap_memory,
+    )
+    try:
+        out, _ = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return "timeout", f"no result after {TIMEOUT_S} s", time.monotonic() - started
+    finally:
+        try:  # whatever the tests started
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    seconds = time.monotonic() - started
+    lines = out.strip().splitlines() or [""]
+    if proc.returncode == 0:
+        return "passed", lines[-1], seconds
+    if proc.returncode == 1:
+        failed = [line for line in lines if line.startswith("FAILED ")]
+        return "failed", failed[0] if failed else lines[-1], seconds
+    return "error", f"exit status {proc.returncode}: {lines[-1]}", seconds
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="racepred-mutants-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+
+        every = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        outcome, detail, seconds = _pytest(copy, every)
+        print(f"control   {outcome:8} {seconds:6.1f} s  {detail}", flush=True)
+        if outcome != "passed":
+            print("the named tests must pass on the unchanged code", file=sys.stderr)
+            return 2
+
+        missed = []
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text()
+            if original.count(m.old) != 1:
+                outcome, detail, seconds = "error", "old snippet not found exactly once", 0.0
+            else:
+                target.write_text(original.replace(m.old, m.new))
+                try:
+                    outcome, detail, seconds = _pytest(copy, m.tests)
+                finally:
+                    target.write_text(original)
+            verdict = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
+            print(f"{verdict:9} {m.name:28} {seconds:6.1f} s  {detail}", flush=True)
+            if verdict != "killed":
+                missed.append(m.name)
+    print(f"{len(MUTANTS) - len(missed)} of {len(MUTANTS)} mutants killed", flush=True)
+    if missed:
+        print("not killed: " + ", ".join(missed), file=sys.stderr)
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,8 +17,12 @@ from hypothesis import strategies as st
 
 import racepred
 from racepred import (
+    PartialOrder,
+    RfPoset,
     Trace,
     TraceError,
+    closure,
+    compute_trf,
     min_distance,
     oracle_predict,
     parse_trace,
@@ -28,7 +32,7 @@ from racepred import (
     witness_error,
 )
 from racepred.cli import CliError, Verdict, main, predict, scan, scan_pairs
-from racepred.generators import gen_random_trace
+from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 
 from helpers import child_env
 
@@ -409,6 +413,22 @@ def test_internal_failure_exits_2_not_race(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["predict", "--trace", path, "--e1", "1", "--e2", "2"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "invalid witness" in err and err.count("\n") == 1
+
+
+def test_closure_that_makes_no_progress_exits_2_not_hangs(tmp_path, capsys, monkeypatch):
+    # an insert that orders nothing leaves a round's demanded edges unordered
+    # forever; the closure's progress check turns that loop into an internal
+    # failure, on the library call and through the CLI
+    inst = OvInstance(((1, 0, 1), (0, 1, 1)), ((1, 1, 0), (1, 0, 1)), 3)
+    trace, (e1, e2) = gen_ov_trace(inst)
+    monkeypatch.setattr(PartialOrder, "_insert", lambda self, iu, iv: True)
+    with pytest.raises(RuntimeError, match="closure round left .* unordered"):
+        closure(RfPoset(trace, compute_trf(trace)))
+    path = write_trace(tmp_path, serialize(trace))
+    code, out, err = run_cli(["predict", "--trace", path, "--e1", str(e1), "--e2", str(e2)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: internal failure: RuntimeError: closure round left")
+    assert err.count("\n") == 1
 
 
 def test_race_without_witness_exits_2(tmp_path, capsys, monkeypatch):

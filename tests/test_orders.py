@@ -176,6 +176,22 @@ def test_add_edge_matches_mask_reference(case):
         assert got.edges == want.edges
 
 
+def test_copy_shares_the_layout_and_owns_pred_and_edges():
+    po = PartialOrder([[1, 2, 3], [4, 5], []])
+    po.add_edge(1, 5)
+    clone = po.copy()
+    for name in PartialOrder.__slots__:
+        if name in ("pred", "edges"):
+            assert getattr(clone, name) is not getattr(po, name), name
+        else:
+            assert getattr(clone, name) is getattr(po, name), name
+    assert (clone.pred == po.pred).all() and clone.edges == po.edges
+    pred, edges = po.pred.copy(), list(po.edges)
+    assert clone.add_edge(2, 4)
+    assert clone.ordered(2, 4) and not po.ordered(2, 4)
+    assert (po.pred == pred).all() and po.edges == edges == [(1, 5)]
+
+
 def test_add_edge_matches_mask_reference_on_a_chain_round():
     # the 200-event chain's first closure round, inserted latest target
     # first as the closure does: each insert raises only the rows between
@@ -355,14 +371,14 @@ def test_first_above_is_the_first_writer_above():
         for po in (compute_trf(t), compute_trf(t, ideal)):
             guards = _Guards(RfPoset(t, po))
             guards.replay(po)  # builds the replay slots
-            iv, _, _, replay_base, _ = guards._replay_slots
+            iv, _, replay_base, _, _ = guards._replay_slots
             evs = list(po.events())
-            keys, writers = guards.keys.tolist(), guards.writers.tolist()
+            keys, writers = guards.keys.tolist(), po._ids[guards._rows].tolist()
             for step in range(4):
                 for rows, bases in (
                     (guards.ir, guards.base), (guards.iw, guards.base), (iv, replay_base)
                 ):
-                    got = guards._first_above(po, rows, bases).tolist()
+                    got = guards._above(po, guards._queries(po, rows, bases)).tolist()
                     slots += len(got)
                     for i, base, j in zip(rows.tolist(), bases.tolist(), got):
                         # a key is its segment's base plus a position below n
