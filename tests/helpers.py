@@ -22,7 +22,7 @@ import racepred
 from racepred import CycleError, PartialOrder, RfPoset, Trace, conflicting, reversal_pairs
 from racepred.oracle import _Replay
 from racepred.orders import _Guards
-from racepred.trace_model import _cut, _table, from_events
+from racepred.trace_model import from_events
 
 
 def child_env(**extra) -> dict[str, str]:
@@ -287,6 +287,34 @@ def closure_by_rounds(
     return order, rounds + [[]]
 
 
+def guard_layout(poset: RfPoset):
+    """The closure guards' layout, grouped from the universe's own events:
+    the writers as ``((location, block, position), row)`` in segment order
+    (locations sorted, then blocks, then positions), the slots as
+    ``(ir, iw, block, own)`` in order (observers by event id, then the
+    blocks holding writers on the observer's location), and each segment's
+    writer rows by location and block."""
+    order, trace = poset.order, poset.trace
+    segments: dict[str, dict[int, list[int]]] = {}
+    for e in order.events():  # block by block, each in program order
+        if (ev := trace.events[e - 1]).writes_like:
+            b, _ = order.location(e)
+            segments.setdefault(ev.loc, {}).setdefault(b, []).append(order.index_of(e))
+    writers = [
+        ((x, b, order._loc[row][1]), row)
+        for x in sorted(segments)
+        for b in sorted(segments[x])
+        for row in segments[x][b]
+    ]
+    slots = []
+    for r, w in poset.rf.items():
+        ir, iw = order.index_of(r), order.index_of(w)
+        bw = order._loc[iw][0]
+        for b in sorted(segments.get(trace.events[r - 1].loc, ())):
+            slots.append((ir, iw, b, b == bw))
+    return writers, slots, segments
+
+
 def unprotected(guards: _Guards, order: PartialOrder) -> list[tuple[int, int]]:
     """Closure condition 2 alone on ``order``, read through ``guards``: one
     edge per slot that needs one, in slot order.
@@ -482,19 +510,13 @@ def realize_general_by_watchers(p: RfPoset, stats: dict | None = None) -> list[i
     rows = order.pred.tolist()
     block_rows = [[rows[order.index_of(e)] for e in block] for block in blocks]
 
-    table = _table(p.trace)
     lengths = [len(block) for block in blocks]
-    watch: list[list[list[tuple[int, ...]]]] = [[[]] * m for m in lengths]
-    for x, users in table.users.items():
-        watchers = [
-            (p.rf[r], *order.location(p.rf[r]), b, pos)
-            for b, row in enumerate(_cut(users, lengths))
-            for pos in row
-            if (r := blocks[b][pos]) in p.rf
-        ]
-        for b, row in enumerate(_cut(table.writers[x], lengths)):
-            for pos in row:
-                watch[b][pos] = watchers
+    on: dict[str, list[tuple[int, ...]]] = {}  # location -> its watchers
+    for r, w in p.rf.items():
+        watcher = (w, *order.location(w), *order.location(r))
+        on.setdefault(p.trace.events[r - 1].loc, []).append(watcher)
+    evs = [[p.trace.events[e - 1] for e in block] for block in blocks]
+    watch = [[on.get(ev.loc, []) if ev.writes_like else [] for ev in row] for row in evs]
 
     def blocked(e: int, b: int, prefix: tuple[int, ...]) -> bool:
         for w, bw, pw, br, pr in watch[b][prefix[b]]:

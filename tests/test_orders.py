@@ -31,6 +31,7 @@ from helpers import (
     add_edge_by_mask,
     closure_by_rounds,
     closure_by_triplets,
+    guard_layout,
     linearize_by_scan,
     path_between,
     trace_events,
@@ -351,6 +352,49 @@ def test_trf_matches_networkx_closure(items, data):
         assert ordered_pairs(po) == set(closure_graph.subgraph(universe).edges())
         want = trf_by_replay(t, members)
         assert po.blocks == want.blocks and (po.pred == want.pred).all()
+
+
+def assert_guards_match_grouping(poset: RfPoset) -> int:
+    """The guards hold the universe's writers per (location, block) segment
+    and its slots as a grouping of its events gives them, and each slot's
+    base picks out its segment's writers; the slot count, for floors."""
+    order, trace = poset.order, poset.trace
+    guards = _Guards(poset)
+    writers, slots, segments = guard_layout(poset)
+    rows = guards._rows.tolist()
+    got = [((trace.events[order._eids[row] - 1].loc, *order._loc[row]), row) for row in rows]
+    assert got == writers
+    keys = guards.keys.tolist()
+    assert keys == sorted(set(keys))
+    cols = (guards.ir, guards.iw, guards.block, guards.own)
+    assert [(ir, iw, b, bool(own)) for ir, iw, b, own in zip(*map(list, cols))] == slots
+    # a segment's keys are its base plus a position in its block
+    width = max(map(len, order.blocks), default=0)
+    for ir, b, base in zip(*(col.tolist() for col in (guards.ir, guards.block, guards.base))):
+        segment = [row for key, row in zip(keys, rows) if 0 <= key - base < width]
+        assert segment == segments[trace.events[order._eids[ir] - 1].loc][b]
+    return len(slots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_events(max_events=14, max_threads=4, max_locks=2), st.data())
+def test_guard_segments_and_slots_match_a_grouping_of_the_ideal(items, data):
+    t = from_events(items)
+    eids = [ev.eid for ev in t]
+    seeds = data.draw(st.lists(st.sampled_from(eids), max_size=3)) if eids else []
+    for prefix in (None, down_set_ideal(t, seeds)):
+        assert_guards_match_grouping(RfPoset(t, compute_trf(t, prefix)))
+
+
+def test_guard_segments_and_slots_match_a_grouping_on_ov_cones():
+    slots = 0
+    for seed, (m, dim) in enumerate(itertools.product((1, 2, 4), (3, 8))):
+        rng = random.Random(seed)
+        for yes in (True, False):
+            trace, (e1, e2) = gen_ov_trace(ov_instance(rng, m, dim, yes))
+            poset = feasibility(lcone(trace, e1) | lcone(trace, e2)).poset
+            slots += assert_guards_match_grouping(poset)
+    assert slots >= 1_000, slots
 
 
 def test_first_above_is_the_first_writer_above():
