@@ -132,7 +132,7 @@ def predict(
     budget, but a quiet answer only rules out witnesses, not races beyond
     the budget.  Raises :class:`CliError` on an invalid query.
     """
-    _check_algo(algo, distance)
+    _check_algo(trace, algo, distance)
     try:
         ev1, ev2 = _query_pair(trace, e1, e2)
     except TraceError as exc:
@@ -145,11 +145,6 @@ def predict(
     witness: list[int] | None = None
     delta: int | None = None
 
-    if algo == "tree" and not _table(trace).forest:
-        raise CliError(
-            "the tree backend needs a forest communication topology; "
-            "this trace has a cycle (use --algo general or auto)"
-        )
     if ev1.thread == ev2.thread:
         # thread order keeps the pair ordered in every correct reordering
         note(f"events {e1} and {e2} share thread {ev1.thread}; ordered everywhere")
@@ -182,10 +177,16 @@ def predict(
     return Verdict((e1, e2), witness, label, delta, stats)
 
 
-def _check_algo(algo: str, distance: int | None) -> None:
-    """Reject an unknown backend, or a budget that does not fit it."""
+def _check_algo(trace: Trace, algo: str, distance: int | None) -> None:
+    """Reject an unknown backend, one that does not apply to the trace, or
+    a budget that does not fit it."""
     if algo not in ALGORITHMS:
         raise CliError(f"unknown algorithm {algo!r}; pick one of {', '.join(ALGORITHMS)}")
+    if algo == "tree" and not _table(trace).forest:
+        raise CliError(
+            "the tree backend needs a forest communication topology; "
+            "this trace has a cycle (use --algo general or auto)"
+        )
     if algo == "bounded" and distance is None:
         raise CliError("--algo bounded needs a reversal budget: pass --distance L")
     if distance is not None:
@@ -245,7 +246,7 @@ def scan(
     no execution of the observed code can exhibit.  Raises
     :class:`CliError` on an invalid ``algo``/``distance``, pairs or not.
     """
-    _check_algo(algo, distance)
+    _check_algo(trace, algo, distance)
     return [
         predict(trace, a, b, algo=algo, distance=distance, oracle_cap=oracle_cap)
         for a, b in scan_pairs(trace)
