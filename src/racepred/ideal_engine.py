@@ -37,10 +37,10 @@ from .orders import CycleError, RfPoset, compute_trf
 from .trace_model import (
     Trace,
     TraceError,
-    _cut,
     _forest_order,
     _is_closed,
     _join,
+    _prefix_keys,
     _query_pair,
     _Table,
     _table,
@@ -250,8 +250,9 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
 
     Two conflicting acquires both left open make the ideal a dead end
     (``INFEASIBLE_LOCKS``).  Otherwise every closed critical section on a
-    lock with an open acquire, read off the channel index cut at the ideal's
-    prefix, must be ordered before that open acquire; if those forced edges
+    lock with an open acquire, read off the lock's run of writer keys in the
+    channel index cut at the ideal's prefix, must be ordered before that
+    open acquire; if those forced edges
     contradict the thread-reads-from order the ideal is ``INFEASIBLE``, else
     the forced edges, inserted by acquire id, define the canonical order.
     """
@@ -260,12 +261,15 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
     opens = _open_in(table, prefix)
     if _clashing_lock(trace, opens) is not None:
         return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
+    k, span, writers = len(prefix), table.span, table.writers
+    # the acquires of each open acquire's lock: its channel's run of writers
+    base = table.chan[opens] * (k * span)
+    lo, hi = writers.searchsorted(base).tolist(), writers.searchsorted(base + k * span).tolist()
     forced = sorted(
-        (table.ids[b][pos], open_acq)
-        for open_acq in opens
-        for b, row in enumerate(_cut(table.writers[trace.events[open_acq - 1].loc], prefix))
-        for pos in row
-        if table.ids[b][pos] != open_acq
+        (acq, open_acq)
+        for open_acq, start, end in zip(opens, lo, hi)
+        for key in _prefix_keys(table, writers[start:end], prefix).tolist()
+        if (acq := table.ids[key // span % k][key % span]) != open_acq
     )
     order = compute_trf(trace, prefix)
     try:

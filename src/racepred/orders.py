@@ -42,8 +42,10 @@ block b that sit before r but not before w are exactly those at positions
 the first writer above w to the first writer above r.  Program order already
 orders each such run, so only its end nearest to the pair needs an explicit
 edge: the latest writer before w, or r before the earliest writer.  The
-writers are one sorted array of positions segmented by (channel, block), cut
-from the trace's channel index.  A closure round is one fused pass over
+writers are the trace's flat writer keys, sorted by (channel, block,
+position), cut at the universe's prefix vector: a universe is a trace
+ideal, so its part of each (channel, block) run is a prefix, and one mask
+over the keys takes it.  A closure round is one fused pass over
 every (observer, block) slot, on row indices: one gather of the observers'
 and writers' ``pred`` entries and one ``searchsorted`` over the positions
 give the runs before, and one gather of the writers' ``pred`` rows into
@@ -68,7 +70,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trace_model import Trace, _cut, _is_closed, _table
+from .trace_model import Trace, _held, _is_closed, _prefix_keys, _table
 
 __all__ = [
     "CycleError",
@@ -364,8 +366,7 @@ class RfPoset:
     closure strengthens it until no interfering writer can slip between any
     observer and its writer.  Block b of the order must be a prefix of thread
     b, and the blocks an ideal (else ``ValueError``): the trace's channel
-    index, cut at the block lengths, then lists the universe's events per
-    channel.
+    index, cut at the block lengths, then holds the universe's events.
     """
 
     trace: Trace
@@ -388,12 +389,15 @@ class RfPoset:
 class _Guards:
     """The closure conditions of an rf-poset, as flat arrays of rows.
 
-    A segment is one (channel, block) row of the channel index, cut at the
-    block's length.  ``keys`` holds every writer as its segment's base plus
-    its position, so in index order it is sorted and each segment is one
-    contiguous run; ``_rows`` holds the writers' rows in the same order.
-    Each slot pairs an observer with one block that holds writers on its
-    channel.  Everything here is a row of the universe, and event ids are
+    A segment is one (channel, block) run of the trace's writer keys, cut
+    at the block's length.  ``keys`` holds the universe's writers, the
+    trace's keys whose position is below their block's length: each is its
+    segment's base, ``(channel·k + block)·span``, plus its position, so they
+    are sorted and each segment is one contiguous run; ``_rows`` holds the
+    writers' rows in the same order.  Each slot pairs an observer, in
+    event-id order, with one block whose segment on its channel holds a
+    writer, so the slots are the nonzero entries of an (observer × block)
+    mask.  Everything here is a row of the universe, and event ids are
     read off ``order._ids`` only for the edges returned.  What depends only
     on the universe is built once, here: condition 1's ``pred`` indices and
     offsets, and condition 2's queries, which :meth:`_round` and
@@ -407,41 +411,35 @@ class _Guards:
     """
 
     def __init__(self, poset: RfPoset):
-        order, trace = poset.order, poset.trace
-        span = order.n + 2  # room for positions -1 .. n per segment
-        by_channel: dict[str, list[tuple[int, int, list[int]]]] = {}
-        keys: list[int] = []
-        at: list[int] = []  # the writers' rows
-        for x, rows in _table(trace).writers.items():
-            for b, row in enumerate(_cut(rows, map(len, order.blocks))):
-                if row:
-                    base = len(keys) * span + 1  # every earlier segment is non-empty
-                    keys += [base + pos for pos in row]
-                    at += [order._starts[b] + pos for pos in row]
-                    by_channel.setdefault(x, []).append((b, base, at[-len(row) :]))
-        self.keys = np.array(keys, dtype=np.int64)
-        self._rows = np.array(at, dtype=np.int64)
+        order, table = poset.order, _table(poset.trace)
+        k = order.k
+        self._span = span = table.span
+        self.keys = _prefix_keys(table, table.writers[1:], list(map(len, order.blocks)))
+        segment = self.keys // span  # channel·k + block
+        self._rows = order._first[segment % k] + self.keys % span
+        self._held = _held(table, self.keys)
         # _above's runs, one per block, each past the last: run c gathers
         # the writers' pred entries for c, each plus its segment's base (a
         # writer's key less its position)
-        self._shift = (len(at) + 1) * span
-        runs = np.arange(order.k)[:, None]
-        self._gather = (self._rows * order.k + runs).ravel()
-        self._offsets = (runs * self._shift + self.keys - order._pos[self._rows]).ravel()
-        self._by_channel = by_channel
+        self._shift = int(table.users[-1]) + span
+        runs = np.arange(k)[:, None]
+        self._gather = (self._rows * k + runs).ravel()
+        self._offsets = (runs * self._shift + segment * span).ravel()
         self._replay_slots: tuple[np.ndarray, ...] | None = None
         self._below: np.ndarray | None = None
-        slots: list[int] = []  # five entries per slot, flat
-        for r, w in poset.rf.items():
-            ir, iw = order.index_of(r), order.index_of(w)
-            bw = order._loc[iw][0]
-            for b, base, _ in by_channel.get(trace.events[r - 1].loc, ()):
-                slots += (ir, iw, b, base, b == bw)
-        cols = np.array(slots, dtype=np.int64).reshape(-1, 5).T
-        self.ir, self.iw, self.block, self.base, self.own = cols
+        # a slot per observer, in event-id order, and block holding writers
+        # on its channel
+        r, w = (np.fromiter(x, np.int64, len(poset.rf)) for x in (poset.rf, poset.rf.values()))
+        row = np.zeros(len(table.chan), dtype=np.int64)
+        row[order._ids] = np.arange(order.n)
+        c = table.chan[r]
+        at, self.block = np.nonzero(self._held[c])
+        self.ir, self.iw = row[r[at]], row[w[at]]
+        self.base = (c[at] * k + self.block) * span
+        self.own = order._block[self.iw] == self.block
         # both conditions run over the slots stacked, w's half then r's
-        rows, base = np.concatenate((self.iw, self.ir)), np.tile(self.base, 2)
-        at = rows * order.k + np.tile(self.block, 2)  # pred[rows, b], flat
+        rows, base = np.concatenate((self.iw, self.ir)), np.concatenate((self.base, self.base))
+        at = rows * k + np.concatenate((self.block, self.block))  # pred[rows, b], flat
         offset = base + np.concatenate((self.own, np.zeros_like(self.own)))
         self._cond1, self._cond2 = (at, offset), self._queries(order, rows, base)
 
@@ -512,9 +510,7 @@ class _Guards:
         """
         ids = order._ids
         if self._below is None:
-            ws, bs = ids[self.iw].tolist(), self.block.tolist()
-            below = [bisect_left(order.blocks[b], w) for w, b in zip(ws, bs)]
-            self._below = np.array(below, dtype=np.int64) + self.own
+            self._below = _earlier(order, self.block, ids[self.iw]) + self.own
         first, end = self._above(order, self._cond2).reshape(2, -1)
         later = np.maximum(order.pred[self.iw, self.block] + 1, self._below)
         first = np.minimum(first, np.searchsorted(self.keys, self.base + later))
@@ -541,22 +537,27 @@ class _Guards:
             # segment's base, the index of its first writer later in the
             # trace than v, and v's queries; every order passed in shares
             # the poset's universe
-            slots = [
-                (iv, b, base, bisect_left(order.blocks[b], order._eids[iv]))
-                for segs in self._by_channel.values()
-                for bv, _, segment in segs
-                for iv in segment
-                for b, base, _ in segs
-                if b != bv
-            ]
-            iv, b, base, below = np.array(slots, dtype=np.int64).reshape(-1, 4).T
-            later = np.searchsorted(self.keys, base + below)
+            k, span = order.k, self._span
+            segment = self.keys // span  # channel·k + v's block
+            bv = segment % k
+            at, b = np.nonzero(self._held[segment // k] & (np.arange(k) != bv[:, None]))
+            iv, base = self._rows[at], (segment[at] - bv[at] + b) * span
+            later = np.searchsorted(self.keys, base + _earlier(order, b, ids[iv]))
             self._replay_slots = iv, b, base, later, self._queries(order, iv, base)
         iv, b, base, later, queries = self._replay_slots
         hi = np.minimum(self._above(order, queries), later)
         lo = np.searchsorted(self.keys, base + order.pred[iv, b], side="right")
         take = hi > lo
         return sorted(zip(ids[self._rows[hi[take] - 1]].tolist(), ids[iv[take]].tolist()))
+
+
+def _earlier(order: PartialOrder, blocks: np.ndarray, eids: np.ndarray) -> np.ndarray:
+    """Per entry, how many events of block ``blocks[i]`` have an id below
+    ``eids[i]``.  Each block's ids rise, so keyed by block first they are
+    sorted, and one ``searchsorted`` answers every entry."""
+    top = int(order._ids.max(initial=0)) + 1
+    keyed = order._block * top + order._ids
+    return np.searchsorted(keyed, blocks * top + eids) - order._first[blocks]
 
 
 def is_closed(poset: RfPoset) -> bool:

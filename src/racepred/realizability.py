@@ -15,8 +15,11 @@ can be completed into a real trace (a witness):
   plus one top-down edge-resolution pass yields a witness directly, with no
   search.  The pass collects at most one edge per child event: from the
   latest conflicting parent event that the closure does not put above it,
-  found by bisection in the parent's row of the trace's channel index, and
-  only when the closure does not already put it below.  The closed order
+  and only when the closure does not already put it below.  The trace's
+  flat channel index keys every event by (channel, thread, position), so
+  that parent event is the last key before the first one above the child
+  event in the parent's run on its channel: one ``searchsorted`` per
+  (child, parent) pair finds it for every child event.  The closed order
   linearizes under those edges
   (:meth:`~racepred.orders.PartialOrder.linearize`), with no closing.
 * :func:`realize_bounded` — bounded-distance search: looks for a witness
@@ -38,7 +41,7 @@ contract).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections import Counter, deque
 from operator import lt
 from typing import Iterable
@@ -187,28 +190,32 @@ def _resolve(
     non-decreasing down the parent, so one ``searchsorted`` finds every
     child event's end.  Only the latest of them on e2's channel that
     conflicts with e2 needs an edge to e2, and only when ``fixed`` does not
-    put it below e2; program order implies the rest.  Every edge is read
-    from ``fixed``, and each has its own target.
+    put it below e2; program order implies the rest.  It is the last key
+    before that end in the parent's run on e2's channel, among all events
+    for a write or acquire and among writes and acquires otherwise, so one
+    ``searchsorted`` per array finds it for every child event.  Every edge
+    is read from ``fixed``, and each has its own target.
     """
-    blocks = fixed.blocks
-    lengths = [len(block) for block in blocks]
-    starts = fixed._starts
+    k, span, starts, ids = fixed.k, table.span, fixed._starts, fixed._ids
+    users, writers = table.users, table.writers
     edges = []
-    wl = table.writes_like
     for child, par in children_order:
-        rows = slice(starts[child], starts[child + 1])
-        column = fixed.pred[starts[par] : starts[par + 1], child]
-        above = np.searchsorted(column, np.arange(lengths[child])).tolist()
-        below = fixed.pred[rows, par].tolist()
-        for x, users in table.users.items():
-            row = users[child]
-            for p2 in row[: bisect_left(row, lengths[child])]:
-                e2 = blocks[child][p2]
-                # a read or a release conflicts only with writes and acquires
-                prefix = (table.users if wl[e2] else table.writers)[x][par]
-                j = bisect_left(prefix, above[p2]) - 1
-                if j >= 0 and prefix[j] > below[p2]:
-                    edges.append((blocks[par][prefix[j]], e2))
+        # the child's events in the universe, by channel, then position
+        keys = users[(users // span % k == child) & (users % span < len(fixed.blocks[child]))]
+        segment, p2 = keys // span, keys % span
+        e2 = ids[starts[child] + p2]
+        above = fixed.pred[starts[par] : starts[par + 1], child].searchsorted(p2)
+        below = fixed.pred[starts[child] + p2, par]
+        # the parent's run on the channel up to the first event above e2, and
+        # its last key there, on users for a write or acquire and on writers
+        # otherwise: a read or a release conflicts only with writes and acquires
+        base = (segment + par - child) * span
+        end = base + above
+        wl = table.writes_like[e2]
+        last = np.where(wl, users[users.searchsorted(end) - 1], writers[writers.searchsorted(end) - 1])
+        # only when fixed does not already put it below the child event
+        take = last > base + below
+        edges += zip(ids[starts[par] + last[take] - base[take]].tolist(), e2[take].tolist())
     return edges
 
 
@@ -228,14 +235,15 @@ def reversal_pairs(trace: Trace, witness: list[int]) -> list[tuple[int, int]]:
     posn = {e: i for i, e in enumerate(witness)}
     table = _table(trace)
     out = []
-    for rows in table.writers.values():
-        # same channel and both write-like means every pair conflicts
-        evs = sorted(e for ids, row in zip(table.ids, rows) for i in row if (e := ids[i]) in posn)
-        placed: list[int] = []
-        for v in evs:
-            at = posn[v]
-            out += [(witness[i], v) for i in placed[bisect_right(placed, at) :]]
-            insort(placed, at)
+    evs = np.array(sorted(witness), dtype=np.int64)
+    evs = evs[table.writes_like[evs]]
+    # per channel, the sorted witness positions of its writers walked so far;
+    # same channel and both write-like means every pair conflicts
+    placed: dict[int, list[int]] = {}
+    for v, c in zip(evs.tolist(), table.chan[evs].tolist()):
+        at, run = posn[v], placed.setdefault(c, [])
+        out += [(witness[i], v) for i in run[bisect_right(run, at) :]]
+        insort(run, at)
     return sorted(out)
 
 
@@ -270,7 +278,6 @@ def realize_bounded(
     if budget < 0:
         raise ValueError("reversal budget must be non-negative")
     trace, rf, guards = p.trace, p.rf, _Guards(p)
-    wl = _table(trace).writes_like
     branches = 0
 
     def search(q: PartialOrder, left: int) -> tuple[list[int], list[tuple[int, int]]] | None:
@@ -281,7 +288,8 @@ def realize_bounded(
         except CycleError as exc:
             if left == 0:
                 return None
-            flips = dict.fromkeys((e2, e1) if wl[e1] else (e2, rf[e1]) for e1, e2 in exc.cross)
+            # an observer's edge flips its source; a writer is no key of rf
+            flips = dict.fromkeys((e2, rf.get(e1, e1)) for e1, e2 in exc.cross)
             for flip in flips:
                 if q.ordered(*flip):
                     continue  # flip already present; this cycle would recur

@@ -25,11 +25,12 @@ synthesized writes).
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from operator import gt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "TraceError",
@@ -369,21 +370,29 @@ class _Table(NamedTuple):
     included) under the thread-reads-from order; ``down[0]`` is the empty
     ideal.  ``opens[b][m]`` holds the acquires left open by thread b's first
     m events, innermost last.  ``ids[b]`` holds thread b's event ids in
-    program order.  The channel index, keyed by location in sorted order:
-    ``users[x][b]`` holds the positions in thread b of its events on x and
-    ``writers[x][b]`` those of its writes and acquires, cut at an ideal's
-    prefix by :func:`_cut`; ``writes_like[e]`` flags writes and acquires.
-    ``adj`` is the communication topology as adjacency sets of thread
-    indices, read off the channel index; a thread with no edge has no entry.
-    ``forest`` is whether that topology is a forest, which routes queries.
+    program order.  The channel index is flat and does not depend on any
+    universe: ``chan[e]`` numbers event e's location in ``channels``, the
+    locations in sorted order, and ``writes_like[e]`` flags writes and
+    acquires.  ``users`` keys every event and ``writers`` every write and
+    acquire as ``(chan·k + b)·span + position``, with ``span`` the longest
+    thread plus 2; each is sorted and starts with a ``-1`` sentinel, so a
+    (channel, thread) pair is one contiguous run, in program order, and an
+    ideal's part of it is the keys whose position is below the ideal's
+    prefix entry for the thread (:func:`_prefix_keys`).  ``adj`` is the
+    communication topology as adjacency sets of thread indices, read off the
+    channel index; a thread with no edge has no entry.  ``forest`` is whether
+    that topology is a forest, which routes queries.
     """
 
     down: list[tuple[int, ...]]
     opens: tuple[tuple[tuple[int, ...], ...], ...]
     ids: tuple[tuple[int, ...], ...]
-    users: dict[str, list[list[int]]]
-    writers: dict[str, list[list[int]]]
-    writes_like: tuple[bool, ...]
+    channels: tuple[str, ...]
+    chan: np.ndarray
+    writes_like: np.ndarray
+    span: int
+    users: np.ndarray
+    writers: np.ndarray
     adj: dict[int, set[int]]
     forest: bool
 
@@ -409,16 +418,21 @@ def _table(trace: Trace) -> _Table:
                 vec = _join(vec, down[rf[ev.eid]])
             down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
         opens = []
-        users = {x: [[] for _ in range(k)] for x in sorted(trace.globals_ | trace.locks)}
-        writers = {x: [[] for _ in range(k)] for x in users}
+        channels = tuple(sorted(trace.globals_ | trace.locks))
+        number = {x: c for c, x in enumerate(channels)}
+        span = max(map(len, trace.by_thread), default=0) + 2
+        chan, writes_like = [-1] * (len(trace) + 1), [False] * (len(trace) + 1)
+        users, writers = [-1], [-1]
         for b, proj in enumerate(trace.by_thread):
             stack: tuple[int, ...] = ()
             row = [stack]
             for pos, ev in enumerate(proj):
                 kind = ev.kind
-                users[ev.loc][b].append(pos)
+                c = chan[ev.eid] = number[ev.loc]
+                users.append(key := (c * k + b) * span + pos)
                 if kind == "w" or kind == "acq":
-                    writers[ev.loc][b].append(pos)
+                    writers.append(key)
+                    writes_like[ev.eid] = True
                     if kind == "acq":
                         stack += (ev.eid,)
                 elif kind == "rel":
@@ -426,17 +440,29 @@ def _table(trace: Trace) -> _Table:
                 row.append(stack)
             opens.append(tuple(row))
         ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
-        writes_like = (False, *(ev.writes_like for ev in trace.events))
-        table = _Table(down, tuple(opens), ids, users, writers, writes_like, {}, True)
+        channel_index = np.array(chan), np.array(writes_like), span, np.sort(users), np.sort(writers)
+        table = _Table(down, tuple(opens), ids, channels, *channel_index, {}, True)
         adj = _adjacency(_conflict_edges(table, [len(row) for row in ids]))
         forest = _forest_order(adj, range(k)) is not None
         trace._ideals = table._replace(adj=adj, forest=forest)
     return trace._ideals
 
 
-def _cut(rows: Sequence[list[int]], lengths: Iterable[int]) -> list[list[int]]:
-    """Each thread's row of positions cut to those below its entry of ``lengths``."""
-    return [row[: bisect_left(row, m)] for row, m in zip(rows, lengths)]
+def _prefix_keys(table: _Table, keys: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
+    """The ``keys`` of the channel index (sentinel left out) that name events
+    of the ideal with per-thread prefix lengths ``prefix``: those whose
+    position is below the prefix entry of their thread.  The ideal's part of
+    each (channel, thread) run is a prefix of the run, so the cut keeps runs
+    contiguous and sorted."""
+    span = table.span
+    return keys[keys % span < np.asarray(prefix, dtype=np.int64)[keys // span % len(table.ids)]]
+
+
+def _held(table: _Table, keys: np.ndarray) -> np.ndarray:
+    """A (channels × threads) flag matrix: which (channel, thread) runs hold
+    one of ``keys``."""
+    count = np.bincount(keys // table.span, minlength=len(table.channels) * len(table.ids))
+    return count.reshape(len(table.channels), len(table.ids)) > 0
 
 
 def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -497,17 +523,16 @@ def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
 def _conflict_edges(table: _Table, prefix: Sequence[int]) -> set[tuple[int, int]]:
     """Thread pairs ``(i, j)``, ``i < j``, whose first ``prefix`` events conflict.
 
-    Two thread prefixes conflict when they share a location that either of
-    them writes or acquires; the channel index lists both per location.
+    Two thread prefixes conflict when they share a channel that either of
+    them writes or acquires: with ``writes[c, b]`` and ``uses[c, b]`` flagging
+    the channels each prefix writes and touches, ``writes.T @ uses`` counts,
+    per thread pair, the channels the first writes and the second touches.
     """
-    edges = set()
-    for x, rows in table.users.items():
-        touch = [b for b, row in enumerate(rows) if row and row[0] < prefix[b]]
-        for i in touch:
-            row = table.writers[x][i]
-            if row and row[0] < prefix[i]:
-                edges.update((min(i, j), max(i, j)) for j in touch if j != i)
-    return edges
+    writes, uses = (
+        _held(table, _prefix_keys(table, keys[1:], prefix)) for keys in (table.writers, table.users)
+    )
+    shared = writes.T.astype(np.int64) @ uses
+    return set(map(tuple, np.argwhere(np.triu(shared + shared.T, 1)).tolist()))
 
 
 def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:

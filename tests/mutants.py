@@ -51,6 +51,8 @@ class Mutant:
 
 
 ORDERS = "src/racepred/orders.py"
+REALIZABILITY = "src/racepred/realizability.py"
+TRACE_MODEL = "src/racepred/trace_model.py"
 ROUND_GATES = (
     "tests/test_orders.py::test_closure_rounds_match_slot_reference_on_edge_cases",
     "tests/test_orders.py::test_closure_rounds_match_slot_reference_on_ov",
@@ -138,10 +140,39 @@ MUTANTS = (
     # tree resolution: the parent's successors read from the child's column
     Mutant(
         "resolve-column",
-        "src/racepred/realizability.py",
-        "column = fixed.pred[starts[par] : starts[par + 1], child]",
-        "column = fixed.pred[starts[child] : starts[child + 1], par]",
+        REALIZABILITY,
+        "above = fixed.pred[starts[par] : starts[par + 1], child].searchsorted(p2)",
+        "above = fixed.pred[starts[child] : starts[child + 1], par].searchsorted(p2)",
         ("tests/test_realizability.py::test_resolution_matches_pairwise_loop_on_ov",),
+    ),
+    # tree resolution: a child read or release resolved against the parent's
+    # reads too, not only its writes and acquires
+    Mutant(
+        "resolve-users-only",
+        REALIZABILITY,
+        "writers[writers.searchsorted(end) - 1])",
+        "users[users.searchsorted(end) - 1])",
+        (
+            "tests/test_realizability.py"
+            "::test_resolution_orders_a_child_read_after_parent_writes_only",
+        ),
+    ),
+    # prefix cut: a thread's event at its prefix length counted in the
+    # universe, so the guards take a writer past the block's end
+    Mutant(
+        "prefix-cut-inclusive",
+        TRACE_MODEL,
+        "keys[keys % span < np.asarray(prefix, dtype=np.int64)",
+        "keys[keys % span <= np.asarray(prefix, dtype=np.int64)",
+        ("tests/test_orders.py::test_first_above_is_the_first_writer_above",),
+    ),
+    # topology: a pair conflicts only when the lower thread writes
+    Mutant(
+        "topology-one-way",
+        TRACE_MODEL,
+        "np.triu(shared + shared.T, 1)",
+        "np.triu(shared, 1)",
+        ("tests/test_trace_model.py::test_topology_is_the_thread_pairs_of_conflicting_events",),
     ),
 )
 

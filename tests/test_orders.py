@@ -418,6 +418,7 @@ def test_first_above_is_the_first_writer_above():
             iv, _, replay_base, _, _ = guards._replay_slots
             evs = list(po.events())
             keys, writers = guards.keys.tolist(), po._ids[guards._rows].tolist()
+            span = _table(t).span
             for step in range(4):
                 for rows, bases in (
                     (guards.ir, guards.base), (guards.iw, guards.base), (iv, replay_base)
@@ -425,8 +426,9 @@ def test_first_above_is_the_first_writer_above():
                     got = guards._above(po, guards._queries(po, rows, bases)).tolist()
                     slots += len(got)
                     for i, base, j in zip(rows.tolist(), bases.tolist(), got):
-                        # a key is its segment's base plus a position below n
-                        segment = [y for y, key in enumerate(keys) if 0 <= key - base < po.n]
+                        # a key is its segment's base plus a position below
+                        # the trace's span
+                        segment = [y for y, key in enumerate(keys) if 0 <= key - base < span]
                         want = next(
                             (y for y in segment if po.ordered(evs[i], writers[y])),
                             segment[-1] + 1,

@@ -268,17 +268,20 @@ def test_topology_is_the_thread_pairs_of_conflicting_events(items):
 def test_channel_index_matches_a_grouping_of_the_events(items):
     t = from_events(items)
     table = _table(t)
-    k = len(t.threads)
-    users = {x: [[] for _ in range(k)] for x in t.globals_ | t.locks}
-    writers = {x: [[] for _ in range(k)] for x in users}
-    for ev in t.events:
-        b, pos = t.thread_index[ev.thread], t.thread_pos[ev.eid]
-        users[ev.loc][b].append(pos)
-        if ev.kind in ("w", "acq"):
-            writers[ev.loc][b].append(pos)
-    assert table.users == users and table.writers == writers
-    assert list(table.users) == sorted(users)
-    assert table.writes_like == (False, *(ev.kind in ("w", "acq") for ev in t.events))
+    k, span = len(t.threads), table.span
+    assert table.channels == tuple(sorted(t.globals_ | t.locks))
+    assert span == max(map(len, t.by_thread), default=0) + 2
+    place = {ev.eid: (ev.loc, t.thread_index[ev.thread], t.thread_pos[ev.eid]) for ev in t.events}
+    users = sorted(place.values())
+    writers = sorted(place[ev.eid] for ev in t.events if ev.kind in ("w", "acq"))
+    for keys, want in ((table.users, users), (table.writers, writers)):
+        # a sentinel, then (channel·k + thread)·span + position, ascending
+        assert keys[0] == -1 and keys.tolist() == sorted(keys.tolist())
+        segments, positions = divmod(keys[1:], span)
+        channels, threads = divmod(segments, k)
+        assert list(zip([table.channels[c] for c in channels], threads, positions)) == want
+    assert table.chan.tolist() == [-1, *(table.channels.index(ev.loc) for ev in t.events)]
+    assert table.writes_like.tolist() == [False, *(ev.kind in ("w", "acq") for ev in t.events)]
 
 
 @settings(max_examples=60, deadline=None)
