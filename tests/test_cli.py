@@ -555,7 +555,8 @@ def test_scan_tree_on_cyclic_topology_exits_2(tmp_path, capsys):
 def test_scan_tree_on_cyclic_topology_without_pairs_exits_2(tmp_path, capsys):
     # three threads on one lock form a cycle; with no global pair to answer,
     # the forced backend still does not apply to the trace
-    path = write_trace(tmp_path, "t1 acq m\nt1 rel m\nt2 acq m\nt2 rel m\nt3 acq m\nt3 rel m\n")
+    text = "".join(f"t{i} acq m\nt{i} rel m\n" for i in (1, 2, 3))
+    path = write_trace(tmp_path, text)
     code, out, err = run_cli(["scan", "--trace", path, "--algo", "tree"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: the tree backend needs a forest")
