@@ -121,7 +121,10 @@ class Trace:
     their matching acquires), and acquire/release matching.  The whole-trace
     facts that queries share live in one cache, the down-set table
     :func:`_table` (the one stored form of the TRF, the channel index and the
-    communication topology), built on first use and kept on the trace.
+    communication topology), built on first use and kept on the trace, whose
+    arrays are indexed by event id: so the ids must run ``1..n`` in sequence
+    order, and every kind must be one of :data:`KINDS`, else
+    :class:`TraceError`.
     """
 
     __slots__ = (
@@ -154,7 +157,9 @@ class Trace:
 
         threads: list[str] = []
         roles: dict[str, str] = {}  # loc -> "global" | "lock"
-        for ev in self.events:
+        for eid, ev in enumerate(self.events, 1):
+            if ev.eid != eid or ev.kind not in KINDS:
+                raise TraceError(f"entry {eid} is {ev}: ids must run 1..n, kinds be in {KINDS}")
             if ev.thread not in threads:
                 threads.append(ev.thread)
             want = "global" if ev.is_global_access else "lock"

@@ -93,6 +93,20 @@ def test_parse_rejects_malformed_lines():
         parse_trace("t1 w 9bad")
 
 
+def test_trace_rejects_ids_out_of_order_and_unknown_kinds():
+    # the table's arrays are indexed by event id, and an unknown kind would
+    # otherwise replay as a release
+    for events in (
+        [Event(2, "t1", "w", "x"), Event(1, "t2", "w", "x")],
+        [Event(1, "t1", "w", "x"), Event(3, "t2", "w", "x")],
+        [Event(0, "t1", "w", "x")],
+        [Event(1, "t1", "acq", "l"), Event(2, "t1", "unlock", "l")],
+    ):
+        with pytest.raises(TraceError):
+            Trace(events)
+    assert len(Trace([Event(1, "t1", "w", "x"), Event(2, "t2", "w", "x")])) == 2
+
+
 def test_parse_comments_and_blank_lines():
     t = parse_trace("# header\n\nt1 w x   # trailing\n\n  \nt2 r x\n")
     assert len(t) == 2
