@@ -28,8 +28,9 @@ The module also provides:
   (write-to-read, acquire-to-release), transitively closed, over a trace
   ideal given by its prefix vector, as a fresh mutable order read from the
   trace's down-set table, ``trace_model._table``, the one stored form of the TRF;
-* :class:`RfPoset` — a partial order over a trace ideal, whose observation
-  map is the trace's own, the object the closure operates on;
+* :class:`RfPoset` — a trace and a partial order over one of its ideals,
+  the object the closure operates on: it observes as the trace does, so its
+  observers and their writers are read off the trace's table;
 * :func:`closure` — the least refinement in which every observed writer is
   protected from interference, or ``None`` when that forces a cycle.
 
@@ -45,10 +46,12 @@ edge: the latest writer before w, or r before the earliest writer.  The
 writers are the trace's flat writer keys, sorted by (channel, block,
 position), cut at the universe's prefix vector: a universe is a trace
 ideal, so its part of each (channel, block) run is a prefix, and one mask
-over the keys takes it.  A closure round is one fused pass over
-every (observer, block) slot, on row indices: one gather of the observers'
-and writers' ``pred`` entries and one ``searchsorted`` over the positions
-give the runs before, and one gather of the writers' ``pred`` rows into
+over the keys takes it.  The observers, in event-id order, are one mask
+over the trace's ``source`` array (each event's observed writer, by event
+id), and one gather of it gives their writers.  A closure round is one
+fused pass over every (observer, block) slot, on row indices: one gather
+of the observers' and writers' ``pred`` entries and one ``searchsorted``
+over the positions give the runs before, and one gather of the writers' ``pred`` rows into
 sorted runs and one ``searchsorted`` over them the first writers above.
 The gather indices and the queries depend only on the universe, so they
 are built once, with the guards, and the bounded search's condition-2 read
@@ -63,7 +66,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -360,11 +362,12 @@ def compute_trf(trace: Trace, prefix: Sequence[int] | None = None) -> PartialOrd
 class RfPoset:
     """A partial order over a trace ideal; it observes as the trace does.
 
-    ``rf``, the trace's map restricted to the universe in event-id order,
-    takes each observer (read or release) to the writer it observes (write or
-    acquire).  The order must already place writer before observer; the
-    closure strengthens it until no interfering writer can slip between any
-    observer and its writer.  Block b of the order must be a prefix of thread
+    It holds the trace and the order and nothing derived: each observer
+    (read or release) of the universe observes the writer (write or
+    acquire) that the trace's table names in ``source``, and the universe,
+    an ideal, holds that writer too.  The order must already place writer
+    before observer; the closure strengthens it until no interfering writer
+    can slip between any observer and its writer.  Block b of the order must be a prefix of thread
     b, and the blocks an ideal (else ``ValueError``): the trace's channel
     index, cut at the block lengths, then holds the universe's events.
     """
@@ -379,12 +382,6 @@ class RfPoset:
         if not _is_closed(_table(self.trace), [len(bl) for bl in blocks]):
             raise ValueError("the blocks of the order do not form a trace ideal")
 
-    @cached_property
-    def rf(self) -> dict[int, int]:
-        """Observer -> observed writer, over the universe, in event-id order."""
-        rf = self.trace.rf
-        return {e: rf[e] for e in self.order._sorted if e in rf}
-
 
 class _Guards:
     """The closure conditions of an rf-poset, as flat arrays of rows.
@@ -397,8 +394,9 @@ class _Guards:
     writers' rows in the same order.  Each slot pairs an observer, in
     event-id order, with one block whose segment on its channel holds a
     writer, so the slots are the nonzero entries of an (observer × block)
-    mask.  Everything here is a row of the universe, and event ids are
-    read off ``order._ids`` only for the edges returned.  What depends only
+    mask; the observers and their writers are read off the trace's
+    ``source`` array.  Everything here is a row of the universe, and event
+    ids are read off ``order._ids`` only for the edges returned.  What depends only
     on the universe is built once, here: condition 1's ``pred`` indices and
     offsets, and condition 2's queries, which :meth:`_round` and
     :meth:`unprotected_after_replay` share.  The same segments serve
@@ -427,14 +425,14 @@ class _Guards:
         self._offsets = (runs * self._shift + segment * span).ravel()
         self._replay_slots: tuple[np.ndarray, ...] | None = None
         self._below: np.ndarray | None = None
-        # a slot per observer, in event-id order, and block holding writers
-        # on its channel
-        r, w = (np.fromiter(x, np.int64, len(poset.rf)) for x in (poset.rf, poset.rf.values()))
-        row = np.zeros(len(table.chan), dtype=np.int64)
+        # a slot per observer of the universe, in event-id order, and block
+        # holding writers on its channel; an event's row is -1 outside it
+        row = np.full(len(table.chan), -1, dtype=np.int64)
         row[order._ids] = np.arange(order.n)
+        r = np.flatnonzero((row >= 0) & (table.source > 0))
         c = table.chan[r]
         at, self.block = np.nonzero(self._held[c])
-        self.ir, self.iw = row[r[at]], row[w[at]]
+        self.ir, self.iw = row[r[at]], row[table.source[r[at]]]
         self.base = (c[at] * k + self.block) * span
         self.own = order._block[self.iw] == self.block
         # both conditions run over the slots stacked, w's half then r's

@@ -42,7 +42,7 @@ contract).
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections import Counter, deque
+from collections import deque
 from operator import lt
 from typing import Iterable
 
@@ -75,6 +75,10 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     puts every writer before its observers.  An event extends a state when
     all its order-predecessors are inside and, for a write or acquire, its
     channel's count is zero, so a step costs O(k) plus one copy of the counts.
+    The step table is gathered over the universe's rows from the trace's
+    table, with no loop over events: the channel from ``chan``, renumbered
+    densely over the universe, the change from one ``bincount`` of the
+    universe's ``source`` entries, and the wait from ``writes_like``.
     Returns the event sequence of the first path reaching the full universe,
     or ``None``.
     """
@@ -84,25 +88,21 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     rows, starts = order.pred.tolist(), order._starts
     block_rows = [rows[starts[b] : starts[b + 1]] for b in range(k)]
 
-    trace, rf = p.trace, p.rf
-    observers = Counter(rf.values())
-    channels: dict[str, int] = {}
-    # per event: its channel, the change to that channel's count, and
-    # whether it must wait for the count to reach zero
-    steps: list[list[tuple[int, int, bool]]] = []
-    for block in blocks:
-        row = []
-        for e in block:
-            ev = trace.event(e)
-            c = channels.setdefault(ev.loc, len(channels))
-            delta = observers[e] if ev.writes_like else -1 if e in rf else 0
-            row.append((c, delta, ev.writes_like))
-        steps.append(row)
+    table, ids = _table(p.trace), order._ids
+    chan, source = table.chan[ids], table.source[ids]
+    # per row: its channel, numbered densely over the universe; the change
+    # to that channel's count, a writer's observers in the universe and -1
+    # for an observer; and whether it must wait for the count to reach zero
+    used = np.bincount(chan, minlength=len(table.channels)) > 0
+    delta = np.bincount(source, minlength=len(table.source))[ids] - (source > 0)
+    waits = table.writes_like[ids]
+    step = [*zip((used.cumsum() - 1)[chan].tolist(), delta.tolist(), waits.tolist())]
+    steps = [step[starts[b] : starts[b + 1]] for b in range(k)]
 
     start = (0,) * k
     goal = tuple(map(len, blocks))
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
-    queue = deque([(start, (0,) * len(channels))])
+    queue = deque([(start, (0,) * int(used.sum()))])
     found = False
     while queue:
         y, pending = queue.popleft()
@@ -277,7 +277,7 @@ def realize_bounded(
     """
     if budget < 0:
         raise ValueError("reversal budget must be non-negative")
-    trace, rf, guards = p.trace, p.rf, _Guards(p)
+    trace, guards = p.trace, _Guards(p)
     branches = 0
 
     def search(q: PartialOrder, left: int) -> tuple[list[int], list[tuple[int, int]]] | None:
@@ -289,7 +289,7 @@ def realize_bounded(
             if left == 0:
                 return None
             # an observer's edge flips its source; a writer is no key of rf
-            flips = dict.fromkeys((e2, rf.get(e1, e1)) for e1, e2 in exc.cross)
+            flips = dict.fromkeys((e2, trace.rf.get(e1, e1)) for e1, e2 in exc.cross)
             for flip in flips:
                 if q.ordered(*flip):
                     continue  # flip already present; this cycle would recur

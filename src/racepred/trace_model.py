@@ -383,10 +383,13 @@ class _Table(NamedTuple):
     thread plus 2; each is sorted and starts with a ``-1`` sentinel, so a
     (channel, thread) pair is one contiguous run, in program order, and an
     ideal's part of it is the keys whose position is below the ideal's
-    prefix entry for the thread (:func:`_prefix_keys`).  ``adj`` is the
-    communication topology as adjacency sets of thread indices, read off the
-    channel index; a thread with no edge has no entry.  ``forest`` is whether
-    that topology is a forest, which routes queries.
+    prefix entry for the thread (:func:`_prefix_keys`).  ``source[e]`` is
+    the write or acquire that event e observes, or 0: the observed-writer
+    map ``Trace.rf`` as an array, which a universe's observers and their
+    writers are read from.  ``adj`` is the communication topology as
+    adjacency sets of thread indices, read off the channel index; a thread
+    with no edge has no entry.  ``forest`` is whether that topology is a
+    forest, which routes queries.
     """
 
     down: list[tuple[int, ...]]
@@ -398,6 +401,7 @@ class _Table(NamedTuple):
     span: int
     users: np.ndarray
     writers: np.ndarray
+    source: np.ndarray
     adj: dict[int, set[int]]
     forest: bool
 
@@ -408,7 +412,8 @@ def _table(trace: Trace) -> _Table:
     ``down[e]`` is the pointwise max of its thread predecessor's and, for a
     read, its writer's vector, with e's own slot raised by one.  A release
     observes an acquire of its own thread, which its thread predecessor
-    already covers.  ``opens`` and the channel index share one pass per thread.
+    already covers.  ``opens`` and the channel index share one pass per
+    thread; ``source`` is ``trace.rf`` written into an array.
     """
     if trace._ideals is None:
         k = len(trace.threads)
@@ -446,7 +451,9 @@ def _table(trace: Trace) -> _Table:
             opens.append(tuple(row))
         ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
         channel_index = np.array(chan), np.array(writes_like), span, np.sort(users), np.sort(writers)
-        table = _Table(down, tuple(opens), ids, channels, *channel_index, {}, True)
+        source = np.zeros(len(trace) + 1, dtype=np.int64)
+        source[list(rf)] = list(rf.values())
+        table = _Table(down, tuple(opens), ids, channels, *channel_index, source, {}, True)
         adj = _adjacency(_conflict_edges(table, [len(row) for row in ids]))
         forest = _forest_order(adj, range(k)) is not None
         trace._ideals = table._replace(adj=adj, forest=forest)

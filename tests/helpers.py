@@ -186,6 +186,14 @@ def realizable_sets(trace: Trace) -> set[frozenset[int]]:
     return out
 
 
+def universe_rf(p: RfPoset) -> dict[int, int]:
+    """The trace's observation map cut to the universe of ``p``, in
+    event-id order: each observer (read or release) -> the writer (write or
+    acquire) it observes."""
+    rf = p.trace.rf
+    return {e: rf[e] for e in sorted(p.order.events()) if e in rf}
+
+
 def triplets(poset: RfPoset) -> Iterable[tuple[int, int, int]]:
     """All (writer, observer, interfering-writer) combinations of an rf-poset."""
     writers: dict[str, list[int]] = {}
@@ -193,7 +201,7 @@ def triplets(poset: RfPoset) -> Iterable[tuple[int, int, int]]:
         ev = poset.trace.event(eid)
         if ev.writes_like:
             writers.setdefault(ev.loc, []).append(eid)
-    for r, w in poset.rf.items():
+    for r, w in universe_rf(poset).items():
         for x in writers.get(poset.trace.event(r).loc, ()):
             if x != w:
                 yield w, r, x
@@ -243,7 +251,7 @@ def violations_by_slots(poset: RfPoset, order: PartialOrder) -> list[tuple[int, 
                 segments.setdefault(ev.loc, {}).setdefault(b, []).append(e)
                 positions.setdefault(ev.loc, {}).setdefault(b, []).append(pos)
     latest, earliest = [], []
-    for r, w in poset.rf.items():
+    for r, w in universe_rf(poset).items():
         ir, iw, bw = order.index_of(r), order.index_of(w), order.location(w)[0]
         x = trace.event(r).loc
         for b, segment in sorted(segments.get(x, {}).items()):
@@ -307,7 +315,7 @@ def guard_layout(poset: RfPoset):
         for row in segments[x][b]
     ]
     slots = []
-    for r, w in poset.rf.items():
+    for r, w in universe_rf(poset).items():
         ir, iw = order.index_of(r), order.index_of(w)
         bw = order._loc[iw][0]
         for b in sorted(segments.get(trace.events[r - 1].loc, ())):
@@ -512,7 +520,7 @@ def realize_general_by_watchers(p: RfPoset, stats: dict | None = None) -> list[i
 
     lengths = [len(block) for block in blocks]
     on: dict[str, list[tuple[int, ...]]] = {}  # location -> its watchers
-    for r, w in p.rf.items():
+    for r, w in universe_rf(p).items():
         watcher = (w, *order.location(w), *order.location(r))
         on.setdefault(p.trace.events[r - 1].loc, []).append(watcher)
     evs = [[p.trace.events[e - 1] for e in block] for block in blocks]
@@ -724,7 +732,7 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
     then places each observer between the same-channel writers nearest its
     source, one block at a time, found by bisection over the block's writers.
     """
-    trace, rf = p.trace, p.rf
+    trace, rf = p.trace, universe_rf(p)
     # the TRF's cross-thread reads, which the order holds but does not list
     observed = trf_by_replay(trace, p.order.events()).edges
     writers: dict[tuple[str, int], tuple[list[int], list[int]]] = {}

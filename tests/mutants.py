@@ -137,6 +137,40 @@ MUTANTS = (
         "hi = np.maximum(self._above(order, queries), later)",
         ("tests/test_realizability.py::test_replay_orders_like_the_pairwise_replay",),
     ),
+    # general search: a writer's observers counted over the whole trace, so
+    # one whose reader lies outside the universe holds its channel forever
+    Mutant(
+        "general-observers-whole-trace",
+        REALIZABILITY,
+        "delta = np.bincount(source, minlength",
+        "delta = np.bincount(table.source, minlength",
+        (
+            "tests/test_realizability.py"
+            "::test_general_reader_outside_the_universe_holds_no_channel",
+        ),
+    ),
+    # general search: a writer counts at most one observer, so its channel
+    # frees after the first read
+    Mutant(
+        "general-one-observer",
+        REALIZABILITY,
+        "delta = np.bincount(source, minlength=len(table.source))[ids] - (source > 0)",
+        "delta = np.minimum(np.bincount(source, minlength=len(table.source))[ids], 1)"
+        " - (source > 0)",
+        (
+            "tests/test_realizability.py"
+            "::test_general_write_waits_for_both_readers_of_a_pending_write",
+        ),
+    ),
+    # linearize: a waiting head woken one placement before its predecessor
+    # is placed
+    Mutant(
+        "linearize-wake-early",
+        ORDERS,
+        "waiting.setdefault((c, row[c] + 1), [])",
+        "waiting.setdefault((c, row[c]), [])",
+        ("tests/test_orders.py::test_linearize_under_edges_matches_scan_of_the_edge_loop",),
+    ),
     # tree resolution: the parent's successors read from the child's column
     Mutant(
         "resolve-column",

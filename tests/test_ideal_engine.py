@@ -250,27 +250,6 @@ def test_lock_free_ideal_is_feasible_with_plain_order():
     }
 
 
-def test_feasible_poset_observes_as_the_trace():
-    # every feasible candidate's rf-poset carries the trace's own observation
-    # map cut to its universe, iterated in event-id order
-    posets = 0
-    for s in range(40):
-        t = gen_random_trace(
-            s, n=14, k=3, d_globals=2, d_locks=1, read_ratio=0.4,
-            lock_ratio=0.3, nesting_max=2,
-        )
-        for e1, e2 in scan_pairs(t):
-            if t.event(e1).thread == t.event(e2).thread:
-                continue
-            for x in candidate_ideal_set(t, e1, e2):
-                res = feasibility(x)
-                if res:
-                    want = [(e, t.rf[e]) for e in sorted(x.members) if e in t.rf]
-                    assert list(res.poset.rf.items()) == want, (s, e1, e2, x.prefix)
-                    posets += 1
-    assert posets >= 500
-
-
 def test_mandated_release_edge_can_contradict_observation():
     # t2's critical section must close before t1's open acquire, but the
     # read inside it observes the write inside t1's section: cycle.

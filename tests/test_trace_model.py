@@ -3,6 +3,7 @@
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +19,7 @@ from racepred import (
     trace_params,
     wrap_pair,
 )
+from racepred.generators import gen_random_trace
 from racepred.trace_model import INIT_THREAD, Event, _conflict_edges, _table, from_events
 
 from helpers import (
@@ -296,6 +298,28 @@ def test_channel_index_matches_a_grouping_of_the_events(items):
         assert list(zip([table.channels[c] for c in channels], threads, positions)) == want
     assert table.chan.tolist() == [-1, *(table.channels.index(ev.loc) for ev in t.events)]
     assert table.writes_like.tolist() == [False, *(ev.kind in ("w", "acq") for ev in t.events)]
+
+
+def test_table_source_is_the_observation_map():
+    # source[e] is the writer or acquire event e observes, or 0, on random
+    # traces and on copies without each global's first write, whose earlier
+    # reads observe a synthesized write
+    observers = synthesized = 0
+    for s in range(40):
+        t = gen_random_trace(
+            s, n=14, k=3, d_globals=2, d_locks=1, read_ratio=0.4,
+            lock_ratio=0.3, nesting_max=2,
+        )
+        items = [(ev.thread, ev.kind, ev.loc) for ev in t.events]
+        first = {loc: i for i, (_, kind, loc) in reversed(list(enumerate(items))) if kind == "w"}
+        cut = from_events(item for i, item in enumerate(items) if i not in first.values())
+        for u in (t, cut):
+            source = _table(u).source
+            assert source.dtype == np.int64 and len(source) == len(u) + 1
+            assert {e: w for e, w in enumerate(source.tolist()) if w} == u.rf, s
+            observers += len(u.rf)
+            synthesized += sum(w <= u.num_synthesized for w in u.rf.values())
+    assert observers >= 400 and synthesized >= 40
 
 
 @settings(max_examples=60, deadline=None)
