@@ -35,7 +35,7 @@ from racepred import (
 )
 from racepred.cli import predict, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
-from racepred.ideal_engine import _candidates
+from racepred.ideal_engine import _candidates, candidate_ideal_set
 from racepred.orders import _Guards
 from racepred.realizability import _resolve
 from racepred.trace_model import _adjacency, _conflict_edges, _forest_order, _table
@@ -53,6 +53,7 @@ from helpers import (
     traces,
     unprotected,
 )
+from test_ideal_engine import INDSET_FAMILIES, _indset
 
 
 def each_feasible_ideal(trace):
@@ -197,6 +198,30 @@ def test_general_matches_watcher_search_on_chain_and_star():
     for t in (chain_trace(200), star_trace(200)):
         assert searches_like_the_watchers(trf_poset(t)) is not None
         assert searches_like_the_watchers(cone_poset(t, 199, 200)) is not None
+
+
+def test_general_matches_watcher_search_on_indset_candidates():
+    # k = 8: the first feasible candidate posets of each lock-heavy reduction
+    # trace whose search reaches at most 20 000 states, up to 4 per family
+    posets = 0
+    for family in INDSET_FAMILIES:
+        t, (e1, e2) = _indset(*family)
+        taken = 0
+        for x in candidate_ideal_set(t, e1, e2):
+            res = feasibility(x)
+            if not res:
+                continue
+            got, want = {}, {}
+            w = realize_general(res.poset, stats=got)
+            assert w == realize_general_by_watchers(res.poset, stats=want)
+            assert got == want
+            if got["search_nodes"] <= 20_000:
+                assert len(res.poset.order.blocks) == 8
+                taken += 1
+                if taken == 4:
+                    break
+        posets += taken
+    assert posets >= 10
 
 
 def agrees_on_every_ideal(trace) -> None:
