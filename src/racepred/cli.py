@@ -37,7 +37,7 @@ from .generators import (
     parse_vectors,
     strip_isolated_nodes,
 )
-from .ideal_engine import Ideal, _candidates, feasibility, lcone
+from .ideal_engine import _Candidate, _candidate, _candidates, _feasible, lcone
 from .oracle import DEFAULT_CAP, OracleCapError, oracle_witness, witness_error
 from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
@@ -157,7 +157,7 @@ def predict(
         # of these module names (an instrumented run) takes effect
         if algo == "tree" or (algo == "auto" and _table(trace).forest):
             label, kind, backend = "tree", "lock-cone ideal", realize_tree
-            candidates = [lcone(trace, e1) | lcone(trace, e2)]
+            candidates = [_candidate(lcone(trace, e1) | lcone(trace, e2))]
         else:
             label = "general" if distance is None else "bounded"
             # built lazily: the sweep stops at the first witness
@@ -197,11 +197,15 @@ def _check_algo(trace: Trace, algo: str, distance: int | None) -> None:
 
 
 def _sweep(
-    candidates: Iterable[Ideal], backend: Callable[..., list[int] | None],
+    candidates: Iterable[_Candidate], backend: Callable[..., list[int] | None],
     e1: int, e2: int, kind: str, stats: dict, note: _Note,
 ) -> tuple[list[int] | None, dict]:
     """Realize the candidates in order; the first witness wins, and no
     candidate after it is drawn, so ``candidates`` may be lazy.
+
+    Each candidate comes with its open acquires and clashing lock, as
+    :func:`~racepred.ideal_engine._candidates` yields them, so its
+    feasibility reads neither again.
 
     Every feasible candidate's rf-poset goes to ``backend``, whose own stats
     are folded into ``stats``: its search states or bounded branches into
@@ -209,13 +213,13 @@ def _sweep(
     ``closure_edges``.  Returns the witness, or ``None``, with the winning
     backend call's stats.
     """
-    for x in candidates:
+    for x, opens, clash in candidates:
         head = f"{kind} with {len(x)} events:"
         if e1 in x or e2 in x:
             note(f"{head} holds a query event, which cannot then be enabled")
             continue
         stats["ideals"] += 1
-        res = feasibility(x)
+        res = _feasible(x, opens, clash)
         if not res:
             note(f"{head} {res.status.value}")
             continue

@@ -219,6 +219,11 @@ def lcone(trace: Trace, eid: int) -> Ideal:
 # ----------------------------------------------------------------------
 
 
+# an ideal with its open acquires, by event id, and the first lock two of
+# them hold: ``None`` for both on a candidate that is never classified
+_Candidate = tuple[Ideal, list[int] | None, str | None]
+
+
 class Feasibility(enum.Enum):
     INFEASIBLE_LOCKS = "infeasible_locks"
     INFEASIBLE = "infeasible"
@@ -255,12 +260,28 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
     open acquire; if those forced edges
     contradict the thread-reads-from order the ideal is ``INFEASIBLE``, else
     the forced edges, inserted by acquire id, define the canonical order.
+
+    The open acquires and the clashing lock are read once, by
+    :func:`_candidate`; the candidate sweep reads them as it grows an ideal
+    and classifies it with :func:`_feasible`, without reading them again.
     """
+    return _feasible(*_candidate(ideal))
+
+
+def _candidate(ideal: Ideal) -> _Candidate:
+    """The ideal with its open acquires, by event id, and the first lock two
+    of them hold, or ``None``: a candidate as the sweep yields it."""
+    opens = _open_in(_table(ideal.trace), ideal.prefix)
+    return ideal, opens, _clashing_lock(ideal.trace, opens)
+
+
+def _feasible(ideal: Ideal, opens: list[int], clash: str | None) -> FeasibilityResult:
+    """:func:`feasibility` of an ideal whose open acquires and clashing lock
+    are already read."""
+    if clash is not None:
+        return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
     trace, prefix = ideal.trace, ideal.prefix
     table = _table(trace)
-    opens = _open_in(table, prefix)
-    if _clashing_lock(trace, opens) is not None:
-        return FeasibilityResult(Feasibility.INFEASIBLE_LOCKS)
     k, span, writers = len(prefix), table.span, table.writers
     # the acquires of each open acquire's lock: its channel's run of writers
     base = table.chan[opens] * (k * span)
@@ -298,17 +319,22 @@ def candidate_ideal_set(trace: Trace, e1: int, e2: int) -> list[Ideal]:
     pointwise max of its parent's prefix vector and the release's downward
     closure, so no member set is built.
     """
-    return list(_candidates(trace, e1, e2))
+    return [x for x, _, _ in _candidates(trace, e1, e2)]
 
 
-def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[Ideal]:
+def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[_Candidate]:
     """The candidate ideal set, each ideal yielded as the sweep dequeues it.
 
-    A consumer that stops at the first witness never builds the rest.  When
-    the seed holds a query event every variant holds it too, so the seed is
-    the only candidate.  Otherwise every queued ideal leaves both query
-    events out, and a variant holds one exactly when the release's downward
-    closure does: that is read off the closure before joining.
+    Each ideal is yielded with its open acquires, by event id, and the first
+    lock two of them hold, or ``None``, as :func:`_candidate` would read
+    them: the sweep reads them once, before yielding, both to grow the ideal
+    and for the consumer to hand to :func:`_feasible`.  A consumer that
+    stops at the first witness never builds the rest.  When the seed holds
+    a query event every variant holds it too, so the seed is the only
+    candidate; it is neither grown nor classified, so both come as ``None``.
+    Otherwise every queued ideal leaves both query events out, and a variant
+    holds one exactly when the release's downward closure does: that is
+    read off the closure before joining.
 
     Pruning an ideal Y that holds a lock open twice loses no lock-feasible
     candidate.  Locks are not re-entrant, so each open acquire of that lock
@@ -326,14 +352,14 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[Ideal]:
     b2, pos2 = trace.thread_index[ev2.thread], trace.thread_pos[e2]
     seed = _join(_below(trace, table, e1), _below(trace, table, e2))
     if seed[b1] > pos1 or seed[b2] > pos2:
-        yield Ideal(trace, seed)
+        yield Ideal(trace, seed), None, None
         return
     queue = [seed]  # breadth-first: members are expanded in discovery order
     seen = {seed}
     for y in queue:
-        yield Ideal(trace, y)
         opens = _open_in(table, y)
         clash = _clashing_lock(trace, opens)
+        yield Ideal(trace, y), opens, clash
         if clash is not None:  # grown only through the clash it must resolve
             opens = [a for a in opens if trace.events[a - 1].loc == clash]
         for acq in opens:

@@ -9,7 +9,10 @@ can be completed into a real trace (a witness):
   only.  Each state carries one count per channel of the observations
   pending at it (writer placed, observer not), and a write or acquire
   extends it only when its channel's count is zero, so a step costs O(k)
-  plus one copy of the counts, whatever the number of observations.
+  plus one copy of the counts, whatever the number of observations.  A
+  state is keyed by one int, its prefix counts in mixed radix, so the
+  visited test hashes an int, and a state's new children are queued in
+  event-id order.
 * :func:`realize_tree` — when the poset's block conflict graph (one edge
   per pair of threads holding conflicting events) is a forest, the closure
   plus one top-down edge-resolution pass yields a witness directly, with no
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections import deque
+from math import prod
 from operator import lt
 from typing import Iterable
 
@@ -79,14 +83,22 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     table, with no loop over events: the channel from ``chan``, renumbered
     densely over the universe, the change from one ``bincount`` of the
     universe's ``source`` entries, and the wait from ``writes_like``.
-    Returns the event sequence of the first path reaching the full universe,
-    or ``None``.
+
+    A state is keyed by its prefix counts read as one mixed-radix int, so a
+    child's key is its parent's plus its block's stride, and the visited
+    test and the goal test compare ints; a child's prefix tuple is built
+    only when it is new.  Each key maps to the event that first reached it,
+    so the witness is read back from the goal by taking off one stride per
+    event.  A dequeued state tests its block heads in block order and
+    queues its new children sorted by event id; its children are distinct
+    states, so that is the discovery order of sorting its whole frontier
+    by event id.  Returns the event sequence of the first path reaching the
+    full universe, or ``None``.
     """
     order = p.order
     blocks = order.blocks
     k = len(blocks)
     rows, starts = order.pred.tolist(), order._starts
-    block_rows = [rows[starts[b] : starts[b + 1]] for b in range(k)]
 
     table, ids = _table(p.trace), order._ids
     chan, source = table.chan[ids], table.source[ids]
@@ -96,42 +108,51 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     used = np.bincount(chan, minlength=len(table.channels)) > 0
     delta = np.bincount(source, minlength=len(table.source))[ids] - (source > 0)
     waits = table.writes_like[ids]
-    step = [*zip((used.cumsum() - 1)[chan].tolist(), delta.tolist(), waits.tolist())]
+    step = [*zip((used.cumsum() - 1)[chan].tolist(), delta.tolist(), waits.tolist(), rows)]
     steps = [step[starts[b] : starts[b + 1]] for b in range(k)]
 
-    start = (0,) * k
-    goal = tuple(map(len, blocks))
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
-    queue = deque([(start, (0,) * int(used.sum()))])
-    found = False
+    # a state's key is its prefix counts in mixed radix: block b's stride is
+    # the product of len(block c) + 1 over c < b, so placing an event of
+    # block b adds stride[b], and the full universe's key is the largest
+    lengths = [len(block) for block in blocks]
+    stride = [prod(n + 1 for n in lengths[:b]) for b in range(k)]
+    goal = prod(n + 1 for n in lengths) - 1
+    placed: dict[int, int | None] = {0: None}  # key -> the event that first reached it
+    queue = deque([(0, (0,) * k, (0,) * int(used.sum()))])
     while queue:
-        y, pending = queue.popleft()
-        if y == goal:
-            found = True
+        code, y, pending = queue.popleft()
+        if code == goal:
             break
-        frontier = sorted((blocks[b][y[b]], b) for b in range(k) if y[b] < goal[b])
-        for e, b in frontier:
-            c, delta, waits = steps[b][y[b]]
-            if waits and pending[c] or not all(map(lt, block_rows[b][y[b]], y)):
+        # the new children, at most one per block, queued in event-id order
+        children = []
+        for b in range(k):
+            at = y[b]
+            if at == lengths[b]:
                 continue
-            y2 = y[:b] + (y[b] + 1,) + y[b + 1 :]
-            if y2 in parents:
+            c, delta, waits, row = steps[b][at]
+            if waits and pending[c] or not all(map(lt, row, y)):
                 continue
-            parents[y2] = (y, e)
-            if delta:
-                queue.append((y2, pending[:c] + (pending[c] + delta,) + pending[c + 1 :]))
-            else:
-                queue.append((y2, pending))
+            code2 = code + stride[b]
+            if code2 not in placed:
+                children.append((blocks[b][at], b, code2, c, delta))
+        children.sort()
+        for e, b, code2, c, delta in children:
+            placed[code2] = e
+            y2 = list(y)
+            y2[b] += 1
+            p2 = pending[:c] + (pending[c] + delta,) + pending[c + 1 :] if delta else pending
+            queue.append((code2, tuple(y2), p2))
 
     if stats is not None:
-        stats["search_nodes"] = len(parents)
-    if not found:
+        stats["search_nodes"] = len(placed)
+    if goal not in placed:
         return None
     out: list[int] = []
-    state = goal
-    while parents[state] is not None:
-        state, e = parents[state]
+    code = goal
+    while code:
+        e = placed[code]
         out.append(e)
+        code -= stride[order.location(e)[0]]
     out.reverse()
     return out
 

@@ -50,6 +50,7 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+IDEAL_ENGINE = "src/racepred/ideal_engine.py"
 ORDERS = "src/racepred/orders.py"
 REALIZABILITY = "src/racepred/realizability.py"
 TRACE_MODEL = "src/racepred/trace_model.py"
@@ -160,6 +161,43 @@ MUTANTS = (
         (
             "tests/test_realizability.py"
             "::test_general_write_waits_for_both_readers_of_a_pending_write",
+        ),
+    ),
+    # general search: a state's children queued in block order, not by
+    # event id, so states are discovered in another order
+    Mutant(
+        "general-children-unsorted",
+        REALIZABILITY,
+        "children.sort()",
+        "pass",
+        (
+            "tests/test_realizability.py"
+            "::test_general_matches_watcher_search_on_every_feasible_ideal",
+            "tests/test_realizability.py::test_general_matches_watcher_search_on_chain_and_star",
+        ),
+    ),
+    # general search: strides built from the block lengths, not the lengths
+    # plus one, so distinct states share a key
+    Mutant(
+        "general-stride-radix",
+        REALIZABILITY,
+        "stride = [prod(n + 1 for n in lengths[:b]) for b in range(k)]",
+        "stride = [prod(lengths[:b]) for b in range(k)]",
+        (
+            "tests/test_realizability.py"
+            "::test_general_matches_watcher_search_on_every_feasible_ideal",
+        ),
+    ),
+    # candidate sweep: an ideal holding a lock open twice grown only by
+    # closing the first open acquire of that lock
+    Mutant(
+        "sweep-first-clashing-acquire",
+        IDEAL_ENGINE,
+        "opens = [a for a in opens if trace.events[a - 1].loc == clash]",
+        "opens = [a for a in opens if trace.events[a - 1].loc == clash][:1]",
+        (
+            "tests/test_ideal_engine.py"
+            "::test_pruned_sweep_grows_through_every_acquire_of_the_clashing_lock",
         ),
     ),
     # linearize: a waiting head woken one placement before its predecessor

@@ -656,6 +656,26 @@ def test_explain_has_one_line_per_candidate_on_a_no_instance():
     assert len(explain) == len(candidate_ideal_set(t, e1, e2)) == v.stats["ideals"]
 
 
+@pytest.mark.parametrize("n, edges, c", [INDSET_FAMILIES[3], INDSET_FAMILIES[5]])
+def test_sweep_reads_each_candidate_once(monkeypatch, n, edges, c):
+    # C5-c3 and coC6-c3 are no-instances: predict classifies every candidate,
+    # and its open acquires are read once, by the sweep, whoever reads them
+    t, (e1, e2) = _indset(n, edges, c)
+    every = candidate_ideal_set(t, e1, e2)
+    reads = _calls(monkeypatch, "_open_in")
+    explain: list[str] = []
+    v = predict(t, e1, e2, algo="general", explain=explain)
+    assert not v.race and v.stats["ideals"] == len(every)
+    assert len(reads) <= v.stats["ideals"] + 1
+    # a candidate holding a lock open twice is still reported as such
+    clashing = 0
+    for x, line in zip(every, explain, strict=True):
+        if lock_open_twice(t, open_acquires_by_members(t, x.members)) is not None:
+            assert line == f"candidate ideal with {len(x)} events: infeasible_locks"
+            clashing += 1
+    assert clashing >= 100
+
+
 def test_explain_stops_at_the_witness_on_a_yes_instance():
     t, (e1, e2) = _indset(7, _cycle(7), 3)
     explain: list[str] = []

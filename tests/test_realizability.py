@@ -175,7 +175,7 @@ def test_general_matches_watcher_search_on_wide_corpus():
         for e1, e2 in scan_pairs(t):
             if t.event(e1).thread == t.event(e2).thread:
                 continue
-            for x in _candidates(t, e1, e2):
+            for x, _, _ in _candidates(t, e1, e2):
                 if x.prefix in seen:
                     continue
                 seen.add(x.prefix)
