@@ -120,8 +120,8 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     placed: dict[int, int | None] = {0: None}  # key -> the event that first reached it
     queue = deque([(0, (0,) * k, (0,) * int(used.sum()))])
     while queue:
-        code, y, pending = queue.popleft()
-        if code == goal:
+        key, y, pending = queue.popleft()
+        if key == goal:
             break
         # the new children, at most one per block, queued in event-id order
         children = []
@@ -132,27 +132,27 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
             c, delta, waits, row = steps[b][at]
             if waits and pending[c] or not all(map(lt, row, y)):
                 continue
-            code2 = code + stride[b]
-            if code2 not in placed:
-                children.append((blocks[b][at], b, code2, c, delta))
+            key2 = key + stride[b]
+            if key2 not in placed:
+                children.append((blocks[b][at], b, key2, c, delta))
         children.sort()
-        for e, b, code2, c, delta in children:
-            placed[code2] = e
+        for e, b, key2, c, delta in children:
+            placed[key2] = e
             y2 = list(y)
             y2[b] += 1
             p2 = pending[:c] + (pending[c] + delta,) + pending[c + 1 :] if delta else pending
-            queue.append((code2, tuple(y2), p2))
+            queue.append((key2, tuple(y2), p2))
 
     if stats is not None:
         stats["search_nodes"] = len(placed)
     if goal not in placed:
         return None
     out: list[int] = []
-    code = goal
-    while code:
-        e = placed[code]
+    key = goal
+    while key:
+        e = placed[key]
         out.append(e)
-        code -= stride[order.location(e)[0]]
+        key -= stride[order.location(e)[0]]
     out.reverse()
     return out
 

@@ -659,7 +659,7 @@ def test_explain_has_one_line_per_candidate_on_a_no_instance():
 @pytest.mark.parametrize("n, edges, c", [INDSET_FAMILIES[3], INDSET_FAMILIES[5]])
 def test_sweep_reads_each_candidate_once(monkeypatch, n, edges, c):
     # C5-c3 and coC6-c3 are no-instances: predict classifies every candidate,
-    # and its open acquires are read once, by the sweep, whoever reads them
+    # and reads each one's open acquires once, counting every caller
     t, (e1, e2) = _indset(n, edges, c)
     every = candidate_ideal_set(t, e1, e2)
     reads = _calls(monkeypatch, "_open_in")

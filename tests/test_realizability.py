@@ -15,6 +15,7 @@ from racepred import (
     Ideal,
     PartialOrder,
     RfPoset,
+    candidate_ideal_set,
     closure,
     communication_topology,
     compute_trf,
@@ -35,7 +36,7 @@ from racepred import (
 )
 from racepred.cli import predict, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
-from racepred.ideal_engine import _candidates, candidate_ideal_set
+from racepred.ideal_engine import _candidates
 from racepred.orders import _Guards
 from racepred.realizability import _resolve
 from racepred.trace_model import _adjacency, _conflict_edges, _forest_order, _table
@@ -212,8 +213,9 @@ def test_general_matches_watcher_search_on_indset_candidates():
             if not res:
                 continue
             got, want = {}, {}
-            w = realize_general(res.poset, stats=got)
-            assert w == realize_general_by_watchers(res.poset, stats=want)
+            assert realize_general(res.poset, stats=got) == realize_general_by_watchers(
+                res.poset, stats=want
+            )
             assert got == want
             if got["search_nodes"] <= 20_000:
                 assert len(res.poset.order.blocks) == 8
