@@ -27,6 +27,7 @@ from helpers import (
     conflicting_pairs,
     gamma_by_scan,
     trace_events,
+    traces,
     zeta_by_scan,
 )
 
@@ -320,6 +321,66 @@ def test_table_source_is_the_observation_map():
             observers += len(u.rf)
             synthesized += sum(w <= u.num_synthesized for w in u.rf.values())
     assert observers >= 400 and synthesized >= 40
+
+
+def replayed_facts(t: Trace):
+    """``(down, opens, rf, match, thread_pos)`` of a trace, recomputed from
+    its event list alone: one last writer per location and one lock stack
+    per thread, threads numbered in order of first event."""
+    threads = list(dict.fromkeys(ev.thread for ev in t.events))
+    zero = (0,) * len(threads)
+    down = [zero]
+    last = {p: zero for p in threads}
+    stacks = {p: [] for p in threads}
+    opens = {p: [()] for p in threads}
+    writer, rf, match, pos = {}, {}, {}, {}
+    for ev in t.events:
+        b = threads.index(ev.thread)
+        vec = list(last[ev.thread])
+        pos[ev.eid] = vec[b]
+        if ev.kind == "w":
+            writer[ev.loc] = ev.eid
+        elif ev.kind == "r":
+            rf[ev.eid] = writer[ev.loc]
+            vec = [max(a, c) for a, c in zip(vec, down[writer[ev.loc]])]
+        elif ev.kind == "acq":
+            stacks[ev.thread].append(ev.eid)
+        else:
+            acq = stacks[ev.thread].pop()
+            rf[ev.eid] = match[ev.eid] = acq
+            match[acq] = ev.eid
+        vec[b] += 1
+        last[ev.thread] = tuple(vec)
+        down.append(tuple(vec))
+        opens[ev.thread].append(tuple(stacks[ev.thread]))
+    return threads, down, [tuple(opens[p]) for p in threads], rf, match, pos
+
+
+def check_replayed_facts(t: Trace) -> None:
+    threads, down, opens, rf, match, pos = replayed_facts(t)
+    table = _table(t)
+    assert t.threads == tuple(threads)
+    assert table.down == down
+    assert table.opens == tuple(opens)
+    assert (t.rf, t.match, t.thread_pos) == (rf, match, pos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(traces(max_events=16, max_threads=4, max_locks=3))
+def test_table_and_derived_maps_match_a_replay_of_the_events(t):
+    check_replayed_facts(t)
+
+
+def test_table_and_derived_maps_match_a_replay_of_random_traces():
+    depth = 0
+    for s in range(40):
+        t = gen_random_trace(
+            s, n=40, k=2 + s % 3, d_globals=3, d_locks=3, read_ratio=0.4,
+            lock_ratio=0.4, nesting_max=3,
+        )
+        check_replayed_facts(t)
+        depth = max(depth, max(len(stack) for row in _table(t).opens for stack in row))
+    assert depth >= 3  # nested sections are covered, innermost last
 
 
 @settings(max_examples=60, deadline=None)
