@@ -124,7 +124,9 @@ class Trace:
     communication topology), built on first use and kept on the trace, whose
     arrays are indexed by event id: so the ids must run ``1..n`` in sequence
     order, and every kind must be one of :data:`KINDS`, else
-    :class:`TraceError`.
+    :class:`TraceError`.  One pass over the events checks them and builds
+    every map, so a sequence with several faults reports its first faulty
+    event in trace order (an unreleased acquire shows only at the end).
     """
 
     __slots__ = (
@@ -155,98 +157,69 @@ class Trace:
         #: only; synthesized events have no entry).
         self.source_lines = source_lines or {}
 
-        threads: list[str] = []
+        index: dict[str, int] = {}  # thread -> its number, in order of first event
         roles: dict[str, str] = {}  # loc -> "global" | "lock"
+        by_thread: list[list[Event]] = []
+        opened: dict[str, list[Event]] = {}  # each thread's open acquires, innermost last
+        holder: dict[str, Event] = {}  # lock -> open acquire
+        last_writer: dict[str, int] = {}
+        thread_pos: dict[int, int] = {}
+        rf: dict[int, int] = {}  # reads to their writes, releases to their acquires
+        match: dict[int, int] = {}  # acquires and releases to each other
         for eid, ev in enumerate(self.events, 1):
-            if ev.eid != eid or ev.kind not in KINDS:
+            kind, loc = ev.kind, ev.loc
+            if ev.eid != eid or kind not in KINDS:
                 raise TraceError(f"entry {eid} is {ev}: ids must run 1..n, kinds be in {KINDS}")
-            if ev.thread not in threads:
-                threads.append(ev.thread)
-            want = "global" if ev.is_global_access else "lock"
-            have = roles.setdefault(ev.loc, want)
+            b = index.setdefault(ev.thread, len(index))
+            if b == len(by_thread):
+                by_thread.append([])
+            want = "global" if kind == "w" or kind == "r" else "lock"
+            have = roles.setdefault(loc, want)
             if have != want:
                 raise TraceError(
-                    f"location {ev.loc!r} used as both a {have} and a {want} "
-                    f"(event {ev.eid})"
+                    f"location {loc!r} used as both a {have} and a {want} (event {eid})"
                 )
-        self.threads: tuple[str, ...] = tuple(threads)
-        self.thread_index = {p: i for i, p in enumerate(threads)}
-        self.globals_ = frozenset(x for x, role in roles.items() if role == "global")
-        self.locks = frozenset(x for x, role in roles.items() if role == "lock")
-
-        by_thread: list[list[Event]] = [[] for _ in threads]
-        thread_pos: dict[int, int] = {}
-        for ev in self.events:
-            lst = by_thread[self.thread_index[ev.thread]]
-            thread_pos[ev.eid] = len(lst)
-            lst.append(ev)
-        self.by_thread: tuple[tuple[Event, ...], ...] = tuple(
-            tuple(lst) for lst in by_thread
-        )
-        self.thread_pos = thread_pos
-
-        self.rf, self.match = self._replay()
-        self._ideals: _Table | None = None
-
-    # ------------------------------------------------------------------
-    # validation / derived maps
-    # ------------------------------------------------------------------
-
-    def _replay(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Replay the sequence, validating lock semantics and read totality.
-
-        Returns ``(rf, match)`` where ``rf`` maps each read to the write it
-        observes and each release to its acquire, and ``match`` maps acquires
-        and releases to each other.
-        """
-        rf: dict[int, int] = {}
-        match: dict[int, int] = {}
-        last_writer: dict[str, int] = {}
-        holder: dict[str, Event] = {}  # lock -> open acquire
-        open_by_thread: dict[str, list[Event]] = {p: [] for p in self.threads}
-
-        for ev in self.events:
-            if ev.is_write:
-                last_writer[ev.loc] = ev.eid
-            elif ev.is_read:
-                w = last_writer.get(ev.loc)
-                if w is None:
-                    raise TraceError(
-                        f"read of {ev.loc!r} (event {ev.eid}) has no earlier write"
-                    )
-                rf[ev.eid] = w
-            elif ev.is_acquire:
-                held = holder.get(ev.loc)
-                if held is not None:
+            thread_pos[eid] = len(by_thread[b])
+            by_thread[b].append(ev)
+            if kind == "w":
+                last_writer[loc] = eid
+            elif kind == "r":
+                if loc not in last_writer:
+                    raise TraceError(f"read of {loc!r} (event {eid}) has no earlier write")
+                rf[eid] = last_writer[loc]
+            elif kind == "acq":
+                held = holder.setdefault(loc, ev)
+                if held is not ev:
                     who = "itself" if held.thread == ev.thread else held.thread
                     raise TraceError(
-                        f"acquire of {ev.loc!r} (event {ev.eid}) while held by "
+                        f"acquire of {loc!r} (event {eid}) while held by "
                         f"{who} since event {held.eid}"
                     )
-                holder[ev.loc] = ev
-                open_by_thread[ev.thread].append(ev)
-            else:  # release
-                held = holder.get(ev.loc)
+                opened.setdefault(ev.thread, []).append(ev)
+            else:
+                held = holder.pop(loc, None)
                 if held is None or held.thread != ev.thread:
                     raise TraceError(
-                        f"release of {ev.loc!r} (event {ev.eid}) without a "
+                        f"release of {loc!r} (event {eid}) without a "
                         f"matching acquire in {ev.thread}"
                     )
-                if open_by_thread[ev.thread][-1] is not held:
+                if opened[ev.thread].pop() is not held:
                     raise TraceError(
-                        f"release of {ev.loc!r} (event {ev.eid}) violates lock "
+                        f"release of {loc!r} (event {eid}) violates lock "
                         f"nesting in {ev.thread}"
                     )
-                del holder[ev.loc]
-                open_by_thread[ev.thread].pop()
-                match[held.eid] = ev.eid
-                match[ev.eid] = held.eid
-                rf[ev.eid] = held.eid
-
+                rf[eid] = match[eid] = held.eid
+                match[held.eid] = eid
         if holder:
             open_ids = sorted(a.eid for a in holder.values())
             raise TraceError(f"unreleased acquires at end of trace: {open_ids}")
-        return rf, match
+        self.threads: tuple[str, ...] = tuple(index)
+        self.thread_index = index
+        self.globals_ = frozenset(x for x, role in roles.items() if role == "global")
+        self.locks = frozenset(x for x, role in roles.items() if role == "lock")
+        self.by_thread: tuple[tuple[Event, ...], ...] = tuple(map(tuple, by_thread))
+        self.thread_pos, self.rf, self.match = thread_pos, rf, match
+        self._ideals: _Table | None = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -290,26 +263,29 @@ def from_events(
     the input while synthesis is needed is an error.
     """
     raw = list(items)
-    for i, (thread, kind, loc) in enumerate(raw):
-        if not _THREAD_RE.match(thread):
-            raise TraceError(f"bad thread name {thread!r} (entry {i + 1})")
+    threads: set[str] = set()
+    names: set[str] = set()
+    needs_init: list[str] = []  # globals whose first access is a read
+    accessed: set[str] = set()
+    for i, (thread, kind, loc) in enumerate(raw, 1):
+        if thread not in threads:
+            if not _THREAD_RE.match(thread):
+                raise TraceError(f"bad thread name {thread!r} (entry {i})")
+            threads.add(thread)
         if kind not in KINDS:
-            raise TraceError(f"bad operation {kind!r} (entry {i + 1})")
-        if not _LOCATION_RE.match(loc):
-            raise TraceError(f"bad location {loc!r} (entry {i + 1})")
-
-    needs_init: list[str] = []
-    first_seen: set[str] = set()
-    for thread, kind, loc in raw:
-        if kind in ("w", "r") and loc not in first_seen:
-            first_seen.add(loc)
+            raise TraceError(f"bad operation {kind!r} (entry {i})")
+        if loc not in names:
+            if not _LOCATION_RE.match(loc):
+                raise TraceError(f"bad location {loc!r} (entry {i})")
+            names.add(loc)
+        if (kind == "w" or kind == "r") and loc not in accessed:
+            accessed.add(loc)
             if kind == "r":
                 needs_init.append(loc)
 
     synthesized: list[tuple[str, str, str]] = []
     if needs_init and synthesize_init:
-        user_threads = {thread for thread, _, _ in raw}
-        if INIT_THREAD in user_threads:
+        if INIT_THREAD in threads:
             raise TraceError(
                 f"thread {INIT_THREAD!r} is reserved for synthesized initial "
                 "writes but appears in the input"
@@ -412,49 +388,49 @@ def _table(trace: Trace) -> _Table:
     ``down[e]`` is the pointwise max of its thread predecessor's and, for a
     read, its writer's vector, with e's own slot raised by one.  A release
     observes an acquire of its own thread, which its thread predecessor
-    already covers.  ``opens`` and the channel index share one pass per
-    thread; ``source`` is ``trace.rf`` written into an array.
+    already covers.  One pass over the events, in trace order, fills
+    ``down``, ``opens``, ``ids`` and the channel index; the last entry of
+    each ``opens`` row is its thread's open-acquire stack so far, and
+    ``span`` is known beforehand from the thread lengths.  ``source`` is
+    ``trace.rf`` written into an array.
     """
     if trace._ideals is None:
-        k = len(trace.threads)
+        k, n = len(trace.threads), len(trace)
         zero = (0,) * k
-        down = [zero] * (len(trace) + 1)
+        down = [zero] * (n + 1)
         last = [zero] * k  # down of each thread's latest event so far
-        index, rf = trace.thread_index, trace.rf
-        for ev in trace.events:
-            b = index[ev.thread]
-            vec = last[b]
-            if ev.kind == "r":
-                vec = _join(vec, down[rf[ev.eid]])
-            down[ev.eid] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
-        opens = []
+        opens: list[list[tuple[int, ...]]] = [[()] for _ in range(k)]
+        ids: list[list[int]] = [[] for _ in range(k)]
         channels = tuple(sorted(trace.globals_ | trace.locks))
         number = {x: c for c, x in enumerate(channels)}
         span = max(map(len, trace.by_thread), default=0) + 2
-        chan, writes_like = [-1] * (len(trace) + 1), [False] * (len(trace) + 1)
+        chan, writes_like = [-1] * (n + 1), [False] * (n + 1)
         users, writers = [-1], [-1]
-        for b, proj in enumerate(trace.by_thread):
-            stack: tuple[int, ...] = ()
-            row = [stack]
-            for pos, ev in enumerate(proj):
-                kind = ev.kind
-                c = chan[ev.eid] = number[ev.loc]
-                users.append(key := (c * k + b) * span + pos)
-                if kind == "w" or kind == "acq":
-                    writers.append(key)
-                    writes_like[ev.eid] = True
-                    if kind == "acq":
-                        stack += (ev.eid,)
-                elif kind == "rel":
-                    stack = stack[:-1]  # the trace guarantees proper nesting
-                row.append(stack)
-            opens.append(tuple(row))
-        ids = tuple(tuple(ev.eid for ev in proj) for proj in trace.by_thread)
+        index, rf = trace.thread_index, trace.rf
+        for ev in trace.events:
+            e, b, kind = ev.eid, index[ev.thread], ev.kind
+            vec, stack = last[b], opens[b][-1]
+            c = chan[e] = number[ev.loc]
+            # vec[b] counts thread b's earlier events: e's position
+            users.append(key := (c * k + b) * span + vec[b])
+            if kind == "r":
+                vec = _join(vec, down[rf[e]])
+            elif kind == "rel":
+                stack = stack[:-1]  # the trace guarantees proper nesting
+            else:
+                writers.append(key)
+                writes_like[e] = True
+                if kind == "acq":
+                    stack += (e,)
+            down[e] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
+            opens[b].append(stack)
+            ids[b].append(e)
         channel_index = np.array(chan), np.array(writes_like), span, np.sort(users), np.sort(writers)
-        source = np.zeros(len(trace) + 1, dtype=np.int64)
+        source = np.zeros(n + 1, dtype=np.int64)
         source[list(rf)] = list(rf.values())
-        table = _Table(down, tuple(opens), ids, channels, *channel_index, source, {}, True)
-        adj = _adjacency(_conflict_edges(table, [len(row) for row in ids]))
+        rows = tuple(map(tuple, opens)), tuple(map(tuple, ids))
+        table = _Table(down, *rows, channels, *channel_index, source, {}, True)
+        adj = _adjacency(_conflict_edges(table, list(map(len, ids))))
         forest = _forest_order(adj, range(k)) is not None
         trace._ideals = table._replace(adj=adj, forest=forest)
     return trace._ideals

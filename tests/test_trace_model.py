@@ -110,6 +110,49 @@ def test_trace_rejects_ids_out_of_order_and_unknown_kinds():
     assert len(Trace([Event(1, "t1", "w", "x"), Event(2, "t2", "w", "x")])) == 2
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("t1 r x", "read of 'x' (event 1) has no earlier write"),
+        (
+            "t1 acq l\nt2 acq l\nt2 rel l\nt1 rel l",
+            "acquire of 'l' (event 2) while held by t1 since event 1",
+        ),
+        ("t1 acq l\nt1 acq l", "acquire of 'l' (event 2) while held by itself since event 1"),
+        ("t1 rel l", "release of 'l' (event 1) without a matching acquire in t1"),
+        ("t1 acq l\nt2 rel l\nt1 rel l", "release of 'l' (event 2) without a matching acquire in t2"),
+        (
+            "t1 acq l\nt1 acq m\nt1 rel l\nt1 rel m",
+            "release of 'l' (event 3) violates lock nesting in t1",
+        ),
+        ("t1 acq l\nt1 acq m", "unreleased acquires at end of trace: [1, 2]"),
+        ("t1 w a\nt1 acq a\nt1 rel a", "location 'a' used as both a global and a lock (event 2)"),
+        (
+            "t0 w y\nt1 r x",
+            "thread 't0' is reserved for synthesized initial writes but appears in the input",
+        ),
+        ("thread1 w x", "bad thread name 'thread1' (entry 1)"),
+        ("t1 write x", "bad operation 'write' (entry 1)"),
+        ("t1 w 9bad", "bad location '9bad' (entry 1)"),
+        ("t1 w", "line 1: expected '<thread> <op> <location>', got 't1 w'"),
+    ],
+)
+def test_trace_error_messages_are_pinned(text, message):
+    # one fault each; synthesis stays on except where the read must fail
+    with pytest.raises(TraceError) as err:
+        parse_trace(text, synthesize_init=text != "t1 r x")
+    assert str(err.value) == message
+
+
+def test_first_faulty_event_in_trace_order_is_reported():
+    # event 1 reads x with no earlier write, and event 2 uses x as a lock:
+    # the one pass over the events stops at event 1
+    items = [("t1", "r", "x"), ("t1", "acq", "x"), ("t1", "rel", "x")]
+    with pytest.raises(TraceError) as err:
+        from_events(items, synthesize_init=False)
+    assert str(err.value) == "read of 'x' (event 1) has no earlier write"
+
+
 def test_parse_comments_and_blank_lines():
     t = parse_trace("# header\n\nt1 w x   # trailing\n\n  \nt2 r x\n")
     assert len(t) == 2
