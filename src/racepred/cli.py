@@ -205,7 +205,9 @@ def _sweep(
 
     Each candidate comes with its open acquires and clashing lock, as
     :func:`~racepred.ideal_engine._candidates` yields them, so its
-    feasibility reads neither again.
+    feasibility reads neither again.  Only the first candidate can hold a
+    query event (the sweep's lone seed, or the tree route's one lock-cone
+    union), so only the first is tested for one.
 
     Every feasible candidate's rf-poset goes to ``backend``, whose own stats
     are folded into ``stats``: its search states or bounded branches into
@@ -213,9 +215,9 @@ def _sweep(
     ``closure_edges``.  Returns the witness, or ``None``, with the winning
     backend call's stats.
     """
-    for x, opens, clash in candidates:
+    for i, (x, opens, clash) in enumerate(candidates):
         head = f"{kind} with {len(x)} events:"
-        if e1 in x or e2 in x:
+        if not i and (e1 in x or e2 in x):
             note(f"{head} holds a query event, which cannot then be enabled")
             continue
         stats["ideals"] += 1

@@ -602,6 +602,19 @@ def test_candidate_sweep_stops_at_a_seed_holding_a_query_event(monkeypatch):
     ]
 
 
+def test_tree_route_skips_a_lock_cone_union_holding_a_query_event():
+    # the same trace on the tree route: the one lock-cone union holds w x (3)
+    t = parse_trace(
+        "t2 acq l\nt1 acq m\nt1 w x\nt2 r x\nt2 w x\nt2 rel l\nt1 rel m\n"
+    )
+    explain: list[str] = []
+    v = predict(t, 3, 5, algo="tree", explain=explain)
+    assert not v.race and v.stats["ideals"] == 0
+    assert explain == [
+        "lock-cone ideal with 4 events: holds a query event, which cannot then be enabled"
+    ]
+
+
 @pytest.mark.parametrize("n, edges, c", INDSET_FAMILIES[:3])
 def test_candidate_sweep_stops_at_the_first_witness(monkeypatch, n, edges, c):
     t, (e1, e2) = _indset(n, edges, c)
