@@ -238,6 +238,27 @@ MUTANTS = (
         "keys[keys % span <= np.asarray(prefix, dtype=np.int64)",
         ("tests/test_orders.py::test_first_above_is_the_first_writer_above",),
     ),
+    # trace check: a release that closes an outer section while an inner one
+    # is open is accepted
+    Mutant(
+        "trace-nesting-unchecked",
+        TRACE_MODEL,
+        "if opened[ev.thread].pop() is not held:",
+        "if opened[ev.thread].pop() is None:",
+        ("tests/test_trace_model.py::test_parse_rejects_badly_nested_release",),
+    ),
+    # down-set table: a release leaves its acquire on the thread's open stack
+    Mutant(
+        "table-release-keeps-open",
+        TRACE_MODEL,
+        "stack = stack[:-1]  # the trace guarantees proper nesting",
+        "stack = stack  # the trace guarantees proper nesting",
+        (
+            "tests/test_trace_model.py::test_table_and_derived_maps_match_a_replay_of_the_events",
+            "tests/test_trace_model.py"
+            "::test_table_and_derived_maps_match_a_replay_of_random_traces",
+        ),
+    ),
     # topology: a pair conflicts only when the lower thread writes
     Mutant(
         "topology-one-way",
