@@ -367,9 +367,9 @@ def test_table_source_is_the_observation_map():
 
 
 def replayed_facts(t: Trace):
-    """``(down, opens, rf, match, thread_pos)`` of a trace, recomputed from
-    its event list alone: one last writer per location and one lock stack
-    per thread, threads numbered in order of first event."""
+    """``(threads, down, opens, rf, match, thread_pos)`` of a trace,
+    recomputed from its event list alone: one last writer per location and
+    one lock stack per thread, threads numbered in order of first event."""
     threads = list(dict.fromkeys(ev.thread for ev in t.events))
     zero = (0,) * len(threads)
     down = [zero]
