@@ -37,7 +37,7 @@ from .generators import (
     parse_vectors,
     strip_isolated_nodes,
 )
-from .ideal_engine import _Candidate, _candidate, _candidates, _feasible, lcone
+from .ideal_engine import Ideal, _Candidate, _candidate, _candidates, _feasible, lcone
 from .oracle import DEFAULT_CAP, OracleCapError, oracle_witness, witness_error
 from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
@@ -165,7 +165,7 @@ def predict(
             backend = realize_general
             if distance is not None:
                 backend = partial(realize_bounded, budget=distance)
-        witness, won = _sweep(candidates, backend, e1, e2, kind, stats, note)
+        witness, won = _sweep(candidates, backend, e1, e2, kind, stats, explain)
         if witness is not None and label == "bounded":
             delta = len(won["reversals"])
 
@@ -198,7 +198,7 @@ def _check_algo(trace: Trace, algo: str, distance: int | None) -> None:
 
 def _sweep(
     candidates: Iterable[_Candidate], backend: Callable[..., list[int] | None],
-    e1: int, e2: int, kind: str, stats: dict, note: _Note,
+    e1: int, e2: int, kind: str, stats: dict, explain: list[str] | None,
 ) -> tuple[list[int] | None, dict]:
     """Realize the candidates in order; the first witness wins, and no
     candidate after it is drawn, so ``candidates`` may be lazy.
@@ -212,18 +212,23 @@ def _sweep(
     Every feasible candidate's rf-poset goes to ``backend``, whose own stats
     are folded into ``stats``: its search states or bounded branches into
     ``search_nodes``, its closure's edges (none when contradictory) into
-    ``closure_edges``.  Returns the witness, or ``None``, with the winning
-    backend call's stats.
+    ``closure_edges``.  One line per candidate goes to ``explain``, and
+    none is built when it is ``None``.  Returns the witness, or ``None``,
+    with the winning backend call's stats.
     """
+
+    def note(x: Ideal, what: str) -> None:
+        if explain is not None:
+            explain.append(f"{kind} with {len(x)} events: {what}")
+
     for i, (x, opens, clash) in enumerate(candidates):
-        head = f"{kind} with {len(x)} events:"
         if not i and (e1 in x or e2 in x):
-            note(f"{head} holds a query event, which cannot then be enabled")
+            note(x, "holds a query event, which cannot then be enabled")
             continue
         stats["ideals"] += 1
         res = _feasible(x, opens, clash)
         if not res:
-            note(f"{head} {res.status.value}")
+            note(x, res.status.value)
             continue
         local: dict = {}
         w = backend(res.poset, stats=local)
@@ -231,8 +236,9 @@ def _sweep(
         edges = local.get("closure_edges") or 0
         stats["search_nodes"] += nodes
         stats["closure_edges"] += edges
-        outcome = "no witness" if w is None else "witness found"
-        note(f"{head} {outcome}, {nodes} search nodes, {edges} closure edges")
+        if explain is not None:
+            outcome = "no witness" if w is None else "witness found"
+            note(x, f"{outcome}, {nodes} search nodes, {edges} closure edges")
         if w is not None:
             return w, local
     return None, {}

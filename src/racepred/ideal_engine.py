@@ -151,7 +151,7 @@ def open_acquires(ideal: Ideal) -> list[int]:
 
 def _open_in(table: _Table, prefix: Sequence[int]) -> list[int]:
     """Acquires an ideal leaves open, by event id, read from the table."""
-    return sorted(chain.from_iterable(table.opens[b][m] for b, m in enumerate(prefix)))
+    return sorted(chain.from_iterable(map(tuple.__getitem__, table.opens, prefix)))
 
 
 # ----------------------------------------------------------------------
@@ -239,15 +239,12 @@ class FeasibilityResult:
         return self.status is Feasibility.FEASIBLE
 
 
-def _clashing_lock(trace: Trace, opens: Iterable[int]) -> str | None:
+def _clashing_lock(trace: Trace, opens: Sequence[int]) -> str | None:
     """The first lock, in the given order, that two open acquires both hold."""
-    held: set[str] = set()
-    for eid in opens:
-        lock = trace.events[eid - 1].loc
-        if lock in held:
-            return lock
-        held.add(lock)
-    return None
+    locks = [trace.events[eid - 1].loc for eid in opens]
+    if len(set(locks)) == len(locks):
+        return None
+    return next(lock for i, lock in enumerate(locks) if lock in locks[:i])
 
 
 def feasibility(ideal: Ideal) -> FeasibilityResult:

@@ -8,11 +8,14 @@ can be completed into a real trace (a witness):
   the poset; works on any feasible ideal, exponential in the thread count
   only.  Each state carries one count per channel of the observations
   pending at it (writer placed, observer not), and a write or acquire
-  extends it only when its channel's count is zero, so a step costs O(k)
-  plus one copy of the counts, whatever the number of observations.  A
-  state is keyed by one int, its prefix counts in mixed radix, so the
-  visited test hashes an int, and a state's new children are queued in
-  event-id order.
+  extends it only when its channel's count is zero, so a step costs one
+  copy of the counts, whatever the number of observations.  Every state is
+  down-closed, so a block head is tested only against its needs: the
+  predecessors that its block's previous event does not already imply,
+  read once per universe from one vectorised mask over ``pred``.  A state
+  is keyed by one int, its prefix counts in mixed radix, so the visited
+  test hashes an int, and a state's new children are queued in event-id
+  order.
 * :func:`realize_tree` — when the poset's block conflict graph (one edge
   per pair of threads holding conflicting events) is a forest, the closure
   plus one top-down edge-resolution pass yields a witness directly, with no
@@ -47,7 +50,6 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from math import prod
-from operator import lt
 from typing import Iterable
 
 import numpy as np
@@ -78,11 +80,15 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     channel's count, and placing an observer takes one off, since the order
     puts every writer before its observers.  An event extends a state when
     all its order-predecessors are inside and, for a write or acquire, its
-    channel's count is zero, so a step costs O(k) plus one copy of the counts.
-    The step table is gathered over the universe's rows from the trace's
-    table, with no loop over events: the channel from ``chan``, renumbered
-    densely over the universe, the change from one ``bincount`` of the
-    universe's ``source`` entries, and the wait from ``writes_like``.
+    channel's count is zero.  A state is down-closed, so it holds whatever
+    the head's block predecessor needs, and the head is tested only against
+    its own needs (:func:`_needs`): the ``pred`` entries that exceed its
+    block predecessor's.  A step costs one test per need plus one copy of
+    the counts, not O(k) per head.  The step table is gathered over the
+    universe's rows from the trace's table, with no loop over events: the
+    channel from ``chan``, renumbered densely over the universe, the change
+    from one ``bincount`` of the universe's ``source`` entries, the wait
+    from ``writes_like``, and the needs from one mask over ``pred``.
 
     A state is keyed by its prefix counts read as one mixed-radix int, so a
     child's key is its parent's plus its block's stride, and the visited
@@ -98,17 +104,18 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     order = p.order
     blocks = order.blocks
     k = len(blocks)
-    rows, starts = order.pred.tolist(), order._starts
+    starts = order._starts
 
     table, ids = _table(p.trace), order._ids
     chan, source = table.chan[ids], table.source[ids]
     # per row: its channel, numbered densely over the universe; the change
     # to that channel's count, a writer's observers in the universe and -1
-    # for an observer; and whether it must wait for the count to reach zero
+    # for an observer; whether it must wait for the count to reach zero; and
+    # its needs, the predecessors its block's previous row does not imply
     used = np.bincount(chan, minlength=len(table.channels)) > 0
     delta = np.bincount(source, minlength=len(table.source))[ids] - (source > 0)
-    waits = table.writes_like[ids]
-    step = [*zip((used.cumsum() - 1)[chan].tolist(), delta.tolist(), waits.tolist(), rows)]
+    dense = (used.cumsum() - 1)[chan].tolist()
+    step = [*zip(dense, delta.tolist(), table.writes_like[ids].tolist(), _needs(order))]
     steps = [step[starts[b] : starts[b + 1]] for b in range(k)]
 
     # a state's key is its prefix counts in mixed radix: block b's stride is
@@ -129,12 +136,16 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
             at = y[b]
             if at == lengths[b]:
                 continue
-            c, delta, waits, row = steps[b][at]
-            if waits and pending[c] or not all(map(lt, row, y)):
+            c, delta, waits, need = steps[b][at]
+            if waits and pending[c]:
                 continue
-            key2 = key + stride[b]
-            if key2 not in placed:
-                children.append((blocks[b][at], b, key2, c, delta))
+            for d, q in need:
+                if y[d] <= q:
+                    break
+            else:
+                key2 = key + stride[b]
+                if key2 not in placed:
+                    children.append((blocks[b][at], b, key2, c, delta))
         children.sort()
         for e, b, key2, c, delta in children:
             placed[key2] = e
@@ -155,6 +166,25 @@ def realize_general(p: RfPoset, stats: dict | None = None) -> list[int] | None:
         key -= stride[order.location(e)[0]]
     out.reverse()
     return out
+
+
+def _needs(order: PartialOrder) -> list[tuple[tuple[int, int], ...]]:
+    """Per universe row, the ``(block, position)`` entries of its ``pred``
+    row that exceed the row above it in its block: every non-negative entry
+    for a block's first row, and never the row's own block.
+
+    A state that holds a block's previous row holds that row's predecessors
+    too, so a block head is enabled exactly when the state holds its needs.
+    """
+    pred = order.pred
+    above = np.full_like(pred, -1)
+    above[1:] = pred[:-1]
+    above[order._pos == 0] = -1  # a block's first row is compared with -1
+    need = pred > above
+    need[np.arange(order.n), order._block] = False
+    ends = need.sum(1).cumsum().tolist()
+    pairs = [*zip(need.nonzero()[1].tolist(), pred[need].tolist())]
+    return [tuple(pairs[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 # ---------------------------------------------------------------------------

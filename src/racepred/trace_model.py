@@ -50,8 +50,8 @@ __all__ = [
 INIT_THREAD = "t0"
 KINDS = ("w", "r", "acq", "rel")
 
-_THREAD_RE = re.compile(r"^t[0-9]+$")
-_LOCATION_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_THREAD_RE = re.compile(r"t[0-9]+")
+_LOCATION_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class TraceError(ValueError):
@@ -124,7 +124,9 @@ class Trace:
     communication topology), built on first use and kept on the trace, whose
     arrays are indexed by event id: so the ids must run ``1..n`` in sequence
     order, and every kind must be one of :data:`KINDS`, else
-    :class:`TraceError`.  One pass over the events checks them and builds
+    :class:`TraceError`.  Thread and location names must be those the file
+    format allows, as :func:`from_events` checks them, so that
+    :func:`serialize` gives text that :func:`parse_trace` reads back.  One pass over the events checks them and builds
     every map, so a sequence with several faults reports its first faulty
     event in trace order (an unreleased acquire shows only at the end).
     """
@@ -172,8 +174,12 @@ class Trace:
                 raise TraceError(f"entry {eid} is {ev}: ids must run 1..n, kinds be in {KINDS}")
             b = index.setdefault(ev.thread, len(index))
             if b == len(by_thread):
+                if not _THREAD_RE.fullmatch(ev.thread):
+                    raise TraceError(f"bad thread name {ev.thread!r} (event {eid})")
                 by_thread.append([])
             want = "global" if kind == "w" or kind == "r" else "lock"
+            if loc not in roles and not _LOCATION_RE.fullmatch(loc):
+                raise TraceError(f"bad location {loc!r} (event {eid})")
             have = roles.setdefault(loc, want)
             if have != want:
                 raise TraceError(
@@ -269,13 +275,13 @@ def from_events(
     accessed: set[str] = set()
     for i, (thread, kind, loc) in enumerate(raw, 1):
         if thread not in threads:
-            if not _THREAD_RE.match(thread):
+            if not _THREAD_RE.fullmatch(thread):
                 raise TraceError(f"bad thread name {thread!r} (entry {i})")
             threads.add(thread)
         if kind not in KINDS:
             raise TraceError(f"bad operation {kind!r} (entry {i})")
         if loc not in names:
-            if not _LOCATION_RE.match(loc):
+            if not _LOCATION_RE.fullmatch(loc):
                 raise TraceError(f"bad location {loc!r} (entry {i})")
             names.add(loc)
         if (kind == "w" or kind == "r") and loc not in accessed:

@@ -512,6 +512,24 @@ def realize_general_by_watchers(p: RfPoset, stats: dict | None = None) -> list[i
     on its channel, pending when the observation's writer is placed and its
     observer is not.  The same expansion order and dedupe as
     :func:`racepred.realize_general`, and the same ``search_nodes``."""
+    parents = states_by_watchers(p)
+    if stats is not None:
+        stats["search_nodes"] = len(parents)
+    state = tuple(map(len, p.order.blocks))
+    if state not in parents:
+        return None
+    out: list[int] = []
+    while parents[state] is not None:
+        state, e = parents[state]
+        out.append(e)
+    out.reverse()
+    return out
+
+
+def states_by_watchers(p: RfPoset) -> dict[tuple[int, ...], tuple[tuple[int, ...], int] | None]:
+    """Every state :func:`realize_general_by_watchers` reaches, each mapped
+    to its parent state and the event placed from it (``None`` for the empty
+    state), in discovery order."""
     order = p.order
     blocks = order.blocks
     k = len(blocks)
@@ -536,11 +554,9 @@ def realize_general_by_watchers(p: RfPoset, stats: dict | None = None) -> list[i
     goal = tuple(lengths)
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
     queue = deque([start])
-    found = False
     while queue:
         y = queue.popleft()
         if y == goal:
-            found = True
             break
         frontier = sorted((blocks[b][y[b]], b) for b in range(k) if y[b] < len(blocks[b]))
         for e, b in frontier:
@@ -553,18 +569,7 @@ def realize_general_by_watchers(p: RfPoset, stats: dict | None = None) -> list[i
                 continue
             parents[y2] = (y, e)
             queue.append(y2)
-
-    if stats is not None:
-        stats["search_nodes"] = len(parents)
-    if not found:
-        return None
-    out: list[int] = []
-    state = goal
-    while parents[state] is not None:
-        state, e = parents[state]
-        out.append(e)
-    out.reverse()
-    return out
+    return parents
 
 
 def linearize_by_scan(order: PartialOrder) -> list[int]:

@@ -58,6 +58,10 @@ ROUND_GATES = (
     "tests/test_orders.py::test_closure_rounds_match_slot_reference_on_edge_cases",
     "tests/test_orders.py::test_closure_rounds_match_slot_reference_on_ov",
 )
+NEEDS_GATES = (
+    "tests/test_realizability.py::test_needs_test_matches_pred_rows_on_wide_corpus",
+    "tests/test_realizability.py::test_general_matches_watcher_search_on_wide_corpus",
+)
 
 MUTANTS = (
     # closure round, condition 1: a writer at pred[w, b] itself counts as
@@ -187,6 +191,24 @@ MUTANTS = (
             "tests/test_realizability.py"
             "::test_general_matches_watcher_search_on_every_feasible_ideal",
         ),
+    ),
+    # general search: a block's first row needs only the entries that
+    # exceed the previous block's last row, so a head whose predecessor
+    # there is unplaced is taken as enabled
+    Mutant(
+        "needs-first-row-previous-block",
+        REALIZABILITY,
+        "above[order._pos == 0] = -1",
+        "above[order._pos < 0] = -1",
+        NEEDS_GATES,
+    ),
+    # general search: a row's needs taken against the row below it
+    Mutant(
+        "needs-row-below",
+        REALIZABILITY,
+        "above[1:] = pred[:-1]",
+        "above[:-1] = pred[1:]",
+        NEEDS_GATES,
     ),
     # candidate sweep: an ideal holding a lock open twice grown only by
     # closing the first open acquire of that lock

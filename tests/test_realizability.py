@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 from math import prod
+from operator import lt
 
 import networkx as nx
 import pytest
@@ -38,7 +39,7 @@ from racepred.cli import predict, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _candidates
 from racepred.orders import _Guards
-from racepred.realizability import _resolve
+from racepred.realizability import _needs, _resolve
 from racepred.trace_model import _adjacency, _conflict_edges, _forest_order, _table
 
 from helpers import (
@@ -51,6 +52,7 @@ from helpers import (
     resolve_by_pairs,
     reversal_pairs_by_combinations,
     shrink_cross,
+    states_by_watchers,
     traces,
     unprotected,
 )
@@ -224,6 +226,56 @@ def test_general_matches_watcher_search_on_indset_candidates():
                     break
         posets += taken
     assert posets >= 10
+
+
+def needs_test_like_pred_rows(p, tally) -> None:
+    """At every state the watcher search reaches on ``p``, each block head's
+    test against its needs equals the test of its whole ``pred`` row.  Adds
+    to ``tally`` the heads tested, those disabled, and the ``pred`` entries
+    the needs leave out."""
+    order = p.order
+    rows, needs = order.pred.tolist(), _needs(order)
+    tally["left out"] += sum(q >= 0 for row in rows for q in row) - sum(map(len, needs))
+    for y in states_by_watchers(p):
+        for b, at in enumerate(y):
+            if at == len(order.blocks[b]):
+                continue
+            r = order._starts[b] + at
+            enabled = all(map(lt, rows[r], y))
+            assert all(y[c] > q for c, q in needs[r]) == enabled, (y, b)
+            tally["heads"] += 1
+            tally["disabled"] += not enabled
+
+
+def test_needs_test_matches_pred_rows_on_wide_corpus():
+    # every feasible candidate poset of every cross-thread pair of the
+    # general watcher gate's corpus
+    tally = dict.fromkeys(("heads", "disabled", "left out"), 0)
+    for s in range(320):
+        t = gen_random_trace(
+            30_000 + s, n=10 + s % 21, k=2 + s % 4, d_globals=2 + s % 2,
+            d_locks=1 + s % 3, read_ratio=0.35, lock_ratio=0.35,
+            nesting_max=1 + s % 3,
+        )
+        seen = set()
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread == t.event(e2).thread:
+                continue
+            for x, _, _ in _candidates(t, e1, e2):
+                if x.prefix not in seen and (res := feasibility(x)):
+                    needs_test_like_pred_rows(res.poset, tally)
+                seen.add(x.prefix)
+    assert tally["heads"] >= 400_000 and tally["disabled"] >= 40_000
+    assert tally["left out"] >= 50_000, tally
+
+
+@given(traces(max_events=12))
+@settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+def test_needs_test_matches_pred_rows_on_every_feasible_ideal(trace):
+    tally = dict.fromkeys(("heads", "disabled", "left out"), 0)
+    for x, res in each_feasible_ideal(trace):
+        if res:
+            needs_test_like_pred_rows(res.poset, tally)
 
 
 def agrees_on_every_ideal(trace) -> None:

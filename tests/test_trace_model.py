@@ -111,6 +111,25 @@ def test_trace_rejects_ids_out_of_order_and_unknown_kinds():
 
 
 @pytest.mark.parametrize(
+    ("events", "message"),
+    [
+        (
+            [Event(1, "main thread", "w", "x y"), Event(2, "main thread", "r", "x y")],
+            "bad thread name 'main thread' (event 1)",
+        ),
+        ([Event(1, "t1", "w", "x"), Event(2, "t1", "w", "x y")], "bad location 'x y' (event 2)"),
+        ([Event(1, "t1", "w", "x"), Event(2, "t2\n", "r", "x")], "bad thread name 't2\\n' (event 2)"),
+        ([Event(1, "t1", "acq", "l\n"), Event(2, "t1", "rel", "l\n")], "bad location 'l\\n' (event 1)"),
+    ],
+)
+def test_trace_rejects_names_the_file_format_cannot_hold(events, message):
+    # serialize would write them as text that parse_trace rejects
+    with pytest.raises(TraceError) as err:
+        Trace(events)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     ("text", "message"),
     [
         ("t1 r x", "read of 'x' (event 1) has no earlier write"),
