@@ -124,11 +124,13 @@ class Trace:
     communication topology), built on first use and kept on the trace, whose
     arrays are indexed by event id: so the ids must run ``1..n`` in sequence
     order, and every kind must be one of :data:`KINDS`, else
-    :class:`TraceError`.  Thread and location names must be those the file
-    format allows, as :func:`from_events` checks them, so that
-    :func:`serialize` gives text that :func:`parse_trace` reads back.  One pass over the events checks them and builds
-    every map, so a sequence with several faults reports its first faulty
-    event in trace order (an unreleased acquire shows only at the end).
+    :class:`TraceError`.  Every thread and location name must be one the
+    file format allows, as :func:`from_events` requires, else
+    :class:`TraceError`, so that :func:`serialize` writes text that
+    :func:`parse_trace` reads back.  One pass over the
+    events checks them and builds every map, testing each name once, so a
+    sequence with several faults reports its first faulty event in trace
+    order (an unreleased acquire shows only at the end).
     """
 
     __slots__ = (

@@ -1,6 +1,7 @@
 """Witness-search backends: general, tree, and distance-bounded."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import prod
 from operator import lt
@@ -250,7 +251,7 @@ def needs_test_like_pred_rows(p, tally) -> None:
 def test_needs_test_matches_pred_rows_on_wide_corpus():
     # every feasible candidate poset of every cross-thread pair of the
     # general watcher gate's corpus
-    tally = dict.fromkeys(("heads", "disabled", "left out"), 0)
+    tally = Counter()
     for s in range(320):
         t = gen_random_trace(
             30_000 + s, n=10 + s % 21, k=2 + s % 4, d_globals=2 + s % 2,
@@ -272,10 +273,9 @@ def test_needs_test_matches_pred_rows_on_wide_corpus():
 @given(traces(max_events=12))
 @settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow])
 def test_needs_test_matches_pred_rows_on_every_feasible_ideal(trace):
-    tally = dict.fromkeys(("heads", "disabled", "left out"), 0)
     for x, res in each_feasible_ideal(trace):
         if res:
-            needs_test_like_pred_rows(res.poset, tally)
+            needs_test_like_pred_rows(res.poset, Counter())
 
 
 def agrees_on_every_ideal(trace) -> None:
