@@ -180,6 +180,12 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     below its parent's frontier, then whole critical sections whose acquire
     conflicts with one still open in the parent, until none remain.  Raises
     :class:`TraceError` if the grown prefixes are not an ideal.
+
+    Every other thread the tree reaches is exactly one child in the forest
+    order, which lists a parent before its children, so when a thread's
+    turn comes its prefix is still 0 and its parent's is final: the prefix
+    is set, not maxed, from the ``down`` row of the parent's last event.
+    Closing the earliest clashing acquire closes those nested in it too.
     """
     root = trace.event(eid).thread
     top = trace.thread_index[root]
@@ -189,25 +195,12 @@ def lcone(trace: Trace, eid: int) -> Ideal:
         raise TraceError(f"communication topology around {root} is not a tree")
     prefix = [0] * len(trace.threads)
     prefix[top] = trace.thread_pos[eid]
-
-    def open_locks(b: int) -> dict[str, int]:
-        """lock -> acquire id for open criticals in thread b's prefix."""
-        return {trace.events[a - 1].loc: a for a in table.opens[b][prefix[b]]}
-
     for b1, b2 in order:
-        # pull everything ordered below the parent's last event
-        if prefix[b2] > 0:
-            e2 = table.ids[b2][prefix[b2] - 1]
-            prefix[b1] = max(prefix[b1], table.down[e2][b1])
-        # close child criticals conflicting with open parent criticals
-        parent_open = open_locks(b2).keys()
-        while True:
-            mine = open_locks(b1)
-            clashing = sorted(mine[l] for l in mine.keys() & parent_open)
-            if not clashing:
-                break
-            rel = trace.match[clashing[0]]
-            prefix[b1] = max(prefix[b1], trace.thread_pos[rel] + 1)
+        m = prefix[b2]
+        prefix[b1] = table.down[table.ids[b2][m - 1] if m else 0][b1]
+        held = {trace.events[a - 1].loc for a in table.opens[b2][m]}  # the parent's open locks
+        while clash := [a for a in table.opens[b1][prefix[b1]] if trace.events[a - 1].loc in held]:
+            prefix[b1] = trace.thread_pos[trace.match[min(clash)]] + 1
 
     if not _is_closed(table, prefix):
         raise TraceError(f"the lock causal cone of event {eid} is not a trace ideal")

@@ -324,6 +324,11 @@ def realize_bounded(
     writer; one from a writer flips, one from an observer flips the writer
     under the observer's source.
 
+    No flip is already in the node's order, so each branch adds an edge.  A
+    replay edge u -> v joins writers the order leaves unordered, so v < u is
+    absent.  A condition-2 edge r -> w' takes w' from the writers that are
+    above r's source w or not below it, so w' < w is absent as well.
+
     Raises :class:`ValueError` on a negative budget.
     """
     if budget < 0:
@@ -342,8 +347,6 @@ def realize_bounded(
             # an observer's edge flips its source; a writer is no key of rf
             flips = dict.fromkeys((e2, trace.rf.get(e1, e1)) for e1, e2 in exc.cross)
             for flip in flips:
-                if q.ordered(*flip):
-                    continue  # flip already present; this cycle would recur
                 q2 = q.copy()
                 try:
                     q2.add_edge(*flip)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from operator import gt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -592,30 +593,30 @@ def _lock_dependence_factor(trace: Trace) -> int:
     not ordered before ``acq2`` but is ordered before ``acq2``'s release,
     while the two releases stay unordered — i.e. the first critical section
     feeds into the middle of the second.  Ordering here is the
-    thread-reads-from order, read from the down-set table.
+    thread-reads-from order, read from the down-set table: the acquires of
+    thread b with an edge into ``acq2`` are those at the positions
+    ``[down[acq2][b], down[rel2][b])``, one range of b's acquires cut by
+    counting them in b's prefixes, each kept when its own release sits at or
+    past ``down[rel2][b]``.  An acquire lies below its own range, so it has
+    no self-loop, and a trace without acquires scores 0.
     """
-    acquires = [ev.eid for ev in trace.events if ev.is_acquire]
-    if not acquires:
-        return 0
-    down = _table(trace).down
-    index, pos = trace.thread_index, trace.thread_pos
-
-    def before(u: int, v: int) -> bool:
-        """u is strictly before v: a distinct member of v's downward closure."""
-        return u != v and pos[u] < down[v][index[trace.events[u - 1].thread]]
-
-    radj: dict[int, list[int]] = {a: [] for a in acquires}
-    for a1 in acquires:
-        r1 = trace.match[a1]
-        for a2 in acquires:
-            if a1 == a2:
-                continue
-            r2 = trace.match[a2]
-            if not before(a1, a2) and before(a1, r2) and not before(r1, r2):
-                radj[a2].append(a1)
+    table = _table(trace)
+    down, match, pos = table.down, trace.match, trace.thread_pos
+    acquires = [[e for e in row if trace.events[e - 1].kind == "acq"] for row in table.ids]
+    # cut[b][m]: how many of thread b's acquires lie in its first m events
+    cut = [[0, *accumulate(trace.events[e - 1].kind == "acq" for e in row)] for row in table.ids]
+    radj: dict[int, list[int]] = {}
+    for a2 in chain.from_iterable(acquires):
+        hi = down[match[a2]]
+        radj[a2] = [
+            a1
+            for b, row in enumerate(acquires)
+            for a1 in row[cut[b][down[a2][b]] : cut[b][hi[b]]]
+            if pos[match[a1]] >= hi[b]
+        ]
 
     best = 0
-    for target in acquires:
+    for target in radj:
         # reverse reachability: walk predecessors of target
         seen = {target}
         stack = [target]

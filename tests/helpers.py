@@ -365,6 +365,38 @@ def cone_by_members(trace: Trace, events) -> frozenset[int]:
     return frozenset(down_close(trace, seeds))
 
 
+def lcone_by_members(
+    trace: Trace, eid: int, close_clashes: bool = True
+) -> frozenset[int] | None:
+    """The lock causal cone of an event recomputed as a member set, or
+    ``None`` when the grown set is no ideal.
+
+    Walks the communication topology breadth-first from the event's thread
+    (networkx, by thread name).  The event's thread keeps its predecessors.
+    Each thread reached then keeps its events in the closure of its parent's
+    last kept event, and, while one of its open acquires is on a lock an
+    open acquire of the parent holds, every event up to the release of the
+    earliest such acquire; ``close_clashes=False`` skips that step.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(trace.threads)
+    g.add_edges_from(racepred.communication_topology(trace))
+    root = trace.event(eid).thread
+    kept = {root: [ev.eid for ev in trace.projection(root)[: trace.thread_pos[eid]]]}
+    for parent, child in nx.bfs_edges(g, root):
+        below = down_close(trace, kept[parent][-1:])
+        proj = [ev.eid for ev in trace.projection(child)]
+        mine = [e for e in proj if e in below]
+        held = {trace.event(a).loc for a in open_acquires_by_members(trace, kept[parent])}
+        while close_clashes and (
+            clash := [a for a in open_acquires_by_members(trace, mine) if trace.event(a).loc in held]
+        ):
+            mine = proj[: proj.index(trace.match[clash[0]]) + 1]
+        kept[child] = mine
+    members = frozenset(itertools.chain.from_iterable(kept.values()))
+    return members if down_close(trace, members) == members else None
+
+
 def open_acquires_by_members(trace: Trace, members) -> list[int]:
     """Acquires in the set whose matching release is outside, by event id."""
     return sorted(

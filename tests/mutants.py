@@ -5,8 +5,9 @@ names the tests that must then fail.  Run the list from the repository root:
 
     python tests/mutants.py
 
-The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory outside the checkout.  It first runs every named test there on the
+The runner copies ``src/``, ``tests/``, ``perfbench/`` (whose workloads the
+verdict gate decides) and ``pyproject.toml`` to a temporary directory outside
+the checkout.  It first runs every named test there on the
 unchanged code, which must pass, and then applies one mutant at a time and
 runs its tests with ``pytest -x``.  A mutant is killed when a test fails.
 Each run is its own process group, with a wall-clock timeout and an
@@ -51,6 +52,7 @@ class Mutant:
 
 
 IDEAL_ENGINE = "src/racepred/ideal_engine.py"
+ORACLE = "src/racepred/oracle.py"
 ORDERS = "src/racepred/orders.py"
 REALIZABILITY = "src/racepred/realizability.py"
 TRACE_MODEL = "src/racepred/trace_model.py"
@@ -62,6 +64,11 @@ NEEDS_GATES = (
     "tests/test_realizability.py::test_needs_test_matches_pred_rows_on_wide_corpus",
     "tests/test_realizability.py::test_general_matches_watcher_search_on_wide_corpus",
 )
+ZETA_GATES = (
+    "tests/test_trace_model.py::test_zeta_counts_a_section_released_right_past_the_range",
+    "tests/test_trace_model.py::test_zeta_matches_scan_on_seeded_corpus",
+)
+LCONE_CORPUS = "tests/test_ideal_engine.py::test_lcone_matches_member_replay_on_seeded_forest_corpus"
 
 MUTANTS = (
     # closure round, condition 1: a writer at pred[w, b] itself counts as
@@ -281,6 +288,52 @@ MUTANTS = (
             "::test_table_and_derived_maps_match_a_replay_of_random_traces",
         ),
     ),
+    # lock-dependence factor: a section whose release is the first event of
+    # its thread past the range is taken as released before acq2's release
+    Mutant(
+        "zeta-release-strict",
+        TRACE_MODEL,
+        "if pos[match[a1]] >= hi[b]",
+        "if pos[match[a1]] > hi[b]",
+        ZETA_GATES,
+    ),
+    # lock cone: a parent holding one event passes nothing below it on
+    Mutant(
+        "lcone-frontier-first-event",
+        IDEAL_ENGINE,
+        "prefix[b1] = table.down[table.ids[b2][m - 1] if m else 0][b1]",
+        "prefix[b1] = table.down[table.ids[b2][m - 1] if m > 1 else 0][b1]",
+        ("tests/test_ideal_engine.py::test_lcone_spec_steps", LCONE_CORPUS),
+    ),
+    # lock cone: the parent's open locks read at its empty prefix, so no
+    # clashing child section is closed
+    Mutant(
+        "lcone-parent-locks-unread",
+        IDEAL_ENGINE,
+        "held = {trace.events[a - 1].loc for a in table.opens[b2][m]}",
+        "held = {trace.events[a - 1].loc for a in table.opens[b2][0]}",
+        ("tests/test_ideal_engine.py::test_lcone_closes_clashing_parent_sections", LCONE_CORPUS),
+    ),
+    # witness check: a read may observe another writer than in the trace
+    Mutant(
+        "witness-rf-unchecked",
+        ORACLE,
+        "if last_writer.get(ev.loc) != trace.rf[ev.eid]:",
+        "if False:",
+        ("tests/test_oracle.py::test_verify_rejects_changed_rf",),
+    ),
+    # bounded search: a witness at exactly the budget is refused, which
+    # flips the race bits of the benchmark's zero-budget queries
+    Mutant(
+        "bounded-budget-strict",
+        REALIZABILITY,
+        "return (w, flips) if len(flips) <= budget else None",
+        "return (w, flips) if len(flips) < budget else None",
+        (
+            "tests/test_verdict_gate.py"
+            "::test_workload_verdicts_are_correct_and_match_the_pinned_race_bits",
+        ),
+    ),
     # topology: a pair conflicts only when the lower thread writes
     Mutant(
         "topology-one-way",
@@ -339,8 +392,8 @@ def _pytest(copy: Path, tests: tuple[str, ...]) -> tuple[str, str, float]:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="racepred-mutants-") as tmp:
         copy = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for name in ("src", "tests"):
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", "out")
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, copy / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy)
 

@@ -358,6 +358,32 @@ def test_predict_usage_errors_exit_2(tmp_path, capsys, text, argv_tail):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        # a sidecar comment whose ids are not integers
+        (["predict"], TWO_WRITES + "# query 1 x\n", "malformed query comment: '# query 1 x'"),
+        (["predict", "--by-line"], TWO_WRITES, "--by-line needs explicit --e1 and --e2 line numbers"),
+        (["gen", "random", "--read-ratio", "2"], None, "ratios must lie in [0, 1]"),
+        (["gen", "random", "--k", "0"], None, "need at least one thread"),
+    ],
+)
+def test_error_paths_exit_2_with_one_message_line(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        argv = argv + ["--trace", write_trace(tmp_path, text)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_library_rejects_an_unknown_algorithm():
+    # the command line's choices never let this name through
+    message = "unknown algorithm 'nope'; pick one of auto, general, tree, bounded, bruteforce"
+    with pytest.raises(CliError) as exc:
+        predict(parse_trace(TWO_WRITES), 1, 2, algo="nope")
+    assert str(exc.value) == message
+
+
 def test_parse_failure_exits_2(tmp_path, capsys):
     path = write_trace(tmp_path, "t1 w\n")
     code, _, err = run_cli(["predict", "--trace", path, "--e1", "1", "--e2", "2"], capsys)

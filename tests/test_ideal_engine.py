@@ -40,6 +40,7 @@ from helpers import (
     cone_by_members,
     down_close,
     full_candidate_set_by_members,
+    lcone_by_members,
     lock_handoff_traces,
     lock_open_twice,
     open_acquires_by_members,
@@ -299,6 +300,39 @@ def test_lcone_closes_clashing_parent_sections():
     x = lcone(t, 6)  # w y, while t1 still holds l
     assert x.members == {1, 2, 3, 4, 5}
     assert feasibility(x).status is not Feasibility.INFEASIBLE_LOCKS
+
+
+def test_lcone_matches_member_replay_on_seeded_forest_corpus():
+    # seeded forest traces, each cone checked against a replay of the spec
+    # on member sets; the floors keep parents' open sections and grown
+    # children in the corpus
+    rng = random.Random(31)
+    forests = cones = clashed = 0
+    for seed in range(600):
+        t = gen_random_trace(
+            seed,
+            n=rng.randint(8, 40),
+            k=rng.randint(2, 5),
+            d_globals=rng.randint(1, 3),
+            d_locks=rng.randint(1, 3),
+            read_ratio=rng.random(),
+            lock_ratio=rng.uniform(0.3, 0.9),
+            nesting_max=rng.randint(1, 3),
+        )
+        if not _table(t).forest:
+            continue
+        forests += 1
+        for ev in t:
+            want = lcone_by_members(t, ev.eid)
+            try:
+                got = lcone(t, ev.eid)
+            except TraceError:
+                got = None
+            assert want == (None if got is None else got.members), (seed, ev.eid)
+            cones += 1
+            # the cone closes a section that the frontiers alone leave open
+            clashed += want is not None and want != lcone_by_members(t, ev.eid, False)
+    assert forests >= 180 and cones >= 4000 and clashed >= 70, (forests, cones, clashed)
 
 
 @given(traces(max_events=12))

@@ -479,6 +479,35 @@ def test_gamma_zeta_match_independent_scan(items):
     assert p.zeta == zeta_by_scan(t)
 
 
+def test_zeta_counts_a_section_released_right_past_the_range():
+    # t1's section is before t2's release only through its write, and t1's
+    # release is the first t1 event not below t2's release: the edge stands
+    t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 acq m\nt2 r x\nt2 rel m")
+    assert trace_params(t).zeta == zeta_by_scan(t) == 2
+
+
+def test_zeta_matches_scan_on_seeded_corpus():
+    # traces past the hypothesis test's 12 events, where chains of
+    # dependences run through several threads and nested sections
+    rng = np.random.default_rng(31)
+    deep = 0
+    for seed in range(300):
+        t = gen_random_trace(
+            seed,
+            n=int(rng.integers(20, 61)),
+            k=int(rng.integers(2, 7)),
+            d_globals=int(rng.integers(1, 4)),
+            d_locks=int(rng.integers(1, 5)),
+            read_ratio=float(rng.random()),
+            lock_ratio=float(rng.uniform(0.2, 0.8)),
+            nesting_max=int(rng.integers(1, 4)),
+        )
+        zeta = trace_params(t).zeta
+        assert zeta == zeta_by_scan(t), seed
+        deep += zeta > 1
+    assert deep >= 80  # the corpus must exercise the dependence edges
+
+
 # ----------------------------------------------------------------------
 # pair isolation
 # ----------------------------------------------------------------------
