@@ -178,14 +178,31 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     Grows per-thread prefixes top-down from the event's thread: first the
     event's own thread predecessors, then for each thread everything ordered
     below its parent's frontier, then whole critical sections whose acquire
-    conflicts with one still open in the parent, until none remain.  Raises
-    :class:`TraceError` if the grown prefixes are not an ideal.
+    conflicts with one still open in the parent, until none remain.
 
     Every other thread the tree reaches is exactly one child in the forest
     order, which lists a parent before its children, so when a thread's
     turn comes its prefix is still 0 and its parent's is final: the prefix
     is set, not maxed, from the ``down`` row of the parent's last event.
     Closing the earliest clashing acquire closes those nested in it too.
+
+    The grown prefixes always form an ideal, so nothing checks it here.
+    Prefixes keep thread order, and a release observes an acquire of its
+    own thread.  A read and the write it observes conflict, so when they
+    lie in two threads, those threads share a tree edge.  So it suffices
+    that on each edge, from parent p to child c, a read in one prefix that
+    observes a write of the other thread finds it in that thread's prefix.
+    Reads in p: c's prefix starts at the ``down`` row of p's last event,
+    which holds their writers.  Reads in that first part of c: they lie
+    below p's last event, and so do their writers.  Reads past it, up to
+    the release r_c of a clashing acquire a_c: a_c is in the first part, so
+    it precedes p's last event and with it the release of p's open acquire
+    a_p on the same lock.  Two sections on one lock do not overlap, so r_c
+    precedes a_p, and so does a writer in p of a read before r_c; a_p is in
+    p's prefix.  After the first clash, the acquires left open enclose a_c,
+    so a later clash is on the first part as well.
+    :func:`~racepred.orders.compute_trf` still rejects a prefix that is not
+    an ideal on every path from an ideal to a backend.
     """
     root = trace.event(eid).thread
     top = trace.thread_index[root]
@@ -201,9 +218,6 @@ def lcone(trace: Trace, eid: int) -> Ideal:
         held = {trace.events[a - 1].loc for a in table.opens[b2][m]}  # the parent's open locks
         while clash := [a for a in table.opens[b1][prefix[b1]] if trace.events[a - 1].loc in held]:
             prefix[b1] = trace.thread_pos[trace.match[min(clash)]] + 1
-
-    if not _is_closed(table, prefix):
-        raise TraceError(f"the lock causal cone of event {eid} is not a trace ideal")
     return Ideal(trace, tuple(prefix))
 
 

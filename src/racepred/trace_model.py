@@ -124,14 +124,16 @@ class Trace:
     :func:`_table` (the one stored form of the TRF, the channel index and the
     communication topology), built on first use and kept on the trace, whose
     arrays are indexed by event id: so the ids must run ``1..n`` in sequence
-    order, and every kind must be one of :data:`KINDS`, else
-    :class:`TraceError`.  Every thread and location name must be one the
-    file format allows, as :func:`from_events` requires, else
-    :class:`TraceError`, so that :func:`serialize` writes text that
-    :func:`parse_trace` reads back.  One pass over the
-    events checks them and builds every map, testing each name once, so a
-    sequence with several faults reports its first faulty event in trace
-    order (an unreleased acquire shows only at the end).
+    order, else :class:`TraceError`.  It is the one checker of trace input,
+    parsed or built: every kind must be one of :data:`KINDS`, and every
+    thread and location name one the file format allows, so that
+    :func:`serialize` writes text that :func:`parse_trace` reads back; each
+    location keeps one role, every read follows a write, and locks are held
+    by one thread at a time and released innermost first.  One pass over
+    the events checks them and builds every map, testing each name once, so
+    a sequence with several faults reports its first faulty event in trace
+    order, and every fault names its event id (an unreleased acquire shows
+    only at the end).
     """
 
     __slots__ = (
@@ -173,8 +175,10 @@ class Trace:
         match: dict[int, int] = {}  # acquires and releases to each other
         for eid, ev in enumerate(self.events, 1):
             kind, loc = ev.kind, ev.loc
-            if ev.eid != eid or kind not in KINDS:
-                raise TraceError(f"entry {eid} is {ev}: ids must run 1..n, kinds be in {KINDS}")
+            if ev.eid != eid:
+                raise TraceError(f"event {eid} has id {ev.eid}: ids must run 1..n in order")
+            if kind not in KINDS:
+                raise TraceError(f"bad operation {kind!r} (event {eid})")
             b = index.setdefault(ev.thread, len(index))
             if b == len(by_thread):
                 if not _THREAD_RE.fullmatch(ev.thread):
@@ -264,53 +268,40 @@ def from_events(
     synthesize_init: bool = True,
     source_lines: Sequence[int] | None = None,
 ) -> Trace:
-    """Build a validated trace from ``(thread, kind, loc)`` triples.
+    """Build a trace from ``(thread, kind, loc)`` triples, numbering them
+    from 1; :class:`Trace` checks the events.
 
     With ``synthesize_init`` (the default), a write on thread ``t0`` is
-    prepended for every global whose first access is a read; otherwise such a
-    read is an error.  ``t0`` is reserved for this purpose: supplying it in
-    the input while synthesis is needed is an error.
+    prepended for every global whose first access is a read, in the order of
+    those reads; otherwise such a read is an error.  ``t0`` is reserved for
+    this purpose: supplying it in the input while synthesis is needed is an
+    error.  The synthesized writes come first and carry the global's name,
+    so a bad name read first is reported on its write: ``t1 w a`` then
+    ``t1 r 9x`` fails with ``bad location '9x' (event 1)``.
     """
-    raw = list(items)
-    threads: set[str] = set()
-    names: set[str] = set()
-    needs_init: list[str] = []  # globals whose first access is a read
-    accessed: set[str] = set()
-    for i, (thread, kind, loc) in enumerate(raw, 1):
-        if thread not in threads:
-            if not _THREAD_RE.fullmatch(thread):
-                raise TraceError(f"bad thread name {thread!r} (entry {i})")
-            threads.add(thread)
-        if kind not in KINDS:
-            raise TraceError(f"bad operation {kind!r} (entry {i})")
-        if loc not in names:
-            if not _LOCATION_RE.fullmatch(loc):
-                raise TraceError(f"bad location {loc!r} (entry {i})")
-            names.add(loc)
-        if (kind == "w" or kind == "r") and loc not in accessed:
-            accessed.add(loc)
-            if kind == "r":
-                needs_init.append(loc)
-
     synthesized: list[tuple[str, str, str]] = []
-    if needs_init and synthesize_init:
-        if INIT_THREAD in threads:
+    if synthesize_init:
+        items = list(items)
+        accessed: set[str] = set()
+        for _, kind, loc in items:
+            if (kind == "w" or kind == "r") and loc not in accessed:
+                accessed.add(loc)
+                if kind == "r":
+                    synthesized.append((INIT_THREAD, "w", loc))
+        if synthesized and any(thread == INIT_THREAD for thread, _, _ in items):
             raise TraceError(
                 f"thread {INIT_THREAD!r} is reserved for synthesized initial "
                 "writes but appears in the input"
             )
-        synthesized = [(INIT_THREAD, "w", loc) for loc in needs_init]
-
     events = [
-        Event(i + 1, thread, kind, loc)
-        for i, (thread, kind, loc) in enumerate(synthesized + raw)
+        Event(eid, thread, kind, loc)
+        for eid, (thread, kind, loc) in enumerate(chain(synthesized, items), 1)
     ]
     lines: dict[int, int] = {}
     if source_lines is not None:
-        if len(source_lines) != len(raw):
+        if len(source_lines) != len(events) - len(synthesized):
             raise ValueError("source_lines must align with the input items")
-        offset = len(synthesized)
-        lines = {offset + i + 1: ln for i, ln in enumerate(source_lines)}
+        lines = dict(enumerate(source_lines, len(synthesized) + 1))
     return Trace(events, num_synthesized=len(synthesized), source_lines=lines)
 
 

@@ -276,6 +276,26 @@ MUTANTS = (
         "if opened[ev.thread].pop() is None:",
         ("tests/test_trace_model.py::test_parse_rejects_badly_nested_release",),
     ),
+    # trace check: an unknown kind is let through, and replays as a release
+    Mutant(
+        "trace-kind-unchecked",
+        TRACE_MODEL,
+        "if kind not in KINDS:",
+        "if False:",
+        (
+            "tests/test_trace_model.py::test_trace_rejects_ids_out_of_order_and_unknown_kinds",
+            "tests/test_trace_model.py::test_trace_error_messages_are_pinned",
+        ),
+    ),
+    # trace check: a location name is accepted when only its start is an
+    # identifier
+    Mutant(
+        "trace-location-prefix-match",
+        TRACE_MODEL,
+        "_LOCATION_RE.fullmatch(loc)",
+        "_LOCATION_RE.match(loc)",
+        ("tests/test_trace_model.py::test_trace_rejects_names_the_file_format_cannot_hold",),
+    ),
     # down-set table: a release leaves its acquire on the thread's open stack
     Mutant(
         "table-release-keeps-open",

@@ -331,31 +331,58 @@ def test_every_route_reports_one_stats_shape_and_explain_shape():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text,argv_tail",
-    [
-        (TWO_WRITES, ["--e1", "1", "--e2", "2", "--algo", "bounded"]),  # no budget
-        (TWO_WRITES, ["--e1", "1", "--e2", "2", "--distance", "1"]),  # budget w/o bounded
-        (TWO_WRITES, ["--e1", "1", "--e2", "2", "--algo", "bounded", "--distance", "-1"]),
-        (LOCK_PROTECTED, ["--e1", "1", "--e2", "2"]),  # acquire is not a global access
-        ("t1 w x\nt2 w y\n", ["--e1", "1", "--e2", "2"]),  # different locations
-        (TWO_WRITES, ["--e1", "1", "--e2", "9"]),  # out of range
-        (TWO_WRITES, []),  # no query and no sidecar
-        (TWO_WRITES, ["--e1", "1", "--e2", "7", "--by-line"]),  # no event on line 7
-        (TRIANGLE, ["--e1", "1", "--e2", "2", "--algo", "tree"]),  # cyclic topology
-        # one query id must not fall back to the sidecar's pair
-        (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e1", "3"]),
-        (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e2", "3"]),
-        # a same-thread pair on a cyclic topology
-        (LOCK_CYCLE_SAME_THREAD, ["--e1", "13", "--e2", "14", "--algo", "tree"]),
-    ],
+NOT_A_FOREST = (
+    "the tree backend needs a forest communication topology; "
+    "this trace has a cycle (use --algo general or auto)"
 )
-def test_predict_usage_errors_exit_2(tmp_path, capsys, text, argv_tail):
+USAGE_ERRORS = [
+    (
+        TWO_WRITES,
+        ["--e1", "1", "--e2", "2", "--algo", "bounded"],
+        "--algo bounded needs a reversal budget: pass --distance L",
+    ),
+    (
+        TWO_WRITES,
+        ["--e1", "1", "--e2", "2", "--distance", "1"],
+        "--distance only applies to --algo bounded",
+    ),
+    (
+        TWO_WRITES,
+        ["--e1", "1", "--e2", "2", "--algo", "bounded", "--distance", "-1"],
+        "--distance must be non-negative",
+    ),
+    # an acquire is not a global access
+    (LOCK_PROTECTED, ["--e1", "1", "--e2", "2"], "events 1 and 2 are not both global reads/writes"),
+    ("t1 w x\nt2 w y\n", ["--e1", "1", "--e2", "2"], "events 1 and 2 do not conflict"),
+    (TWO_WRITES, ["--e1", "1", "--e2", "9"], "event id 9 out of range 1..2"),
+    (
+        TWO_WRITES,
+        [],
+        "no query given: pass --e1 and --e2, or use a trace with a '# query <id1> <id2>' comment",
+    ),
+    (TWO_WRITES, ["--e1", "1", "--e2", "7", "--by-line"], "no trace event on line 7 of {path}"),
+    (TRIANGLE, ["--e1", "1", "--e2", "2", "--algo", "tree"], NOT_A_FOREST),
+    # one query id must not fall back to the sidecar's pair
+    (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e1", "3"], "pass both --e1 and --e2"),
+    (TWO_WRITES + "t1 w x\n# query 1 2\n", ["--e2", "3"], "pass both --e1 and --e2"),
+    # a same-thread pair on a cyclic topology
+    (LOCK_CYCLE_SAME_THREAD, ["--e1", "13", "--e2", "14", "--algo", "tree"], NOT_A_FOREST),
+]
+
+
+@pytest.mark.parametrize(
+    "text,argv_tail,message",
+    USAGE_ERRORS,
+    # a case is named by its trace and its place in the list, not its message
+    ids=[f"{text}-argv_tail{i}" for i, (text, _, _) in enumerate(USAGE_ERRORS)],
+)
+def test_predict_usage_errors_exit_2(tmp_path, capsys, text, argv_tail, message):
+    # the whole line is pinned: a crash would print "error: internal failure: ..."
     path = write_trace(tmp_path, text)
     code, out, err = run_cli(["predict", "--trace", path] + argv_tail, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from racepred import (
     Trace,
@@ -150,9 +150,9 @@ def test_trace_rejects_names_the_file_format_cannot_hold(events, message):
             "t0 w y\nt1 r x",
             "thread 't0' is reserved for synthesized initial writes but appears in the input",
         ),
-        ("thread1 w x", "bad thread name 'thread1' (entry 1)"),
-        ("t1 write x", "bad operation 'write' (entry 1)"),
-        ("t1 w 9bad", "bad location '9bad' (entry 1)"),
+        ("thread1 w x", "bad thread name 'thread1' (event 1)"),
+        ("t1 write x", "bad operation 'write' (event 1)"),
+        ("t1 w 9bad", "bad location '9bad' (event 1)"),
         ("t1 w", "line 1: expected '<thread> <op> <location>', got 't1 w'"),
     ],
 )
@@ -163,13 +163,33 @@ def test_trace_error_messages_are_pinned(text, message):
     assert str(err.value) == message
 
 
-def test_first_faulty_event_in_trace_order_is_reported():
-    # event 1 reads x with no earlier write, and event 2 uses x as a lock:
-    # the one pass over the events stops at event 1
-    items = [("t1", "r", "x"), ("t1", "acq", "x"), ("t1", "rel", "x")]
+@pytest.mark.parametrize(
+    ("text", "synthesize_init", "message"),
+    [
+        # event 1 reads x with no earlier write, and event 2 uses x as a lock
+        ("t1 r x\nt1 acq x\nt1 rel x", False, "read of 'x' (event 1) has no earlier write"),
+        # a semantic fault before a bad name or kind
+        ("t1 rel l\nbad w x", True, "release of 'l' (event 1) without a matching acquire in t1"),
+        ("t1 rel l\nt1 write x", True, "release of 'l' (event 1) without a matching acquire in t1"),
+        (
+            "t1 acq l\nt1 acq l\nt1 w 9x",
+            True,
+            "acquire of 'l' (event 2) while held by itself since event 1",
+        ),
+        (
+            "t1 w a\nt1 acq a\nt1 rel a\nt1 read a",
+            True,
+            "location 'a' used as both a global and a lock (event 2)",
+        ),
+        # the synthesized write of 9x, read first, is event 1
+        ("t1 w a\nt1 r 9x", True, "bad location '9x' (event 1)"),
+    ],
+)
+def test_first_faulty_event_in_trace_order_is_reported(text, synthesize_init, message):
+    # one pass over the events checks them all and stops at the first fault
     with pytest.raises(TraceError) as err:
-        from_events(items, synthesize_init=False)
-    assert str(err.value) == "read of 'x' (event 1) has no earlier write"
+        parse_trace(text, synthesize_init=synthesize_init)
+    assert str(err.value) == message
 
 
 def test_parse_comments_and_blank_lines():
@@ -329,6 +349,8 @@ def test_topology_read_read_is_no_edge():
 
 @settings(max_examples=80, deadline=None)
 @given(trace_events(max_events=14, max_threads=4, max_locks=2))
+# the later thread writes and the earlier one only reads
+@example([("t1", "r", "x"), ("t2", "w", "x")])
 def test_topology_is_the_thread_pairs_of_conflicting_events(items):
     t = from_events(items)
     brute = {
