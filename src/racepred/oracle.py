@@ -6,6 +6,12 @@ of truth.  A correct reordering keeps per-thread prefixes, preserves every
 kept read's writer and every kept release's acquire, and obeys lock mutual
 exclusion.
 
+Every search takes one step, ``_Replay.steps``: it appends each next event
+that a correct reordering allows, lets the search go deeper, and takes the
+event back.  ``witness_error`` is kept apart from that step on purpose: it is
+the independent checker that every enumerated reordering and every engine
+witness is tested against, so it replays a witness with its own code.
+
 All entry points guard against combinatorial blowup with an event-count cap
 (default 14) that callers can raise explicitly when they know better.
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .trace_model import Trace, TraceError, _query_pair, conflicting
 
@@ -55,7 +61,7 @@ def _check_cap(trace: Trace, cap: int) -> None:
 class _Replay:
     """Incremental validity checking while events are appended."""
 
-    __slots__ = ("trace", "prefix", "last_writer", "holder", "placed")
+    __slots__ = ("trace", "prefix", "last_writer", "holder", "placed", "prior")
 
     def __init__(self, trace: Trace):
         self.trace = trace
@@ -63,6 +69,7 @@ class _Replay:
         self.last_writer: dict[str, int] = {}
         self.holder: dict[str, str] = {}  # lock -> holding thread
         self.placed: list[int] = []
+        self.prior: list[int | None] = []  # each placed write's previous writer
 
     def candidates(self) -> list[int]:
         """Next event of each thread, in event-id order."""
@@ -81,26 +88,40 @@ class _Replay:
             return ev.loc not in self.holder
         return True  # writes always, releases whenever program order allows
 
+    def steps(self, skip: Sequence[int] = ()) -> Iterator[int]:
+        """The one search step: each next event that can be appended and is
+        not in ``skip``, in event-id order, is appended, yielded, and taken
+        back when the caller resumes or closes the iterator."""
+        for eid in self.candidates():
+            if eid in skip or not self.can_append(eid):
+                continue
+            self.append(eid)
+            try:
+                yield eid
+            finally:
+                self.undo()
+
     def append(self, eid: int) -> None:
         ev = self.trace.event(eid)
         self.prefix[self.trace.thread_index[ev.thread]] += 1
         self.placed.append(eid)
         if ev.is_write:
+            self.prior.append(self.last_writer.get(ev.loc))
             self.last_writer[ev.loc] = eid
         elif ev.is_acquire:
             self.holder[ev.loc] = ev.thread
         elif ev.is_release:
             del self.holder[ev.loc]
 
-    def undo(self, eid: int, prior_writer: int | None) -> None:
-        ev = self.trace.event(eid)
+    def undo(self) -> None:
+        ev = self.trace.event(self.placed.pop())
         self.prefix[self.trace.thread_index[ev.thread]] -= 1
-        self.placed.pop()
         if ev.is_write:
-            if prior_writer is None:
+            prior = self.prior.pop()
+            if prior is None:
                 del self.last_writer[ev.loc]
             else:
-                self.last_writer[ev.loc] = prior_writer
+                self.last_writer[ev.loc] = prior
         elif ev.is_acquire:
             del self.holder[ev.loc]
         elif ev.is_release:
@@ -129,48 +150,31 @@ def enumerate_correct_reorderings(
 
     def walk() -> Iterator[list[int]]:
         yield list(replay.placed)
-        for eid in replay.candidates():
-            if not replay.can_append(eid):
-                continue
-            ev = trace.event(eid)
-            prior = replay.last_writer.get(ev.loc) if ev.is_write else None
-            replay.append(eid)
+        for _ in replay.steps():
             yield from walk()
-            replay.undo(eid, prior)
 
     return walk()
 
 
-def _search_enabled(trace: Trace, e1: int, e2: int, cap: int) -> list[int] | None:
-    """A correct reordering with both query events enabled, or None."""
-    _check_cap(trace, cap)
-    ev1, ev2 = _query_pair(trace, e1, e2)
-    if ev1.thread == ev2.thread:
-        return None
-    b1 = trace.thread_index[ev1.thread]
-    b2 = trace.thread_index[ev2.thread]
-    p1 = trace.thread_pos[e1]
-    p2 = trace.thread_pos[e2]
-
+def _first_state(
+    trace: Trace, done: Callable[[_Replay], bool], skip: Sequence[int] = ()
+) -> list[int] | None:
+    """The first correct reordering, depth-first by smallest extending event
+    id and never past an event in ``skip``, whose replay meets ``done``; or
+    None.  The goal is tested before the memo, which expands each state
+    once."""
     replay = _Replay(trace)
     seen: set[tuple] = set()
 
     def walk() -> list[int] | None:
-        if replay.prefix[b1] == p1 and replay.prefix[b2] == p2:
+        if done(replay):
             return list(replay.placed)
         key = replay.key()
         if key in seen:
             return None
         seen.add(key)
-        for eid in replay.candidates():
-            # never step past an enabled query event
-            if eid in (e1, e2) or not replay.can_append(eid):
-                continue
-            ev = trace.event(eid)
-            prior = replay.last_writer.get(ev.loc) if ev.is_write else None
-            replay.append(eid)
+        for _ in replay.steps(skip):
             hit = walk()
-            replay.undo(eid, prior)
             if hit is not None:
                 return hit
         return None
@@ -178,16 +182,32 @@ def _search_enabled(trace: Trace, e1: int, e2: int, cap: int) -> list[int] | Non
     return walk()
 
 
+def _enabled(
+    trace: Trace, e1: int, e2: int, cap: int
+) -> Callable[[_Replay], bool] | None:
+    """The test that a replay has both query events enabled, or None for a
+    same-thread pair, which is never a race."""
+    _check_cap(trace, cap)
+    ev1, ev2 = _query_pair(trace, e1, e2)
+    if ev1.thread == ev2.thread:
+        return None
+    b1 = trace.thread_index[ev1.thread]
+    b2 = trace.thread_index[ev2.thread]
+    p1, p2 = trace.thread_pos[e1], trace.thread_pos[e2]
+    return lambda r: r.prefix[b1] == p1 and r.prefix[b2] == p2
+
+
 def oracle_predict(trace: Trace, e1: int, e2: int, cap: int = DEFAULT_CAP) -> bool:
     """Whether (e1, e2) is a predictable race, by exhaustive search."""
-    return _search_enabled(trace, e1, e2, cap) is not None
+    return oracle_witness(trace, e1, e2, cap) is not None
 
 
 def oracle_witness(
     trace: Trace, e1: int, e2: int, cap: int = DEFAULT_CAP
 ) -> list[int] | None:
     """A correct reordering enabling both events, or None if none exists."""
-    return _search_enabled(trace, e1, e2, cap)
+    enabled = _enabled(trace, e1, e2, cap)
+    return None if enabled is None else _first_state(trace, enabled, (e1, e2))
 
 
 def min_distance(
@@ -199,13 +219,9 @@ def min_distance(
     witness is flipped relative to the trace.  Returns ``math.inf`` when the
     pair is not a predictable race.
     """
-    _check_cap(trace, cap)
-    ev1, ev2 = _query_pair(trace, e1, e2)
-    if ev1.thread == ev2.thread:
+    enabled = _enabled(trace, e1, e2, cap)
+    if enabled is None:
         return math.inf
-    b1 = trace.thread_index[ev1.thread]
-    b2 = trace.thread_index[ev2.thread]
-    p1, p2 = trace.thread_pos[e1], trace.thread_pos[e2]
 
     replay = _Replay(trace)
     best = math.inf
@@ -213,6 +229,7 @@ def min_distance(
     cheapest: dict[tuple, float] = {}
 
     def reversals_added(eid: int) -> int:
+        """Reversals the just-appended ``eid`` makes with earlier events."""
         ev = trace.event(eid)
         if not ev.writes_like:
             return 0
@@ -227,22 +244,15 @@ def min_distance(
         nonlocal best
         if cost >= best:
             return
-        if replay.prefix[b1] == p1 and replay.prefix[b2] == p2:
+        if enabled(replay):
             best = cost
             return
         key = replay.key()
         if cheapest.get(key, math.inf) <= cost:
             return
         cheapest[key] = cost
-        for eid in replay.candidates():
-            if eid in (e1, e2) or not replay.can_append(eid):
-                continue
-            added = reversals_added(eid)
-            ev = trace.event(eid)
-            prior = replay.last_writer.get(ev.loc) if ev.is_write else None
-            replay.append(eid)
-            walk(cost + added)
-            replay.undo(eid, prior)
+        for eid in replay.steps((e1, e2)):
+            walk(cost + reversals_added(eid))
 
     walk(0)
     return best
@@ -254,10 +264,8 @@ def has_any_race(trace: Trace, cap: int = DEFAULT_CAP) -> bool:
     Synthesized initial writes do not count as race endpoints.
     """
     _check_cap(trace, cap)
-    replay = _Replay(trace)
-    seen: set[tuple] = set()
 
-    def racy_frontier() -> bool:
+    def racy_frontier(replay: _Replay) -> bool:
         cands = [trace.event(e) for e in replay.candidates()]
         for i, a in enumerate(cands):
             if not a.is_global_access or trace.is_synthesized(a.eid):
@@ -272,26 +280,7 @@ def has_any_race(trace: Trace, cap: int = DEFAULT_CAP) -> bool:
                     return True
         return False
 
-    def walk() -> bool:
-        if racy_frontier():
-            return True
-        key = replay.key()
-        if key in seen:
-            return False
-        seen.add(key)
-        for eid in replay.candidates():
-            if not replay.can_append(eid):
-                continue
-            ev = trace.event(eid)
-            prior = replay.last_writer.get(ev.loc) if ev.is_write else None
-            replay.append(eid)
-            hit = walk()
-            replay.undo(eid, prior)
-            if hit:
-                return True
-        return False
-
-    return walk()
+    return _first_state(trace, racy_frontier) is not None
 
 
 def witness_error(

@@ -184,6 +184,11 @@ class Trace:
                 if not _THREAD_RE.fullmatch(ev.thread):
                     raise TraceError(f"bad thread name {ev.thread!r} (event {eid})")
                 by_thread.append([])
+            if num_synthesized and eid > num_synthesized and ev.thread == INIT_THREAD:
+                raise TraceError(
+                    f"thread {INIT_THREAD!r} is reserved for synthesized initial "
+                    f"writes (event {eid})"
+                )
             want = "global" if kind == "w" or kind == "r" else "lock"
             if loc not in roles and not _LOCATION_RE.fullmatch(loc):
                 raise TraceError(f"bad location {loc!r} (event {eid})")
@@ -274,8 +279,8 @@ def from_events(
     With ``synthesize_init`` (the default), a write on thread ``t0`` is
     prepended for every global whose first access is a read, in the order of
     those reads; otherwise such a read is an error.  ``t0`` is reserved for
-    this purpose: supplying it in the input while synthesis is needed is an
-    error.  The synthesized writes come first and carry the global's name,
+    this purpose: :class:`Trace` rejects an input event on it while synthesis
+    is needed.  The synthesized writes come first and carry the global's name,
     so a bad name read first is reported on its write: ``t1 w a`` then
     ``t1 r 9x`` fails with ``bad location '9x' (event 1)``.
     """
@@ -288,11 +293,6 @@ def from_events(
                 accessed.add(loc)
                 if kind == "r":
                     synthesized.append((INIT_THREAD, "w", loc))
-        if synthesized and any(thread == INIT_THREAD for thread, _, _ in items):
-            raise TraceError(
-                f"thread {INIT_THREAD!r} is reserved for synthesized initial "
-                "writes but appears in the input"
-            )
     events = [
         Event(eid, thread, kind, loc)
         for eid, (thread, kind, loc) in enumerate(chain(synthesized, items), 1)

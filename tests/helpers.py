@@ -173,14 +173,8 @@ def realizable_sets(trace: Trace) -> set[frozenset[int]]:
             return
         seen.add(key)
         out.add(frozenset(replay.placed))
-        for eid in replay.candidates():
-            if not replay.can_append(eid):
-                continue
-            ev = trace.event(eid)
-            prior = replay.last_writer.get(ev.loc) if ev.is_write else None
-            replay.append(eid)
+        for _ in replay.steps():
             walk()
-            replay.undo(eid, prior)
 
     walk()
     return out

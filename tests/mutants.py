@@ -68,6 +68,10 @@ ZETA_GATES = (
     "tests/test_trace_model.py::test_zeta_counts_a_section_released_right_past_the_range",
     "tests/test_trace_model.py::test_zeta_matches_scan_on_seeded_corpus",
 )
+BOUNDED_BRANCHING = (
+    "tests/test_realizability.py::test_bounded_matches_pairwise_reference_on_branching_corpus"
+)
+ORACLE_PIN = "tests/test_oracle_pin.py::test_oracle_answers_match_the_pinned_digest"
 LCONE_CORPUS = "tests/test_ideal_engine.py::test_lcone_matches_member_replay_on_seeded_forest_corpus"
 
 MUTANTS = (
@@ -238,6 +242,24 @@ MUTANTS = (
         "waiting.setdefault((c, row[c]), [])",
         ("tests/test_orders.py::test_linearize_under_edges_matches_scan_of_the_edge_loop",),
     ),
+    # stuck cycle: each cross edge takes the latest tail in its block, not
+    # the earliest, so the reported edges close no cycle with the order
+    Mutant(
+        "stuck-cycle-latest-tail",
+        ORDERS,
+        "if starts[c] + placed[c] <= (iu := self._idx[u]) < tails.get(v, starts[c + 1]):",
+        "if starts[c] + placed[c] <= (iu := self._idx[u]) < starts[c + 1] and iu > tails.get(v, -1):",
+        (BOUNDED_BRANCHING,),
+    ),
+    # stuck cycle: the cross edges not rotated to start at the one latest in
+    # the edges
+    Mutant(
+        "stuck-cycle-no-rotation",
+        ORDERS,
+        "return cross[at:] + cross[:at]",
+        "return cross",
+        (BOUNDED_BRANCHING,),
+    ),
     # tree resolution: the parent's successors read from the child's column
     Mutant(
         "resolve-column",
@@ -333,6 +355,25 @@ MUTANTS = (
         "held = {trace.events[a - 1].loc for a in table.opens[b2][m]}",
         "held = {trace.events[a - 1].loc for a in table.opens[b2][0]}",
         ("tests/test_ideal_engine.py::test_lcone_closes_clashing_parent_sections", LCONE_CORPUS),
+    ),
+    # oracle step: undoing a write leaves it as its location's last writer
+    Mutant(
+        "replay-undo-keeps-writer",
+        ORACLE,
+        "                self.last_writer[ev.loc] = prior",
+        "                pass",
+        (
+            "tests/test_oracle.py::test_enumerated_reorderings_are_correct_reorderings",
+            ORACLE_PIN,
+        ),
+    ),
+    # oracle step: an appended event is never taken back
+    Mutant(
+        "replay-steps-no-undo",
+        ORACLE,
+        "            finally:\n                self.undo()",
+        "            finally:\n                pass",
+        ("tests/test_oracle.py::test_enumerate_two_conflicting_writes", ORACLE_PIN),
     ),
     # witness check: a read may observe another writer than in the trace
     Mutant(

@@ -148,7 +148,7 @@ def test_trace_rejects_names_the_file_format_cannot_hold(events, message):
         ("t1 w a\nt1 acq a\nt1 rel a", "location 'a' used as both a global and a lock (event 2)"),
         (
             "t0 w y\nt1 r x",
-            "thread 't0' is reserved for synthesized initial writes but appears in the input",
+            "thread 't0' is reserved for synthesized initial writes (event 2)",
         ),
         ("thread1 w x", "bad thread name 'thread1' (event 1)"),
         ("t1 write x", "bad operation 'write' (event 1)"),
@@ -183,6 +183,9 @@ def test_trace_error_messages_are_pinned(text, message):
         ),
         # the synthesized write of 9x, read first, is event 1
         ("t1 w a\nt1 r 9x", True, "bad location '9x' (event 1)"),
+        # an input event on t0 is a fault in its place, not a fault of the input
+        ("t1 rel l\nt0 w y\nt1 r x", True, "release of 'l' (event 2) without a matching acquire in t1"),
+        ("t1 r x\nt0 w x", True, "thread 't0' is reserved for synthesized initial writes (event 3)"),
     ],
 )
 def test_first_faulty_event_in_trace_order_is_reported(text, synthesize_init, message):
