@@ -1,5 +1,6 @@
 """Trace parsing, validation, derived parameters, and the pair-isolation wrapper."""
 
+import hashlib
 import itertools
 
 import networkx as nx
@@ -586,6 +587,31 @@ def test_wrap_pair_non_race_preserved():
     assert not oracle_predict(t, 2, 5)
     wrapped, _, _ = wrap_pair(t, 2, 5)
     assert not has_any_race(wrapped, cap=20)
+
+
+# The digest of every wrapped trace of the corpus below: a change to
+# ``wrap_pair`` must keep its output byte for byte.
+WRAP_PAIR_DIGEST = "43795e114f3d23caebcec72082a67691f110eb145b1ca8fc394972431a9ec43c"
+# odd seeds rename a global and a lock to the wrap locks' base names
+WRAP_RENAME = {"x1": "wrap1", "l1": "wrap2"}
+
+
+def test_wrap_pair_output_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    pairs = 0
+    for s in range(150):
+        t = gen_random_trace(
+            s, n=20 + s % 21, k=2 + s % 5, d_globals=3, d_locks=2, read_ratio=0.4,
+            lock_ratio=0.3, nesting_max=2,
+        )
+        if s % 2:
+            t = from_events((ev.thread, ev.kind, WRAP_RENAME.get(ev.loc, ev.loc)) for ev in t)
+        for e1, e2 in conflicting_pairs(t):
+            wrapped, n1, n2 = wrap_pair(t, e1, e2)
+            h.update(f"{s} {e1} {e2} {n1} {n2}\n{serialize(wrapped)}".encode())
+            pairs += 1
+    assert pairs >= 8000  # floor: the corpus must stay large (8 629 pairs)
+    assert h.hexdigest() == WRAP_PAIR_DIGEST
 
 
 @settings(max_examples=25, deadline=None)
