@@ -1,88 +1,23 @@
-"""Dynamic data-race prediction from observed concurrent traces."""
+"""Dynamic data-race prediction from observed concurrent traces.
 
-from .trace_model import (
-    Event,
-    Trace,
-    TraceError,
-    TraceParams,
-    communication_topology,
-    conflicting,
-    parse_trace,
-    serialize,
-    trace_params,
-    wrap_pair,
-)
-from .orders import CycleError, PartialOrder, RfPoset, closure, compute_trf, is_closed
-from .ideal_engine import (
-    Feasibility,
-    FeasibilityResult,
-    Ideal,
-    candidate_ideal_set,
-    cone,
-    enabled_events,
-    feasibility,
-    is_ideal,
-    lcone,
-    open_acquires,
-)
-from .realizability import (
-    realize_bounded,
-    realize_general,
-    realize_tree,
-    reversal_count,
-    reversal_pairs,
-)
-from .oracle import (
-    OracleCapError,
-    enumerate_correct_reorderings,
-    has_any_race,
-    min_distance,
-    oracle_predict,
-    oracle_witness,
-    verify_witness,
-    witness_error,
-)
+The package re-exports the public names of its five layers; each layer's
+``__all__`` is the one list of them.  ``racepred.cli`` and
+``racepred.generators`` are imported by name.
+"""
+
+from . import ideal_engine, oracle, orders, realizability, trace_model
+from .ideal_engine import *
+from .oracle import *
+from .orders import *
+from .realizability import *
+from .trace_model import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event",
-    "Trace",
-    "TraceError",
-    "TraceParams",
-    "communication_topology",
-    "conflicting",
-    "parse_trace",
-    "serialize",
-    "trace_params",
-    "wrap_pair",
-    "CycleError",
-    "PartialOrder",
-    "RfPoset",
-    "closure",
-    "compute_trf",
-    "is_closed",
-    "Feasibility",
-    "FeasibilityResult",
-    "Ideal",
-    "candidate_ideal_set",
-    "cone",
-    "enabled_events",
-    "feasibility",
-    "is_ideal",
-    "lcone",
-    "open_acquires",
-    "realize_bounded",
-    "realize_general",
-    "realize_tree",
-    "reversal_count",
-    "reversal_pairs",
-    "OracleCapError",
-    "enumerate_correct_reorderings",
-    "has_any_race",
-    "min_distance",
-    "oracle_predict",
-    "oracle_witness",
-    "verify_witness",
-    "witness_error",
+    *trace_model.__all__,
+    *orders.__all__,
+    *ideal_engine.__all__,
+    *realizability.__all__,
+    *oracle.__all__,
 ]

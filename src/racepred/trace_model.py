@@ -40,6 +40,7 @@ __all__ = [
     "TraceParams",
     "INIT_THREAD",
     "KINDS",
+    "communication_topology",
     "conflicting",
     "parse_trace",
     "from_events",
@@ -306,7 +307,13 @@ def from_events(
 
 
 def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
-    """Parse trace text (see the module docstring for the format)."""
+    """Parse trace text (see the module docstring for the format).
+
+    A malformed line is reported before any fault of an event, whatever
+    their order in the text: with ``synthesize_init`` every event id depends
+    on every line, so the events are numbered and checked only once all
+    lines are read.
+    """
     items: list[tuple[str, str, str]] = []
     lines: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -323,18 +330,17 @@ def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
     return from_events(items, synthesize_init=synthesize_init, source_lines=lines)
 
 
-def serialize(trace: Trace, *, include_synthesized: bool = False) -> str:
+def serialize(trace: Trace) -> str:
     """Render a trace in the file format.
 
-    Synthesized initial writes are skipped by default so that
+    Synthesized initial writes are skipped so that
     ``parse_trace(serialize(t))`` reproduces ``t`` exactly, synthesis
     included (re-parsing regenerates the same init block in the same
-    order).  Pass ``include_synthesized=True`` for a literal dump.
+    order).
     """
     lines = [
         f"{ev.thread} {ev.kind} {ev.loc}"
-        for ev in trace.events
-        if include_synthesized or not trace.is_synthesized(ev.eid)
+        for ev in trace.events[trace.num_synthesized :]
     ]
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -645,8 +651,11 @@ def wrap_pair(trace: Trace, e1: int, e2: int) -> tuple[Trace, int, int]:
     Returns a trace in which ``(e1, e2)`` maps to the only candidate racy
     pair: the two chosen events each get a private critical section on a
     fresh lock, and every other global access is bracketed by both fresh
-    locks, so no other pair can race.  Existing lock events are kept as-is.
-    The returned ids point at the copies of ``e1`` and ``e2``.
+    locks, so no other pair can race.  Each event acquires the wrap locks
+    it needs (``l1`` for e1, ``l2`` for e2, ``l1`` then ``l2`` for any other
+    global access), runs, and releases them in reverse order; existing lock
+    events need none and are kept as-is.  The returned ids point at the
+    copies of ``e1`` and ``e2``.
     """
     _query_pair(trace, e1, e2)
     used = set(trace.globals_) | set(trace.locks)
@@ -659,28 +668,13 @@ def wrap_pair(trace: Trace, e1: int, e2: int) -> tuple[Trace, int, int]:
         return name
 
     l1, l2 = fresh("wrap1"), fresh("wrap2")
-
+    brackets = {e1: (l1,), e2: (l2,)}
     items: list[tuple[str, str, str]] = []
-    new_e1 = new_e2 = -1
+    at: dict[int, int] = {}  # old id -> new id
     for ev in trace.events:
-        if ev.eid == e1:
-            items.append((ev.thread, "acq", l1))
-            new_e1 = len(items) + 1
-            items.append((ev.thread, ev.kind, ev.loc))
-            items.append((ev.thread, "rel", l1))
-        elif ev.eid == e2:
-            items.append((ev.thread, "acq", l2))
-            new_e2 = len(items) + 1
-            items.append((ev.thread, ev.kind, ev.loc))
-            items.append((ev.thread, "rel", l2))
-        elif ev.is_global_access:
-            items.append((ev.thread, "acq", l1))
-            items.append((ev.thread, "acq", l2))
-            items.append((ev.thread, ev.kind, ev.loc))
-            items.append((ev.thread, "rel", l2))
-            items.append((ev.thread, "rel", l1))
-        else:
-            items.append((ev.thread, ev.kind, ev.loc))
-
-    wrapped = from_events(items, synthesize_init=False)
-    return wrapped, new_e1, new_e2
+        locks = brackets.get(ev.eid, (l1, l2) if ev.is_global_access else ())
+        items += [(ev.thread, "acq", lock) for lock in locks]
+        items.append((ev.thread, ev.kind, ev.loc))
+        at[ev.eid] = len(items)
+        items += [(ev.thread, "rel", lock) for lock in reversed(locks)]
+    return from_events(items, synthesize_init=False), at[e1], at[e2]

@@ -395,6 +395,18 @@ MUTANTS = (
             "::test_workload_verdicts_are_correct_and_match_the_pinned_race_bits",
         ),
     ),
+    # pair isolation: the wrap locks are released in acquire order, which
+    # breaks lock nesting around every other global access
+    Mutant(
+        "wrap-release-in-acquire-order",
+        TRACE_MODEL,
+        'items += [(ev.thread, "rel", lock) for lock in reversed(locks)]',
+        'items += [(ev.thread, "rel", lock) for lock in locks]',
+        (
+            "tests/test_trace_model.py::test_wrap_pair_other_access_gets_both_locks",
+            "tests/test_trace_model.py::test_wrap_pair_output_matches_the_pinned_digest",
+        ),
+    ),
     # topology: a pair conflicts only when the lower thread writes
     Mutant(
         "topology-one-way",
