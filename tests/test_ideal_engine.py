@@ -1,6 +1,7 @@
 """Trace ideals: cones, lock cones, feasibility, and candidate ideal sets."""
 
 import functools
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -584,9 +585,10 @@ def test_pruned_sweep_examines_a_quarter_of_the_full_sweep(n, edges, c):
 # ---------------------------------------------------------------------------
 
 
-def _indset(n, edges, c):
-    """The relabelled reduction trace and query of one INDSET_FAMILIES entry."""
-    rng = random.Random(f"indset:{n}:{len(edges)}:{c}")
+def _indset(n, edges, c, salt="indset"):
+    """The relabelled reduction trace and query of one INDSET_FAMILIES entry,
+    its relabelling drawn from a generator seeded by ``salt``."""
+    rng = random.Random(f"{salt}:{n}:{len(edges)}:{c}")
     relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
     inst = IsInstance(n, frozenset((relabel[u], relabel[v]) for u, v in edges), c)
     return gen_indset_trace(inst)
@@ -718,6 +720,60 @@ def test_sweep_reads_each_candidate_once(monkeypatch, n, edges, c):
             assert line == f"candidate ideal with {len(x)} events: infeasible_locks"
             clashing += 1
     assert clashing >= 100
+
+
+def _triples_match_member_reads(trace, e1, e2):
+    """Check each triple the sweep yields against the member-set reads; the
+    number of triples checked and of those holding a lock open twice."""
+    triples = clashing = 0
+    for i, (x, opens, clash) in enumerate(ideal_engine._candidates(trace, e1, e2)):
+        if opens is None:  # the lone seed holding a query event
+            assert i == 0 and clash is None and (e1 in x or e2 in x)
+            continue
+        assert opens == open_acquires_by_members(trace, x.members)
+        assert clash == lock_open_twice(trace, opens)
+        triples += 1
+        clashing += clash is not None
+    return triples, clashing
+
+
+def test_sweep_triples_match_member_reads():
+    # every yielded ideal comes with its open acquires by event id and the
+    # first lock two of them hold, as the member-set reference reads them
+    triples = clashing = 0
+    for s in range(600):
+        t = _wide_trace(s)
+        for e1, e2 in scan_pairs(t):
+            if t.event(e1).thread != t.event(e2).thread:
+                got = _triples_match_member_reads(t, e1, e2)
+                triples, clashing = triples + got[0], clashing + got[1]
+    assert triples >= 30_000 and clashing >= 700
+    triples = clashing = 0
+    for family in INDSET_FAMILIES:
+        t, (e1, e2) = _indset(*family)
+        got = _triples_match_member_reads(t, e1, e2)
+        triples, clashing = triples + got[0], clashing + got[1]
+    assert triples >= 4_000 and clashing >= 4_000
+
+
+# sha256 of the explain lines of every INDSET_FAMILIES query, relabelled
+# by seeds 1 and 2, on the general route
+EXPLAIN_PIN = "54f939ceb7e0ff172aed691a9b8eccd8217b18fe10cd70967f99477d129013fc"
+
+
+def test_explain_lines_match_the_pinned_digest():
+    h = hashlib.sha256()
+    lines_seen = 0
+    for seed in (1, 2):
+        for n, edges, c in INDSET_FAMILIES:
+            t, (e1, e2) = _indset(n, edges, c, f"explain:{seed}")
+            lines: list[str] = []
+            v = predict(t, e1, e2, algo="general", explain=lines)
+            h.update(f"{seed} {n} {len(edges)} {c} {v.race}\n".encode())
+            h.update("".join(f"{line}\n" for line in lines).encode())
+            lines_seen += len(lines)
+    assert lines_seen >= 2_500
+    assert h.hexdigest() == EXPLAIN_PIN
 
 
 def test_explain_stops_at_the_witness_on_a_yes_instance():
