@@ -205,9 +205,11 @@ def _sweep(
 
     Each candidate comes with its open acquires and clashing lock, as
     :func:`~racepred.ideal_engine._candidates` yields them, so its
-    feasibility reads neither again.  Only the first candidate can hold a
-    query event (the sweep's lone seed, or the tree route's one lock-cone
-    union), so only the first is tested for one.
+    feasibility reads neither again.  A candidate that holds a lock open
+    twice is counted in ``ideals`` and narrated as ``infeasible_locks``, but
+    never reaches :func:`~racepred.ideal_engine._feasible`.  Only the first
+    candidate can hold a query event (the sweep's lone seed, or the tree
+    route's one lock-cone union), so only the first is tested for one.
 
     Every feasible candidate's rf-poset goes to ``backend``, whose own stats
     are folded into ``stats``: its search states or bounded branches into
@@ -226,6 +228,9 @@ def _sweep(
             note(x, "holds a query event, which cannot then be enabled")
             continue
         stats["ideals"] += 1
+        if clash is not None:  # lock-infeasible: no rf-poset to build
+            note(x, "infeasible_locks")
+            continue
         res = _feasible(x, opens, clash)
         if not res:
             note(x, res.status.value)

@@ -248,10 +248,13 @@ class FeasibilityResult:
 
 def _clashing_lock(trace: Trace, opens: Sequence[int]) -> str | None:
     """The first lock, in the given order, that two open acquires both hold."""
-    locks = [trace.events[eid - 1].loc for eid in opens]
-    if len(set(locks)) == len(locks):
-        return None
-    return next(lock for i, lock in enumerate(locks) if lock in locks[:i])
+    held = set()
+    for eid in opens:
+        lock = trace.events[eid - 1].loc
+        if lock in held:
+            return lock
+        held.add(lock)
+    return None
 
 
 def feasibility(ideal: Ideal) -> FeasibilityResult:
@@ -267,7 +270,9 @@ def feasibility(ideal: Ideal) -> FeasibilityResult:
 
     The open acquires and the clashing lock are read once, by
     :func:`_candidate`; the candidate sweep reads them as it grows an ideal
-    and classifies it with :func:`_feasible`, without reading them again.
+    and hands a lock-feasible candidate to :func:`_feasible`, without
+    reading them again.  A lock-infeasible candidate is counted and
+    narrated by the sweep but never reaches :func:`_feasible`.
     """
     return _feasible(*_candidate(ideal))
 
@@ -332,7 +337,9 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[_Candidate]:
     Each ideal is yielded with its open acquires, by event id, and the first
     lock two of them hold, or ``None``, as :func:`_candidate` would read
     them: the sweep reads them once, before yielding, both to grow the ideal
-    and for the consumer to hand to :func:`_feasible`.  A consumer that
+    and for the consumer to hand to :func:`_feasible`.  A lock-infeasible
+    candidate, whose clashing lock is not ``None``, is counted and narrated
+    by the consumer but never reaches :func:`_feasible`.  A consumer that
     stops at the first witness never builds the rest.  When the seed holds
     a query event every variant holds it too, so the seed is the only
     candidate; it is neither grown nor classified, so both come as ``None``.

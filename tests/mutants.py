@@ -51,6 +51,7 @@ class Mutant:
     tests: tuple[str, ...]
 
 
+CLI = "src/racepred/cli.py"
 IDEAL_ENGINE = "src/racepred/ideal_engine.py"
 ORACLE = "src/racepred/oracle.py"
 ORDERS = "src/racepred/orders.py"
@@ -231,7 +232,34 @@ MUTANTS = (
         (
             "tests/test_ideal_engine.py"
             "::test_pruned_sweep_grows_through_every_acquire_of_the_clashing_lock",
+            "tests/test_ideal_engine.py::test_pruned_sweep_keeps_every_lock_feasible_ideal",
+            "tests/test_ideal_engine.py::test_candidate_set_matches_member_bfs_on_wide_corpus",
         ),
+    ),
+    # the clash test: a lock seen twice among the open acquires reported as
+    # the lock of the first open acquire
+    Mutant(
+        "clash-names-first-open-lock",
+        IDEAL_ENGINE,
+        "if lock in held:\n            return lock\n",
+        "if lock in held:\n            return trace.events[opens[0] - 1].loc\n",
+        ("tests/test_ideal_engine.py::test_sweep_triples_match_member_reads",),
+    ),
+    # the sweep: a lock-infeasible candidate skipped before it is counted
+    Mutant(
+        "sweep-skips-before-count",
+        CLI,
+        '''        stats["ideals"] += 1
+        if clash is not None:  # lock-infeasible: no rf-poset to build
+            note(x, "infeasible_locks")
+            continue
+''',
+        '''        if clash is not None:  # lock-infeasible: no rf-poset to build
+            note(x, "infeasible_locks")
+            continue
+        stats["ideals"] += 1
+''',
+        ("tests/test_ideal_engine.py::test_sweep_reads_each_candidate_once",),
     ),
     # linearize: a waiting head woken one placement before its predecessor
     # is placed
