@@ -2,8 +2,10 @@
 
 import ast
 import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -287,6 +289,56 @@ def test_predict_by_line_follows_init_synthesis_shift(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["query"] == {"e1": 2, "e2": 3}
+
+
+def test_predict_by_line_names_each_event_line_on_seeded_files(tmp_path, capsys):
+    # seeded traces written with comment-only, blank and whitespace-only
+    # lines between events and trailing comments on some; on odd seeds a
+    # read of a fresh global comes first, so init synthesis shifts every id
+    pairs = shifted = 0
+    for seed in range(100):
+        rng = random.Random(f"by-line:{seed}")
+        trace = gen_random_trace(seed, rng.randint(20, 40), rng.randint(2, 4), 3, 2, 0.5, 0.3, 2)
+        events = serialize(trace).splitlines()
+        if seed % 2:
+            events.insert(0, "t1 r fresh")
+        lines: list[str] = []
+        at: list[int] = []  # the line number of each event line, in order
+        for event in events:
+            while rng.random() < 0.4:
+                lines.append(rng.choice(["# a comment", "", "  \t ", "   # indented"]))
+            if rng.random() < 0.3:
+                event += "   # trailing"
+            lines.append(event)
+            at.append(len(lines))
+        text = "\n".join(lines) + "\n"
+        path = write_trace(tmp_path, text)
+        shift = seed % 2
+        shifted += parse_trace(text).num_synthesized
+        fields = [event.split("#")[0].split() for event in events]
+        conflicts = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(events)), 2)
+            if fields[i][0] != fields[j][0]
+            and fields[i][2] == fields[j][2]
+            and {fields[i][1], fields[j][1]} in ({"w"}, {"w", "r"})
+        ]
+        for i, j in rng.sample(conflicts, min(20, len(conflicts))):
+            if rng.random() < 0.5:
+                i, j = j, i
+            argv = ["predict", "--trace", path, "--by-line", "--e1", str(at[i]), "--e2", str(at[j])]
+            code, out, err = run_cli(argv, capsys)
+            assert code in (0, 1), err
+            assert json.loads(out)["query"] == {"e1": shift + i + 1, "e2": shift + j + 1}
+            pairs += 1
+        noise = [n for n, line in enumerate(lines, 1) if n not in at and "#" in line]
+        if noise:
+            bad = str(rng.choice(noise))
+            argv = ["predict", "--trace", path, "--by-line", "--e1", bad, "--e2", str(at[-1])]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: no trace event on line {bad} of {path}\n"
+    assert pairs >= 1800 and shifted == 50
 
 
 def test_explain_narrates_on_stderr(tmp_path, capsys):

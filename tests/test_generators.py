@@ -128,6 +128,8 @@ def test_strip_isolated_nodes():
 
 def test_parse_edge_list():
     assert parse_edge_list("1 2\n2 3 # edge\n") == (3, frozenset({(1, 2), (2, 3)}))
+    # blank, whitespace-only and comment-only lines are skipped
+    assert parse_edge_list("# edges\n\n1 2\n  \n   # end\n") == (2, frozenset({(1, 2)}))
     with pytest.raises(ValueError):
         parse_edge_list("1\n")
     with pytest.raises(ValueError):
@@ -185,6 +187,16 @@ def test_random_trace_minimum_is_one_event_per_thread():
     trace = gen_random_trace(1, 0, 4, 2, 0, 0.5, 0.0, 1)
     assert len(trace) == 4
     assert len(trace.threads) == 4
+
+
+def test_random_locks_only_trace_skips_picks_with_no_lock_move():
+    # while one thread holds the only lock the other has no legal move, and
+    # with no globals to fall back on its pick is dropped
+    trace = gen_random_trace(3, 20, 2, 0, 1, 0.5, 1.0, 1)
+    assert len(trace) < 20  # at most one release is appended, so a pick was dropped
+    assert {ev.kind for ev in trace} == {"acq", "rel"}
+    assert len(trace.threads) == 2
+    assert serialize(parse_trace(serialize(trace))) == serialize(trace)
 
 
 def test_random_trace_without_locks_has_zero_nesting():

@@ -88,6 +88,8 @@ def test_partial_order_thread_chains():
     assert po.unordered(2, 4)
     assert sorted(po.events()) == [1, 2, 3, 4, 5]
     assert 3 in po and 9 not in po
+    with pytest.raises(ValueError, match="duplicate event id across blocks"):
+        PartialOrder([[1, 2], [2]])
 
 
 def test_add_edge_transitivity():
