@@ -43,6 +43,7 @@ from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
     Trace,
     TraceError,
+    _event_lines,
     _query_pair,
     _table,
     conflicting,
@@ -339,7 +340,8 @@ def _resolve_pair(args: argparse.Namespace, trace: Trace, text: str) -> tuple[in
             )
         e1, e2 = sidecar
     elif args.by_line:
-        by_line = {line: eid for eid, line in trace.source_lines.items()}
+        events = enumerate(_event_lines(text), trace.num_synthesized + 1)
+        by_line = {lineno: eid for eid, (lineno, _, _) in events}
         out = []
         for line in (e1, e2):
             if line not in by_line:

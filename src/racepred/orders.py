@@ -110,7 +110,7 @@ class PartialOrder:
 
     __slots__ = (
         "blocks", "n", "k", "_eids", "_idx", "_block", "_pos", "_loc", "_starts", "_ids",
-        "_sorted", "_first", "pred", "edges",
+        "_first", "pred", "edges",
     )
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
@@ -129,10 +129,9 @@ class PartialOrder:
         self._pos = np.arange(self.n, dtype=np.int64) - np.searchsorted(self._block, self._block)
         #: each row's (block, position), for scalar reads
         self._loc: list[tuple[int, int]] = list(zip(self._block.tolist(), self._pos.tolist()))
-        #: for :meth:`linearize`: each row's event id as an array, the event
-        #: ids in increasing order, and each block's first row
+        #: for :meth:`linearize`: each row's event id as an array, and each
+        #: block's first row
         self._ids = np.array(self._eids, dtype=np.int64)
-        self._sorted: list[int] = sorted(self._eids)
         self._first = np.array(self._starts[:-1], dtype=np.int64)
         # pred[x, b]: greatest position in block b strictly below x (or -1)
         self.pred = np.full((self.n, self.k), -1, dtype=np.int64)
@@ -256,7 +255,7 @@ class PartialOrder:
         ids = self._ids
         late = ((ids.take(pred + self._first) >= ids[:, None]) & (pred >= 0)).any(1)
         stop = int(ids[late].min(initial=_NO_ID))  # the least late id
-        out = self._sorted[: bisect_left(self._sorted, stop)]
+        out = np.sort(ids[ids < stop]).tolist()
         if len(out) == self.n:
             return out
         rows = pred.tolist()

@@ -134,7 +134,8 @@ class Trace:
     the events checks them and builds every map, testing each name once, so
     a sequence with several faults reports its first faulty event in trace
     order, and every fault names its event id (an unreleased acquire shows
-    only at the end).
+    only at the end).  A trace keeps its events, not where they came from:
+    no query reads a source line.
     """
 
     __slots__ = (
@@ -148,22 +149,12 @@ class Trace:
         "thread_pos",
         "by_thread",
         "num_synthesized",
-        "source_lines",
         "_ideals",
     )
 
-    def __init__(
-        self,
-        events: Sequence[Event],
-        *,
-        num_synthesized: int = 0,
-        source_lines: dict[int, int] | None = None,
-    ):
+    def __init__(self, events: Sequence[Event], *, num_synthesized: int = 0):
         self.events: tuple[Event, ...] = tuple(events)
         self.num_synthesized = num_synthesized
-        #: maps eid -> 1-based line number in the source text (parsed traces
-        #: only; synthesized events have no entry).
-        self.source_lines = source_lines or {}
 
         index: dict[str, int] = {}  # thread -> its number, in order of first event
         roles: dict[str, str] = {}  # loc -> "global" | "lock"
@@ -272,10 +263,10 @@ def from_events(
     items: Iterable[tuple[str, str, str]],
     *,
     synthesize_init: bool = True,
-    source_lines: Sequence[int] | None = None,
 ) -> Trace:
     """Build a trace from ``(thread, kind, loc)`` triples, numbering them
-    from 1; :class:`Trace` checks the events.
+    from 1 after any synthesized writes, so item i (from 1) is event
+    ``num_synthesized + i``; :class:`Trace` checks the events.
 
     With ``synthesize_init`` (the default), a write on thread ``t0`` is
     prepended for every global whose first access is a read, in the order of
@@ -298,36 +289,41 @@ def from_events(
         Event(eid, thread, kind, loc)
         for eid, (thread, kind, loc) in enumerate(chain(synthesized, items), 1)
     ]
-    lines: dict[int, int] = {}
-    if source_lines is not None:
-        if len(source_lines) != len(events) - len(synthesized):
-            raise ValueError("source_lines must align with the input items")
-        lines = dict(enumerate(source_lines, len(synthesized) + 1))
-    return Trace(events, num_synthesized=len(synthesized), source_lines=lines)
+    return Trace(events, num_synthesized=len(synthesized))
 
 
 def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
     """Parse trace text (see the module docstring for the format).
 
+    Each line that holds an event is one item of :func:`from_events`, so the
+    i-th such line is event ``num_synthesized + i``.  Line numbers, in
+    errors and for ``predict --by-line``, count every line from 1, blank and
+    comment lines included; the trace keeps none of them.
     A malformed line is reported before any fault of an event, whatever
     their order in the text: with ``synthesize_init`` every event id depends
     on every line, so the events are numbered and checked only once all
     lines are read.
     """
     items: list[tuple[str, str, str]] = []
-    lines: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, line, body in _event_lines(text):
         parts = body.split()
         if len(parts) != 3:
             raise TraceError(
                 f"line {lineno}: expected '<thread> <op> <location>', got {line!r}"
             )
         items.append((parts[0], parts[1], parts[2]))
-        lines.append(lineno)
-    return from_events(items, synthesize_init=synthesize_init, source_lines=lines)
+    return from_events(items, synthesize_init=synthesize_init)
+
+
+def _event_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, line, body)`` for each line of ``text`` that holds an
+    event, in order: ``lineno`` counts every line from 1, blank and comment
+    lines included, and ``body`` is the line with its ``#`` comment and
+    surrounding whitespace cut off."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, line, body
 
 
 def serialize(trace: Trace) -> str:

@@ -128,6 +128,14 @@ MUTANTS = (
             "tests/test_orders.py::test_linearize_is_least_linear_extension",
         ),
     ),
+    # linearize: the id-ordered prefix takes the least late event too
+    Mutant(
+        "linearize-prefix-takes-stop",
+        ORDERS,
+        "out = np.sort(ids[ids < stop]).tolist()",
+        "out = np.sort(ids[ids <= stop]).tolist()",
+        ("tests/test_orders.py::test_linearize_is_least_linear_extension",),
+    ),
     # linearize: a self-loop edge no longer makes its event late
     Mutant(
         "linearize-late-strict",
@@ -335,6 +343,18 @@ MUTANTS = (
         (
             "tests/test_trace_model.py::test_trace_rejects_ids_out_of_order_and_unknown_kinds",
             "tests/test_trace_model.py::test_trace_error_messages_are_pinned",
+        ),
+    ),
+    # --by-line: event lines numbered from 1, ignoring the synthesized
+    # writes that come first
+    Mutant(
+        "by-line-ignores-synthesis",
+        CLI,
+        "enumerate(_event_lines(text), trace.num_synthesized + 1)",
+        "enumerate(_event_lines(text), 1)",
+        (
+            "tests/test_cli.py::test_predict_by_line_follows_init_synthesis_shift",
+            "tests/test_cli.py::test_predict_by_line_names_each_event_line_on_seeded_files",
         ),
     ),
     # trace check: a location name is accepted when only its start is an

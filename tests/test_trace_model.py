@@ -21,7 +21,14 @@ from racepred import (
     wrap_pair,
 )
 from racepred.generators import gen_random_trace
-from racepred.trace_model import INIT_THREAD, Event, _conflict_edges, _table, from_events
+from racepred.trace_model import (
+    INIT_THREAD,
+    Event,
+    _conflict_edges,
+    _event_lines,
+    _table,
+    from_events,
+)
 
 from helpers import (
     conflict_edges_by_groups,
@@ -199,10 +206,10 @@ def test_first_faulty_event_in_trace_order_is_reported(text, synthesize_init, me
 
 
 def test_parse_comments_and_blank_lines():
-    t = parse_trace("# header\n\nt1 w x   # trailing\n\n  \nt2 r x\n")
+    text = "# header\n\nt1 w x   # trailing\n\n  \nt2 r x\n"
+    t = parse_trace(text)
     assert len(t) == 2
-    assert t.source_lines[1] == 3
-    assert t.source_lines[2] == 6
+    assert [lineno for lineno, _, _ in _event_lines(text)] == [3, 6]
 
 
 def test_init_synthesis_for_read_first_globals():
