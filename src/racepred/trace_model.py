@@ -299,6 +299,7 @@ def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
     i-th such line is event ``num_synthesized + i``.  Line numbers, in
     errors and for ``predict --by-line``, count every line from 1, blank and
     comment lines included; the trace keeps none of them.
+
     A malformed line is reported before any fault of an event, whatever
     their order in the text: with ``synthesize_init`` every event id depends
     on every line, so the events are numbered and checked only once all
