@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, scanning, generation."""
 
 import ast
+import hashlib
 import io
 import itertools
 import json
@@ -835,6 +836,100 @@ def test_gen_random_query_is_a_conflicting_cross_thread_pair(capsys):
         if marked:
             _, _, e1, e2 = marked[0].split()
             assert (int(e1), int(e2)) in pairs
+
+
+def _noisy(rng, lines):
+    """``lines`` as file text, with seeded comment-only, blank and
+    whitespace-only lines between them and trailing comments on some."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.3:
+            out.append(rng.choice(["# a comment", "", "  \t ", "   # indented"]))
+        out.append(" " * rng.randrange(3) + line + rng.choice(["", "", " ", "  # tail", "#tail"]))
+    return "\n".join(out) + "\n"
+
+
+def _gen_cases(rng):
+    """``(argv, files)`` for seeded ``gen`` runs, valid and faulty, where
+    ``files`` maps each placeholder in ``argv`` to its file text."""
+    for _ in range(40):
+        m, dim = rng.randint(1, 4), rng.randint(1, 4)
+        vecs = [["".join(rng.choice("01") for _ in range(dim)) for _ in range(m)] for _ in "ab"]
+        files = {"A": _noisy(rng, vecs[0]), "B": _noisy(rng, vecs[1])}
+        yield ["gen", "ov", "--a", "A", "--b", "B"], files
+    faulty_vectors = [
+        ([], ["1"]),  # empty
+        (["1"], []),
+        (["10", "102"], ["11", "01"]),  # non-binary
+        (["10", "1x"], ["11", "01"]),
+        (["10", "01"], ["11"]),  # unequal sizes
+        (["10", "1"], ["11", "01"]),  # unequal dimensions
+    ]
+    for a, b in faulty_vectors:
+        yield ["gen", "ov", "--a", "A", "--b", "B"], {"A": _noisy(rng, a), "B": _noisy(rng, b)}
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        picked = rng.sample(pairs, rng.randint(1, len(pairs)))
+        edges = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in picked]
+        c = str(rng.randint(1, 3))
+        yield ["gen", "indset", "--graph", "G", "--c", c], {"G": _noisy(rng, edges)}
+    faulty_graphs = [
+        (["1 2", "1 2 3"], "2"),  # bad edge lines
+        (["1 2", "a b"], "2"),
+        (["1"], "1"),
+        (["1 2", "0 1"], "1"),  # ids are 1-based
+        (["1 2", "1 1"], "1"),  # self-loop
+        (["1 2"], "0"),  # target below one
+        (["1 2"], "-1"),
+        (["1 3"], "1"),  # the isolated vertex alone is the set
+        (["1 5"], "2"),
+    ]
+    for edges, c in faulty_graphs:
+        yield ["gen", "indset", "--graph", "G", "--c", c], {"G": _noisy(rng, edges)}
+    shapes = [
+        [],
+        ["--seed", "3", "--n", "30", "--k", "4"],
+        ["--seed", "5", "--n", "0", "--k", "2"],
+        ["--seed", "8", "--k", "1"],
+        ["--seed", "9", "--globals", "1", "--locks", "0", "--lock-ratio", "0"],
+        ["--seed", "2", "--n", "40", "--locks", "3", "--lock-ratio", "0.6", "--nesting", "3"],
+        ["--seed", "4", "--read-ratio", "0", "--n", "15"],
+        ["--seed", "6", "--read-ratio", "1", "--n", "15"],
+        ["--seed", "7", "--n", "12", "--k", "3", "--globals", "2", "--locks", "1"],
+        ["--seed", "11", "--n", "25", "--k", "5", "--globals", "4", "--locks", "2"],
+        ["--seed", "3", "--n", "20", "--k", "2", "--globals", "0", "--lock-ratio", "1", "--nesting", "1"],
+        ["--seed", "1", "--n", "18", "--globals", "0", "--locks", "2", "--lock-ratio", "1"],
+        ["--seed", "13", "--lock-ratio", "1"],
+        ["--read-ratio", "2"],  # faulty shapes from here on
+        ["--lock-ratio", "-0.5"],
+        ["--k", "0"],
+        ["--locks", "0"],
+        ["--nesting", "0"],
+        ["--globals", "0"],
+        ["--globals", "0", "--locks", "0", "--lock-ratio", "1"],
+    ]
+    for shape in shapes:
+        yield ["gen", "random", *shape], {}
+
+
+def test_gen_output_matches_the_pinned_digest(tmp_path, capsys):
+    # every gen run's exit status, stdout and stderr, hashed in order: the
+    # vector and edge readers, each generator's faults and the query choice
+    digest = hashlib.sha256()
+    codes = Counter()
+    for i, (argv, files) in enumerate(_gen_cases(random.Random("gen-gate"))):
+        for key, text in files.items():
+            path = tmp_path / f"{i}-{key}.txt"
+            path.write_text(text)
+            argv = [str(path) if a == key else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        codes[code] += 1
+        digest.update(repr((code, out, err)).encode())
+    assert codes == {0: 90, 2: 25}
+    assert digest.hexdigest() == (
+        "452b7d1786f5e5e3c1b522243bd07df31e4c6131452863d0ece13699b4493fb2"
+    )
 
 
 # ---------------------------------------------------------------------------
