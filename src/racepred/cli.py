@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .generators import (
     IsInstance,
@@ -351,11 +352,6 @@ def _resolve_pair(args: argparse.Namespace, trace: Trace, text: str) -> tuple[in
     return e1, e2
 
 
-def _emit_explain(lines: Sequence[str], out: TextIO) -> None:
-    for line in lines:
-        print(f"  - {line}", file=out)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     trace, text = _load_trace(args)
     e1, e2 = _resolve_pair(args, trace, text)
@@ -369,8 +365,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         oracle_cap=args.oracle_cap,
         explain=explain,
     )
-    if explain:
-        _emit_explain(explain, sys.stderr)
+    for line in explain or ():
+        print(f"  - {line}", file=sys.stderr)
     print(json.dumps(verdict.to_json()))
     return 1 if verdict.race else 0
 
@@ -425,66 +421,54 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_instance(trace: Trace, query: tuple[int, int] | None) -> None:
+def cmd_gen(args: argparse.Namespace) -> int:
+    """Build the subcommand's trace and write it, with its ``# query`` line."""
+    try:
+        trace, query = args.build(args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     sys.stdout.write(serialize(trace))
     if query is not None:
         print(f"# query {query[0]} {query[1]}")
-
-
-def cmd_gen_ov(args: argparse.Namespace) -> int:
-    try:
-        a = parse_vectors(_read_text(args.a))
-        b = parse_vectors(_read_text(args.b))
-        if not a or not b:
-            raise ValueError("vector files must be non-empty")
-        inst = OvInstance(a, b, dim=len(a[0]))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    trace, query = gen_ov_trace(inst)
-    _emit_instance(trace, query)
     return 0
 
 
-def cmd_gen_indset(args: argparse.Namespace) -> int:
-    try:
-        n, edges = parse_edge_list(_read_text(args.graph))
-        if args.c < 1:  # before stripping, which would blame the isolated vertices
-            raise ValueError("target set size must be at least 1")
-        n, edges, c = strip_isolated_nodes(n, edges, args.c)
-        if c <= 0:
-            raise CliError(
-                "the graph's isolated vertices alone form an independent set "
-                f"of the requested size {args.c}; nothing to encode"
-            )
-        inst = IsInstance(n, edges, c)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    trace, query = gen_indset_trace(inst)
-    _emit_instance(trace, query)
-    return 0
+def _gen_ov(args: argparse.Namespace) -> tuple[Trace, tuple[int, int]]:
+    a = parse_vectors(_read_text(args.a))
+    b = parse_vectors(_read_text(args.b))
+    if not a or not b:
+        raise ValueError("vector files must be non-empty")
+    return gen_ov_trace(OvInstance(a, b, dim=len(a[0])))
 
 
-def cmd_gen_random(args: argparse.Namespace) -> int:
-    try:
-        trace = gen_random_trace(
-            args.seed,
-            n=args.n,
-            k=args.k,
-            d_globals=args.globals_,
-            d_locks=args.locks,
-            read_ratio=args.read_ratio,
-            lock_ratio=args.lock_ratio,
-            nesting_max=args.nesting,
+def _gen_indset(args: argparse.Namespace) -> tuple[Trace, tuple[int, int]]:
+    n, edges = parse_edge_list(_read_text(args.graph))
+    if args.c < 1:  # before stripping, which would blame the isolated vertices
+        raise ValueError("target set size must be at least 1")
+    n, edges, c = strip_isolated_nodes(n, edges, args.c)
+    if c <= 0:
+        raise ValueError(
+            "the graph's isolated vertices alone form an independent set "
+            f"of the requested size {args.c}; nothing to encode"
         )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    import random as _random
+    return gen_indset_trace(IsInstance(n, edges, c))
 
+
+def _gen_random(args: argparse.Namespace) -> tuple[Trace, tuple[int, int] | None]:
+    trace = gen_random_trace(
+        args.seed,
+        n=args.n,
+        k=args.k,
+        d_globals=args.globals_,
+        d_locks=args.locks,
+        read_ratio=args.read_ratio,
+        lock_ratio=args.lock_ratio,
+        nesting_max=args.nesting,
+    )
     pairs = [(a, b) for a, b in scan_pairs(trace) if
              trace.event(a).thread != trace.event(b).thread]
-    query = _random.Random(f"{args.seed}:query").choice(pairs) if pairs else None
-    _emit_instance(trace, query)
-    return 0
+    query = random.Random(f"{args.seed}:query").choice(pairs) if pairs else None
+    return trace, query
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ov.add_argument("--a", required=True, metavar="PATH", help="first vector set file")
     ov.add_argument("--b", required=True, metavar="PATH", help="second vector set file")
-    ov.set_defaults(run=cmd_gen_ov)
+    ov.set_defaults(run=cmd_gen, build=_gen_ov)
 
     ind = gsub.add_parser(
         "indset",
@@ -577,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", required=True, metavar="PATH", help="edge list file, one 'u v' per line"
     )
     ind.add_argument("--c", required=True, type=int, help="independent set size")
-    ind.set_defaults(run=cmd_gen_indset)
+    ind.set_defaults(run=cmd_gen, build=_gen_indset)
 
     rnd = gsub.add_parser("random", help="seed-deterministic random valid trace")
     rnd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -598,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     rnd.add_argument(
         "--nesting", type=int, default=2, help="deepest lock nesting (default 2)"
     )
-    rnd.set_defaults(run=cmd_gen_random)
+    rnd.set_defaults(run=cmd_gen, build=_gen_random)
 
     return parser
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 import random
 
-from .trace_model import Trace, from_events
+from .trace_model import Trace, _event_lines, from_events
 
 __all__ = [
     "OvInstance",
@@ -68,12 +68,10 @@ class OvInstance:
 
 
 def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
-    """One binary string per line, e.g. ``101``."""
+    """One binary string per line, e.g. ``101``; blank and ``#`` comment
+    lines are skipped, as in trace files."""
     vectors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, _, body in _event_lines(text):
         if any(ch not in "01" for ch in body):
             raise ValueError(f"line {lineno}: expected a binary string, got {body!r}")
         vectors.append(tuple(int(ch) for ch in body))
@@ -170,13 +168,16 @@ def gen_ov_trace(inst: OvInstance) -> tuple[Trace, tuple[int, int]]:
 
 @dataclass(frozen=True)
 class IsInstance:
-    """Simple undirected graph on nodes ``1..n`` plus a target set size."""
+    """Simple undirected graph on nodes ``1..n``, ``n >= 1``, plus a target
+    set size."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     c: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("the graph needs at least one node")
         normalized = set()
         for u, v in self.edges:
             if u == v:
@@ -230,15 +231,13 @@ def strip_isolated_nodes(
 
 
 def parse_edge_list(text: str) -> tuple[int, frozenset[tuple[int, int]]]:
-    """One ``u v`` pair per line, 1-based node ids; n = the largest id seen."""
+    """One ``u v`` pair per line, 1-based ASCII node ids; n = the largest id
+    seen.  Blank and ``#`` comment lines are skipped, as in trace files."""
     edges = set()
     top = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, _, body in _event_lines(text):
         parts = body.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"line {lineno}: expected 'u v', got {body!r}")
         u, v = int(parts[0]), int(parts[1])
         if u < 1 or v < 1:
@@ -333,11 +332,17 @@ def gen_random_trace(
 ) -> Trace:
     """Seed-deterministic valid trace with roughly the requested shape.
 
-    ``n`` is raised to ``k`` so every thread gets at least one event, and
-    the output may run slightly longer than ``n`` because critical sections
-    left open at the end are closed.  Reads only target already-written
-    globals, locks are well-nested and non-reentrant, and per-thread
-    nesting never exceeds ``nesting_max``.
+    There are ``max(n, k)`` picks of a thread, each thread picked at least
+    once.  With a global to fall back on, every pick emits one event, so
+    the trace has at least ``max(n, k)`` events and every thread gets one.
+    A locks-only trace (``d_globals=0``, which needs ``lock_ratio=1``)
+    drops each pick whose thread holds no lock while every lock is held
+    elsewhere, so it may be far shorter and leave threads without events;
+    it holds only whole critical sections, at least one.  Closing the
+    sections left open at the end adds at most one release per lock, so no
+    trace has more than ``max(n, k) + d_locks`` events.  Reads only target
+    already-written globals, locks are well-nested and non-reentrant, and
+    per-thread nesting never exceeds ``nesting_max``.
     """
     if k < 1:
         raise ValueError("need at least one thread")

@@ -52,6 +52,7 @@ class Mutant:
 
 
 CLI = "src/racepred/cli.py"
+GENERATORS = "src/racepred/generators.py"
 IDEAL_ENGINE = "src/racepred/ideal_engine.py"
 ORACLE = "src/racepred/oracle.py"
 ORDERS = "src/racepred/orders.py"
@@ -74,6 +75,7 @@ BOUNDED_BRANCHING = (
 )
 ORACLE_PIN = "tests/test_oracle_pin.py::test_oracle_answers_match_the_pinned_digest"
 LCONE_CORPUS = "tests/test_ideal_engine.py::test_lcone_matches_member_replay_on_seeded_forest_corpus"
+GEN_GATE = "tests/test_cli.py::test_gen_output_matches_the_pinned_digest"
 
 MUTANTS = (
     # closure round, condition 1: a writer at pred[w, b] itself counts as
@@ -462,6 +464,34 @@ MUTANTS = (
         "np.triu(shared + shared.T, 1)",
         "np.triu(shared, 1)",
         ("tests/test_trace_model.py::test_topology_is_the_thread_pairs_of_conflicting_events",),
+    ),
+    # line reader: a comment is kept as part of its line, which the vector
+    # and edge readers then reject
+    Mutant(
+        "event-lines-keep-comment",
+        TRACE_MODEL,
+        'body = line.split("#", 1)[0].strip()',
+        "body = line.strip()",
+        (GEN_GATE,),
+    ),
+    # gen: a generator's ValueError escapes as an internal failure
+    Mutant(
+        "gen-error-unmapped",
+        CLI,
+        "        trace, query = args.build(args)\n    except ValueError as exc:",
+        "        trace, query = args.build(args)\n    except () as exc:",
+        ("tests/test_cli.py::test_error_paths_exit_2_with_one_message_line",),
+    ),
+    # independent set: a graph with no nodes is encoded as a racing trace
+    Mutant(
+        "indset-accepts-empty-graph",
+        GENERATORS,
+        "if self.n < 1:",
+        "if False:",
+        (
+            "tests/test_generators.py::test_is_instance_validation",
+            "tests/test_cli.py::test_gen_indset_rejects_graphs_it_cannot_encode",
+        ),
     ),
 )
 

@@ -815,6 +815,25 @@ def test_gen_indset_rejects_a_target_below_one(tmp_path, capsys, c):
     assert err == "error: target set size must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # no edges, so no nodes: a no-instance for every c
+        ("# only a comment\n", "the graph needs at least one node"),
+        ("", "the graph needs at least one node"),
+        # non-ASCII digits
+        ("1 \u0663\n", "line 1: expected 'u v', got '1 \u0663'"),
+        ("1 \u00b2\n", "line 1: expected 'u v', got '1 \u00b2'"),
+    ],
+)
+def test_gen_indset_rejects_graphs_it_cannot_encode(tmp_path, capsys, text, message):
+    graph = tmp_path / "g.el"
+    graph.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["gen", "indset", "--graph", str(graph), "--c", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_gen_random_is_seed_deterministic(capsys):
     code, first, _ = run_cli(["gen", "random", "--seed", "11", "--n", "15"], capsys)
     assert code == 0

@@ -106,6 +106,12 @@ def test_is_instance_validation():
         IsInstance(n=2, edges=frozenset({(1, 2)}), c=0)
     with pytest.raises(ValueError):
         IsInstance(n=3, edges=frozenset({(1, 2)}), c=1)  # node 3 isolated
+    # no nodes: no independent set of any size, so no trace may encode one
+    for c in range(1, 6):
+        with pytest.raises(ValueError, match="^the graph needs at least one node$"):
+            IsInstance(n=0, edges=frozenset(), c=c)
+    with pytest.raises(ValueError, match="^the graph needs at least one node$"):
+        IsInstance(*strip_isolated_nodes(3, set(), 5))
 
 
 def test_is_instance_neighbors_and_enumeration():
@@ -134,6 +140,12 @@ def test_parse_edge_list():
         parse_edge_list("1\n")
     with pytest.raises(ValueError):
         parse_edge_list("0 1\n")
+    # ids are ASCII digits only, as the error says
+    for text in ("1 \u0663\n", "1 \u00b2\n"):
+        body = text.strip()
+        with pytest.raises(ValueError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == f"line 1: expected 'u v', got {body!r}"
 
 
 def test_indset_trace_shape():
@@ -199,6 +211,23 @@ def test_random_locks_only_trace_skips_picks_with_no_lock_move():
     assert serialize(parse_trace(serialize(trace))) == serialize(trace)
 
 
+def test_random_locks_only_trace_is_whole_sections_within_its_bounds():
+    # the bounds gen_random_trace's docstring states for d_globals=0
+    short = idle = 0
+    for seed in range(300):
+        n, k, d_locks, nesting = seed % 30, 1 + seed % 5, 1 + seed % 3, 1 + seed % 2
+        trace = gen_random_trace(seed, n, k, 0, d_locks, 0.5, 1.0, nesting)
+        assert 2 <= len(trace) <= max(n, k) + d_locks
+        kinds = [ev.kind for ev in trace]
+        assert set(kinds) == {"acq", "rel"} and kinds.count("acq") == kinds.count("rel")
+        assert trace_params(trace).gamma <= nesting
+        short += len(trace) < max(n, k)
+        idle += len(trace.threads) < k
+    assert short >= 100 and idle >= 20
+    trace = gen_random_trace(0, 6, 4, 0, 1, 0.5, 1.0, 1)
+    assert (len(trace), len(trace.threads)) == (4, 2)
+
+
 def test_random_trace_without_locks_has_zero_nesting():
     for seed in range(5):
         trace = gen_random_trace(seed, 25, 3, 3, 2, 0.5, 0.0, 2)
@@ -239,7 +268,7 @@ def test_random_trace_is_valid_and_bounded(
     )
     # construction already validates; check the advertised bounds and format
     p = trace_params(trace)
-    assert len(trace) >= max(n, k)
+    assert max(n, k) <= len(trace) <= max(n, k) + d_locks
     assert len(trace.threads) == k
     assert p.num_globals <= d_globals
     assert p.num_locks <= d_locks
