@@ -44,7 +44,7 @@ from .realizability import realize_bounded, realize_general, realize_tree
 from .trace_model import (
     Trace,
     TraceError,
-    _event_lines,
+    _content_lines,
     _query_pair,
     _table,
     conflicting,
@@ -341,7 +341,7 @@ def _resolve_pair(args: argparse.Namespace, trace: Trace, text: str) -> tuple[in
             )
         e1, e2 = sidecar
     elif args.by_line:
-        events = enumerate(_event_lines(text), trace.num_synthesized + 1)
+        events = enumerate(_content_lines(text), trace.num_synthesized + 1)
         by_line = {lineno: eid for eid, (lineno, _, _) in events}
         out = []
         for line in (e1, e2):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 import random
 
-from .trace_model import Trace, _event_lines, from_events
+from .trace_model import Trace, _content_lines, from_events
 
 __all__ = [
     "OvInstance",
@@ -71,7 +71,7 @@ def parse_vectors(text: str) -> tuple[tuple[int, ...], ...]:
     """One binary string per line, e.g. ``101``; blank and ``#`` comment
     lines are skipped, as in trace files."""
     vectors = []
-    for lineno, _, body in _event_lines(text):
+    for lineno, _, body in _content_lines(text):
         if any(ch not in "01" for ch in body):
             raise ValueError(f"line {lineno}: expected a binary string, got {body!r}")
         vectors.append(tuple(int(ch) for ch in body))
@@ -235,7 +235,7 @@ def parse_edge_list(text: str) -> tuple[int, frozenset[tuple[int, int]]]:
     seen.  Blank and ``#`` comment lines are skipped, as in trace files."""
     edges = set()
     top = 0
-    for lineno, _, body in _event_lines(text):
+    for lineno, _, body in _content_lines(text):
         parts = body.split()
         if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"line {lineno}: expected 'u v', got {body!r}")

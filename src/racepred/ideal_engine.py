@@ -83,17 +83,18 @@ class Ideal:
     @property
     def members(self) -> frozenset[int]:
         """The member event ids, built on each access."""
-        ids = _table(self.trace).ids
-        return frozenset(
-            chain.from_iterable(ids[b][:m] for b, m in enumerate(self.prefix))
-        )
+        rows = self.trace.by_thread
+        return frozenset(chain.from_iterable(rows[b][:m] for b, m in enumerate(self.prefix)))
 
     def __contains__(self, eid: int) -> bool:
-        trace = self.trace
-        pos = trace.thread_pos.get(eid)
-        if pos is None:
+        """Whether ``eid`` is a member: its thread's prefix reaches past its
+        position, ``down[eid][b] - 1``.  Anything but an event id of the
+        trace is not."""
+        try:
+            b = self.trace.thread_index[self.trace.event(eid).thread]
+        except (TraceError, TypeError):
             return False
-        return pos < self.prefix[trace.thread_index[trace.events[eid - 1].thread]]
+        return _table(self.trace).down[eid][b] <= self.prefix[b]
 
     def __len__(self) -> int:
         return sum(self.prefix)
@@ -113,21 +114,22 @@ class Ideal:
 def _below(trace: Trace, table: _Table, eid: int) -> tuple[int, ...]:
     """Prefix vector of the downward closure of ``eid``'s thread predecessor."""
     b = trace.thread_index[trace.event(eid).thread]  # TraceError for an unknown id
-    pos = trace.thread_pos[eid]
+    pos = table.down[eid][b] - 1
     return table.down[table.ids[b][pos - 1]] if pos else table.down[0]
 
 
 def _prefix_of(trace: Trace, members: frozenset[int]) -> tuple[int, ...] | None:
     """Per-thread prefix lengths, or None if not an ideal."""
+    table = _table(trace)
     counts = [0] * len(trace.threads)
     tops = [0] * len(trace.threads)
     for eid in members:
         b = trace.thread_index[trace.event(eid).thread]
         counts[b] += 1
-        tops[b] = max(tops[b], trace.thread_pos[eid] + 1)
+        tops[b] = max(tops[b], table.down[eid][b])  # its position plus one
     if counts != tops:
         return None  # a gap in some thread's prefix
-    return tuple(counts) if _is_closed(_table(trace), counts) else None
+    return tuple(counts) if _is_closed(table, counts) else None
 
 
 def is_ideal(trace: Trace, members: Iterable[int]) -> bool:
@@ -137,11 +139,7 @@ def is_ideal(trace: Trace, members: Iterable[int]) -> bool:
 
 def enabled_events(ideal: Ideal) -> frozenset[int]:
     """Events outside the ideal whose thread predecessors all lie inside."""
-    out = []
-    for b, proj in enumerate(ideal.trace.by_thread):
-        if ideal.prefix[b] < len(proj):
-            out.append(proj[ideal.prefix[b]].eid)
-    return frozenset(out)
+    return frozenset(row[m] for row, m in zip(ideal.trace.by_thread, ideal.prefix) if m < len(row))
 
 
 def open_acquires(ideal: Ideal) -> list[int]:
@@ -211,13 +209,13 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     if order is None:
         raise TraceError(f"communication topology around {root} is not a tree")
     prefix = [0] * len(trace.threads)
-    prefix[top] = trace.thread_pos[eid]
+    prefix[top] = table.down[eid][top] - 1
     for b1, b2 in order:
         m = prefix[b2]
         prefix[b1] = table.down[table.ids[b2][m - 1] if m else 0][b1]
         held = {trace.events[a - 1].loc for a in table.opens[b2][m]}  # the parent's open locks
         while clash := [a for a in table.opens[b1][prefix[b1]] if trace.events[a - 1].loc in held]:
-            prefix[b1] = trace.thread_pos[trace.match[min(clash)]] + 1
+            prefix[b1] = table.down[trace.match[min(clash)]][b1]
     return Ideal(trace, tuple(prefix))
 
 
@@ -359,8 +357,8 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[_Candidate]:
     """
     ev1, ev2 = _query_pair(trace, e1, e2)
     table = _table(trace)
-    b1, pos1 = trace.thread_index[ev1.thread], trace.thread_pos[e1]
-    b2, pos2 = trace.thread_index[ev2.thread], trace.thread_pos[e2]
+    b1, b2 = trace.thread_index[ev1.thread], trace.thread_index[ev2.thread]
+    pos1, pos2 = table.down[e1][b1] - 1, table.down[e2][b2] - 1
     seed = _join(_below(trace, table, e1), _below(trace, table, e2))
     if seed[b1] > pos1 or seed[b2] > pos2:
         yield Ideal(trace, seed), None, None

@@ -13,7 +13,10 @@ the independent checker that every enumerated reordering and every engine
 witness is tested against, so it replays a witness with its own code.
 
 All entry points guard against combinatorial blowup with an event-count cap
-(default 14) that callers can raise explicitly when they know better.
+(default 14) that callers can raise explicitly when they know better.  The
+walks recurse once per placed event, so a trace too deep for the
+interpreter's recursion limit raises :class:`OracleCapError` as well; no cap
+raises that limit.
 
 Usage::
 
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 from .trace_model import Trace, TraceError, _query_pair, conflicting
@@ -58,6 +63,19 @@ def _check_cap(trace: Trace, cap: int) -> None:
         )
 
 
+@contextmanager
+def _depth_guard(trace: Trace) -> Iterator[None]:
+    """Report a walk that runs past the interpreter's recursion limit as
+    :class:`OracleCapError`, not as a crash."""
+    try:
+        yield
+    except RecursionError:
+        raise OracleCapError(
+            f"trace has {len(trace)} events, too deep for the brute-force walk, which "
+            f"recurses once per placed event, under the recursion limit {sys.getrecursionlimit()}"
+        ) from None
+
+
 class _Replay:
     """Incremental validity checking while events are appended."""
 
@@ -73,12 +91,7 @@ class _Replay:
 
     def candidates(self) -> list[int]:
         """Next event of each thread, in event-id order."""
-        out = []
-        for b, proj in enumerate(self.trace.by_thread):
-            if self.prefix[b] < len(proj):
-                out.append(proj[self.prefix[b]].eid)
-        out.sort()
-        return out
+        return sorted(row[m] for row, m in zip(self.trace.by_thread, self.prefix) if m < len(row))
 
     def can_append(self, eid: int) -> bool:
         ev = self.trace.event(eid)
@@ -153,7 +166,11 @@ def enumerate_correct_reorderings(
         for _ in replay.steps():
             yield from walk()
 
-    return walk()
+    def guarded() -> Iterator[list[int]]:
+        with _depth_guard(trace):
+            yield from walk()
+
+    return guarded()
 
 
 def _first_state(
@@ -179,7 +196,8 @@ def _first_state(
                 return hit
         return None
 
-    return walk()
+    with _depth_guard(trace):
+        return walk()
 
 
 def _enabled(
@@ -191,9 +209,8 @@ def _enabled(
     ev1, ev2 = _query_pair(trace, e1, e2)
     if ev1.thread == ev2.thread:
         return None
-    b1 = trace.thread_index[ev1.thread]
-    b2 = trace.thread_index[ev2.thread]
-    p1, p2 = trace.thread_pos[e1], trace.thread_pos[e2]
+    b1, b2 = trace.thread_index[ev1.thread], trace.thread_index[ev2.thread]
+    p1, p2 = trace.by_thread[b1].index(e1), trace.by_thread[b2].index(e2)
     return lambda r: r.prefix[b1] == p1 and r.prefix[b2] == p2
 
 
@@ -254,7 +271,8 @@ def min_distance(
         for eid in replay.steps((e1, e2)):
             walk(cost + reversals_added(eid))
 
-    walk(0)
+    with _depth_guard(trace):
+        walk(0)
     return best
 
 
@@ -313,7 +331,7 @@ def witness_error(
     expected: dict[str, int] = {p: 0 for p in trace.threads}
     for ev in events:
         proj = trace.projection(ev.thread)
-        want = proj[expected[ev.thread]].eid if expected[ev.thread] < len(proj) else None
+        want = proj[expected[ev.thread]] if expected[ev.thread] < len(proj) else None
         if want != ev.eid:
             return (
                 f"program order broken in {ev.thread}: got event {ev.eid}, "
@@ -346,7 +364,7 @@ def witness_error(
         if q in present:
             return f"query event {q} must stay out of the witness"
         ev = trace.event(q)
-        pos = trace.thread_pos[q]
+        pos = trace.projection(ev.thread).index(q)
         if expected[ev.thread] != pos:
             return (
                 f"query event {q} is not enabled: thread {ev.thread} stopped "

@@ -55,7 +55,7 @@ from typing import Iterable
 import numpy as np
 
 from .orders import CycleError, PartialOrder, RfPoset, _Guards, closure
-from .trace_model import Trace, _Table, _adjacency, _conflict_edges, _forest_order, _table
+from .trace_model import Trace, _Table, _conflict_graph, _forest_order, _table
 
 __all__ = [
     "realize_general",
@@ -210,7 +210,7 @@ def realize_tree(p: RfPoset, stats: dict | None = None) -> list[int] | None:
     table = _table(p.trace)
     blocks = p.order.blocks
     lengths = [len(block) for block in blocks]
-    children_order = _forest_order(_adjacency(_conflict_edges(table, lengths)), range(len(blocks)))
+    children_order = _forest_order(_conflict_graph(table, lengths), range(len(blocks)))
     if children_order is None:
         raise ValueError("the block conflict graph of the poset has a cycle")
 

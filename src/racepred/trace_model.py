@@ -118,9 +118,12 @@ def conflicting(e1: Event, e2: Event) -> bool:
 class Trace:
     """An immutable, validated event sequence.
 
-    Exposes the derived structure everything else builds on: per-thread
-    projections, the observed-writer map ``rf`` (reads to writes, releases to
-    their matching acquires), and acquire/release matching.  The whole-trace
+    Exposes the derived structure everything else builds on: each thread's
+    event ids in program order (``by_thread``, by thread number, the one
+    stored form of a thread's events), the observed-writer map ``rf`` (reads
+    to writes, releases to their matching acquires), and acquire/release
+    matching.  An event's position in its thread is not stored here: it is
+    ``down[e][b] - 1`` in the down-set table.  The whole-trace
     facts that queries share live in one cache, the down-set table
     :func:`_table` (the one stored form of the TRF, the channel index and the
     communication topology), built on first use and kept on the trace, whose
@@ -146,7 +149,6 @@ class Trace:
         "rf",
         "match",
         "thread_index",
-        "thread_pos",
         "by_thread",
         "num_synthesized",
         "_ideals",
@@ -158,11 +160,10 @@ class Trace:
 
         index: dict[str, int] = {}  # thread -> its number, in order of first event
         roles: dict[str, str] = {}  # loc -> "global" | "lock"
-        by_thread: list[list[Event]] = []
+        by_thread: list[list[int]] = []
         opened: dict[str, list[Event]] = {}  # each thread's open acquires, innermost last
         holder: dict[str, Event] = {}  # lock -> open acquire
         last_writer: dict[str, int] = {}
-        thread_pos: dict[int, int] = {}
         rf: dict[int, int] = {}  # reads to their writes, releases to their acquires
         match: dict[int, int] = {}  # acquires and releases to each other
         for eid, ev in enumerate(self.events, 1):
@@ -189,8 +190,7 @@ class Trace:
                 raise TraceError(
                     f"location {loc!r} used as both a {have} and a {want} (event {eid})"
                 )
-            thread_pos[eid] = len(by_thread[b])
-            by_thread[b].append(ev)
+            by_thread[b].append(eid)
             if kind == "w":
                 last_writer[loc] = eid
             elif kind == "r":
@@ -227,8 +227,8 @@ class Trace:
         self.thread_index = index
         self.globals_ = frozenset(x for x, role in roles.items() if role == "global")
         self.locks = frozenset(x for x, role in roles.items() if role == "lock")
-        self.by_thread: tuple[tuple[Event, ...], ...] = tuple(map(tuple, by_thread))
-        self.thread_pos, self.rf, self.match = thread_pos, rf, match
+        self.by_thread: tuple[tuple[int, ...], ...] = tuple(map(tuple, by_thread))
+        self.rf, self.match = rf, match
         self._ideals: _Table | None = None
 
     # ------------------------------------------------------------------
@@ -250,7 +250,8 @@ class Trace:
         """Whether ``eid`` is a synthesized initial write on ``t0``."""
         return eid <= self.num_synthesized
 
-    def projection(self, thread: str) -> tuple[Event, ...]:
+    def projection(self, thread: str) -> tuple[int, ...]:
+        """The thread's event ids in program order: its row of ``by_thread``."""
         return self.by_thread[self.thread_index[thread]]
 
 
@@ -306,7 +307,7 @@ def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
     lines are read.
     """
     items: list[tuple[str, str, str]] = []
-    for lineno, line, body in _event_lines(text):
+    for lineno, line, body in _content_lines(text):
         parts = body.split()
         if len(parts) != 3:
             raise TraceError(
@@ -316,11 +317,13 @@ def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
     return from_events(items, synthesize_init=synthesize_init)
 
 
-def _event_lines(text: str) -> Iterator[tuple[int, str, str]]:
-    """``(lineno, line, body)`` for each line of ``text`` that holds an
-    event, in order: ``lineno`` counts every line from 1, blank and comment
-    lines included, and ``body`` is the line with its ``#`` comment and
-    surrounding whitespace cut off."""
+def _content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, line, body)`` for each line of ``text`` that has content
+    once its ``#`` comment is cut, in order: ``body`` is the line with that
+    comment and the surrounding whitespace cut off, and ``lineno`` counts
+    every line from 1, blank and comment lines included.  The trace, vector
+    and edge-list readers all take their lines from here, each parsing
+    ``body`` by its own format."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
@@ -352,21 +355,23 @@ class _Table(NamedTuple):
 
     ``down[e]`` is the prefix vector of event e's downward closure (e
     included) under the thread-reads-from order; ``down[0]`` is the empty
-    ideal.  ``opens[b][m]`` holds the acquires left open by thread b's first
-    m events, innermost last.  ``ids[b]`` holds thread b's event ids in
-    program order.  The channel index is flat and does not depend on any
-    universe: ``chan[e]`` numbers event e's location in ``channels``, the
-    locations in sorted order, and ``writes_like[e]`` flags writes and
-    acquires.  ``users`` keys every event and ``writers`` every write and
-    acquire as ``(chan·k + b)·span + position``, with ``span`` the longest
-    thread plus 2; each is sorted and starts with a ``-1`` sentinel, so a
-    (channel, thread) pair is one contiguous run, in program order, and an
-    ideal's part of it is the keys whose position is below the ideal's
-    prefix entry for the thread (:func:`_prefix_keys`).  ``source[e]`` is
-    the write or acquire that event e observes, or 0: the observed-writer
-    map ``Trace.rf`` as an array, which a universe's observers and their
-    writers are read from.  ``adj`` is the communication topology as
-    adjacency sets of thread indices, read off the channel index; a thread
+    ideal.  ``opens[b][m]`` holds the acquires left open by thread b's first m
+    events, innermost last.  ``ids`` is ``Trace.by_thread`` itself, not a copy:
+    ``ids[b]`` holds thread b's event ids in program order.  An event's
+    position in its thread is ``down[e][b] - 1``, so no map stores it.  The
+    channel index is flat and does not depend on any universe: ``chan[e]``
+    numbers event e's location in ``channels``, the locations in sorted order,
+    and ``writes_like[e]`` flags writes and acquires.  ``users`` keys every
+    event and ``writers`` every write and acquire as
+    ``(chan·k + b)·span + position``, with ``span`` the longest thread plus 2;
+    each is sorted and starts with a ``-1`` sentinel, so a (channel, thread)
+    pair is one contiguous run, in program order, and an ideal's part of it
+    is the keys whose position is below the ideal's prefix entry for the
+    thread (:func:`_prefix_keys`).  ``source[e]`` is the write or acquire
+    that event e observes, or 0: the observed-writer map ``Trace.rf`` as an
+    array, which a universe's observers and their writers are read from.
+    ``adj`` is the communication topology as adjacency sets of thread
+    indices, read off the channel index by :func:`_conflict_graph`; a thread
     with no edge has no entry.  ``forest`` is whether that topology is a
     forest, which routes queries.
     """
@@ -392,7 +397,7 @@ def _table(trace: Trace) -> _Table:
     read, its writer's vector, with e's own slot raised by one.  A release
     observes an acquire of its own thread, which its thread predecessor
     already covers.  One pass over the events, in trace order, fills
-    ``down``, ``opens``, ``ids`` and the channel index; the last entry of
+    ``down``, ``opens`` and the channel index; the last entry of
     each ``opens`` row is its thread's open-acquire stack so far, and
     ``span`` is known beforehand from the thread lengths.  ``source`` is
     ``trace.rf`` written into an array.
@@ -403,7 +408,6 @@ def _table(trace: Trace) -> _Table:
         down = [zero] * (n + 1)
         last = [zero] * k  # down of each thread's latest event so far
         opens: list[list[tuple[int, ...]]] = [[()] for _ in range(k)]
-        ids: list[list[int]] = [[] for _ in range(k)]
         channels = tuple(sorted(trace.globals_ | trace.locks))
         number = {x: c for c, x in enumerate(channels)}
         span = max(map(len, trace.by_thread), default=0) + 2
@@ -427,13 +431,12 @@ def _table(trace: Trace) -> _Table:
                     stack += (e,)
             down[e] = last[b] = vec[:b] + (vec[b] + 1,) + vec[b + 1 :]
             opens[b].append(stack)
-            ids[b].append(e)
         channel_index = np.array(chan), np.array(writes_like), span, np.sort(users), np.sort(writers)
         source = np.zeros(n + 1, dtype=np.int64)
         source[list(rf)] = list(rf.values())
-        rows = tuple(map(tuple, opens)), tuple(map(tuple, ids))
+        rows = tuple(map(tuple, opens)), trace.by_thread
         table = _Table(down, *rows, channels, *channel_index, source, {}, True)
-        adj = _adjacency(_conflict_edges(table, list(map(len, ids))))
+        adj = _conflict_graph(table, list(map(len, trace.by_thread)))
         forest = _forest_order(adj, range(k)) is not None
         trace._ideals = table._replace(adj=adj, forest=forest)
     return trace._ideals
@@ -511,8 +514,9 @@ def communication_topology(trace: Trace) -> frozenset[tuple[str, str]]:
     return frozenset(tuple(sorted((names[i], names[j]))) for i in adj for j in adj[i])
 
 
-def _conflict_edges(table: _Table, prefix: Sequence[int]) -> set[tuple[int, int]]:
-    """Thread pairs ``(i, j)``, ``i < j``, whose first ``prefix`` events conflict.
+def _conflict_graph(table: _Table, prefix: Sequence[int]) -> dict[int, set[int]]:
+    """The thread conflict graph of the first ``prefix`` events of each
+    thread, as undirected adjacency sets; a thread with no edge has no entry.
 
     Two thread prefixes conflict when they share a channel that either of
     them writes or acquires: with ``writes[c, b]`` and ``uses[c, b]`` flagging
@@ -523,16 +527,9 @@ def _conflict_edges(table: _Table, prefix: Sequence[int]) -> set[tuple[int, int]
         _held(table, _prefix_keys(table, keys[1:], prefix)) for keys in (table.writers, table.users)
     )
     shared = writes.T.astype(np.int64) @ uses
-    return set(map(tuple, np.argwhere(np.triu(shared + shared.T, 1)).tolist()))
-
-
-def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """Undirected adjacency sets of an edge list."""
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
+    linked = np.triu(shared + shared.T, 1)  # each pair once, no thread with itself
+    linked = linked + linked.T
+    return {a: set(np.flatnonzero(row).tolist()) for a, row in enumerate(linked) if row.any()}
 
 
 def _forest_order(
@@ -590,12 +587,13 @@ def _lock_dependence_factor(trace: Trace) -> int:
     thread-reads-from order, read from the down-set table: the acquires of
     thread b with an edge into ``acq2`` are those at the positions
     ``[down[acq2][b], down[rel2][b])``, one range of b's acquires cut by
-    counting them in b's prefixes, each kept when its own release sits at or
-    past ``down[rel2][b]``.  An acquire lies below its own range, so it has
-    no self-loop, and a trace without acquires scores 0.
+    counting them in b's prefixes, each kept when its own release rel1 sits
+    at or past ``down[rel2][b]``, at position ``down[rel1][b] - 1``.  An
+    acquire lies below its own range, so it has no self-loop, and a trace
+    without acquires scores 0.
     """
     table = _table(trace)
-    down, match, pos = table.down, trace.match, trace.thread_pos
+    down, match = table.down, trace.match
     acquires = [[e for e in row if trace.events[e - 1].kind == "acq"] for row in table.ids]
     # cut[b][m]: how many of thread b's acquires lie in its first m events
     cut = [[0, *accumulate(trace.events[e - 1].kind == "acq" for e in row)] for row in table.ids]
@@ -606,7 +604,7 @@ def _lock_dependence_factor(trace: Trace) -> int:
             a1
             for b, row in enumerate(acquires)
             for a1 in row[cut[b][down[a2][b]] : cut[b][hi[b]]]
-            if pos[match[a1]] >= hi[b]
+            if down[match[a1]][b] - 1 >= hi[b]
         ]
 
     best = 0

@@ -131,8 +131,7 @@ def trf_digraph(trace: Trace) -> nx.DiGraph:
     g = nx.DiGraph()
     g.add_nodes_from(ev.eid for ev in trace)
     for proj in trace.by_thread:
-        for a, b in itertools.pairwise(proj):
-            g.add_edge(a.eid, b.eid)
+        g.add_edges_from(itertools.pairwise(proj))
     for reader, writer in trace.rf.items():
         g.add_edge(writer, reader)
     return nx.transitive_closure_dag(g)
@@ -144,7 +143,7 @@ def trf_by_replay(trace: Trace, members=None) -> PartialOrder:
     exactly the reads whose writer was not already below them."""
     keep = None if members is None else set(members)
     order = PartialOrder(
-        [[ev.eid for ev in proj if keep is None or ev.eid in keep] for proj in trace.by_thread]
+        [[e for e in proj if keep is None or e in keep] for proj in trace.by_thread]
     )
     for ev in trace.events:
         if ev.is_read and (keep is None or ev.eid in keep):
@@ -340,9 +339,10 @@ def down_close(trace: Trace, seeds) -> set[int]:
             continue
         seen.add(eid)
         ev = trace.event(eid)
-        pos = trace.thread_pos[eid]
+        proj = trace.projection(ev.thread)
+        pos = proj.index(eid)
         if pos > 0:
-            stack.append(trace.projection(ev.thread)[pos - 1].eid)
+            stack.append(proj[pos - 1])
         if ev.observes:
             stack.append(trace.rf[eid])
     return seen
@@ -353,9 +353,10 @@ def cone_by_members(trace: Trace, events) -> frozenset[int]:
     thread predecessors."""
     seeds = []
     for eid in events:
-        pos = trace.thread_pos[eid]
+        proj = trace.projection(trace.event(eid).thread)
+        pos = proj.index(eid)
         if pos > 0:
-            seeds.append(trace.projection(trace.event(eid).thread)[pos - 1].eid)
+            seeds.append(proj[pos - 1])
     return frozenset(down_close(trace, seeds))
 
 
@@ -376,10 +377,11 @@ def lcone_by_members(
     g.add_nodes_from(trace.threads)
     g.add_edges_from(racepred.communication_topology(trace))
     root = trace.event(eid).thread
-    kept = {root: [ev.eid for ev in trace.projection(root)[: trace.thread_pos[eid]]]}
+    proj = trace.projection(root)
+    kept = {root: list(proj[: proj.index(eid)])}
     for parent, child in nx.bfs_edges(g, root):
         below = down_close(trace, kept[parent][-1:])
-        proj = [ev.eid for ev in trace.projection(child)]
+        proj = list(trace.projection(child))
         mine = [e for e in proj if e in below]
         held = {trace.event(a).loc for a in open_acquires_by_members(trace, kept[parent])}
         while close_clashes and (

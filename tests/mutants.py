@@ -352,8 +352,8 @@ MUTANTS = (
     Mutant(
         "by-line-ignores-synthesis",
         CLI,
-        "enumerate(_event_lines(text), trace.num_synthesized + 1)",
-        "enumerate(_event_lines(text), 1)",
+        "enumerate(_content_lines(text), trace.num_synthesized + 1)",
+        "enumerate(_content_lines(text), 1)",
         (
             "tests/test_cli.py::test_predict_by_line_follows_init_synthesis_shift",
             "tests/test_cli.py::test_predict_by_line_names_each_event_line_on_seeded_files",
@@ -385,8 +385,8 @@ MUTANTS = (
     Mutant(
         "zeta-release-strict",
         TRACE_MODEL,
-        "if pos[match[a1]] >= hi[b]",
-        "if pos[match[a1]] > hi[b]",
+        "if down[match[a1]][b] - 1 >= hi[b]",
+        "if down[match[a1]][b] - 1 > hi[b]",
         ZETA_GATES,
     ),
     # lock cone: a parent holding one event passes nothing below it on
@@ -405,6 +405,35 @@ MUTANTS = (
         "held = {trace.events[a - 1].loc for a in table.opens[b2][m]}",
         "held = {trace.events[a - 1].loc for a in table.opens[b2][0]}",
         ("tests/test_ideal_engine.py::test_lcone_closes_clashing_parent_sections", LCONE_CORPUS),
+    ),
+    # lock cone: the root thread keeps the event itself, not only its
+    # predecessors
+    Mutant(
+        "lcone-root-takes-event",
+        IDEAL_ENGINE,
+        "prefix[top] = table.down[eid][top] - 1",
+        "prefix[top] = table.down[eid][top]",
+        (LCONE_CORPUS,),
+    ),
+    # ideal membership: each thread's last member is taken as outside
+    Mutant(
+        "contains-strict",
+        IDEAL_ENGINE,
+        "return _table(self.trace).down[eid][b] <= self.prefix[b]",
+        "return _table(self.trace).down[eid][b] < self.prefix[b]",
+        ("tests/test_ideal_engine.py::test_ideal_membership_and_size_agree_with_members",),
+    ),
+    # witness check: a query event is taken as enabled one event later in
+    # its thread
+    Mutant(
+        "witness-query-position",
+        ORACLE,
+        "pos = trace.projection(ev.thread).index(q)",
+        "pos = trace.projection(ev.thread).index(q) + 1",
+        (
+            "tests/test_oracle.py::test_verify_query_enabledness",
+            "tests/test_oracle.py::test_verify_empty_witness",
+        ),
     ),
     # oracle step: undoing a write leaves it as its location's last writer
     Mutant(

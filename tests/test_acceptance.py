@@ -240,7 +240,7 @@ def test_criterion_05_closure_properties_on_random_rf_posets():
         projections = [t.projection(p) for p in t.threads]
         for lens in product(*(range(len(pr) + 1) for pr in projections)):
             members = frozenset(
-                ev.eid for pr, l in zip(projections, lens) for ev in pr[:l]
+                e for pr, l in zip(projections, lens) for e in pr[:l]
             )
             if len(members) > 8 or not is_ideal(t, members):
                 continue

@@ -456,6 +456,22 @@ def test_error_paths_exit_2_with_one_message_line(tmp_path, capsys, argv, text, 
     assert err == f"error: {message}\n"
 
 
+def test_bruteforce_reports_a_trace_too_deep_to_walk(tmp_path, capsys):
+    # the exhaustive walk recurses once per placed event: 1 500 writes ahead
+    # of the pair run past the recursion limit, 700 do not
+    argv = ["predict", "--algo", "bruteforce", "--oracle-cap", "100000", "--trace"]
+    deep = write_trace(tmp_path, "t1 w y\n" * 1500 + TWO_WRITES)
+    code, out, err = run_cli(argv + [deep, "--e1", "1501", "--e2", "1502"], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: trace has 1502 events, too deep for the brute-force walk, which "
+        f"recurses once per placed event, under the recursion limit {sys.getrecursionlimit()}\n"
+    )
+    shallow = write_trace(tmp_path, "t1 w y\n" * 700 + TWO_WRITES, "shallow.txt")
+    code, out, err = run_cli(argv + [shallow, "--e1", "701", "--e2", "702"], capsys)
+    assert (code, err, json.loads(out)["witness"]) == (1, "", list(range(1, 701)))
+
+
 def test_library_rejects_an_unknown_algorithm():
     # the command line's choices never let this name through
     message = "unknown algorithm 'nope'; pick one of auto, general, tree, bounded, bruteforce"

@@ -133,7 +133,7 @@ def test_from_members_accepts_exactly_the_down_closed_sets(trace, data):
     # an arbitrary subset, and one prefix per thread (no gaps, so only
     # observation closure can fail)
     lengths = [data.draw(st.integers(0, len(proj))) for proj in trace.by_thread]
-    prefixes = {ev.eid for proj, m in zip(trace.by_thread, lengths) for ev in proj[:m]}
+    prefixes = {e for proj, m in zip(trace.by_thread, lengths) for e in proj[:m]}
     subset = set(data.draw(st.lists(st.sampled_from(eids), unique=True) if eids else st.just([])))
     for s in (subset, prefixes):
         closed = down_close(trace, s) == s
@@ -610,8 +610,8 @@ def _calls(monkeypatch, name, caller=None):
 
 
 def _leaves_out(trace, prefix, *eids):
-    index, pos = trace.thread_index, trace.thread_pos
-    return all(prefix[index[trace.event(e).thread]] <= pos[e] for e in eids)
+    place = {e: (b, pos) for b, row in enumerate(trace.by_thread) for pos, e in enumerate(row)}
+    return all(prefix[place[e][0]] <= place[e][1] for e in eids)
 
 
 def test_candidate_sweep_stops_at_a_seed_holding_a_query_event(monkeypatch):

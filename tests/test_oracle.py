@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from racepred import (
     OracleCapError,
     enumerate_correct_reorderings,
+    has_any_race,
     min_distance,
     oracle_predict,
     oracle_witness,
@@ -59,6 +60,23 @@ def test_enumerate_cap_guard():
     with pytest.raises(OracleCapError):
         list(enumerate_correct_reorderings(t))
     assert len(list(enumerate_correct_reorderings(t, cap=15))) == 16
+
+
+def test_every_walk_reports_a_trace_too_deep_for_the_recursion_limit():
+    # each walk places all 1 500 writes before it can stop
+    t = parse_trace("t1 w y\n" * 1500 + "t1 w x\nt2 w x\n")
+    walks = (
+        lambda: list(enumerate_correct_reorderings(t, cap=len(t))),
+        lambda: oracle_predict(t, 1501, 1502, cap=len(t)),
+        lambda: min_distance(t, 1501, 1502, cap=len(t)),
+        lambda: has_any_race(t, cap=len(t)),
+    )
+    for walk in walks:
+        with pytest.raises(OracleCapError, match="too deep for the brute-force walk"):
+            walk()
+    # a walk that stops early on a long trace still answers
+    t = parse_trace("t1 w x\n" + "t1 w y\n" * 1500 + "t2 w x\n")
+    assert oracle_witness(t, 1, 1502, cap=len(t)) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,7 +41,7 @@ from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 from racepred.ideal_engine import _candidates
 from racepred.orders import _Guards
 from racepred.realizability import _needs, _resolve
-from racepred.trace_model import _adjacency, _conflict_edges, _forest_order, _table
+from racepred.trace_model import _conflict_graph, _forest_order, _table
 
 from helpers import (
     bounded_by_pairs,
@@ -62,7 +62,7 @@ from test_ideal_engine import INDSET_FAMILIES, _indset
 
 def each_feasible_ideal(trace):
     """All ideals of the trace, paired with their feasibility result."""
-    blocks = [[ev.eid for ev in proj] for proj in trace.by_thread]
+    blocks = [list(proj) for proj in trace.by_thread]
 
     def rec(i, cur):
         if i == len(blocks):
@@ -450,8 +450,7 @@ def tree_children(p) -> list[tuple[int, int]]:
     """The (child, parent) block pairs of ``p``'s forest, as the tree backend
     walks them."""
     lengths = [len(block) for block in p.order.blocks]
-    edges = _conflict_edges(_table(p.trace), lengths)
-    return _forest_order(_adjacency(edges), range(len(lengths)))
+    return _forest_order(_conflict_graph(_table(p.trace), lengths), range(len(lengths)))
 
 
 def resolves_like_the_pairwise_loop(p) -> bool:

@@ -24,8 +24,8 @@ from racepred.generators import gen_random_trace
 from racepred.trace_model import (
     INIT_THREAD,
     Event,
-    _conflict_edges,
-    _event_lines,
+    _conflict_graph,
+    _content_lines,
     _table,
     from_events,
 )
@@ -209,7 +209,7 @@ def test_parse_comments_and_blank_lines():
     text = "# header\n\nt1 w x   # trailing\n\n  \nt2 r x\n"
     t = parse_trace(text)
     assert len(t) == 2
-    assert [lineno for lineno, _, _ in _event_lines(text)] == [3, 6]
+    assert [lineno for lineno, _, _ in _content_lines(text)] == [3, 6]
 
 
 def test_init_synthesis_for_read_first_globals():
@@ -384,7 +384,9 @@ def test_channel_index_matches_a_grouping_of_the_events(items):
     k, span = len(t.threads), table.span
     assert table.channels == tuple(sorted(t.globals_ | t.locks))
     assert span == max(map(len, t.by_thread), default=0) + 2
-    place = {ev.eid: (ev.loc, t.thread_index[ev.thread], t.thread_pos[ev.eid]) for ev in t.events}
+    place = {
+        e: (t.events[e - 1].loc, b, pos) for b, row in enumerate(t.by_thread) for pos, e in enumerate(row)
+    }
     users = sorted(place.values())
     writers = sorted(place[ev.eid] for ev in t.events if ev.kind in ("w", "acq"))
     for keys, want in ((table.users, users), (table.writers, writers)):
@@ -420,7 +422,7 @@ def test_table_source_is_the_observation_map():
 
 
 def replayed_facts(t: Trace):
-    """``(threads, down, opens, rf, match, thread_pos)`` of a trace,
+    """``(threads, down, opens, rf, match, by_thread)`` of a trace,
     recomputed from its event list alone: one last writer per location and
     one lock stack per thread, threads numbered in order of first event."""
     threads = list(dict.fromkeys(ev.thread for ev in t.events))
@@ -429,11 +431,12 @@ def replayed_facts(t: Trace):
     last = {p: zero for p in threads}
     stacks = {p: [] for p in threads}
     opens = {p: [()] for p in threads}
-    writer, rf, match, pos = {}, {}, {}, {}
+    writer, rf, match = {}, {}, {}
+    rows = {p: [] for p in threads}
     for ev in t.events:
         b = threads.index(ev.thread)
         vec = list(last[ev.thread])
-        pos[ev.eid] = vec[b]
+        rows[ev.thread].append(ev.eid)
         if ev.kind == "w":
             writer[ev.loc] = ev.eid
         elif ev.kind == "r":
@@ -449,16 +452,17 @@ def replayed_facts(t: Trace):
         last[ev.thread] = tuple(vec)
         down.append(tuple(vec))
         opens[ev.thread].append(tuple(stacks[ev.thread]))
-    return threads, down, [tuple(opens[p]) for p in threads], rf, match, pos
+    return threads, down, [tuple(opens[p]) for p in threads], rf, match, [tuple(rows[p]) for p in threads]
 
 
 def check_replayed_facts(t: Trace) -> None:
-    threads, down, opens, rf, match, pos = replayed_facts(t)
+    threads, down, opens, rf, match, by_thread = replayed_facts(t)
     table = _table(t)
     assert t.threads == tuple(threads)
-    assert table.down == down
+    assert table.down == down  # an event's position is its own entry less one
     assert table.opens == tuple(opens)
-    assert (t.rf, t.match, t.thread_pos) == (rf, match, pos)
+    assert (t.rf, t.match, t.by_thread) == (rf, match, tuple(by_thread))
+    assert table.ids is t.by_thread
 
 
 @settings(max_examples=80, deadline=None)
@@ -485,8 +489,11 @@ def test_conflict_edges_of_every_prefix_match_the_event_groups(items):
     t = from_events(items)
     table = _table(t)
     for prefix in itertools.product(*(range(len(proj) + 1) for proj in t.by_thread)):
-        groups = [proj[:m] for proj, m in zip(t.by_thread, prefix)]
-        assert _conflict_edges(table, prefix) == conflict_edges_by_groups(groups)
+        groups = [[t.event(e) for e in proj[:m]] for proj, m in zip(t.by_thread, prefix)]
+        adj = _conflict_graph(table, prefix)
+        # symmetric, no loops, no empty entries
+        assert all(b != a and a in adj[b] for a in adj for b in adj[a]) and all(adj.values())
+        assert {(a, b) for a in adj for b in adj[a] if a < b} == conflict_edges_by_groups(groups)
 
 
 def test_disconnected_components_each_tree():
