@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .generators import (
@@ -47,7 +48,6 @@ from .trace_model import (
     _content_lines,
     _query_pair,
     _table,
-    conflicting,
     parse_trace,
     serialize,
     trace_params,
@@ -136,7 +136,7 @@ def predict(
     """
     _check_algo(trace, algo, distance)
     try:
-        ev1, ev2 = _query_pair(trace, e1, e2)
+        b1, b2 = _query_pair(trace, e1, e2)
     except TraceError as exc:
         raise CliError(str(exc)) from None
 
@@ -147,9 +147,9 @@ def predict(
     witness: list[int] | None = None
     delta: int | None = None
 
-    if ev1.thread == ev2.thread:
+    if b1 == b2:
         # thread order keeps the pair ordered in every correct reordering
-        note(f"events {e1} and {e2} share thread {ev1.thread}; ordered everywhere")
+        note(f"events {e1} and {e2} share thread {trace.threads[b1]}; ordered everywhere")
     elif algo == "bruteforce":
         witness = oracle_witness(trace, e1, e2, cap=oracle_cap)
         found = "exhausted" if witness is None else "found a witness"
@@ -273,16 +273,15 @@ def scan(
 
 
 def scan_pairs(trace: Trace) -> Iterator[tuple[int, int]]:
-    """Unordered conflicting global pairs, synthesized events excluded."""
-    evs = [
-        ev
-        for ev in trace.events
-        if ev.is_global_access and not trace.is_synthesized(ev.eid)
-    ]
-    for i, a in enumerate(evs):
-        for b in evs[i + 1 :]:
-            if conflicting(a, b):
-                yield a.eid, b.eid
+    """Unordered conflicting global pairs, synthesized events excluded, read
+    from the columns."""
+    skip = trace.num_synthesized
+    columns = zip(count(skip + 1), trace.kind[skip:], trace.loc[skip:])
+    accesses = [(e, loc, kind == "w") for e, kind, loc in columns if kind == "w" or kind == "r"]
+    for i, (a, loc, writes) in enumerate(accesses):
+        for b, other, writes2 in accesses[i + 1 :]:
+            if loc == other and (writes or writes2):
+                yield a, b
 
 
 # ----------------------------------------------------------------------
@@ -465,8 +464,7 @@ def _gen_random(args: argparse.Namespace) -> tuple[Trace, tuple[int, int] | None
         lock_ratio=args.lock_ratio,
         nesting_max=args.nesting,
     )
-    pairs = [(a, b) for a, b in scan_pairs(trace) if
-             trace.event(a).thread != trace.event(b).thread]
+    pairs = [(a, b) for a, b in scan_pairs(trace) if trace.tid[a - 1] != trace.tid[b - 1]]
     query = random.Random(f"{args.seed}:query").choice(pairs) if pairs else None
     return trace, query
 

@@ -91,7 +91,7 @@ class Ideal:
         position, ``down[eid][b] - 1``.  Anything but an event id of the
         trace is not."""
         try:
-            b = self.trace.thread_index[self.trace.event(eid).thread]
+            b = self.trace.thread_of(eid)
         except (TraceError, TypeError):
             return False
         return _table(self.trace).down[eid][b] <= self.prefix[b]
@@ -113,7 +113,7 @@ class Ideal:
 
 def _below(trace: Trace, table: _Table, eid: int) -> tuple[int, ...]:
     """Prefix vector of the downward closure of ``eid``'s thread predecessor."""
-    b = trace.thread_index[trace.event(eid).thread]  # TraceError for an unknown id
+    b = trace.thread_of(eid)  # TraceError for an unknown id
     pos = table.down[eid][b] - 1
     return table.down[table.ids[b][pos - 1]] if pos else table.down[0]
 
@@ -124,7 +124,7 @@ def _prefix_of(trace: Trace, members: frozenset[int]) -> tuple[int, ...] | None:
     counts = [0] * len(trace.threads)
     tops = [0] * len(trace.threads)
     for eid in members:
-        b = trace.thread_index[trace.event(eid).thread]
+        b = trace.thread_of(eid)
         counts[b] += 1
         tops[b] = max(tops[b], table.down[eid][b])  # its position plus one
     if counts != tops:
@@ -202,19 +202,18 @@ def lcone(trace: Trace, eid: int) -> Ideal:
     :func:`~racepred.orders.compute_trf` still rejects a prefix that is not
     an ideal on every path from an ideal to a backend.
     """
-    root = trace.event(eid).thread
-    top = trace.thread_index[root]
+    top, loc = trace.thread_of(eid), trace.loc
     table = _table(trace)
     order = _forest_order(table.adj, [top])
     if order is None:
-        raise TraceError(f"communication topology around {root} is not a tree")
+        raise TraceError(f"communication topology around {trace.threads[top]} is not a tree")
     prefix = [0] * len(trace.threads)
     prefix[top] = table.down[eid][top] - 1
     for b1, b2 in order:
         m = prefix[b2]
         prefix[b1] = table.down[table.ids[b2][m - 1] if m else 0][b1]
-        held = {trace.events[a - 1].loc for a in table.opens[b2][m]}  # the parent's open locks
-        while clash := [a for a in table.opens[b1][prefix[b1]] if trace.events[a - 1].loc in held]:
+        held = {loc[a - 1] for a in table.opens[b2][m]}  # the parent's open locks
+        while clash := [a for a in table.opens[b1][prefix[b1]] if loc[a - 1] in held]:
             prefix[b1] = table.down[trace.match[min(clash)]][b1]
     return Ideal(trace, tuple(prefix))
 
@@ -244,15 +243,18 @@ class FeasibilityResult:
         return self.status is Feasibility.FEASIBLE
 
 
-def _clashing_lock(trace: Trace, opens: Sequence[int]) -> str | None:
-    """The first lock, in the given order, that two open acquires both hold."""
-    held = set()
-    for eid in opens:
-        lock = trace.events[eid - 1].loc
-        if lock in held:
-            return lock
-        held.add(lock)
-    return None
+def _clashing_lock(trace: Trace, opens: Sequence[int]) -> tuple[str | None, Sequence[int]]:
+    """The first lock, in the given order, that two open acquires both hold,
+    with its open acquires in that order; or ``None`` with all of ``opens``.
+    One pass over the ``loc`` column: once the lock is found, the rest of the
+    pass keeps its acquires."""
+    loc, first, rest = trace.loc, {}, iter(opens)  # first: lock -> its first open acquire
+    for eid in rest:
+        lock = loc[eid - 1]
+        if lock in first:
+            return lock, [first[lock], eid, *(a for a in rest if loc[a - 1] == lock)]
+        first[lock] = eid
+    return None, opens
 
 
 def feasibility(ideal: Ideal) -> FeasibilityResult:
@@ -279,7 +281,7 @@ def _candidate(ideal: Ideal) -> _Candidate:
     """The ideal with its open acquires, by event id, and the first lock two
     of them hold, or ``None``: a candidate as the sweep yields it."""
     opens = _open_in(_table(ideal.trace), ideal.prefix)
-    return ideal, opens, _clashing_lock(ideal.trace, opens)
+    return ideal, opens, _clashing_lock(ideal.trace, opens)[0]
 
 
 def _feasible(ideal: Ideal, opens: list[int], clash: str | None) -> FeasibilityResult:
@@ -355,9 +357,8 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[_Candidate]:
     pruned sweep reaches every lock-feasible candidate, and only those can
     pass :func:`feasibility`.
     """
-    ev1, ev2 = _query_pair(trace, e1, e2)
+    b1, b2 = _query_pair(trace, e1, e2)
     table = _table(trace)
-    b1, b2 = trace.thread_index[ev1.thread], trace.thread_index[ev2.thread]
     pos1, pos2 = table.down[e1][b1] - 1, table.down[e2][b2] - 1
     seed = _join(_below(trace, table, e1), _below(trace, table, e2))
     if seed[b1] > pos1 or seed[b2] > pos2:
@@ -367,11 +368,9 @@ def _candidates(trace: Trace, e1: int, e2: int) -> Iterator[_Candidate]:
     seen = {seed}
     for y in queue:
         opens = _open_in(table, y)
-        clash = _clashing_lock(trace, opens)
+        clash, closable = _clashing_lock(trace, opens)  # a clash: only its acquires
         yield Ideal(trace, y), opens, clash
-        if clash is not None:  # grown only through the clash it must resolve
-            opens = [a for a in opens if trace.events[a - 1].loc == clash]
-        for acq in opens:
+        for acq in closable:
             down = table.down[trace.match[acq]]
             if down[b1] > pos1 or down[b2] > pos2:
                 continue

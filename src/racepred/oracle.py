@@ -34,7 +34,7 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
-from .trace_model import Trace, TraceError, _query_pair, conflicting
+from .trace_model import Trace, _query_pair
 
 __all__ = [
     "OracleCapError",
@@ -85,7 +85,7 @@ class _Replay:
         self.trace = trace
         self.prefix = [0] * len(trace.threads)
         self.last_writer: dict[str, int] = {}
-        self.holder: dict[str, str] = {}  # lock -> holding thread
+        self.holder: dict[str, int] = {}  # lock -> holding thread
         self.placed: list[int] = []
         self.prior: list[int | None] = []  # each placed write's previous writer
 
@@ -94,11 +94,11 @@ class _Replay:
         return sorted(row[m] for row, m in zip(self.trace.by_thread, self.prefix) if m < len(row))
 
     def can_append(self, eid: int) -> bool:
-        ev = self.trace.event(eid)
-        if ev.is_read:
-            return self.last_writer.get(ev.loc) == self.trace.rf[eid]
-        if ev.is_acquire:
-            return ev.loc not in self.holder
+        kind, loc = self.trace.kind[eid - 1], self.trace.loc[eid - 1]
+        if kind == "r":
+            return self.last_writer.get(loc) == self.trace.rf[eid]
+        if kind == "acq":
+            return loc not in self.holder
         return True  # writes always, releases whenever program order allows
 
     def steps(self, skip: Sequence[int] = ()) -> Iterator[int]:
@@ -115,30 +115,31 @@ class _Replay:
                 self.undo()
 
     def append(self, eid: int) -> None:
-        ev = self.trace.event(eid)
-        self.prefix[self.trace.thread_index[ev.thread]] += 1
+        b, kind, loc = self.trace.tid[eid - 1], self.trace.kind[eid - 1], self.trace.loc[eid - 1]
+        self.prefix[b] += 1
         self.placed.append(eid)
-        if ev.is_write:
-            self.prior.append(self.last_writer.get(ev.loc))
-            self.last_writer[ev.loc] = eid
-        elif ev.is_acquire:
-            self.holder[ev.loc] = ev.thread
-        elif ev.is_release:
-            del self.holder[ev.loc]
+        if kind == "w":
+            self.prior.append(self.last_writer.get(loc))
+            self.last_writer[loc] = eid
+        elif kind == "acq":
+            self.holder[loc] = b
+        elif kind == "rel":
+            del self.holder[loc]
 
     def undo(self) -> None:
-        ev = self.trace.event(self.placed.pop())
-        self.prefix[self.trace.thread_index[ev.thread]] -= 1
-        if ev.is_write:
+        eid = self.placed.pop()
+        b, kind, loc = self.trace.tid[eid - 1], self.trace.kind[eid - 1], self.trace.loc[eid - 1]
+        self.prefix[b] -= 1
+        if kind == "w":
             prior = self.prior.pop()
             if prior is None:
-                del self.last_writer[ev.loc]
+                del self.last_writer[loc]
             else:
-                self.last_writer[ev.loc] = prior
-        elif ev.is_acquire:
-            del self.holder[ev.loc]
-        elif ev.is_release:
-            self.holder[ev.loc] = ev.thread
+                self.last_writer[loc] = prior
+        elif kind == "acq":
+            del self.holder[loc]
+        elif kind == "rel":
+            self.holder[loc] = b
 
     def key(self) -> tuple:
         """Search state: thread prefixes plus who wrote each location last.
@@ -206,10 +207,9 @@ def _enabled(
     """The test that a replay has both query events enabled, or None for a
     same-thread pair, which is never a race."""
     _check_cap(trace, cap)
-    ev1, ev2 = _query_pair(trace, e1, e2)
-    if ev1.thread == ev2.thread:
+    b1, b2 = _query_pair(trace, e1, e2)
+    if b1 == b2:
         return None
-    b1, b2 = trace.thread_index[ev1.thread], trace.thread_index[ev2.thread]
     p1, p2 = trace.by_thread[b1].index(e1), trace.by_thread[b2].index(e2)
     return lambda r: r.prefix[b1] == p1 and r.prefix[b2] == p2
 
@@ -245,17 +245,17 @@ def min_distance(
     # memo: fewest reversals that reached a state; prune dominated revisits
     cheapest: dict[tuple, float] = {}
 
+    kind, loc = trace.kind, trace.loc
+
     def reversals_added(eid: int) -> int:
-        """Reversals the just-appended ``eid`` makes with earlier events."""
-        ev = trace.event(eid)
-        if not ev.writes_like:
+        """Reversals the just-appended ``eid`` makes with earlier events:
+        later writes or acquires on its location, when it is one."""
+        if kind[eid - 1] not in ("w", "acq"):
             return 0
-        count = 0
-        for other in replay.placed:
-            oev = trace.event(other)
-            if oev.writes_like and conflicting(ev, oev) and eid < other:
-                count += 1
-        return count
+        return sum(
+            eid < other and kind[other - 1] in ("w", "acq") and loc[other - 1] == loc[eid - 1]
+            for other in replay.placed
+        )
 
     def walk(cost: float) -> None:
         nonlocal best
@@ -283,20 +283,16 @@ def has_any_race(trace: Trace, cap: int = DEFAULT_CAP) -> bool:
     """
     _check_cap(trace, cap)
 
+    kind, loc, skip = trace.kind, trace.loc, trace.num_synthesized
+
     def racy_frontier(replay: _Replay) -> bool:
-        cands = [trace.event(e) for e in replay.candidates()]
-        for i, a in enumerate(cands):
-            if not a.is_global_access or trace.is_synthesized(a.eid):
-                continue
-            for b in cands[i + 1 :]:
-                if (
-                    b.is_global_access
-                    and not trace.is_synthesized(b.eid)
-                    and a.thread != b.thread
-                    and conflicting(a, b)
-                ):
-                    return True
-        return False
+        # the candidates are the next events of distinct threads
+        cands = [e for e in replay.candidates() if e > skip and kind[e - 1] in ("w", "r")]
+        return any(
+            loc[a - 1] == loc[b - 1] and "w" in (kind[a - 1], kind[b - 1])
+            for i, a in enumerate(cands)
+            for b in cands[i + 1 :]
+        )
 
     return _first_state(trace, racy_frontier) is not None
 
@@ -322,40 +318,38 @@ def witness_error(
         return "witness is not a sequence of integer event ids"
     if len(set(ids)) != len(ids):
         return "witness repeats an event id"
-    try:
-        events = [trace.event(e) for e in ids]
-    except (KeyError, IndexError, TraceError):
+    if not all(1 <= e <= len(trace) for e in ids):
         return "witness contains an unknown event id"
+    tid, kind, loc = trace.tid, trace.kind, trace.loc
 
     # per-thread prefix property
-    expected: dict[str, int] = {p: 0 for p in trace.threads}
-    for ev in events:
-        proj = trace.projection(ev.thread)
-        want = proj[expected[ev.thread]] if expected[ev.thread] < len(proj) else None
-        if want != ev.eid:
-            return (
-                f"program order broken in {ev.thread}: got event {ev.eid}, "
-                f"expected {want}"
-            )
-        expected[ev.thread] += 1
+    expected = [0] * len(trace.threads)
+    for e in ids:
+        b = tid[e - 1]
+        proj = trace.by_thread[b]
+        want = proj[expected[b]] if expected[b] < len(proj) else None
+        if want != e:
+            return f"program order broken in {trace.threads[b]}: got event {e}, expected {want}"
+        expected[b] += 1
 
     # lock semantics and observation preservation
     last_writer: dict[str, int] = {}
-    holder: dict[str, str] = {}
-    for ev in events:
-        if ev.is_write:
-            last_writer[ev.loc] = ev.eid
-        elif ev.is_read:
-            if last_writer.get(ev.loc) != trace.rf[ev.eid]:
-                return f"read {ev.eid} observes a different writer than in the trace"
-        elif ev.is_acquire:
-            if ev.loc in holder:
-                return f"critical sections overlap on {ev.loc}"
-            holder[ev.loc] = ev.thread
+    holder: dict[str, int] = {}  # lock -> holding thread
+    for e in ids:
+        k, x = kind[e - 1], loc[e - 1]
+        if k == "w":
+            last_writer[x] = e
+        elif k == "r":
+            if last_writer.get(x) != trace.rf[e]:
+                return f"read {e} observes a different writer than in the trace"
+        elif k == "acq":
+            if x in holder:
+                return f"critical sections overlap on {x}"
+            holder[x] = tid[e - 1]
         else:
-            if holder.get(ev.loc) != ev.thread:
-                return f"release of unheld lock {ev.loc}"
-            del holder[ev.loc]
+            if holder.get(x) != tid[e - 1]:
+                return f"release of unheld lock {x}"
+            del holder[x]
 
     present = set(ids)
     for q in (e1, e2):
@@ -363,12 +357,12 @@ def witness_error(
             continue
         if q in present:
             return f"query event {q} must stay out of the witness"
-        ev = trace.event(q)
-        pos = trace.projection(ev.thread).index(q)
-        if expected[ev.thread] != pos:
+        b = trace.thread_of(q)
+        pos = trace.by_thread[b].index(q)
+        if expected[b] != pos:
             return (
-                f"query event {q} is not enabled: thread {ev.thread} stopped "
-                f"after {expected[ev.thread]} of the {pos} required events"
+                f"query event {q} is not enabled: thread {trace.threads[b]} stopped "
+                f"after {expected[b]} of the {pos} required events"
             )
     return None
 

@@ -20,14 +20,20 @@ get an error instead.
 
 Event ids are 1-based positions in the final event sequence (after any
 synthesized writes).
+
+A :class:`Trace` stores its events as three columns indexed by ``eid - 1``:
+the thread's number, the kind and the location.  Parsing fills the columns
+straight from the lines, and every query reads them; an :class:`Event` is a
+view built only where the API hands one out (``Trace.event``,
+``Trace.events`` and iteration).
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from dataclasses import dataclass
+from itertools import accumulate, chain, count
 from operator import gt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -116,33 +122,44 @@ def conflicting(e1: Event, e2: Event) -> bool:
 
 
 class Trace:
-    """An immutable, validated event sequence.
+    """An immutable, validated event sequence, stored as columns.
 
-    Exposes the derived structure everything else builds on: each thread's
-    event ids in program order (``by_thread``, by thread number, the one
-    stored form of a thread's events), the observed-writer map ``rf`` (reads
-    to writes, releases to their matching acquires), and acquire/release
-    matching.  An event's position in its thread is not stored here: it is
-    ``down[e][b] - 1`` in the down-set table.  The whole-trace
-    facts that queries share live in one cache, the down-set table
-    :func:`_table` (the one stored form of the TRF, the channel index and the
-    communication topology), built on first use and kept on the trace, whose
-    arrays are indexed by event id: so the ids must run ``1..n`` in sequence
-    order, else :class:`TraceError`.  It is the one checker of trace input,
-    parsed or built: every kind must be one of :data:`KINDS`, and every
-    thread and location name one the file format allows, so that
+    Event ``eid`` is entry ``eid - 1`` of three tuples: ``tid``, its
+    thread's number (an index into ``threads``), ``kind`` and ``loc``.  These
+    columns are the one stored form of the events; every query reads them.
+    An :class:`Event` is a view built on demand: :meth:`event` builds the one
+    it returns, and ``events`` builds them all on first access and keeps
+    them.  Beside the columns the trace exposes the derived structure
+    everything else builds on: each thread's event ids in program order
+    (``by_thread``, by thread number, the one stored form of a thread's
+    events), the observed-writer map ``rf`` (reads to writes, releases to
+    their matching acquires), and acquire/release matching.  An event's
+    position in its thread is not stored here: it is ``down[e][b] - 1`` in
+    the down-set table.  The whole-trace facts that queries share live in
+    one cache, the down-set table :func:`_table` (the one stored form of the
+    TRF, the channel index and the communication topology), built on first
+    use and kept on the trace.
+
+    ``Trace(events)`` splits a sequence of events into columns, whose ids
+    must run ``1..n`` in sequence order, else :class:`TraceError`;
+    :func:`from_events` and :func:`parse_trace` fill the columns straight
+    from their items.  One loop over the columns is the one checker of trace
+    input, parsed or built: every kind must be one of :data:`KINDS`, and
+    every thread and location name one the file format allows, so that
     :func:`serialize` writes text that :func:`parse_trace` reads back; each
     location keeps one role, every read follows a write, and locks are held
-    by one thread at a time and released innermost first.  One pass over
-    the events checks them and builds every map, testing each name once, so
-    a sequence with several faults reports its first faulty event in trace
-    order, and every fault names its event id (an unreleased acquire shows
-    only at the end).  A trace keeps its events, not where they came from:
-    no query reads a source line.
+    by one thread at a time and released innermost first.  The loop checks
+    them and builds every map, testing each name once, so a sequence with
+    several faults reports its first faulty event in trace order, and every
+    fault names its event id (an unreleased acquire shows only at the end).
+    A trace keeps its events, not where they came from: no query reads a
+    source line.
     """
 
     __slots__ = (
-        "events",
+        "tid",
+        "kind",
+        "loc",
         "threads",
         "globals_",
         "locks",
@@ -151,45 +168,57 @@ class Trace:
         "thread_index",
         "by_thread",
         "num_synthesized",
+        "_events",
         "_ideals",
     )
 
     def __init__(self, events: Sequence[Event], *, num_synthesized: int = 0):
-        self.events: tuple[Event, ...] = tuple(events)
-        self.num_synthesized = num_synthesized
+        columns = [(ev.eid, ev.thread, ev.kind, ev.loc) for ev in events]
+        self._check(*(zip(*columns) if columns else ((),) * 4), num_synthesized)
 
+    def _check(
+        self, ids: Iterable[int], threads: Sequence[str], kinds: Sequence[str],
+        locs: Sequence[str], num_synthesized: int,
+    ) -> None:
+        """Check the events, given as columns of ids and names, and fill the
+        trace from them: the one checker of trace input."""
         index: dict[str, int] = {}  # thread -> its number, in order of first event
         roles: dict[str, str] = {}  # loc -> "global" | "lock"
+        tid: list[int] = []
         by_thread: list[list[int]] = []
-        opened: dict[str, list[Event]] = {}  # each thread's open acquires, innermost last
-        holder: dict[str, Event] = {}  # lock -> open acquire
+        opened: list[list[int]] = []  # each thread's open acquires, innermost last
+        holder: dict[str, int] = {}  # lock -> open acquire
         last_writer: dict[str, int] = {}
         rf: dict[int, int] = {}  # reads to their writes, releases to their acquires
         match: dict[int, int] = {}  # acquires and releases to each other
-        for eid, ev in enumerate(self.events, 1):
-            kind, loc = ev.kind, ev.loc
-            if ev.eid != eid:
-                raise TraceError(f"event {eid} has id {ev.eid}: ids must run 1..n in order")
+        for eid, given, thread, kind, loc in zip(count(1), ids, threads, kinds, locs):
+            if given != eid:
+                raise TraceError(f"event {eid} has id {given}: ids must run 1..n in order")
             if kind not in KINDS:
                 raise TraceError(f"bad operation {kind!r} (event {eid})")
-            b = index.setdefault(ev.thread, len(index))
-            if b == len(by_thread):
-                if not _THREAD_RE.fullmatch(ev.thread):
-                    raise TraceError(f"bad thread name {ev.thread!r} (event {eid})")
+            b = index.get(thread)
+            if b is None:
+                if not _THREAD_RE.fullmatch(thread):
+                    raise TraceError(f"bad thread name {thread!r} (event {eid})")
+                b = index[thread] = len(by_thread)
                 by_thread.append([])
-            if num_synthesized and eid > num_synthesized and ev.thread == INIT_THREAD:
+                opened.append([])
+            if num_synthesized and eid > num_synthesized and thread == INIT_THREAD:
                 raise TraceError(
                     f"thread {INIT_THREAD!r} is reserved for synthesized initial "
                     f"writes (event {eid})"
                 )
             want = "global" if kind == "w" or kind == "r" else "lock"
-            if loc not in roles and not _LOCATION_RE.fullmatch(loc):
-                raise TraceError(f"bad location {loc!r} (event {eid})")
-            have = roles.setdefault(loc, want)
-            if have != want:
+            have = roles.get(loc)
+            if have is None:
+                if not _LOCATION_RE.fullmatch(loc):
+                    raise TraceError(f"bad location {loc!r} (event {eid})")
+                roles[loc] = want
+            elif have != want:
                 raise TraceError(
                     f"location {loc!r} used as both a {have} and a {want} (event {eid})"
                 )
+            tid.append(b)
             by_thread[b].append(eid)
             if kind == "w":
                 last_writer[loc] = eid
@@ -198,37 +227,41 @@ class Trace:
                     raise TraceError(f"read of {loc!r} (event {eid}) has no earlier write")
                 rf[eid] = last_writer[loc]
             elif kind == "acq":
-                held = holder.setdefault(loc, ev)
-                if held is not ev:
-                    who = "itself" if held.thread == ev.thread else held.thread
+                held = holder.setdefault(loc, eid)
+                if held != eid:
+                    who = "itself" if tid[held - 1] == b else threads[held - 1]
                     raise TraceError(
                         f"acquire of {loc!r} (event {eid}) while held by "
-                        f"{who} since event {held.eid}"
+                        f"{who} since event {held}"
                     )
-                opened.setdefault(ev.thread, []).append(ev)
+                opened[b].append(eid)
             else:
                 held = holder.pop(loc, None)
-                if held is None or held.thread != ev.thread:
+                if held is None or tid[held - 1] != b:
                     raise TraceError(
                         f"release of {loc!r} (event {eid}) without a "
-                        f"matching acquire in {ev.thread}"
+                        f"matching acquire in {thread}"
                     )
-                if opened[ev.thread].pop() is not held:
+                if opened[b].pop() != held:
                     raise TraceError(
                         f"release of {loc!r} (event {eid}) violates lock "
-                        f"nesting in {ev.thread}"
+                        f"nesting in {thread}"
                     )
-                rf[eid] = match[eid] = held.eid
-                match[held.eid] = eid
+                rf[eid] = match[eid] = held
+                match[held] = eid
         if holder:
-            open_ids = sorted(a.eid for a in holder.values())
-            raise TraceError(f"unreleased acquires at end of trace: {open_ids}")
+            raise TraceError(f"unreleased acquires at end of trace: {sorted(holder.values())}")
+        self.tid: tuple[int, ...] = tuple(tid)
+        self.kind: tuple[str, ...] = tuple(kinds)
+        self.loc: tuple[str, ...] = tuple(locs)
+        self.num_synthesized = num_synthesized
         self.threads: tuple[str, ...] = tuple(index)
         self.thread_index = index
         self.globals_ = frozenset(x for x, role in roles.items() if role == "global")
         self.locks = frozenset(x for x, role in roles.items() if role == "lock")
         self.by_thread: tuple[tuple[int, ...], ...] = tuple(map(tuple, by_thread))
         self.rf, self.match = rf, match
+        self._events: tuple[Event, ...] | None = None
         self._ideals: _Table | None = None
 
     # ------------------------------------------------------------------
@@ -236,15 +269,31 @@ class Trace:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.tid)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every event, in order: built from the columns on first access and
+        kept.  No query reads them."""
+        if self._events is None:
+            names = map(self.threads.__getitem__, self.tid)
+            self._events = tuple(map(Event, count(1), names, self.kind, self.loc))
+        return self._events
+
     def event(self, eid: int) -> Event:
-        if not 1 <= eid <= len(self.events):
-            raise TraceError(f"event id {eid} out of range 1..{len(self.events)}")
-        return self.events[eid - 1]
+        """Event ``eid``, built from the columns on each call."""
+        b = self.thread_of(eid)
+        return Event(eid, self.threads[b], self.kind[eid - 1], self.loc[eid - 1])
+
+    def thread_of(self, eid: int) -> int:
+        """The number of event ``eid``'s thread, read from the ``tid`` column;
+        :class:`TraceError` for an id out of range."""
+        if not 1 <= eid <= len(self.tid):
+            raise TraceError(f"event id {eid} out of range 1..{len(self.tid)}")
+        return self.tid[eid - 1]
 
     def is_synthesized(self, eid: int) -> bool:
         """Whether ``eid`` is a synthesized initial write on ``t0``."""
@@ -267,7 +316,8 @@ def from_events(
 ) -> Trace:
     """Build a trace from ``(thread, kind, loc)`` triples, numbering them
     from 1 after any synthesized writes, so item i (from 1) is event
-    ``num_synthesized + i``; :class:`Trace` checks the events.
+    ``num_synthesized + i``; :class:`Trace` checks the events.  The items
+    go straight into the trace's columns: no :class:`Event` is built.
 
     With ``synthesize_init`` (the default), a write on thread ``t0`` is
     prepended for every global whose first access is a read, in the order of
@@ -277,20 +327,18 @@ def from_events(
     so a bad name read first is reported on its write: ``t1 w a`` then
     ``t1 r 9x`` fails with ``bad location '9x' (event 1)``.
     """
-    synthesized: list[tuple[str, str, str]] = []
+    threads, kinds, locs = zip(*items, strict=True) if (items := list(items)) else ((), (), ())
+    synthesized: list[str] = []
     if synthesize_init:
-        items = list(items)
-        accessed: set[str] = set()
-        for _, kind, loc in items:
-            if (kind == "w" or kind == "r") and loc not in accessed:
-                accessed.add(loc)
-                if kind == "r":
-                    synthesized.append((INIT_THREAD, "w", loc))
-    events = [
-        Event(eid, thread, kind, loc)
-        for eid, (thread, kind, loc) in enumerate(chain(synthesized, items), 1)
-    ]
-    return Trace(events, num_synthesized=len(synthesized))
+        first: dict[str, str] = {}  # each global's first access
+        for kind, loc in zip(kinds, locs):
+            if (kind == "w" or kind == "r") and loc not in first:
+                first[loc] = kind
+        synthesized = [loc for loc, kind in first.items() if kind == "r"]
+    m, trace = len(synthesized), Trace.__new__(Trace)
+    threads, kinds, locs = (INIT_THREAD,) * m + threads, ("w",) * m + kinds, (*synthesized, *locs)
+    trace._check(range(1, len(kinds) + 1), threads, kinds, locs, m)
+    return trace
 
 
 def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
@@ -306,14 +354,14 @@ def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:
     on every line, so the events are numbered and checked only once all
     lines are read.
     """
-    items: list[tuple[str, str, str]] = []
+    items: list[list[str]] = []
     for lineno, line, body in _content_lines(text):
         parts = body.split()
         if len(parts) != 3:
             raise TraceError(
                 f"line {lineno}: expected '<thread> <op> <location>', got {line!r}"
             )
-        items.append((parts[0], parts[1], parts[2]))
+        items.append(parts)
     return from_events(items, synthesize_init=synthesize_init)
 
 
@@ -325,8 +373,7 @@ def _content_lines(text: str) -> Iterator[tuple[int, str, str]]:
     and edge-list readers all take their lines from here, each parsing
     ``body`` by its own format."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
+        if body := line.partition("#")[0].strip():
             yield lineno, line, body
 
 
@@ -338,9 +385,10 @@ def serialize(trace: Trace) -> str:
     included (re-parsing regenerates the same init block in the same
     order).
     """
+    skip, names = trace.num_synthesized, trace.threads
     lines = [
-        f"{ev.thread} {ev.kind} {ev.loc}"
-        for ev in trace.events[trace.num_synthesized :]
+        f"{names[b]} {kind} {loc}"
+        for b, kind, loc in zip(trace.tid[skip:], trace.kind[skip:], trace.loc[skip:])
     ]
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -413,11 +461,10 @@ def _table(trace: Trace) -> _Table:
         span = max(map(len, trace.by_thread), default=0) + 2
         chan, writes_like = [-1] * (n + 1), [False] * (n + 1)
         users, writers = [-1], [-1]
-        index, rf = trace.thread_index, trace.rf
-        for ev in trace.events:
-            e, b, kind = ev.eid, index[ev.thread], ev.kind
+        rf = trace.rf
+        for e, b, kind, loc in zip(count(1), trace.tid, trace.kind, trace.loc):
             vec, stack = last[b], opens[b][-1]
-            c = chan[e] = number[ev.loc]
+            c = chan[e] = number[loc]
             # vec[b] counts thread b's earlier events: e's position
             users.append(key := (c * k + b) * span + vec[b])
             if kind == "r":
@@ -594,9 +641,10 @@ def _lock_dependence_factor(trace: Trace) -> int:
     """
     table = _table(trace)
     down, match = table.down, trace.match
-    acquires = [[e for e in row if trace.events[e - 1].kind == "acq"] for row in table.ids]
+    kind = trace.kind
+    acquires = [[e for e in row if kind[e - 1] == "acq"] for row in table.ids]
     # cut[b][m]: how many of thread b's acquires lie in its first m events
-    cut = [[0, *accumulate(trace.events[e - 1].kind == "acq" for e in row)] for row in table.ids]
+    cut = [[0, *accumulate(kind[e - 1] == "acq" for e in row)] for row in table.ids]
     radj: dict[int, list[int]] = {}
     for a2 in chain.from_iterable(acquires):
         hi = down[match[a2]]
@@ -626,18 +674,20 @@ def _lock_dependence_factor(trace: Trace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _query_pair(trace: Trace, e1: int, e2: int) -> tuple[Event, Event]:
-    """The events of a race query on ``(e1, e2)``.
+def _query_pair(trace: Trace, e1: int, e2: int) -> tuple[int, int]:
+    """The thread numbers of a race query on ``(e1, e2)``, read from the
+    columns.
 
     Raises :class:`TraceError` unless both ids name global reads/writes of
     the trace that conflict.
     """
-    ev1, ev2 = trace.event(e1), trace.event(e2)
-    if not (ev1.is_global_access and ev2.is_global_access):
+    b1, b2 = trace.thread_of(e1), trace.thread_of(e2)
+    k1, k2 = trace.kind[e1 - 1], trace.kind[e2 - 1]
+    if not (k1 in ("w", "r") and k2 in ("w", "r")):
         raise TraceError(f"events {e1} and {e2} are not both global reads/writes")
-    if not conflicting(ev1, ev2):
+    if e1 == e2 or trace.loc[e1 - 1] != trace.loc[e2 - 1] or k1 == k2 == "r":
         raise TraceError(f"events {e1} and {e2} do not conflict")
-    return ev1, ev2
+    return b1, b2
 
 
 def wrap_pair(trace: Trace, e1: int, e2: int) -> tuple[Trace, int, int]:
@@ -666,10 +716,12 @@ def wrap_pair(trace: Trace, e1: int, e2: int) -> tuple[Trace, int, int]:
     brackets = {e1: (l1,), e2: (l2,)}
     items: list[tuple[str, str, str]] = []
     at: dict[int, int] = {}  # old id -> new id
-    for ev in trace.events:
-        locks = brackets.get(ev.eid, (l1, l2) if ev.is_global_access else ())
-        items += [(ev.thread, "acq", lock) for lock in locks]
-        items.append((ev.thread, ev.kind, ev.loc))
-        at[ev.eid] = len(items)
-        items += [(ev.thread, "rel", lock) for lock in reversed(locks)]
+    names = trace.threads
+    for eid, b, kind, loc in zip(count(1), trace.tid, trace.kind, trace.loc):
+        thread = names[b]
+        locks = brackets.get(eid, (l1, l2) if kind == "w" or kind == "r" else ())
+        items += [(thread, "acq", lock) for lock in locks]
+        items.append((thread, kind, loc))
+        at[eid] = len(items)
+        items += [(thread, "rel", lock) for lock in reversed(locks)]
     return from_events(items, synthesize_init=False), at[e1], at[e2]

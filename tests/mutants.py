@@ -237,8 +237,8 @@ MUTANTS = (
     Mutant(
         "sweep-first-clashing-acquire",
         IDEAL_ENGINE,
-        "opens = [a for a in opens if trace.events[a - 1].loc == clash]",
-        "opens = [a for a in opens if trace.events[a - 1].loc == clash][:1]",
+        "return lock, [first[lock], eid, *(a for a in rest if loc[a - 1] == lock)]",
+        "return lock, [first[lock]]",
         (
             "tests/test_ideal_engine.py"
             "::test_pruned_sweep_grows_through_every_acquire_of_the_clashing_lock",
@@ -251,8 +251,8 @@ MUTANTS = (
     Mutant(
         "clash-names-first-open-lock",
         IDEAL_ENGINE,
-        "if lock in held:\n            return lock\n",
-        "if lock in held:\n            return trace.events[opens[0] - 1].loc\n",
+        "if lock in first:\n            return lock, ",
+        "if lock in first:\n            return loc[opens[0] - 1], ",
         ("tests/test_ideal_engine.py::test_sweep_triples_match_member_reads",),
     ),
     # the sweep: a lock-infeasible candidate skipped before it is counted
@@ -332,8 +332,8 @@ MUTANTS = (
     Mutant(
         "trace-nesting-unchecked",
         TRACE_MODEL,
-        "if opened[ev.thread].pop() is not held:",
-        "if opened[ev.thread].pop() is None:",
+        "if opened[b].pop() != held:",
+        "if opened[b].pop() is None:",
         ("tests/test_trace_model.py::test_parse_rejects_badly_nested_release",),
     ),
     # trace check: an unknown kind is let through, and replays as a release
@@ -402,8 +402,8 @@ MUTANTS = (
     Mutant(
         "lcone-parent-locks-unread",
         IDEAL_ENGINE,
-        "held = {trace.events[a - 1].loc for a in table.opens[b2][m]}",
-        "held = {trace.events[a - 1].loc for a in table.opens[b2][0]}",
+        "held = {loc[a - 1] for a in table.opens[b2][m]}",
+        "held = {loc[a - 1] for a in table.opens[b2][0]}",
         ("tests/test_ideal_engine.py::test_lcone_closes_clashing_parent_sections", LCONE_CORPUS),
     ),
     # lock cone: the root thread keeps the event itself, not only its
@@ -428,8 +428,8 @@ MUTANTS = (
     Mutant(
         "witness-query-position",
         ORACLE,
-        "pos = trace.projection(ev.thread).index(q)",
-        "pos = trace.projection(ev.thread).index(q) + 1",
+        "pos = trace.by_thread[b].index(q)",
+        "pos = trace.by_thread[b].index(q) + 1",
         (
             "tests/test_oracle.py::test_verify_query_enabledness",
             "tests/test_oracle.py::test_verify_empty_witness",
@@ -439,7 +439,7 @@ MUTANTS = (
     Mutant(
         "replay-undo-keeps-writer",
         ORACLE,
-        "                self.last_writer[ev.loc] = prior",
+        "                self.last_writer[loc] = prior",
         "                pass",
         (
             "tests/test_oracle.py::test_enumerated_reorderings_are_correct_reorderings",
@@ -458,7 +458,7 @@ MUTANTS = (
     Mutant(
         "witness-rf-unchecked",
         ORACLE,
-        "if last_writer.get(ev.loc) != trace.rf[ev.eid]:",
+        "if last_writer.get(x) != trace.rf[e]:",
         "if False:",
         ("tests/test_oracle.py::test_verify_rejects_changed_rf",),
     ),
@@ -479,8 +479,8 @@ MUTANTS = (
     Mutant(
         "wrap-release-in-acquire-order",
         TRACE_MODEL,
-        'items += [(ev.thread, "rel", lock) for lock in reversed(locks)]',
-        'items += [(ev.thread, "rel", lock) for lock in locks]',
+        'items += [(thread, "rel", lock) for lock in reversed(locks)]',
+        'items += [(thread, "rel", lock) for lock in locks]',
         (
             "tests/test_trace_model.py::test_wrap_pair_other_access_gets_both_locks",
             "tests/test_trace_model.py::test_wrap_pair_output_matches_the_pinned_digest",
@@ -499,9 +499,27 @@ MUTANTS = (
     Mutant(
         "event-lines-keep-comment",
         TRACE_MODEL,
-        'body = line.split("#", 1)[0].strip()',
-        "body = line.strip()",
+        'if body := line.partition("#")[0].strip():',
+        "if body := line.strip():",
         (GEN_GATE,),
+    ),
+    # trace check: a location's first use records no role, so no later use
+    # is tested against it
+    Mutant(
+        "trace-role-unrecorded",
+        TRACE_MODEL,
+        "                roles[loc] = want\n",
+        "                pass\n",
+        ("tests/test_trace_model.py::test_trace_error_messages_are_pinned",),
+    ),
+    # events on demand: Trace.event reads the kind and location columns one
+    # entry past the event
+    Mutant(
+        "event-reads-next-entry",
+        TRACE_MODEL,
+        "self.kind[eid - 1], self.loc[eid - 1])",
+        "self.kind[eid], self.loc[eid])",
+        ("tests/test_trace_model.py::test_event_list_and_text_give_equal_traces_on_seeded_corpus",),
     ),
     # gen: a generator's ValueError escapes as an internal failure
     Mutant(

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -20,6 +21,7 @@ from racepred import (
     trace_params,
     wrap_pair,
 )
+from racepred.cli import predict, scan
 from racepred.generators import gen_random_trace
 from racepred.trace_model import (
     INIT_THREAD,
@@ -203,6 +205,101 @@ def test_first_faulty_event_in_trace_order_is_reported(text, synthesize_init, me
     with pytest.raises(TraceError) as err:
         parse_trace(text, synthesize_init=synthesize_init)
     assert str(err.value) == message
+
+
+def _events_of(text: str, synthesize_init: bool = True) -> tuple[list[Event], int]:
+    """The text's events as :class:`Event` objects, numbered after a ``t0``
+    write for each global read before any write, and how many of those there
+    are: the reference for :func:`parse_trace`'s columns."""
+    items = [body.split() for _, _, body in _content_lines(text)]
+    first: dict[str, str] = {}
+    for _, kind, loc in items:
+        if kind in ("w", "r"):
+            first.setdefault(loc, kind)
+    init = [[INIT_THREAD, "w", loc] for loc, kind in first.items() if kind == "r" and synthesize_init]
+    return [Event(eid, *item) for eid, item in enumerate(init + items, 1)], len(init)
+
+
+def _columns_of(t: Trace) -> tuple:
+    return t.tid, t.kind, t.loc, t.threads, t.by_thread, t.rf, t.match, t.num_synthesized
+
+
+def test_event_list_and_text_give_equal_traces_on_seeded_corpus():
+    # Trace(events) splits the events into columns; parse_trace fills them
+    # from the lines.  Copies without each global's first write exercise
+    # init synthesis.
+    rng = np.random.default_rng(39)
+    synthesized = 0
+    for seed in range(120):
+        t = gen_random_trace(
+            seed,
+            n=int(rng.integers(10, 61)),
+            k=int(rng.integers(2, 6)),
+            d_globals=int(rng.integers(1, 4)),
+            d_locks=int(rng.integers(1, 4)),
+            read_ratio=float(rng.random()),
+            lock_ratio=float(rng.uniform(0.1, 0.6)),
+            nesting_max=int(rng.integers(1, 4)),
+        )
+        lines = serialize(t).splitlines()
+        first = {line.split()[2]: i for i, line in reversed(list(enumerate(lines))) if " w " in line}
+        cut = "".join(f"{line}\n" for i, line in enumerate(lines) if i not in first.values())
+        for text in (serialize(t), cut):
+            events, num_synthesized = _events_of(text)
+            built, parsed = Trace(events, num_synthesized=num_synthesized), parse_trace(text)
+            assert _columns_of(built) == _columns_of(parsed), seed
+            assert built.events == parsed.events == tuple(events), seed
+            assert [parsed.event(e) for e in range(1, len(parsed) + 1)] == events, seed
+            synthesized += num_synthesized
+    assert synthesized > 100
+
+
+def test_event_list_and_text_raise_the_same_first_fault():
+    # every pinned row whose lines all hold an event, through both constructors
+    rows = [
+        (text, text != "t1 r x", message)
+        for text, message in test_trace_error_messages_are_pinned.pytestmark[0].args[1]
+    ] + list(test_first_faulty_event_in_trace_order_is_reported.pytestmark[0].args[1])
+    checked = 0
+    for text, synthesize_init, message in rows:
+        if any(len(body.split()) != 3 for _, _, body in _content_lines(text)):
+            continue  # a malformed line has no event to build
+        events, num_synthesized = _events_of(text, synthesize_init)
+        for build in (
+            lambda: Trace(events, num_synthesized=num_synthesized),
+            lambda: parse_trace(text, synthesize_init=synthesize_init),
+        ):
+            with pytest.raises(TraceError) as err:
+                build()
+            assert str(err.value) == message, text
+        checked += 1
+    assert checked == len(rows) - 2
+
+
+def test_no_event_is_built_on_parse_or_decision(monkeypatch):
+    # the events are columns: parsing, predict and scan build no Event
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    long_texts = {inst.text for inst in workloads.long(1)}
+    assert len(long_texts) == 2  # the chain and the star
+    scan_text = workloads.scan(1)[0].text
+    built = []
+    init = Event.__init__
+
+    def counting(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Event, "__init__", counting)
+    for text in long_texts:
+        trace = parse_trace(text)
+        for algo, distance in (("auto", None), ("general", None), *(("bounded", d) for d in range(3))):
+            assert predict(trace, 1999, 2000, algo=algo, distance=distance).race
+    verdicts = scan(parse_trace(scan_text))
+    assert any(v.race for v in verdicts)
+    assert built == []
+    assert len(trace.events) == 2000 and len(built) == 2000  # the count sees a build
 
 
 def test_parse_comments_and_blank_lines():
