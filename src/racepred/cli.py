@@ -311,17 +311,17 @@ def _load_trace(args: argparse.Namespace) -> tuple[Trace, str]:
 
 
 def _sidecar_query(text: str) -> tuple[int, int] | None:
-    """The first ``# query <id1> <id2>`` comment in the file, if any."""
+    """The first ``# query <id1> <id2>`` comment in the file, if any; its ids
+    are ASCII digits, as in edge lists."""
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped.startswith("#"):
             continue
         parts = stripped[1:].split()
         if len(parts) == 3 and parts[0] == "query":
-            try:
-                return int(parts[1]), int(parts[2])
-            except ValueError:
-                raise CliError(f"malformed query comment: {stripped!r}") from None
+            if not all(p.isascii() and p.isdigit() for p in parts[1:]):
+                raise CliError(f"malformed query comment: {stripped!r}")
+            return int(parts[1]), int(parts[2])
     return None
 
 

@@ -21,11 +21,13 @@ get an error instead.
 Event ids are 1-based positions in the final event sequence (after any
 synthesized writes).
 
-A :class:`Trace` stores its events as three columns indexed by ``eid - 1``:
-the thread's number, the kind and the location.  Parsing fills the columns
-straight from the lines, and every query reads them; an :class:`Event` is a
-view built only where the API hands one out (``Trace.event``,
-``Trace.events`` and iteration).
+A :class:`Trace` is built from one input form, three columns of names
+indexed by ``eid - 1``: each event's thread, kind and location.  Parsing
+fills them straight from the lines, and the trace stores them with the
+thread's name replaced by its number; every query reads these columns.  An
+:class:`Event` is an output view, built only where the API hands one out
+(``Trace.event``, ``Trace.events`` and iteration); no trace is built from
+events.
 """
 
 from __future__ import annotations
@@ -68,35 +70,18 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """One step of a trace: ``thread`` performs ``kind`` on ``loc``.
+    """One step of a trace, as the trace hands it out: ``thread`` performs
+    ``kind`` (one of :data:`KINDS`) on ``loc``.
 
-    ``eid`` is the event's 1-based position in the trace.
+    ``eid`` is the event's 1-based position in the trace.  Every role is
+    read from ``kind``; ``writes_like`` and ``observes`` name the two roles
+    that :func:`conflicting` and replays of the reads-from map read.
     """
 
     eid: int
     thread: str
     kind: str
     loc: str
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind == "w"
-
-    @property
-    def is_read(self) -> bool:
-        return self.kind == "r"
-
-    @property
-    def is_acquire(self) -> bool:
-        return self.kind == "acq"
-
-    @property
-    def is_release(self) -> bool:
-        return self.kind == "rel"
-
-    @property
-    def is_global_access(self) -> bool:
-        return self.kind in ("w", "r")
 
     @property
     def observes(self) -> bool:
@@ -124,13 +109,16 @@ def conflicting(e1: Event, e2: Event) -> bool:
 class Trace:
     """An immutable, validated event sequence, stored as columns.
 
-    Event ``eid`` is entry ``eid - 1`` of three tuples: ``tid``, its
-    thread's number (an index into ``threads``), ``kind`` and ``loc``.  These
-    columns are the one stored form of the events; every query reads them.
-    An :class:`Event` is a view built on demand: :meth:`event` builds the one
-    it returns, and ``events`` builds them all on first access and keeps
-    them.  Beside the columns the trace exposes the derived structure
-    everything else builds on: each thread's event ids in program order
+    ``Trace(threads, kinds, locs)`` takes the events as three equally long
+    columns of names, event ``eid`` at entry ``eid - 1``: the one input form
+    of a trace, which :func:`from_events` and :func:`parse_trace` fill.  The
+    trace stores event ``eid`` as entry ``eid - 1`` of three tuples: ``tid``,
+    its thread's number (an index into ``threads``), ``kind`` and ``loc``.
+    These columns are the one stored form of the events; every query reads
+    them.  An :class:`Event` is an output view built on demand: :meth:`event`
+    builds the one it returns, and ``events`` builds them all on first
+    access and keeps them.  Beside the columns the trace exposes the
+    derived structure everything else builds on: each thread's event ids in program order
     (``by_thread``, by thread number, the one stored form of a thread's
     events), the observed-writer map ``rf`` (reads to writes, releases to
     their matching acquires), and acquire/release matching.  An event's
@@ -140,11 +128,8 @@ class Trace:
     TRF, the channel index and the communication topology), built on first
     use and kept on the trace.
 
-    ``Trace(events)`` splits a sequence of events into columns, whose ids
-    must run ``1..n`` in sequence order, else :class:`TraceError`;
-    :func:`from_events` and :func:`parse_trace` fill the columns straight
-    from their items.  One loop over the columns is the one checker of trace
-    input, parsed or built: every kind must be one of :data:`KINDS`, and
+    The constructor is the one checker of trace input, parsed or built: the
+    columns must have one length, every kind must be one of :data:`KINDS`, and
     every thread and location name one the file format allows, so that
     :func:`serialize` writes text that :func:`parse_trace` reads back; each
     location keeps one role, every read follows a write, and locks are held
@@ -165,23 +150,18 @@ class Trace:
         "locks",
         "rf",
         "match",
-        "thread_index",
         "by_thread",
         "num_synthesized",
         "_events",
         "_ideals",
     )
 
-    def __init__(self, events: Sequence[Event], *, num_synthesized: int = 0):
-        columns = [(ev.eid, ev.thread, ev.kind, ev.loc) for ev in events]
-        self._check(*(zip(*columns) if columns else ((),) * 4), num_synthesized)
-
-    def _check(
-        self, ids: Iterable[int], threads: Sequence[str], kinds: Sequence[str],
-        locs: Sequence[str], num_synthesized: int,
-    ) -> None:
-        """Check the events, given as columns of ids and names, and fill the
-        trace from them: the one checker of trace input."""
+    def __init__(
+        self, threads: Sequence[str], kinds: Sequence[str], locs: Sequence[str], *,
+        num_synthesized: int = 0,
+    ):
+        if not len(threads) == len(kinds) == len(locs):
+            raise TraceError(f"columns differ in length: {len(threads)}, {len(kinds)}, {len(locs)}")
         index: dict[str, int] = {}  # thread -> its number, in order of first event
         roles: dict[str, str] = {}  # loc -> "global" | "lock"
         tid: list[int] = []
@@ -191,9 +171,7 @@ class Trace:
         last_writer: dict[str, int] = {}
         rf: dict[int, int] = {}  # reads to their writes, releases to their acquires
         match: dict[int, int] = {}  # acquires and releases to each other
-        for eid, given, thread, kind, loc in zip(count(1), ids, threads, kinds, locs):
-            if given != eid:
-                raise TraceError(f"event {eid} has id {given}: ids must run 1..n in order")
+        for eid, thread, kind, loc in zip(count(1), threads, kinds, locs):
             if kind not in KINDS:
                 raise TraceError(f"bad operation {kind!r} (event {eid})")
             b = index.get(thread)
@@ -256,7 +234,6 @@ class Trace:
         self.loc: tuple[str, ...] = tuple(locs)
         self.num_synthesized = num_synthesized
         self.threads: tuple[str, ...] = tuple(index)
-        self.thread_index = index
         self.globals_ = frozenset(x for x, role in roles.items() if role == "global")
         self.locks = frozenset(x for x, role in roles.items() if role == "lock")
         self.by_thread: tuple[tuple[int, ...], ...] = tuple(map(tuple, by_thread))
@@ -300,8 +277,11 @@ class Trace:
         return eid <= self.num_synthesized
 
     def projection(self, thread: str) -> tuple[int, ...]:
-        """The thread's event ids in program order: its row of ``by_thread``."""
-        return self.by_thread[self.thread_index[thread]]
+        """The thread's event ids in program order: its row of ``by_thread``;
+        :class:`TraceError` for a thread the trace does not have."""
+        if thread not in self.threads:
+            raise TraceError(f"no thread {thread!r} in the trace")
+        return self.by_thread[self.threads.index(thread)]
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +297,7 @@ def from_events(
     """Build a trace from ``(thread, kind, loc)`` triples, numbering them
     from 1 after any synthesized writes, so item i (from 1) is event
     ``num_synthesized + i``; :class:`Trace` checks the events.  The items
-    go straight into the trace's columns: no :class:`Event` is built.
+    go straight into the trace's input columns: no :class:`Event` is built.
 
     With ``synthesize_init`` (the default), a write on thread ``t0`` is
     prepended for every global whose first access is a read, in the order of
@@ -335,10 +315,9 @@ def from_events(
             if (kind == "w" or kind == "r") and loc not in first:
                 first[loc] = kind
         synthesized = [loc for loc, kind in first.items() if kind == "r"]
-    m, trace = len(synthesized), Trace.__new__(Trace)
+    m = len(synthesized)
     threads, kinds, locs = (INIT_THREAD,) * m + threads, ("w",) * m + kinds, (*synthesized, *locs)
-    trace._check(range(1, len(kinds) + 1), threads, kinds, locs, m)
-    return trace
+    return Trace(threads, kinds, locs, num_synthesized=m)
 
 
 def parse_trace(text: str, *, synthesize_init: bool = True) -> Trace:

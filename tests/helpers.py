@@ -146,7 +146,7 @@ def trf_by_replay(trace: Trace, members=None) -> PartialOrder:
         [[e for e in proj if keep is None or e in keep] for proj in trace.by_thread]
     )
     for ev in trace.events:
-        if ev.is_read and (keep is None or ev.eid in keep):
+        if ev.kind == "r" and (keep is None or ev.eid in keep):
             w = trace.rf[ev.eid]
             if trace.event(w).thread != ev.thread:
                 order.add_edge(w, ev.eid)
@@ -396,7 +396,7 @@ def lcone_by_members(
 def open_acquires_by_members(trace: Trace, members) -> list[int]:
     """Acquires in the set whose matching release is outside, by event id."""
     return sorted(
-        e for e in members if trace.event(e).is_acquire and trace.match[e] not in members
+        e for e in members if trace.event(e).kind == "acq" and trace.match[e] not in members
     )
 
 
@@ -460,10 +460,10 @@ def gamma_by_scan(trace: Trace) -> int:
     depth = {p: 0 for p in trace.threads}
     best = 0
     for ev in trace:
-        if ev.is_acquire:
+        if ev.kind == "acq":
             depth[ev.thread] += 1
             best = max(best, depth[ev.thread])
-        elif ev.is_release:
+        elif ev.kind == "rel":
             depth[ev.thread] -= 1
     return best
 
@@ -480,7 +480,7 @@ def zeta_by_scan(trace: Trace) -> int:
     def reaches(u: int, v: int) -> bool:
         return u == v or closure.has_edge(u, v)
 
-    acquires = [ev.eid for ev in trace if ev.is_acquire]
+    acquires = [ev.eid for ev in trace if ev.kind == "acq"]
     dep = nx.DiGraph()
     dep.add_nodes_from(acquires)
     for a1, a2 in itertools.permutations(acquires, 2):
@@ -658,7 +658,7 @@ def reversal_pairs_by_combinations(trace: Trace, witness) -> list[tuple[int, int
 
 def conflicting_pairs(trace: Trace, cross_thread: bool = True):
     """All conflicting global read/write pairs, smaller id first."""
-    accesses = [ev for ev in trace if ev.is_global_access]
+    accesses = [ev for ev in trace if ev.kind in ("w", "r")]
     for a, b in itertools.combinations(accesses, 2):
         if conflicting(a, b) and (not cross_thread or a.thread != b.thread):
             yield a.eid, b.eid

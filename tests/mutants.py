@@ -343,7 +343,7 @@ MUTANTS = (
         "if kind not in KINDS:",
         "if False:",
         (
-            "tests/test_trace_model.py::test_trace_rejects_ids_out_of_order_and_unknown_kinds",
+            "tests/test_trace_model.py::test_trace_rejects_unknown_kinds_and_unequal_columns",
             "tests/test_trace_model.py::test_trace_error_messages_are_pinned",
         ),
     ),
@@ -520,6 +520,24 @@ MUTANTS = (
         "self.kind[eid - 1], self.loc[eid - 1])",
         "self.kind[eid], self.loc[eid])",
         ("tests/test_trace_model.py::test_event_list_and_text_give_equal_traces_on_seeded_corpus",),
+    ),
+    # conflict test: only the first event's role is read, so a reader
+    # first never conflicts with a writer
+    Mutant(
+        "conflicting-reads-first-role-twice",
+        TRACE_MODEL,
+        "return e1.writes_like or e2.writes_like",
+        "return e1.writes_like or e1.writes_like",
+        ("tests/test_trace_model.py::test_conflicting_predicate",),
+    ),
+    # sidecar query: a non-ASCII digit is read as its number, so the pair
+    # is decided instead of refused
+    Mutant(
+        "query-ids-accept-non-ascii",
+        CLI,
+        "if not all(p.isascii() and p.isdigit() for p in parts[1:]):",
+        "if not all(p.isdigit() for p in parts[1:]):",
+        ("tests/test_cli.py::test_error_paths_exit_2_with_one_message_line",),
     ),
     # gen: a generator's ValueError escapes as an internal failure
     Mutant(

@@ -446,6 +446,9 @@ def test_predict_usage_errors_exit_2(tmp_path, capsys, text, argv_tail, message)
         (["predict", "--by-line"], TWO_WRITES, "--by-line needs explicit --e1 and --e2 line numbers"),
         (["gen", "random", "--read-ratio", "2"], None, "ratios must lie in [0, 1]"),
         (["gen", "random", "--k", "0"], None, "need at least one thread"),
+        # sidecar ids are ASCII digits only, as in edge lists
+        (["predict"], TWO_WRITES + "# query 1 \u0662\n", "malformed query comment: '# query 1 \u0662'"),
+        (["predict"], TWO_WRITES + "# query 0_1 2\n", "malformed query comment: '# query 0_1 2'"),
     ],
 )
 def test_error_paths_exit_2_with_one_message_line(tmp_path, capsys, argv, text, message):

@@ -22,3 +22,20 @@ def test_module_holds_no_assert_statement(path):
 
 def test_modules_are_found():
     assert {p.name for p in MODULES} >= {"trace_model.py", "cli.py", "__init__.py"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "trace_model.py"], ids=lambda p: p.name
+)
+def test_only_trace_model_names_event(path):
+    # a trace is built from and read as columns; an Event is the output view
+    # trace_model hands out, so no other module builds or reads one
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "Event")
+        or (isinstance(node, ast.Attribute) and node.attr == "Event")
+        or (isinstance(node, ast.alias) and node.name == "Event")
+    ]
+    assert lines == [], f"{path.name} names Event on lines {lines}"

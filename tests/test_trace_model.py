@@ -106,36 +106,39 @@ def test_parse_rejects_malformed_lines():
         parse_trace("t1 w 9bad")
 
 
-def test_trace_rejects_ids_out_of_order_and_unknown_kinds():
-    # the table's arrays are indexed by event id, and an unknown kind would
-    # otherwise replay as a release
-    for events in (
-        [Event(2, "t1", "w", "x"), Event(1, "t2", "w", "x")],
-        [Event(1, "t1", "w", "x"), Event(3, "t2", "w", "x")],
-        [Event(0, "t1", "w", "x")],
-        [Event(1, "t1", "acq", "l"), Event(2, "t1", "unlock", "l")],
+def test_trace_rejects_unknown_kinds_and_unequal_columns():
+    # an unknown kind would otherwise replay as a release, and a short
+    # column would silently drop the events past its end
+    with pytest.raises(TraceError) as err:
+        from_events([("t1", "acq", "l"), ("t1", "unlock", "l")], synthesize_init=False)
+    assert str(err.value) == "bad operation 'unlock' (event 2)"
+    for columns in (
+        (("t1", "t2"), ("w",), ("x", "x")),
+        (("t1",), ("w", "w"), ("x", "x")),
+        (("t1", "t2"), ("w", "w"), ("x",)),
     ):
-        with pytest.raises(TraceError):
-            Trace(events)
-    assert len(Trace([Event(1, "t1", "w", "x"), Event(2, "t2", "w", "x")])) == 2
+        with pytest.raises(TraceError) as err:
+            Trace(*columns)
+        assert str(err.value).startswith("columns differ in length: ")
+    assert len(Trace(("t1", "t2"), ("w", "w"), ("x", "x"))) == 2
 
 
 @pytest.mark.parametrize(
     ("events", "message"),
     [
         (
-            [Event(1, "main thread", "w", "x y"), Event(2, "main thread", "r", "x y")],
+            [("main thread", "w", "x y"), ("main thread", "r", "x y")],
             "bad thread name 'main thread' (event 1)",
         ),
-        ([Event(1, "t1", "w", "x"), Event(2, "t1", "w", "x y")], "bad location 'x y' (event 2)"),
-        ([Event(1, "t1", "w", "x"), Event(2, "t2\n", "r", "x")], "bad thread name 't2\\n' (event 2)"),
-        ([Event(1, "t1", "acq", "l\n"), Event(2, "t1", "rel", "l\n")], "bad location 'l\\n' (event 1)"),
+        ([("t1", "w", "x"), ("t1", "w", "x y")], "bad location 'x y' (event 2)"),
+        ([("t1", "w", "x"), ("t2\n", "r", "x")], "bad thread name 't2\\n' (event 2)"),
+        ([("t1", "acq", "l\n"), ("t1", "rel", "l\n")], "bad location 'l\\n' (event 1)"),
     ],
 )
 def test_trace_rejects_names_the_file_format_cannot_hold(events, message):
     # serialize would write them as text that parse_trace rejects
     with pytest.raises(TraceError) as err:
-        Trace(events)
+        from_events(events, synthesize_init=False)
     assert str(err.value) == message
 
 
@@ -207,7 +210,7 @@ def test_first_faulty_event_in_trace_order_is_reported(text, synthesize_init, me
     assert str(err.value) == message
 
 
-def _events_of(text: str, synthesize_init: bool = True) -> tuple[list[Event], int]:
+def _events_of(text: str) -> tuple[list[Event], int]:
     """The text's events as :class:`Event` objects, numbered after a ``t0``
     write for each global read before any write, and how many of those there
     are: the reference for :func:`parse_trace`'s columns."""
@@ -216,18 +219,14 @@ def _events_of(text: str, synthesize_init: bool = True) -> tuple[list[Event], in
     for _, kind, loc in items:
         if kind in ("w", "r"):
             first.setdefault(loc, kind)
-    init = [[INIT_THREAD, "w", loc] for loc, kind in first.items() if kind == "r" and synthesize_init]
+    init = [[INIT_THREAD, "w", loc] for loc, kind in first.items() if kind == "r"]
     return [Event(eid, *item) for eid, item in enumerate(init + items, 1)], len(init)
 
 
-def _columns_of(t: Trace) -> tuple:
-    return t.tid, t.kind, t.loc, t.threads, t.by_thread, t.rf, t.match, t.num_synthesized
-
-
 def test_event_list_and_text_give_equal_traces_on_seeded_corpus():
-    # Trace(events) splits the events into columns; parse_trace fills them
-    # from the lines.  Copies without each global's first write exercise
-    # init synthesis.
+    # parse_trace fills the columns from the lines; the events read back
+    # from them match the reference list.  Copies without each global's
+    # first write exercise init synthesis.
     rng = np.random.default_rng(39)
     synthesized = 0
     for seed in range(120):
@@ -246,34 +245,12 @@ def test_event_list_and_text_give_equal_traces_on_seeded_corpus():
         cut = "".join(f"{line}\n" for i, line in enumerate(lines) if i not in first.values())
         for text in (serialize(t), cut):
             events, num_synthesized = _events_of(text)
-            built, parsed = Trace(events, num_synthesized=num_synthesized), parse_trace(text)
-            assert _columns_of(built) == _columns_of(parsed), seed
-            assert built.events == parsed.events == tuple(events), seed
+            parsed = parse_trace(text)
+            assert parsed.num_synthesized == num_synthesized, seed
+            assert parsed.events == tuple(events), seed
             assert [parsed.event(e) for e in range(1, len(parsed) + 1)] == events, seed
             synthesized += num_synthesized
     assert synthesized > 100
-
-
-def test_event_list_and_text_raise_the_same_first_fault():
-    # every pinned row whose lines all hold an event, through both constructors
-    rows = [
-        (text, text != "t1 r x", message)
-        for text, message in test_trace_error_messages_are_pinned.pytestmark[0].args[1]
-    ] + list(test_first_faulty_event_in_trace_order_is_reported.pytestmark[0].args[1])
-    checked = 0
-    for text, synthesize_init, message in rows:
-        if any(len(body.split()) != 3 for _, _, body in _content_lines(text)):
-            continue  # a malformed line has no event to build
-        events, num_synthesized = _events_of(text, synthesize_init)
-        for build in (
-            lambda: Trace(events, num_synthesized=num_synthesized),
-            lambda: parse_trace(text, synthesize_init=synthesize_init),
-        ):
-            with pytest.raises(TraceError) as err:
-                build()
-            assert str(err.value) == message, text
-        checked += 1
-    assert checked == len(rows) - 2
 
 
 def test_no_event_is_built_on_parse_or_decision(monkeypatch):
@@ -314,7 +291,7 @@ def test_init_synthesis_for_read_first_globals():
     # one t0 write for x (read first), none for y (written first)
     assert t.num_synthesized == 1
     assert t.events[0].thread == INIT_THREAD
-    assert t.events[0].is_write and t.events[0].loc == "x"
+    assert t.events[0].kind == "w" and t.events[0].loc == "x"
     assert t.is_synthesized(1)
     assert not t.is_synthesized(2)
     assert t.rf[2] == 1  # the read observes the synthesized write
@@ -323,6 +300,14 @@ def test_init_synthesis_for_read_first_globals():
 def test_init_synthesis_order_follows_first_reads():
     t = parse_trace("t1 r b\nt1 r a")
     assert [(ev.loc, ev.thread) for ev in t.events[:2]] == [("b", "t0"), ("a", "t0")]
+
+
+def test_projection_of_an_unknown_thread_raises_trace_error():
+    t = parse_trace("t1 w x\nt2 w x\n")
+    assert t.projection("t2") == (2,)
+    with pytest.raises(TraceError) as err:
+        t.projection("t9")
+    assert str(err.value) == "no thread 't9' in the trace"
 
 
 def test_init_synthesis_disabled_errors():
@@ -371,16 +356,16 @@ def test_serialize_parse_round_trip_random(items):
 def test_rf_total_and_latest_conflicting_write(items):
     t = from_events(items)
     for ev in t:
-        if ev.is_read:
+        if ev.kind == "r":
             w = t.rf[ev.eid]
-            assert t.event(w).is_write and t.event(w).loc == ev.loc
+            assert t.event(w).kind == "w" and t.event(w).loc == ev.loc
             assert w < ev.eid
             for between in range(w + 1, ev.eid):
                 bev = t.event(between)
-                assert not (bev.is_write and bev.loc == ev.loc)
-        elif ev.is_release:
+                assert not (bev.kind == "w" and bev.loc == ev.loc)
+        elif ev.kind == "rel":
             a = t.rf[ev.eid]
-            assert t.event(a).is_acquire
+            assert t.event(a).kind == "acq"
             assert t.event(a).thread == ev.thread
 
 
@@ -391,6 +376,7 @@ def test_conflicting_predicate():
     r2 = Event(4, "t1", "r", "x")
     wy = Event(5, "t2", "w", "y")
     assert conflicting(w, r)
+    assert conflicting(r, w)  # a reader first conflicts with a writer
     assert conflicting(w, w2)
     assert not conflicting(w, w)  # an event never conflicts with itself
     assert not conflicting(r, r2)  # two reads never conflict
@@ -400,6 +386,7 @@ def test_conflicting_predicate():
     rel = Event(7, "t2", "rel", "l")
     assert conflicting(a1, a2)
     assert conflicting(a1, rel)
+    assert conflicting(rel, a1)  # a release first conflicts with an acquire
     assert not conflicting(rel, rel)
 
 
@@ -673,8 +660,8 @@ def test_wrap_pair_preserves_trace_locks():
     t = parse_trace("t1 acq l\nt1 w x\nt1 rel l\nt2 r x")
     wrapped, n1, n2 = wrap_pair(t, 2, 4)
     assert "l" in wrapped.locks
-    assert wrapped.event(n1).is_write
-    assert wrapped.event(n2).is_read
+    assert wrapped.event(n1).kind == "w"
+    assert wrapped.event(n2).kind == "r"
 
 
 def test_wrap_pair_rejects_non_conflicting():
