@@ -7,12 +7,13 @@ recomputations of quantities the library derives, used as cross-checks.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from bisect import bisect_right
 from collections import deque
 from operator import lt
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -836,3 +837,75 @@ def bounded_by_pairs(p: RfPoset, budget: int, stats: dict | None = None) -> list
     if stats is not None:
         stats["branches"] = branches
     return w
+
+
+def witness_error_by_passes(
+    trace: Trace,
+    witness: Sequence[int],
+    e1: int | None = None,
+    e2: int | None = None,
+) -> str | None:
+    """Why a witness is invalid, or None if it checks out: the witness
+    checker in four passes (ids, thread prefixes, reads and locks, then the
+    query events), kept as the reference for ``oracle.witness_error``.
+
+    When ``e1``/``e2`` are given, additionally require that both are absent
+    from the witness and enabled at its end.  Anything but an iterable of
+    integer ids (``operator.index``, bools excluded) is invalid too.
+    """
+    try:
+        items = list(witness)
+        ids = [operator.index(e) for e in items if not isinstance(e, bool)]
+    except TypeError:
+        ids = items = None
+    if ids is None or len(ids) != len(items):
+        return "witness is not a sequence of integer event ids"
+    if len(set(ids)) != len(ids):
+        return "witness repeats an event id"
+    if not all(1 <= e <= len(trace) for e in ids):
+        return "witness contains an unknown event id"
+    tid, kind, loc = trace.tid, trace.kind, trace.loc
+
+    # per-thread prefix property
+    expected = [0] * len(trace.threads)
+    for e in ids:
+        b = tid[e - 1]
+        proj = trace.by_thread[b]
+        want = proj[expected[b]] if expected[b] < len(proj) else None
+        if want != e:
+            return f"program order broken in {trace.threads[b]}: got event {e}, expected {want}"
+        expected[b] += 1
+
+    # lock semantics and observation preservation
+    last_writer: dict[str, int] = {}
+    holder: dict[str, int] = {}  # lock -> holding thread
+    for e in ids:
+        k, x = kind[e - 1], loc[e - 1]
+        if k == "w":
+            last_writer[x] = e
+        elif k == "r":
+            if last_writer.get(x) != trace.rf[e]:
+                return f"read {e} observes a different writer than in the trace"
+        elif k == "acq":
+            if x in holder:
+                return f"critical sections overlap on {x}"
+            holder[x] = tid[e - 1]
+        else:
+            if holder.get(x) != tid[e - 1]:
+                return f"release of unheld lock {x}"
+            del holder[x]
+
+    present = set(ids)
+    for q in (e1, e2):
+        if q is None:
+            continue
+        if q in present:
+            return f"query event {q} must stay out of the witness"
+        b = trace.thread_of(q)
+        pos = trace.by_thread[b].index(q)
+        if expected[b] != pos:
+            return (
+                f"query event {q} is not enabled: thread {trace.threads[b]} stopped "
+                f"after {expected[b]} of the {pos} required events"
+            )
+    return None

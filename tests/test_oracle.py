@@ -1,6 +1,8 @@
 """The brute-force reference: enumeration, prediction, witness checking, distance."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from racepred import (
     witness_error,
 )
 from racepred.generators import gen_random_trace
+from racepred.oracle import _Replay
 from racepred.trace_model import from_events
 
-from helpers import conflicting_pairs, realizable_sets, trace_events
+from helpers import conflicting_pairs, realizable_sets, trace_events, witness_error_by_passes
 
 
 def all_reorderings(text, **kw):
@@ -183,6 +186,93 @@ def test_verify_rejects_lock_violations():
     t = parse_trace("t1 acq l\nt1 rel l\nt2 acq l\nt2 rel l")
     assert not verify_witness(t, [1, 3])  # two open criticals on l
     assert verify_witness(t, [1, 2, 3])
+
+
+def test_program_order_fault_beats_an_earlier_read_or_lock_fault():
+    t = parse_trace("t1 w x\nt2 w x\nt1 r x\nt2 w y")
+    # read 3 observes e1, not e2; then e4 runs ahead of e2 in t2
+    assert witness_error(t, [1, 3, 4]) == "program order broken in t2: got event 4, expected 2"
+    assert witness_error(t, [1, 3]) == "read 3 observes a different writer than in the trace"
+    t = parse_trace("t1 acq l\nt1 rel l\nt2 acq l\nt2 rel l\nt3 w x\nt3 w y")
+    assert witness_error(t, [1, 3, 6]) == "program order broken in t3: got event 6, expected 5"
+    assert witness_error(t, [1, 3, 5]) == "critical sections overlap on l"
+
+
+WITNESS_FAULTS = (
+    "not a sequence",
+    "repeats an event id",
+    "unknown event id",
+    "program order broken",
+    "observes a different writer",
+    "critical sections overlap",
+    "must stay out",
+    "is not enabled",
+)
+
+
+def _random_reordering(rng, t):
+    """A maximal correct reordering of ``t``, drawn step by step."""
+    replay = _Replay(t)
+    while steps := [e for e in replay.candidates() if replay.can_append(e)]:
+        replay.append(rng.choice(steps))
+    return replay.placed
+
+
+def _random_interleaving(rng, t):
+    """The threads merged in a random order: program order holds, reads and
+    locks may not."""
+    rows = [list(row) for row in t.by_thread]
+    out = []
+    while any(rows):
+        out.append(rng.choice([row for row in rows if row]).pop(0))
+    return out
+
+
+def _witness_case(rng, t, pool):
+    """One witness for the checker gate: a truncated reordering or
+    interleaving from ``pool``, maybe shuffled, swapped, repeated, or given
+    a non-integer or unknown item."""
+    n = len(t)
+    base = rng.choice(pool)
+    base = base[: rng.randint(0, len(base))]
+    shape = rng.randrange(7)
+    if shape == 0:  # shuffled
+        rng.shuffle(base)
+    elif shape == 1 and len(base) > 1:  # one swap
+        i, j = rng.sample(range(len(base)), 2)
+        base[i], base[j] = base[j], base[i]
+    elif shape == 2 and base:  # one repeated id
+        base.insert(rng.randint(0, len(base)), rng.choice(base))
+    elif shape == 3:  # one non-integer item
+        base.insert(rng.randint(0, len(base)), rng.choice((1.0, "a", True)))
+    elif shape == 4:  # one unknown id
+        base.insert(rng.randint(0, len(base)), rng.choice((0, -1, n + 1, n + 7)))
+    return base
+
+
+def test_witness_error_matches_the_pass_by_pass_reference_on_seeded_corpus():
+    # witness_error must give every witness and query the return value of
+    # the four-pass reference, message for message
+    rng = random.Random(2811)
+    seen = Counter()
+    mismatches = []
+    for s in range(200):
+        t = gen_random_trace(
+            81_000 + s, n=6 + s % 30, k=2 + s % 4, d_globals=1 + s % 3, d_locks=1 + s % 2,
+            read_ratio=0.4, lock_ratio=0.2 + 0.1 * (s % 3), nesting_max=1 + s % 2,
+        )
+        pool = [f(rng, t) for f in (_random_reordering, _random_interleaving) for _ in range(20)]
+        for _ in range(420):
+            w = _witness_case(rng, t, pool)
+            q = (None, None) if rng.random() < 0.4 else (
+                rng.randint(1, len(t)), rng.randint(1, len(t)))
+            want = witness_error_by_passes(t, w, *q)
+            if witness_error(t, w, *q) != want:
+                mismatches.append((s, w, q, want))
+            seen[want and next(f for f in WITNESS_FAULTS if f in want)] += 1
+    assert mismatches == []
+    assert sum(seen.values()) >= 80_000
+    assert {f: seen[f] for f in (None, *WITNESS_FAULTS) if seen[f] < 500} == {}, seen
 
 
 def test_verify_query_enabledness():
