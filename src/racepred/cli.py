@@ -46,6 +46,7 @@ from .trace_model import (
     Trace,
     TraceError,
     _content_lines,
+    _lines,
     _query_pair,
     _table,
     parse_trace,
@@ -313,7 +314,7 @@ def _load_trace(args: argparse.Namespace) -> tuple[Trace, str]:
 def _sidecar_query(text: str) -> tuple[int, int] | None:
     """The first ``# query <id1> <id2>`` comment in the file, if any; its ids
     are ASCII digits, as in edge lists."""
-    for line in text.splitlines():
+    for line in _lines(text):
         stripped = line.strip()
         if not stripped.startswith("#"):
             continue

@@ -92,7 +92,7 @@ class Ideal:
         trace is not."""
         try:
             b = self.trace.thread_of(eid)
-        except (TraceError, TypeError):
+        except TraceError:
             return False
         return _table(self.trace).down[eid][b] <= self.prefix[b]
 

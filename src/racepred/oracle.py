@@ -10,7 +10,9 @@ Every search takes one step, ``_Replay.steps``: it appends each next event
 that a correct reordering allows, lets the search go deeper, and takes the
 event back.  ``witness_error`` is kept apart from that step on purpose: it is
 the independent checker that every enumerated reordering and every engine
-witness is tested against, so it replays a witness with its own code.
+witness is tested against, so it replays a witness with its own code, in one
+loop that checks each event's thread prefix, read and lock in turn, and reads
+none of the engine's tables.
 
 All entry points guard against combinatorial blowup with an event-count cap
 (default 14) that callers can raise explicitly when they know better.  The
@@ -298,16 +300,19 @@ def has_any_race(trace: Trace, cap: int = DEFAULT_CAP) -> bool:
 
 
 def witness_error(
-    trace: Trace,
-    witness: Sequence[int],
-    e1: int | None = None,
-    e2: int | None = None,
+    trace: Trace, witness: Sequence[int], e1: int | None = None, e2: int | None = None
 ) -> str | None:
     """Why a witness is invalid, or None if it checks out.
 
     When ``e1``/``e2`` are given, additionally require that both are absent
     from the witness and enabled at its end.  Anything but an iterable of
     integer ids (``operator.index``, bools excluded) is invalid too.
+
+    One loop replays the witness, checking each event's thread prefix, its
+    read's writer and its lock in turn.  The first fault is reported, in
+    this order: a non-integer item, a repeated id, an unknown id, the first
+    program-order fault anywhere in the witness, the first read or lock
+    fault, then the query events.
     """
     try:
         items = list(witness)
@@ -316,62 +321,50 @@ def witness_error(
         ids = items = None
     if ids is None or len(ids) != len(items):
         return "witness is not a sequence of integer event ids"
-    if len(set(ids)) != len(ids):
+    present = set(ids)
+    if len(present) != len(ids):
         return "witness repeats an event id"
-    if not all(1 <= e <= len(trace) for e in ids):
+    if ids and (min(ids) < 1 or max(ids) > len(trace)):
         return "witness contains an unknown event id"
-    tid, kind, loc = trace.tid, trace.kind, trace.loc
-
-    # per-thread prefix property
-    expected = [0] * len(trace.threads)
+    tid, kind, loc, rf, by_thread = trace.tid, trace.kind, trace.loc, trace.rf, trace.by_thread
+    placed = [0] * len(by_thread)
+    last: dict[str, int] = {}  # global -> its last write; lock -> its open acquire
+    fault = None  # the first read or lock fault, reported once program order holds
     for e in ids:
-        b = tid[e - 1]
-        proj = trace.by_thread[b]
-        want = proj[expected[b]] if expected[b] < len(proj) else None
+        b, k, x = tid[e - 1], kind[e - 1], loc[e - 1]
+        want = by_thread[b][placed[b]]  # ids are unique, so the thread has one left
         if want != e:
             return f"program order broken in {trace.threads[b]}: got event {e}, expected {want}"
-        expected[b] += 1
-
-    # lock semantics and observation preservation
-    last_writer: dict[str, int] = {}
-    holder: dict[str, int] = {}  # lock -> holding thread
-    for e in ids:
-        k, x = kind[e - 1], loc[e - 1]
+        placed[b] += 1
+        if fault:
+            continue
         if k == "w":
-            last_writer[x] = e
-        elif k == "r":
-            if last_writer.get(x) != trace.rf[e]:
-                return f"read {e} observes a different writer than in the trace"
-        elif k == "acq":
-            if x in holder:
-                return f"critical sections overlap on {x}"
-            holder[x] = tid[e - 1]
-        else:
-            if holder.get(x) != tid[e - 1]:
-                return f"release of unheld lock {x}"
-            del holder[x]
-
-    present = set(ids)
+            last[x] = e
+        elif k == "r" and last.get(x) != rf[e]:
+            fault = f"read {e} observes a different writer than in the trace"
+        elif k == "acq" and last.setdefault(x, e) != e:
+            fault = f"critical sections overlap on {x}"
+        elif k == "rel" and last.pop(x, None) != rf[e]:  # a release observes its acquire
+            fault = f"release of unheld lock {x}"
+    if fault:
+        return fault
     for q in (e1, e2):
         if q is None:
             continue
         if q in present:
             return f"query event {q} must stay out of the witness"
         b = trace.thread_of(q)
-        pos = trace.by_thread[b].index(q)
-        if expected[b] != pos:
+        pos = by_thread[b].index(q)
+        if placed[b] != pos:
             return (
                 f"query event {q} is not enabled: thread {trace.threads[b]} stopped "
-                f"after {expected[b]} of the {pos} required events"
+                f"after {placed[b]} of the {pos} required events"
             )
     return None
 
 
 def verify_witness(
-    trace: Trace,
-    witness: Sequence[int],
-    e1: int | None = None,
-    e2: int | None = None,
+    trace: Trace, witness: Sequence[int], e1: int | None = None, e2: int | None = None
 ) -> bool:
     """Whether the witness is a correct reordering (with e1, e2 enabled, if given)."""
     return witness_error(trace, witness, e1, e2) is None

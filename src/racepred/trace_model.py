@@ -2,7 +2,8 @@
 
 A trace is a sequence of events, each performed by a thread on a shared
 location.  Threads interact through global variables (``w``/``r`` events) and
-through locks (``acq``/``rel`` events).  The file format is line oriented::
+through locks (``acq``/``rel`` events).  The file format is line oriented,
+each line ending at ``\n``, ``\r\n`` or ``\r`` and nowhere else::
 
     t1 w x
     t1 acq m
@@ -32,6 +33,7 @@ events.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -262,12 +264,17 @@ class Trace:
 
     def event(self, eid: int) -> Event:
         """Event ``eid``, built from the columns on each call."""
-        b = self.thread_of(eid)
+        b, eid = self.thread_of(eid), operator.index(eid)
         return Event(eid, self.threads[b], self.kind[eid - 1], self.loc[eid - 1])
 
     def thread_of(self, eid: int) -> int:
         """The number of event ``eid``'s thread, read from the ``tid`` column;
-        :class:`TraceError` for an id out of range."""
+        :class:`TraceError` for an id that is not an integer
+        (``operator.index``) or is out of range."""
+        try:
+            eid = operator.index(eid)
+        except TypeError:
+            raise TraceError(f"event id {eid!r} is not an integer") from None
         if not 1 <= eid <= len(self.tid):
             raise TraceError(f"event id {eid} out of range 1..{len(self.tid)}")
         return self.tid[eid - 1]
@@ -351,9 +358,16 @@ def _content_lines(text: str) -> Iterator[tuple[int, str, str]]:
     every line from 1, blank and comment lines included.  The trace, vector
     and edge-list readers all take their lines from here, each parsing
     ``body`` by its own format."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if body := line.partition("#")[0].strip():
             yield lineno, line, body
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` cut at each ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else: unlike
+    :meth:`str.splitlines`, a form feed or a Unicode line separator ends no
+    line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def serialize(trace: Trace) -> str:

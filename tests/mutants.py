@@ -75,6 +75,9 @@ BOUNDED_BRANCHING = (
 )
 ORACLE_PIN = "tests/test_oracle_pin.py::test_oracle_answers_match_the_pinned_digest"
 LCONE_CORPUS = "tests/test_ideal_engine.py::test_lcone_matches_member_replay_on_seeded_forest_corpus"
+WITNESS_GATE = (
+    "tests/test_oracle.py::test_witness_error_matches_the_pass_by_pass_reference_on_seeded_corpus"
+)
 GEN_GATE = "tests/test_cli.py::test_gen_output_matches_the_pinned_digest"
 
 MUTANTS = (
@@ -428,8 +431,8 @@ MUTANTS = (
     Mutant(
         "witness-query-position",
         ORACLE,
-        "pos = trace.by_thread[b].index(q)",
-        "pos = trace.by_thread[b].index(q) + 1",
+        "pos = by_thread[b].index(q)",
+        "pos = by_thread[b].index(q) + 1",
         (
             "tests/test_oracle.py::test_verify_query_enabledness",
             "tests/test_oracle.py::test_verify_empty_witness",
@@ -458,9 +461,32 @@ MUTANTS = (
     Mutant(
         "witness-rf-unchecked",
         ORACLE,
-        "if last_writer.get(x) != trace.rf[e]:",
-        "if False:",
+        'elif k == "r" and last.get(x) != rf[e]:',
+        'elif k == "r" and False:',
         ("tests/test_oracle.py::test_verify_rejects_changed_rf",),
+    ),
+    # witness check: once a read or lock fault is recorded, the rest of the
+    # witness goes unchecked, so a later program-order fault is hidden
+    Mutant(
+        "witness-fault-hides-later-order",
+        ORACLE,
+        "    for e in ids:\n",
+        "    for e in ids:\n        if fault:\n            break\n",
+        (
+            "tests/test_oracle.py::test_program_order_fault_beats_an_earlier_read_or_lock_fault",
+            WITNESS_GATE,
+        ),
+    ),
+    # witness check: the recorded read or lock fault is never returned
+    Mutant(
+        "witness-fault-dropped",
+        ORACLE,
+        "    if fault:\n        return fault",
+        "    if fault:\n        pass",
+        (
+            "tests/test_oracle.py::test_verify_rejects_changed_rf",
+            "tests/test_oracle.py::test_verify_rejects_lock_violations",
+        ),
     ),
     # bounded search: a witness at exactly the budget is refused, which
     # flips the race bits of the benchmark's zero-budget queries

@@ -14,6 +14,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from racepred import (
     verify_witness,
     witness_error,
 )
-from racepred.cli import CliError, Verdict, main, predict, scan, scan_pairs
+from racepred.cli import CliError, Verdict, _sidecar_query, main, predict, scan, scan_pairs
 from racepred.generators import OvInstance, gen_ov_trace, gen_random_trace
 
 from helpers import child_env
@@ -280,6 +281,28 @@ def test_predict_reads_sidecar_query(tmp_path, capsys):
     code, out, _ = run_cli(["predict", "--trace", path], capsys)
     assert code == 1
     assert json.loads(out)["query"] == {"e1": 1, "e2": 2}
+
+
+@pytest.mark.parametrize(
+    "char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=ascii
+)
+def test_by_line_and_sidecar_count_lines_at_newlines_only(tmp_path, capsys, char):
+    # str.splitlines would end line 1 at the character, so line 4 would be "# c"
+    path = write_trace(tmp_path, f"t1 w x{char}\nt2 r x\n# c\nt2 w x\n")
+    code, out, err = run_cli(["predict", "--trace", path, "--by-line", "--e1", "1", "--e2", "4"], capsys)
+    assert code in (0, 1), err
+    assert json.loads(out)["query"] == {"e1": 1, "e2": 3}
+    # a "# query" after the character is part of an event line, not a comment line
+    assert _sidecar_query(f"t1 w x{char}# query 1 2\nt2 w x\n# query 1 3\n") == (1, 3)
+
+
+@pytest.mark.parametrize("e1, e2", [(1.0, 2), ("1", 2), (1, 2.5), (None, 2)], ids=repr)
+def test_predict_rejects_a_non_integer_id_with_cli_error(e1, e2):
+    t = parse_trace(TWO_WRITES)
+    bad = e1 if e2 == 2 else e2
+    with pytest.raises(CliError, match=f"^event id {re.escape(repr(bad))} is not an integer$"):
+        predict(t, e1, e2)
+    assert predict(t, True, 2).race and predict(t, np.int64(1), np.int32(2)).race
 
 
 def test_predict_by_line_follows_init_synthesis_shift(tmp_path, capsys):

@@ -123,7 +123,8 @@ def test_ideal_membership_and_size_agree_with_members(trace, data):
         assert len(y) == len(y.members)
         for e in range(0, len(trace) + 2):
             assert (e in y) == (e in y.members)
-        assert "1" not in y
+        assert "1" not in y and 1.0 not in y and None not in y
+        assert (True in y) == (1 in y.members)
 
 
 @given(traces(max_events=10), st.data())

@@ -39,3 +39,26 @@ def test_only_trace_model_names_event(path):
         or (isinstance(node, ast.alias) and node.name == "Event")
     ]
     assert lines == [], f"{path.name} names Event on lines {lines}"
+
+
+def test_oracle_reads_no_engine_table():
+    # the brute-force reference and its witness guard replay a trace with
+    # their own code, apart from the engine's down-set table: from
+    # trace_model they take only the trace and the query check
+    path = PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "trace_model"
+        for alias in node.names
+    ]
+    assert imported == ["Trace", "_query_pair"]
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_table")
+        or (isinstance(node, ast.Attribute) and node.attr == "_table")
+        or (isinstance(node, ast.alias) and node.name == "_table")
+    ]
+    assert lines == [], f"oracle.py names _table on lines {lines}"

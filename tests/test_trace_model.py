@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from pathlib import Path
 
 import networkx as nx
@@ -284,6 +285,47 @@ def test_parse_comments_and_blank_lines():
     t = parse_trace(text)
     assert len(t) == 2
     assert [lineno for lineno, _, _ in _content_lines(text)] == [3, 6]
+
+
+# characters that str.splitlines takes as line ends and a trace file does not
+NOT_LINE_ENDS = ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=ascii)
+def test_lines_end_only_at_newline_carriage_return_or_both(char):
+    text = f"t1 w x{char}\nt2 r x\n# c\nt2 w x\n"
+    assert [lineno for lineno, _, _ in _content_lines(text)] == [1, 2, 4]
+    assert len(parse_trace(text)) == 3
+    # inside a line the character is whitespace, as before
+    assert [body for _, _, body in _content_lines(f"t1{char}w x # {char}c\n")] == [f"t1{char}w x"]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_each_line_end_gives_the_same_lines_and_errors(end):
+    text = end.join(["# c", "t1 w x", "", "t2 r x   # t", ""])
+    assert [(n, body) for n, _, body in _content_lines(text)] == [(2, "t1 w x"), (4, "t2 r x")]
+    with pytest.raises(TraceError) as err:
+        parse_trace(end.join(["t1 w x", "t1 w", ""]))
+    assert str(err.value) == "line 2: expected '<thread> <op> <location>', got 't1 w'"
+
+
+@pytest.mark.parametrize("eid", [1.0, 2.5, "1", None], ids=repr)
+def test_thread_of_raises_trace_error_for_a_non_integer_id(eid):
+    t = parse_trace("t1 w x\nt2 w x\n")
+    with pytest.raises(TraceError, match=f"^event id {re.escape(repr(eid))} is not an integer$"):
+        t.thread_of(eid)
+    with pytest.raises(TraceError):
+        t.event(eid)
+
+
+def test_thread_of_and_event_take_bools_and_numpy_ints():
+    t = parse_trace("t1 w x\nt2 w x\n")
+    assert t.thread_of(True) == 0 and t.thread_of(np.int64(2)) == 1
+    ev = t.event(True)
+    assert ev == Event(1, "t1", "w", "x") and type(ev.eid) is int
+    assert t.event(np.int32(2)) == t.event(2)
+    with pytest.raises(TraceError, match="out of range"):
+        t.thread_of(False)
 
 
 def test_init_synthesis_for_read_first_globals():
