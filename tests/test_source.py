@@ -24,20 +24,24 @@ def test_modules_are_found():
     assert {p.name for p in MODULES} >= {"trace_model.py", "cli.py", "__init__.py"}
 
 
+def lines_naming(tree: ast.AST, name: str) -> list[int]:
+    """The lines where ``name`` occurs as a name, an attribute or an import."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    ]
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "trace_model.py"], ids=lambda p: p.name
 )
 def test_only_trace_model_names_event(path):
     # a trace is built from and read as columns; an Event is the output view
     # trace_model hands out, so no other module builds or reads one
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [
-        node.lineno
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id == "Event")
-        or (isinstance(node, ast.Attribute) and node.attr == "Event")
-        or (isinstance(node, ast.alias) and node.name == "Event")
-    ]
+    lines = lines_naming(ast.parse(path.read_text(), filename=str(path)), "Event")
     assert lines == [], f"{path.name} names Event on lines {lines}"
 
 
@@ -54,11 +58,5 @@ def test_oracle_reads_no_engine_table():
         for alias in node.names
     ]
     assert imported == ["Trace", "_query_pair"]
-    lines = [
-        node.lineno
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id == "_table")
-        or (isinstance(node, ast.Attribute) and node.attr == "_table")
-        or (isinstance(node, ast.alias) and node.name == "_table")
-    ]
+    lines = lines_naming(tree, "_table")
     assert lines == [], f"oracle.py names _table on lines {lines}"
